@@ -14,7 +14,6 @@ from .callgraph import (
     MethodNode,
     build_callgraph,
     build_hierarchy,
-    classify_origin,
     find_main_entries,
     hierarchy_from_classes,
     parse_callgraph,
@@ -37,7 +36,6 @@ from .guimodel import (
     GuiModel,
     HandlerBinding,
     Violation,
-    diff_window_counts,
     link_event_handlers,
     load_gui,
     persist_gui,
@@ -49,7 +47,6 @@ from .metrics import (
     VersionMetrics,
     count_classes,
     count_loc,
-    gui_counts,
     version_csv,
     version_table,
 )

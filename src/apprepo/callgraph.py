@@ -21,7 +21,7 @@ from .classfile import (
     parse_class,
 )
 from .classfile.constant_pool import CONST_CLASS
-from .containers import container_class_names, iter_class_entries
+from .containers import iter_class_entries
 from .errors import EntryPointMissing, SchemaViolation, TargetClassMissing
 from .xmlio import XmlWriter
 
@@ -62,20 +62,6 @@ class ClasspathPartition:
         )
 
 
-def classify_origin(class_name: str, partition: ClasspathPartition) -> tuple[bool, bool, bool]:
-    """Which partition components provide a class of this name.
-
-    The three flags are not mutually exclusive; all-false means the name
-    is external to the partition.
-    """
-    def provided(containers: tuple[Path, ...]) -> bool:
-        return any(class_name in container_class_names(c) for c in containers)
-
-    return (provided(partition.framework),
-            provided(partition.library),
-            provided(partition.application))
-
-
 @dataclass
 class ClassHierarchy:
     """All parsed classes plus the inverted subtype relation.
@@ -83,6 +69,8 @@ class ClassHierarchy:
     ``externals`` holds every class name referenced by parsed classes
     (supertypes, interfaces or constant pool class entries) that no
     container provided; call resolution treats those as known-but-opaque.
+    ``origins`` maps a provided class name to its (framework, library,
+    application) flags; a name it lacks is external.
     """
 
     classes: dict[str, ClassFile]
@@ -146,7 +134,10 @@ def _referenced_class_names(cf: ClassFile) -> set[str]:
 def hierarchy_from_classes(classes: list[ClassFile],
                            origins: dict[str, tuple[bool, bool, bool]] | None = None,
                            ) -> ClassHierarchy:
-    """Assemble a hierarchy from already parsed classes (first name wins)."""
+    """Assemble a hierarchy from already parsed classes (first name wins).
+
+    Without ``origins`` no class has origin flags set.
+    """
     by_name: dict[str, ClassFile] = {}
     for cf in classes:
         by_name.setdefault(cf.class_name, cf)
@@ -157,46 +148,38 @@ def hierarchy_from_classes(classes: list[ClassFile],
         for parent in ([cf.super_name] if cf.super_name else []) + list(cf.interfaces):
             subtypes.setdefault(parent, set()).add(cf.class_name)
     externals = referenced - set(by_name)
-    if origins is None:
-        origins = {name: (False, False, True) for name in by_name}
-    return ClassHierarchy(by_name, subtypes, {}, externals, origins)
+    return ClassHierarchy(by_name, subtypes, {}, externals, origins or {})
 
 
 def build_hierarchy(partition: ClasspathPartition) -> ClassHierarchy:
     """Parse every container of the partition into a class hierarchy.
 
-    Application containers shadow library containers, which shadow
-    framework containers: the first occurrence of a class name wins for
-    parsing, while ``duplicates`` records every provider of a name seen
-    more than once.
+    Each container is read once and each entry parsed once. Application
+    containers shadow library containers, which shadow framework
+    containers: the first occurrence of a class name wins for parsing,
+    while ``duplicates`` records every provider of a name seen more than
+    once. Origin flags say which components provide a class, keyed by the
+    name the class file declares, whatever its entry path.
     """
     ordered = ([(p, "application") for p in partition.application]
                + [(p, "library") for p in partition.library]
                + [(p, "framework") for p in partition.framework])
     by_name: dict[str, ClassFile] = {}
     providers: dict[str, list[str]] = {}
-    for container, _ in ordered:
+    provided_by: dict[str, set[str]] = {}
+    for container, component in ordered:
         for entry, data in iter_class_entries(container):
             cf = parse_class(data, source=f"{container}!{entry}")
             provider_list = providers.setdefault(cf.class_name, [])
             if str(container) not in provider_list:
                 provider_list.append(str(container))
             by_name.setdefault(cf.class_name, cf)
+            provided_by.setdefault(cf.class_name, set()).add(component)
 
-    hierarchy = hierarchy_from_classes(list(by_name.values()))
+    origins = {name: ("framework" in c, "library" in c, "application" in c)
+               for name, c in provided_by.items()}
+    hierarchy = hierarchy_from_classes(list(by_name.values()), origins)
     hierarchy.duplicates = {n: ps for n, ps in providers.items() if len(ps) > 1}
-
-    name_sets = {
-        "framework": set().union(*[container_class_names(c) for c in partition.framework], set()),
-        "library": set().union(*[container_class_names(c) for c in partition.library], set()),
-        "application": set().union(*[container_class_names(c) for c in partition.application], set()),
-    }
-    hierarchy.origins = {
-        name: (name in name_sets["framework"],
-               name in name_sets["library"],
-               name in name_sets["application"])
-        for name in by_name
-    }
     return hierarchy
 
 

@@ -265,5 +265,5 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
     try:
         pool.validate()
     except MalformedClassFile as exc:
-        raise reader.fail(str(exc).split(" at offset")[0]) from exc
+        raise reader.fail(exc.reason) from exc
     return pool

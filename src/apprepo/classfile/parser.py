@@ -143,9 +143,6 @@ class ClassFile:
                 return method
         return None
 
-    def method_refs(self) -> list[MethodRef]:
-        return [m.ref(self.class_name) for m in self.methods]
-
 
 def _check_internal_name(name: str, reader: ByteReader, what: str) -> str:
     if not name or any(ch in name for ch in ";()"):
@@ -198,7 +195,7 @@ def disassemble(code: bytes, pool: ConstantPool,
         except MalformedClassFile as exc:
             if exc.offset >= file_base:
                 raise
-            raise fail(str(exc).split(" at offset")[0], offset) from exc
+            raise fail(exc.reason, offset) from exc
     return tuple(out)
 
 

@@ -222,7 +222,7 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
         row = VersionMetrics(
             version_label=config.version_label,
             timestamp=config.timestamp,
-            classes=count_classes(root / LAYOUT["binaries"]),
+            classes=count_classes(hierarchy),
             loc=loc,
             widgets=widgets,
             windows=windows,
@@ -255,8 +255,9 @@ def project_metrics(p: Project, extensions=DEFAULT_SOURCE_EXTENSIONS) -> Version
     if p.gui_model_path is not None and p.gui_model_path.is_file():
         widgets, windows = load_gui(p.gui_model_path.read_bytes()).counts()
     loc = count_loc(p.sources_dir, extensions) if p.sources_dir else 0
-    return VersionMetrics(p.version_label, p.timestamp,
-                          count_classes(p.binaries_dir), loc, widgets, windows)
+    classes = count_classes(cg.build_hierarchy(
+        cg.ClasspathPartition.of(application=[p.binaries_dir])))
+    return VersionMetrics(p.version_label, p.timestamp, classes, loc, widgets, windows)
 
 
 def cmd_validate(project_path: Path) -> int:

@@ -56,12 +56,3 @@ def _iter_archive(path: Path, prefix: str = "") -> Iterator[tuple[str, bytes]]:
                     yield prefix + name, zf.read(name)
     except (zipfile.BadZipFile, OSError) as exc:
         raise ContainerUnreadable(f"cannot read archive {path}: {exc}") from exc
-
-
-def container_class_names(container: Path) -> set[str]:
-    """Internal names of all classes a container provides."""
-    names = set()
-    for entry, _ in iter_class_entries(container):
-        inner = entry.split("!", 1)[-1]
-        names.add(inner[:-len(".class")])
-    return names

@@ -8,11 +8,12 @@ class ApprepoError(Exception):
 class MalformedClassFile(ApprepoError):
     """A class file could not be decoded.
 
-    Carries the byte offset of the first failure and, when known, the
-    container and entry the bytes came from.
+    Carries what went wrong (``reason``), the byte offset of the first
+    failure and, when known, the container and entry the bytes came from.
     """
 
     def __init__(self, message: str, offset: int = 0, source: str | None = None):
+        self.reason = message
         self.offset = offset
         self.source = source
         where = f" at offset {offset}"

@@ -372,7 +372,7 @@ def load_gui(doc: bytes | str) -> GuiModel:
     return model
 
 
-# --- code linkage and comparison ------------------------------------------
+# --- code linkage ----------------------------------------------------------
 
 def link_event_handlers(m: GuiModel, h) -> list[HandlerBinding]:
     """Bind every (element, handler class) pair to the code model.
@@ -388,10 +388,3 @@ def link_event_handlers(m: GuiModel, h) -> list[HandlerBinding]:
             status = "resolved" if methods else "unresolved"
             bindings.append(HandlerBinding(element.id, handler, status, methods))
     return bindings
-
-
-def diff_window_counts(a: GuiModel, b: GuiModel) -> tuple[int, int, int, int]:
-    """(widgets_a, widgets_b, windows_a, windows_b) for two models."""
-    widgets_a, windows_a = a.counts()
-    widgets_b, windows_b = b.counts()
-    return widgets_a, widgets_b, windows_a, windows_b

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 
-from .classfile import parse_class
-from .containers import iter_class_entries
-from .errors import IoFailure, MalformedClassFile, UnsortedInput
-from .guimodel import GuiModel
+from .callgraph import ClassHierarchy
+from .errors import IoFailure, UnsortedInput
 
 DEFAULT_SOURCE_EXTENSIONS = (".java",)
 
@@ -115,33 +113,13 @@ def count_loc(sources_dir: Path | str,
     return total
 
 
-def count_classes(binaries_dir: Path | str) -> int:
-    """Number of parseable class files under the application binaries.
+def count_classes(hierarchy: ClassHierarchy) -> int:
+    """Number of distinct classes the application partition provides.
 
-    Libraries never enter the count: the operation only sees the binaries
-    directory. Any malformed class file fails the count; all failures are
-    collected into the raised error.
+    Library and framework classes never enter the count, and a class that
+    several application containers provide counts once.
     """
-    root = Path(binaries_dir)
-    if not root.is_dir():
-        raise IoFailure(f"not a readable directory: {root}")
-    count = 0
-    failures = []
-    for entry, data in iter_class_entries(root):
-        try:
-            parse_class(data, source=entry)
-            count += 1
-        except MalformedClassFile as exc:
-            failures.append(str(exc))
-    if failures:
-        raise MalformedClassFile(
-            f"{len(failures)} unparseable class file(s): " + "; ".join(failures))
-    return count
-
-
-def gui_counts(m: GuiModel) -> tuple[int, int]:
-    """(widgets, windows) of a model; hidden and zero-size elements count."""
-    return m.counts()
+    return sum(1 for flags in hierarchy.origins.values() if flags[2])
 
 
 def _check_sorted(rows: list[VersionMetrics]) -> None:

@@ -13,13 +13,19 @@ import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 
-from .callgraph import CallGraph, ClassHierarchy, hierarchy_from_classes, parse_callgraph
-from .classfile import ClassFile, parse_class
-from .containers import iter_class_entries
+from .callgraph import (
+    CallGraph,
+    ClassHierarchy,
+    ClasspathPartition,
+    build_hierarchy,
+    parse_callgraph,
+)
 from .errors import (
     AlreadyExists,
+    ContainerUnreadable,
     IoFailure,
     MalformedClassFile,
     MissingArtifact,
@@ -70,14 +76,20 @@ class Project:
 
 @dataclass(frozen=True)
 class ClassRepository:
-    """The linked code model of one project: classes, sources, call graph."""
+    """The linked code model of one project: classes, sources, call graph.
 
-    classes: dict[str, ClassFile]
+    The call graph document is parsed on first access only.
+    """
+
+    hierarchy: ClassHierarchy
     sources: dict[str, Path]
-    callgraph: CallGraph
+    callgraph_path: Path | None
 
-    def hierarchy(self) -> ClassHierarchy:
-        return hierarchy_from_classes(list(self.classes.values()))
+    @cached_property
+    def callgraph(self) -> CallGraph:
+        if self.callgraph_path is None or not self.callgraph_path.is_file():
+            return CallGraph.of(set())
+        return parse_callgraph(self.callgraph_path.read_bytes())
 
 
 @dataclass
@@ -112,7 +124,7 @@ class ProjectReport:
 
 
 def _relative_to_project(root: Path, raw: str) -> Path:
-    return (root / raw).resolve() if not Path(raw).is_absolute() else Path(raw)
+    return (root / raw).resolve()  # an absolute raw path replaces root
 
 
 def init_project(root: Path | str, name: str, version_label: str, timestamp: date,
@@ -218,8 +230,6 @@ def read_project_file(path: Path | str) -> Project:
             gui_external = elem.attrib.get("external")
     if "binaries" not in paths:
         raise SchemaViolation("project declares no binaries directory")
-    if "libraries" in paths and Path(paths["libraries"]) == Path(paths["binaries"]):
-        raise SchemaViolation("binaries and libraries directories must be disjoint")
 
     project_dir = path.parent.resolve()
 
@@ -227,13 +237,16 @@ def read_project_file(path: Path | str) -> Project:
         raw = paths.get(tag)
         return _relative_to_project(project_dir, raw) if raw is not None else None
 
+    binaries_dir, libraries_dir = resolve("binaries"), resolve("libraries")
+    if binaries_dir == libraries_dir:
+        raise SchemaViolation("binaries and libraries directories must be disjoint")
     return Project(
         name=root.attrib["name"],
         version_label=root.attrib["version"],
         timestamp=timestamp,
         project_dir=project_dir,
-        binaries_dir=resolve("binaries"),
-        libraries_dir=resolve("libraries"),
+        binaries_dir=binaries_dir,
+        libraries_dir=libraries_dir,
         sources_dir=resolve("sources"),
         gui_model_path=resolve("gui"),
         external_gui_path=(_relative_to_project(project_dir, gui_external)
@@ -242,6 +255,18 @@ def read_project_file(path: Path | str) -> Project:
         screenshots_dir=resolve("screenshots"),
         startup_script_path=resolve("startup"),
     )
+
+
+def _missing_artifacts(p: Project) -> list[tuple[str, Path]]:
+    """(artifact, path) of every declared required artifact that is absent."""
+    return [(artifact, path) for artifact, path, kind in (
+        ("binaries", p.binaries_dir, "dir"),
+        ("libraries", p.libraries_dir, "dir"),
+        ("sources", p.sources_dir, "dir"),
+        ("gui", p.gui_model_path, "file"),
+        ("external_gui", p.external_gui_path, "file"),
+        ("callgraph", p.callgraph_path, "file"),
+    ) if path is not None and not (path.is_dir() if kind == "dir" else path.is_file())]
 
 
 def validate_project(p: Project) -> ProjectReport:
@@ -258,19 +283,8 @@ def validate_project(p: Project) -> ProjectReport:
     def warning(code: str, detail: str) -> None:
         report.items.append(ReportItem("warning", code, detail))
 
-    for artifact, path, kind in (
-        ("binaries", p.binaries_dir, "dir"),
-        ("libraries", p.libraries_dir, "dir"),
-        ("sources", p.sources_dir, "dir"),
-        ("gui", p.gui_model_path, "file"),
-        ("external_gui", p.external_gui_path, "file"),
-        ("callgraph", p.callgraph_path, "file"),
-    ):
-        if path is None:
-            continue
-        ok = path.is_dir() if kind == "dir" else path.is_file()
-        if not ok:
-            violation("MissingArtifact", f"{artifact}: {path}")
+    for artifact, path in _missing_artifacts(p):
+        violation("MissingArtifact", f"{artifact}: {path}")
     for artifact, path in (("screenshots", p.screenshots_dir),
                            ("startup", p.startup_script_path)):
         if path is not None and not path.exists():
@@ -304,10 +318,10 @@ def validate_project(p: Project) -> ProjectReport:
     if gui_model is not None and p.binaries_dir is not None and p.binaries_dir.is_dir():
         try:
             repo = build_code_model(p)
-        except (MalformedClassFile, SchemaViolation) as exc:
+        except (MalformedClassFile, ContainerUnreadable) as exc:
             violation("CodeModel", str(exc))
         else:
-            bindings = link_event_handlers(gui_model, repo.hierarchy())
+            bindings = link_event_handlers(gui_model, repo.hierarchy)
             report.handlers_resolved = sum(1 for b in bindings if b.status == "resolved")
             report.handlers_unresolved = sum(1 for b in bindings if b.status == "unresolved")
     return report
@@ -320,10 +334,9 @@ def load_project(path: Path | str) -> Project:
     for item in report.warnings:
         log.warning("%s: %s", item.code, item.detail)
     if not report.ok:
-        missing = [i for i in report.violations if i.code == "MissingArtifact"]
+        missing = _missing_artifacts(project)
         if missing:
-            artifact = missing[0].detail.split(":", 1)[0]
-            raise MissingArtifact(artifact, missing[0].detail.split(": ", 1)[1])
+            raise MissingArtifact(*missing[0])
         gui_items = [i for i in report.violations
                      if i.code not in ("CallgraphSchema", "CodeModel")]
         summary = "; ".join(i.detail for i in report.violations)
@@ -341,26 +354,19 @@ def build_code_model(p: Project,
     the top-level class name plus a recognized extension) under the package
     path in the sources directory.
     """
-    classes: dict[str, ClassFile] = {}
-    containers = [p.binaries_dir] + ([p.libraries_dir] if p.libraries_dir else [])
-    for container in containers:
-        if container is None or not container.exists():
-            continue
-        for entry, data in iter_class_entries(container):
-            cf = parse_class(data, source=f"{container}!{entry}")
-            classes.setdefault(cf.class_name, cf)
+    def present(container: Path | None) -> list[Path]:
+        return [container] if container is not None and container.exists() else []
+
+    hierarchy = build_hierarchy(ClasspathPartition.of(
+        library=present(p.libraries_dir), application=present(p.binaries_dir)))
 
     sources: dict[str, Path] = {}
     if p.sources_dir is not None and p.sources_dir.is_dir():
-        for name, cf in classes.items():
+        for name, cf in hierarchy.classes.items():
             found = _find_source(p.sources_dir, name, cf.source_file, source_extensions)
             if found is not None:
                 sources[name] = found
-
-    graph = CallGraph.of(set())
-    if p.callgraph_path is not None and p.callgraph_path.is_file():
-        graph = parse_callgraph(p.callgraph_path.read_bytes())
-    return ClassRepository(classes, sources, graph)
+    return ClassRepository(hierarchy, sources, p.callgraph_path)
 
 
 def _find_source(sources_dir: Path, class_name: str, source_file: str | None,

@@ -10,7 +10,6 @@ from apprepo.callgraph import (
     MethodNode,
     build_callgraph,
     build_hierarchy,
-    classify_origin,
     find_main_entries,
     hierarchy_from_classes,
     resolve_targets,
@@ -18,7 +17,7 @@ from apprepo.callgraph import (
 from apprepo.classfile import CallSite, MethodRef, extract_call_sites, parse_class
 from apprepo.errors import ContainerUnreadable, EntryPointMissing, TargetClassMissing
 
-from classasm import ACC_PUBLIC, AsmClass, AsmMethod, assemble_class
+from classasm import ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
 from generators import random_hierarchy, random_site_args
 from oracle_cha import oracle_resolve
 
@@ -100,20 +99,31 @@ def test_malformed_class_annotated_with_container_and_entry(tmp_path):
 
 # --- origin classification ---------------------------------------------------
 
-def test_classify_framework_only(corpus):
-    assert classify_origin("java/lang/Object", corpus.partition) == (True, False, False)
+def test_classify_framework_only(hierarchy):
+    assert hierarchy.origins["java/lang/Object"] == (True, False, False)
 
 
-def test_classify_duplicate_library_and_application(corpus):
-    assert classify_origin("fix/Dup", corpus.partition) == (False, True, True)
+def test_classify_duplicate_library_and_application(hierarchy):
+    assert hierarchy.origins["fix/Dup"] == (False, True, True)
 
 
-def test_classify_absent(corpus):
-    assert classify_origin("no/Such", corpus.partition) == (False, False, False)
+def test_classify_absent(hierarchy):
+    assert "no/Such" not in hierarchy.origins  # all flags false: external
 
 
-def test_classify_application_only(corpus):
-    assert classify_origin("fix/Util", corpus.partition) == (False, False, True)
+def test_classify_application_only(hierarchy):
+    assert hierarchy.origins["fix/Util"] == (False, False, True)
+
+
+def test_origin_follows_declared_name_not_entry_path(tmp_path):
+    app = tmp_path / "app"
+    (app / "wrong").mkdir(parents=True)
+    spec = AsmClass("app/Main", methods=[
+        AsmMethod("main", MAIN_DESC, ACC_PUBLIC | ACC_STATIC, [("return",)])])
+    (app / "wrong" / "Place.class").write_bytes(assemble_class(spec))
+    h = build_hierarchy(ClasspathPartition.of(application=[app]))
+    assert h.origins == {"app/Main": (False, False, True)}
+    assert find_main_entries(h) == {MethodRef("app/Main", "main", MAIN_DESC)}
 
 
 # --- resolution ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Class file parsing against the independent assembler's ground truth."""
 
+import struct
+
 import pytest
 
 from apprepo.classfile import (
@@ -99,6 +101,30 @@ def test_invalid_pool_index_in_code():
                   [("raw", struct.pack(">BH", 0xB8, 999)), ("return",)])])
     with pytest.raises(MalformedClassFile, match="invalid constant pool index"):
         parse_class(data)
+
+
+def test_pool_validation_failure_reason_and_file_offset():
+    # #1 Class names #2, which holds an Integer instead of a Utf8
+    head = struct.pack(">IHH", 0xCAFEBABE, 0, 50)
+    pool = struct.pack(">H", 3) + struct.pack(">BH", 7, 2) + struct.pack(">Bi", 3, 0)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(head + pool + b"\x00" * 8, source="X.class")
+    assert err.value.reason == "constant pool index 2 holds Integer, expected Utf8"
+    assert " at offset" not in err.value.reason
+    assert err.value.offset == len(head + pool)
+    assert err.value.source == "X.class"
+
+
+def test_bad_code_operand_reason_and_file_offset():
+    bad_invoke = struct.pack(">BH", 0xB8, 999)
+    data = simple_class("P", methods=[
+        AsmMethod("m", "()V", ACC_PUBLIC, [("nop",), ("raw", bad_invoke), ("return",)])])
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data)
+    assert err.value.reason == "invalid constant pool index 999"
+    assert " at offset" not in err.value.reason
+    offset = err.value.offset
+    assert data[offset:offset + len(bad_invoke)] == bad_invoke
 
 
 def test_root_object_class_may_lack_super():

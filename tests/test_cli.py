@@ -2,15 +2,22 @@
 
 import json
 import logging
+import sys
+import zipfile
 from pathlib import Path
 
 import pytest
 
+import apprepo.callgraph
+import apprepo.classfile.parser
+import apprepo.containers
 from apprepo.cli import main
 from apprepo.metrics import parse_version_csv
 from apprepo.project import load_project, read_project_file
 
 from bundles import SOURCES_LOC, build_bundle, ripper_document, write_sources
+from classasm import AsmClass, assemble_class
+from make_demo import make_demo
 
 
 def write_config(path: Path, corpus, sources_dir=None, gui_path=None, **overrides):
@@ -60,6 +67,63 @@ def test_build_produces_valid_project(inputs, tmp_path, capsys):
     assert (row.classes, row.loc, row.widgets, row.windows) == (14, SOURCES_LOC, 3, 1)
     assert (out / "gui" / "ripper.xml").read_text() == ripper_document()
     assert main(["validate", str(out / "project.xml")]) == 0
+
+
+def test_build_counts_class_in_two_application_jars_once(corpus, tmp_path):
+    for jar in ("a.jar", "b.jar"):
+        with zipfile.ZipFile(tmp_path / jar, "w") as zf:
+            zf.writestr("extra/Twin.class", assemble_class(AsmClass("extra/Twin")))
+    application = [str(corpus.paths["application"]),
+                   str(tmp_path / "a.jar"), str(tmp_path / "b.jar")]
+    config = write_config(tmp_path / "c.json", corpus, application=application)
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 0
+    assert parse_version_csv((out / "metrics.csv").read_text())[0].classes == 15
+
+
+def record_reader_calls(monkeypatch) -> dict[str, list]:
+    """First arguments of every container read, class parse and call graph parse.
+
+    Each function is replaced under every name an ``apprepo`` module binds
+    it to, so calls through re-exports are counted too.
+    """
+    calls: dict[str, list] = {}
+    for original in (apprepo.containers.iter_class_entries,
+                     apprepo.classfile.parser.parse_class,
+                     apprepo.callgraph.parse_callgraph):
+        log = calls[original.__name__] = []
+
+        def counted(*args, _original=original, _log=log, **kwargs):
+            _log.append(args[0])
+            return _original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "apprepo" or name.startswith("apprepo."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_each_command_loads_the_class_path_once(tmp_path, monkeypatch):
+    config = make_demo(tmp_path / "demo")
+    repo = tmp_path / "demo" / "repo"
+    calls = record_reader_calls(monkeypatch)
+    counts = {}
+    for command, argv in (
+            ("build", ["build", "--config", str(config), "--out", str(repo / "v1")]),
+            ("validate", ["validate", str(repo / "v1" / "project.xml")]),
+            ("report", ["report", str(repo)])):
+        for log in calls.values():
+            log.clear()
+        assert main(argv) == 0, command
+        containers = [str(c) for c in calls["iter_class_entries"]]
+        assert len(containers) == len(set(containers)), command
+        counts[command] = {function: len(log) for function, log in calls.items()}
+    assert counts["build"]["parse_class"] <= 33
+    assert counts["build"]["iter_class_entries"] <= 5
+    for command in ("build", "validate", "report"):
+        assert counts[command]["parse_callgraph"] == 1, command
 
 
 def test_build_byte_identical_outputs(inputs, tmp_path):
@@ -155,6 +219,18 @@ def test_validate_duplicate_ids(corpus, hierarchy, tmp_path, capsys):
     lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     dup = [l for l in lines if l.get("code") == "DuplicateId"]
     assert len(dup) == 1
+
+
+@pytest.mark.parametrize("where", ["binaries_dir", "libraries_dir"])
+def test_validate_reports_corrupt_jar(corpus, hierarchy, tmp_path, capsys, where):
+    bundle = build_bundle(corpus, hierarchy, tmp_path / "p")
+    (getattr(read_project_file(bundle), where) / "broken.jar").write_bytes(b"not a zip")
+    assert main(["validate", str(bundle)]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [(l["level"], l["code"]) for l in lines[:-1]] == [("violation", "CodeModel")]
+    assert "broken.jar" in lines[0]["detail"]
+    assert lines[-1]["level"] == "summary"
+    assert lines[-1]["violations"] == 1
 
 
 def test_validate_missing_project_file(tmp_path):

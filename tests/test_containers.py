@@ -4,12 +4,21 @@ import zipfile
 
 import pytest
 
-from apprepo.callgraph import build_callgraph, hierarchy_from_classes
+from apprepo.callgraph import (
+    ClasspathPartition,
+    build_callgraph,
+    build_hierarchy,
+    hierarchy_from_classes,
+)
 from apprepo.classfile import MethodRef, parse_class
-from apprepo.containers import container_class_names, iter_class_entries
+from apprepo.containers import iter_class_entries
 from apprepo.errors import ContainerUnreadable
 
 from classasm import ACC_PUBLIC, AsmClass, AsmMethod, assemble_class
+
+
+def class_names(container):
+    return set(build_hierarchy(ClasspathPartition.of(application=[container])).classes)
 
 
 def klass(name):
@@ -22,7 +31,7 @@ def test_directory_with_nested_jar(tmp_path):
     (tmp_path / "p" / "A.class").write_bytes(klass("p/A"))
     with zipfile.ZipFile(tmp_path / "inner.jar", "w") as zf:
         zf.writestr("q/B.class", klass("q/B"))
-    names = container_class_names(tmp_path)
+    names = class_names(tmp_path)
     assert names == {"p/A", "q/B"}
     entries = dict(iter_class_entries(tmp_path))
     assert "p/A.class" in entries
@@ -33,7 +42,7 @@ def test_plain_jar_container(tmp_path):
     jar = tmp_path / "only.jar"
     with zipfile.ZipFile(jar, "w") as zf:
         zf.writestr("x/C.class", klass("x/C"))
-    assert container_class_names(jar) == {"x/C"}
+    assert class_names(jar) == {"x/C"}
 
 
 def test_missing_container(tmp_path):

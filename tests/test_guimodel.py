@@ -7,7 +7,6 @@ import pytest
 from apprepo.guimodel import (
     GuiElement,
     GuiModel,
-    diff_window_counts,
     link_event_handlers,
     load_gui,
     persist_gui,
@@ -293,17 +292,17 @@ def test_link_document_order(hierarchy):
 
 def test_diff_identical_models():
     m = model(window("w", widget("a")))
-    assert diff_window_counts(m, m) == (1, 1, 1, 1)
+    assert m.counts() == m.counts() == (1, 1)
 
 
 def test_diff_three_vs_four_widgets():
     a = model(window("w", widget("a"), widget("b"), widget("c")))
     b = model(window("w", widget("a"), widget("b"), widget("c"), widget("d")))
-    assert diff_window_counts(a, b) == (3, 4, 1, 1)
+    assert (a.counts(), b.counts()) == ((3, 1), (4, 1))
 
 
 def test_diff_empty_vs_one_window():
-    assert diff_window_counts(model(), model(window("w"))) == (0, 0, 0, 1)
+    assert (model().counts(), model(window("w")).counts()) == ((0, 0), (0, 1))
 
 
 def test_hidden_widgets_counted():

@@ -5,13 +5,13 @@ from datetime import date
 
 import pytest
 
+from apprepo.callgraph import ClasspathPartition, build_hierarchy
 from apprepo.errors import IoFailure, MalformedClassFile, UnsortedInput
 from apprepo.metrics import (
     VersionMetrics,
     count_classes,
     count_loc,
     count_loc_text,
-    gui_counts,
     parse_version_csv,
     version_csv,
     version_table,
@@ -143,10 +143,14 @@ def _write_class(path, name):
         AsmMethod("m", "()V", ACC_PUBLIC, [("return",)])])))
 
 
+def application_classes(*containers):
+    return count_classes(build_hierarchy(ClasspathPartition.of(application=containers)))
+
+
 def test_count_two_classes(tmp_path):
     _write_class(tmp_path / "A.class", "A")
     _write_class(tmp_path / "B.class", "B")
-    assert count_classes(tmp_path) == 2
+    assert application_classes(tmp_path) == 2
 
 
 def test_count_nested_packages_and_inner_classes(tmp_path):
@@ -155,41 +159,41 @@ def test_count_nested_packages_and_inner_classes(tmp_path):
     _write_class(tmp_path / "p" / "q" / "B.class", "p/q/B")
     _write_class(tmp_path / "p" / "q" / "B$1.class", "p/q/B$1")
     _write_class(tmp_path / "C.class", "C")
-    assert count_classes(tmp_path) == 5
+    assert application_classes(tmp_path) == 5
 
 
 def test_count_empty_dir(tmp_path):
-    assert count_classes(tmp_path) == 0
+    assert application_classes(tmp_path) == 0
 
 
 def test_count_collects_malformed(tmp_path):
     _write_class(tmp_path / "A.class", "A")
     (tmp_path / "Bad.class").write_bytes(b"\xca\xfe\xba\xbe garbage")
     with pytest.raises(MalformedClassFile, match="Bad.class"):
-        count_classes(tmp_path)
+        application_classes(tmp_path)
 
 
 def test_count_classes_on_corpus(corpus):
     # 14 application classes assembled into the application container
-    assert count_classes(corpus.paths["application"]) == 14
+    assert count_classes(build_hierarchy(corpus.partition)) == 14
 
 
 # --- gui counts -----------------------------------------------------------------
 
 def test_gui_counts_examples():
     from test_guimodel import model, widget, window
-    assert gui_counts(model()) == (0, 0)
+    assert model().counts() == (0, 0)
     hidden = model(window("w", widget("a"), widget("b", visible=False), widget("c")))
-    assert gui_counts(hidden) == (3, 1)
+    assert hidden.counts() == (3, 1)
     two = model(window("w1", widget("x")), window("w2"))
-    assert gui_counts(two) == (1, 2)
+    assert two.counts() == (1, 2)
 
 
 def test_gui_counts_consistency():
     from generators import random_gui_model
     for seed in range(20):
         m = random_gui_model(random.Random(seed))
-        widgets, windows = gui_counts(m)
+        widgets, windows = m.counts()
         total = sum(1 for _ in m.walk())
         assert widgets + windows == total
 

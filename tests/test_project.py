@@ -82,6 +82,25 @@ def test_load_missing_callgraph(bundle):
     assert err.value.artifact == "callgraph"
 
 
+def test_load_missing_artifact_typed_fields(bundle):
+    project = read_project_file(bundle)
+    project.callgraph_path.unlink()
+    with pytest.raises(MissingArtifact) as err:
+        load_project(bundle)
+    assert err.value.artifact == "callgraph"
+    assert err.value.path == project.callgraph_path
+
+
+@pytest.mark.parametrize("alias", ["lib/../bin", "{root}/lib/../bin"])
+def test_read_rejects_binaries_aliasing_libraries(bundle, alias):
+    alias = alias.format(root=bundle.parent)
+    text = bundle.read_text().replace('<libraries path="lib"/>',
+                                      f'<libraries path="{alias}"/>')
+    bundle.write_text(text)
+    with pytest.raises(SchemaViolation, match="disjoint"):
+        read_project_file(bundle)
+
+
 def test_load_rejects_duplicate_gui_ids(bundle):
     gui = read_project_file(bundle).gui_model_path
     gui.write_bytes(gui.read_bytes().replace(b'id="lbl"', b'id="ok"'))
@@ -147,6 +166,17 @@ def test_dangling_callgraph_edge_is_violation(bundle):
                for i in report.violations)
 
 
+def test_dangling_callgraph_edge_reported_once(bundle):
+    project = read_project_file(bundle)
+    project.callgraph_path.write_text(
+        '<callgraph algorithm="CHA"><method id="A.m()V" inClass="A" inFramework="false"'
+        ' inLibrary="false" inApplication="true" reachable="true">'
+        '<calls target="ghost.gone()V"/></method></callgraph>')
+    report = validate_project(project)
+    assert [i.code for i in report.violations] == ["CallgraphSchema"]
+    assert report.handler_summary() == "1 resolved / 0 unresolved"
+
+
 def test_load_validate_equivalence(corpus, hierarchy, tmp_path):
     # broken and intact projects agree between load and validate
     intact = build_bundle(corpus, hierarchy, tmp_path / "good")
@@ -201,11 +231,18 @@ def test_unresolved_handler_counted(corpus, hierarchy, tmp_path):
 
 def test_code_model_classes_and_sources(bundle):
     repo = build_code_model(load_project(bundle))
-    assert "fix/Circle" in repo.classes
-    assert "fix/LibThing" in repo.classes  # libraries parsed too
+    assert "fix/Circle" in repo.hierarchy.classes
+    assert "fix/LibThing" in repo.hierarchy.classes  # libraries parsed too
     assert repo.sources["fix/Circle"].name == "Circle.java"
     assert "fix/Square" not in repo.sources  # no source shipped
     assert repo.callgraph.nodes
+
+
+def test_code_model_origin_flags(bundle):
+    origins = build_code_model(load_project(bundle)).hierarchy.origins
+    assert origins["fix/LibThing"] == (False, True, False)
+    assert origins["fix/Dup"] == (False, True, True)
+    assert origins["fix/Circle"] == (False, False, True)
 
 
 def test_code_model_inner_class_source_pairing(bundle):
@@ -222,7 +259,7 @@ def test_code_model_empty_binaries(corpus, hierarchy, tmp_path):
     for class_file in project.binaries_dir.rglob("*.class"):
         class_file.unlink()
     repo = build_code_model(project)
-    assert repo.classes == {}
+    assert repo.hierarchy.classes == {}
     assert repo.sources == {}
 
 
@@ -230,4 +267,4 @@ def test_callgraph_classes_present_in_code_model(bundle):
     repo = build_code_model(load_project(bundle))
     for node in repo.callgraph.nodes:
         if node.in_application or node.in_library:
-            assert node.ref.in_class in repo.classes
+            assert node.ref.in_class in repo.hierarchy.classes
