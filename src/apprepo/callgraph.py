@@ -10,24 +10,22 @@ edge set over-approximates every dynamic call graph of the program
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classfile import (
-    ClassFile,
-    MethodRef,
-    CallSite,
-    extract_call_sites,
-    parse_class,
-)
+from .classfile import ClassFile, MethodRef, CallSite, parse_class
 from .classfile.constant_pool import CONST_CLASS
+from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
 from .errors import EntryPointMissing, SchemaViolation, TargetClassMissing
-from .xmlio import XmlWriter
+from .xmlio import XML_DECLARATION, escape_attr
 
 ALGORITHM = "CHA"
 CLINIT_NAME = "<clinit>"
 CLINIT_DESCRIPTOR = "()V"
+# instructions that initialize the class they name (JVMS §5.5), besides invokestatic
+_INITIALIZING = frozenset(("new", "getstatic", "putstatic"))
 
 
 @dataclass(frozen=True)
@@ -70,7 +68,8 @@ class ClassHierarchy:
     (supertypes, interfaces or constant pool class entries) that no
     container provided; call resolution treats those as known-but-opaque.
     ``origins`` maps a provided class name to its (framework, library,
-    application) flags; a name it lacks is external.
+    application) flags; a name it lacks is external. :meth:`lookup`
+    memoizes its answers, so the classes must not change once it is used.
     """
 
     classes: dict[str, ClassFile]
@@ -78,6 +77,8 @@ class ClassHierarchy:
     duplicates: dict[str, list[str]]
     externals: set[str]
     origins: dict[str, tuple[bool, bool, bool]] = field(default_factory=dict)
+    _declarations: dict[tuple[str, str, str], MethodRef | None] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def transitive_subtypes(self, class_name: str) -> set[str]:
         seen: set[str] = set()
@@ -94,8 +95,16 @@ class ClassHierarchy:
         """Nearest declaration of (name, descriptor) at or above a class.
 
         Walks the superclass chain first, then the transitive super-interface
-        set. Returns None when no parsed class declares the method.
+        set. Returns None when no parsed class declares the method. Each
+        distinct question is answered once; a repeat returns the same object.
         """
+        key = (class_name, name, descriptor)
+        if key not in self._declarations:
+            self._declarations[key] = self._nearest_declaration(class_name, name, descriptor)
+        return self._declarations[key]
+
+    def _nearest_declaration(self, class_name: str, name: str,
+                             descriptor: str) -> MethodRef | None:
         current = class_name
         interfaces: list[str] = []
         while current is not None and current in self.classes:
@@ -228,30 +237,31 @@ class MethodNode:
 
 @dataclass(frozen=True)
 class CallGraph:
-    """Immutable call graph: method nodes, caller->callee edges, entries."""
+    """Immutable call graph: method nodes, caller->callee edges, entries.
+
+    Construction indexes the nodes by their method, for :meth:`node_for`.
+    """
 
     nodes: frozenset[MethodNode]
     edges: frozenset[tuple[MethodRef, MethodRef]]
     entry_points: frozenset[MethodRef]
 
     def __post_init__(self):
-        refs = {n.ref for n in self.nodes}
+        by_ref = {n.ref: n for n in self.nodes}
         for caller, callee in self.edges:
-            if caller not in refs or callee not in refs:
+            if caller not in by_ref or callee not in by_ref:
                 raise ValueError(f"edge endpoint not among nodes: {caller.text} -> {callee.text}")
         for entry in self.entry_points:
-            if entry not in refs:
+            if entry not in by_ref:
                 raise ValueError(f"entry point not among nodes: {entry.text}")
+        object.__setattr__(self, "_node_by_ref", by_ref)
 
     @staticmethod
     def of(nodes, edges=(), entry_points=()) -> "CallGraph":
         return CallGraph(frozenset(nodes), frozenset(edges), frozenset(entry_points))
 
     def node_for(self, ref: MethodRef) -> MethodNode | None:
-        for node in self.nodes:
-            if node.ref == ref:
-                return node
-        return None
+        return self._node_by_ref.get(ref)
 
 
 def _resolve_entry(entry: MethodRef, h: ClassHierarchy) -> MethodRef:
@@ -263,94 +273,78 @@ def _resolve_entry(entry: MethodRef, h: ClassHierarchy) -> MethodRef:
     return resolved
 
 
-def _method_body(ref: MethodRef, h: ClassHierarchy):
-    cf = h.classes.get(ref.in_class)
-    if cf is None:
-        return None
-    method = cf.find_method(ref.name, ref.descriptor)
-    if method is None or not method.has_body:
-        return None
-    return method
-
-
 def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
     """Reachability closure from the entry points under CHA resolution.
 
     Class initializers of every class touched by the closure (instantiated,
     statically accessed or owning a reachable method) become additional
     entry points, superclass initializers included.
+
+    Each reachable method is queued once on a first-in-first-out worklist
+    and its instructions are read once, in one pass that finds both its
+    call sites and the classes it initializes. Targets are resolved once
+    per distinct ``(kind, declared target)``. A class, with its superclass
+    chain, is marked initialized when the closure first touches it; once
+    the worklist drains, the ``<clinit>`` of each newly marked class that
+    the closure has not reached becomes an entry point, in class name order.
     """
     entry_refs = {_resolve_entry(e, h) for e in entries}
-    visited: set[MethodRef] = set()
-    nodes: set[MethodRef] = set()
-    edges: set[tuple[MethodRef, MethodRef]] = set()
+    reached: set[MethodRef] = set(entry_refs)
+    callees_of: dict[MethodRef, set[MethodRef]] = {}
     initialized: set[str] = set()
-    work: list[MethodRef] = sorted(entry_refs, key=lambda r: r.text)
-    nodes.update(entry_refs)
+    triggered_clinits: list[MethodRef] = []
+    # resolved targets by invoke mnemonic, then declared target
+    targets_of: dict[str, dict[MethodRef, set[MethodRef]]] = {m: {} for m in INVOKE_KINDS}
+    work = deque(sorted(entry_refs, key=lambda r: r.text))
+
+    def initialize(class_name: str | None) -> None:
+        while class_name not in initialized and class_name in h.classes:
+            initialized.add(class_name)
+            cf = h.classes[class_name]
+            if cf.find_method(CLINIT_NAME, CLINIT_DESCRIPTOR) is not None:
+                triggered_clinits.append(MethodRef(class_name, CLINIT_NAME, CLINIT_DESCRIPTOR))
+            class_name = cf.super_name
 
     def visit(ref: MethodRef) -> None:
-        if ref in visited:
+        cf = h.classes.get(ref.in_class)
+        method = cf.find_method(ref.name, ref.descriptor) if cf is not None else None
+        if method is None or not method.has_body:
             return
-        visited.add(ref)
-        nodes.add(ref)
-        method = _method_body(ref, h)
-        if method is None:
-            return
-        initialized.add(ref.in_class)
+        initialize(ref.in_class)
+        callees: set[MethodRef] = set()
         for ins in method.instructions:
-            if ins.mnemonic == "new" and ins.type_name:
-                initialized.add(ins.type_name)
-            elif ins.mnemonic in ("getstatic", "putstatic") and ins.member:
-                initialized.add(ins.member[0])
-        for site in extract_call_sites(h.classes[ref.in_class]):
-            if site.caller != ref:
-                continue
-            if site.kind == "static":
-                initialized.add(site.declared_target.in_class)
-            for target in resolve_targets(site, h):
-                edges.add((ref, target))
-                nodes.add(target)
-                if target not in visited:
-                    work.append(target)
+            mnemonic = ins.mnemonic
+            if mnemonic in _INITIALIZING:
+                initialize(ins.type_name if mnemonic == "new" else ins.member[0])
+            elif mnemonic in targets_of:
+                if mnemonic == "invokestatic":
+                    initialize(ins.target.in_class)
+                resolved = targets_of[mnemonic]
+                targets = resolved.get(ins.target)
+                if targets is None:
+                    site = CallSite(ref, INVOKE_KINDS[mnemonic], ins.target, ins.offset)
+                    targets = resolved[ins.target] = resolve_targets(site, h)
+                callees |= targets
+        callees_of[ref] = callees
+        fresh = callees - reached
+        reached.update(fresh)
+        work.extend(fresh)
 
-    while work or _pending_clinits(initialized, h, visited, entry_refs):
+    while work:
         while work:
-            visit(work.pop(0))
-        for clinit in _pending_clinits(initialized, h, visited, entry_refs):
-            entry_refs.add(clinit)
-            nodes.add(clinit)
-            work.append(clinit)
+            visit(work.popleft())
+        pending = sorted((c for c in triggered_clinits if c not in reached),
+                         key=lambda c: c.in_class)
+        triggered_clinits.clear()
+        reached.update(pending)
+        entry_refs.update(pending)
+        work.extend(pending)
 
-    node_set = {
-        MethodNode(ref, *h.origins.get(ref.in_class, (False, False, False)), reachable=True)
-        for ref in nodes
-    }
-    return CallGraph(frozenset(node_set), frozenset(edges), frozenset(entry_refs))
-
-
-def _pending_clinits(initialized: set[str], h: ClassHierarchy,
-                     visited: set[MethodRef], entries: set[MethodRef]) -> list[MethodRef]:
-    """Initializers triggered by the closure but not yet explored.
-
-    Initializing a class initializes its parsed superclass chain too.
-    """
-    triggered: set[str] = set()
-    for name in initialized:
-        current = name
-        while current is not None and current in h.classes:
-            if current in triggered:
-                break
-            triggered.add(current)
-            current = h.classes[current].super_name
-    pending = []
-    for name in sorted(triggered):
-        cf = h.classes.get(name)
-        if cf is None or cf.find_method(CLINIT_NAME, CLINIT_DESCRIPTOR) is None:
-            continue
-        ref = MethodRef(name, CLINIT_NAME, CLINIT_DESCRIPTOR)
-        if ref not in visited and ref not in entries:
-            pending.append(ref)
-    return pending
+    nodes = {MethodNode(ref, *h.origins.get(ref.in_class, (False, False, False)))
+             for ref in reached}
+    edges = frozenset((caller, callee)
+                      for caller, callees in callees_of.items() for callee in callees)
+    return CallGraph(frozenset(nodes), edges, frozenset(entry_refs))
 
 
 def _bool_text(value: bool) -> str:
@@ -360,36 +354,36 @@ def _bool_text(value: bool) -> str:
 def serialize_callgraph(g: CallGraph) -> bytes:
     """Render a call graph as deterministic UTF-8 XML bytes.
 
-    Methods are sorted by id, ``calls`` children by target; flags use the
-    fixed attribute names inClass / inFramework / inLibrary / inApplication.
+    Methods are sorted by id, ``calls`` children by target, both by the raw
+    (unescaped) method text; flags use the fixed attribute names inClass /
+    inFramework / inLibrary / inApplication. Each method's text is computed
+    and escaped once and the edges are grouped by caller once; the lines,
+    in :class:`~apprepo.xmlio.XmlWriter`'s layout, are written directly.
     """
-    by_caller: dict[str, list[str]] = {}
+    text = {node.ref: node.ref.text for node in g.nodes}
+    escaped = {ref: escape_attr(t) for ref, t in text.items()}
+    by_caller: dict[MethodRef, list[MethodRef]] = {}
     for caller, callee in g.edges:
-        by_caller.setdefault(caller.text, []).append(callee.text)
-    writer = XmlWriter()
-    nodes = sorted(g.nodes, key=lambda n: n.ref.text)
-    entry_texts = {e.text for e in g.entry_points}
-    writer.element("callgraph", [("algorithm", ALGORITHM)], has_children=bool(nodes))
-    for node in nodes:
-        attrs = [
-            ("id", node.ref.text),
-            ("inClass", node.ref.in_class),
-            ("inFramework", _bool_text(node.in_framework)),
-            ("inLibrary", _bool_text(node.in_library)),
-            ("inApplication", _bool_text(node.in_application)),
-            ("reachable", _bool_text(node.reachable)),
-        ]
-        if node.ref.text in entry_texts:
-            attrs.append(("entry", "true"))
-        calls = sorted(by_caller.get(node.ref.text, []))
-        writer.element("method", attrs, has_children=bool(calls))
-        for target in calls:
-            writer.leaf("calls", [("target", target)])
+        by_caller.setdefault(caller, []).append(callee)
+    if not text:
+        return (XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}"/>\n').encode("utf-8")
+    lines = [XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}">']
+    for node in sorted(g.nodes, key=lambda n: text[n.ref]):
+        ref = node.ref
+        calls = sorted(by_caller.get(ref, ()), key=text.__getitem__)
+        entry = ' entry="true"' if ref in g.entry_points else ""
+        lines.append(
+            f'  <method id="{escaped[ref]}" inClass="{escape_attr(ref.in_class)}"'
+            f' inFramework="{_bool_text(node.in_framework)}"'
+            f' inLibrary="{_bool_text(node.in_library)}"'
+            f' inApplication="{_bool_text(node.in_application)}"'
+            f' reachable="{_bool_text(node.reachable)}"'
+            f'{entry}{">" if calls else "/>"}')
         if calls:
-            writer.close()
-    if nodes:
-        writer.close()
-    return writer.tobytes()
+            lines.extend(f'    <calls target="{escaped[callee]}"/>' for callee in calls)
+            lines.append("  </method>")
+    lines.append("</callgraph>\n")
+    return "\n".join(lines).encode("utf-8")
 
 
 def _parse_bool(value: str, what: str) -> bool:
@@ -412,7 +406,7 @@ def parse_callgraph(doc: bytes | str) -> CallGraph:
     entry_points: set[MethodRef] = set()
     edges: set[tuple[MethodRef, MethodRef]] = set()
     pending_calls: list[tuple[MethodRef, str]] = []
-    seen_ids: set[str] = set()
+    refs: dict[str, MethodRef] = {}
     for elem in root:
         if elem.tag != "method":
             raise SchemaViolation(f"unexpected element <{elem.tag}> under <callgraph>")
@@ -422,11 +416,10 @@ def parse_callgraph(doc: bytes | str) -> CallGraph:
             if required not in attrs:
                 raise SchemaViolation(f"<method> missing required attribute {required!r}")
         method_id = attrs["id"]
-        if method_id in seen_ids:
+        if method_id in refs:
             raise SchemaViolation(f"duplicate method id {method_id!r}")
-        seen_ids.add(method_id)
         try:
-            ref = MethodRef.from_text(method_id)
+            ref = refs[method_id] = MethodRef.from_text(method_id)
         except ValueError as exc:
             raise SchemaViolation(str(exc)) from exc
         if attrs["inClass"] != ref.in_class:
@@ -450,9 +443,10 @@ def parse_callgraph(doc: bytes | str) -> CallGraph:
                 raise SchemaViolation("<calls> missing required attribute 'target'")
             pending_calls.append((ref, target))
     for caller, target in pending_calls:
-        if target not in seen_ids:
+        callee = refs.get(target)
+        if callee is None:
             raise SchemaViolation(f"dangling call target {target!r}")
-        edges.add((caller, MethodRef.from_text(target)))
+        edges.add((caller, callee))
     return CallGraph(frozenset(nodes), frozenset(edges), frozenset(entry_points))
 
 

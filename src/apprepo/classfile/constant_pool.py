@@ -221,6 +221,22 @@ def quote_string(text: str) -> str:
     return f'"{escaped}"'
 
 
+def _decode_modified_utf8(raw: bytes) -> str:
+    """The text of a Utf8 entry, in JVMS §4.4.7 modified UTF-8.
+
+    Plain UTF-8 is tried first. Modified UTF-8 writes NUL as ``C0 80`` and
+    each UTF-16 code unit as its own sequence, so a supplementary character
+    arrives as two encoded surrogates; these are joined into one character,
+    and an unpaired surrogate is kept. Raises UnicodeDecodeError for bytes
+    that no encoder writes.
+    """
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        units = raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogatepass")
+        return units.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+
+
 def parse_constant_pool(reader: ByteReader) -> ConstantPool:
     """Decode the constant pool table at the reader's position."""
     count = reader.u2()
@@ -233,11 +249,10 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
             length = reader.u2()
             raw = reader.raw(length)
             try:
-                text = raw.decode("utf-8")
+                text = _decode_modified_utf8(raw)
             except UnicodeDecodeError:
-                # Modified UTF-8 encodes NUL and supplementary chars
-                # differently; surrogatepass covers the fixtures we accept.
-                text = raw.decode("utf-8", errors="surrogatepass")
+                raise reader.fail(
+                    f"constant pool entry {index} is not modified UTF-8", start) from None
             entries.append(ConstantEntry(tag, text))
         elif tag == CONST_INTEGER:
             entries.append(ConstantEntry(tag, reader.s4()))

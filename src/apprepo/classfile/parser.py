@@ -8,6 +8,7 @@ references resolve, all opcodes are known, all offsets are in range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import MalformedClassFile, MethodNotFound
 from . import constant_pool as cp
@@ -121,7 +122,11 @@ class MethodInfo:
 
 @dataclass(frozen=True)
 class ClassFile:
-    """A fully decoded class file."""
+    """A fully decoded class file.
+
+    Its methods are indexed by ``(name, descriptor)`` on the first
+    :meth:`find_method` call, which makes every call a dict lookup.
+    """
 
     class_name: str
     super_name: str | None
@@ -137,11 +142,12 @@ class ClassFile:
     def is_interface(self) -> bool:
         return bool(self.access_flags & ACC_INTERFACE)
 
+    @cached_property
+    def _methods_by_key(self) -> dict[tuple[str, str], MethodInfo]:
+        return {(m.name, m.descriptor): m for m in self.methods}
+
     def find_method(self, name: str, descriptor: str) -> MethodInfo | None:
-        for method in self.methods:
-            if method.name == name and method.descriptor == descriptor:
-                return method
-        return None
+        return self._methods_by_key.get((name, descriptor))
 
 
 def _check_internal_name(name: str, reader: ByteReader, what: str) -> str:

@@ -35,6 +35,7 @@ from .metrics import (
 from .project import (
     LAYOUT,
     PROJECT_FILE_NAME,
+    ClassRepository,
     Project,
     init_project,
     read_project_file,
@@ -242,8 +243,13 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
     )
 
 
-def project_metrics(p: Project, extensions=DEFAULT_SOURCE_EXTENSIONS) -> VersionMetrics:
-    """The stored per-version metrics of a project, recomputed if absent."""
+def project_metrics(p: Project, repository: ClassRepository | None = None,
+                    extensions=DEFAULT_SOURCE_EXTENSIONS) -> VersionMetrics:
+    """The stored per-version metrics of a project, recomputed if absent.
+
+    The class count comes from ``repository``, the project's code model,
+    when the caller has one; otherwise the binaries are loaded here.
+    """
     stored = p.project_dir / METRICS_FILE_NAME
     if stored.is_file():
         rows = parse_version_csv(stored.read_text(encoding="utf-8"))
@@ -255,8 +261,9 @@ def project_metrics(p: Project, extensions=DEFAULT_SOURCE_EXTENSIONS) -> Version
     if p.gui_model_path is not None and p.gui_model_path.is_file():
         widgets, windows = load_gui(p.gui_model_path.read_bytes()).counts()
     loc = count_loc(p.sources_dir, extensions) if p.sources_dir else 0
-    classes = count_classes(cg.build_hierarchy(
-        cg.ClasspathPartition.of(application=[p.binaries_dir])))
+    hierarchy = (repository.hierarchy if repository is not None else
+                 cg.build_hierarchy(cg.ClasspathPartition.of(application=[p.binaries_dir])))
+    classes = count_classes(hierarchy)
     return VersionMetrics(p.version_label, p.timestamp, classes, loc, widgets, windows)
 
 
@@ -301,7 +308,7 @@ def cmd_report(repo_root: Path, as_csv: bool = False) -> int:
             report = validate_project(project)
             if not report.ok:
                 raise SchemaViolation("; ".join(i.detail for i in report.violations))
-            rows.append(project_metrics(project))
+            rows.append(project_metrics(project, report.repository))
         except ApprepoError as exc:
             log.warning("skipping %s: %s", child.name, exc)
     rows.sort(key=lambda r: (r.timestamp, r.version_label))

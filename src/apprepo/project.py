@@ -101,11 +101,16 @@ class ReportItem:
 
 @dataclass
 class ProjectReport:
-    """Aggregated validation result of one project."""
+    """Aggregated validation result of one project.
+
+    ``repository`` is the code model the handler cross check built, or
+    None when validation built none.
+    """
 
     items: list[ReportItem] = field(default_factory=list)
     handlers_resolved: int = 0
     handlers_unresolved: int = 0
+    repository: ClassRepository | None = None
 
     @property
     def violations(self) -> list[ReportItem]:
@@ -321,6 +326,7 @@ def validate_project(p: Project) -> ProjectReport:
         except (MalformedClassFile, ContainerUnreadable) as exc:
             violation("CodeModel", str(exc))
         else:
+            report.repository = repo
             bindings = link_event_handlers(gui_model, repo.hierarchy)
             report.handlers_resolved = sum(1 for b in bindings if b.status == "resolved")
             report.handlers_unresolved = sum(1 for b in bindings if b.status == "unresolved")

@@ -10,24 +10,20 @@ from __future__ import annotations
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
+_ATTR_ESCAPES = str.maketrans({
+    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+    "\n": "&#10;", "\r": "&#13;", "\t": "&#9;",
+})
+
 
 def escape_attr(value: str) -> str:
-    """Escape an attribute value, preserving tabs/newlines as char refs."""
-    out = []
-    for ch in value:
-        if ch == "&":
-            out.append("&amp;")
-        elif ch == "<":
-            out.append("&lt;")
-        elif ch == ">":
-            out.append("&gt;")
-        elif ch == '"':
-            out.append("&quot;")
-        elif ch in ("\n", "\r", "\t"):
-            out.append(f"&#{ord(ch)};")
-        else:
-            out.append(ch)
-    return "".join(out)
+    """Escape an attribute value, preserving tabs/newlines as char refs.
+
+    One ``str.translate`` pass over a fixed table: ``& < > "`` become
+    entity references, ``\\n \\r \\t`` numeric character references, and
+    every other character is kept as it is.
+    """
+    return value.translate(_ATTR_ESCAPES)
 
 
 class XmlWriter:

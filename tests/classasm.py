@@ -55,6 +55,24 @@ _NEWARRAY_CODES = {"boolean": 4, "char": 5, "float": 6, "double": 7,
                    "byte": 8, "short": 9, "int": 10, "long": 11}
 
 
+def modified_utf8(text: str) -> bytes:
+    """JVMS 4.4.7 modified UTF-8, as javac writes it.
+
+    Each UTF-16 code unit becomes its own 1-3 byte sequence: NUL is
+    ``C0 80``, and a supplementary character is its two surrogates.
+    """
+    data = text.encode("utf-16-be", "surrogatepass")
+    out = bytearray()
+    for (unit,) in struct.iter_unpack(">H", data):
+        if 0 < unit < 0x80:
+            out.append(unit)
+        elif unit < 0x800:
+            out += bytes([0xC0 | unit >> 6, 0x80 | unit & 0x3F])
+        else:
+            out += bytes([0xE0 | unit >> 12, 0x80 | unit >> 6 & 0x3F, 0x80 | unit & 0x3F])
+    return bytes(out)
+
+
 class Pool:
     """Interning constant pool builder (1-based, wide entries take 2 slots)."""
 
@@ -73,7 +91,7 @@ class Pool:
         return index
 
     def utf8(self, text: str) -> int:
-        raw = text.encode("utf-8")
+        raw = modified_utf8(text)
         return self._add(("u", text), b"\x01" + struct.pack(">H", len(raw)) + raw)
 
     def klass(self, name: str) -> int:

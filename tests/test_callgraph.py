@@ -1,9 +1,12 @@
 """Hierarchy construction, CHA resolution and graph building."""
 
 import random
+import sys
+from collections import Counter
 
 import pytest
 
+import apprepo.callgraph
 from apprepo.callgraph import (
     CallGraph,
     ClasspathPartition,
@@ -276,6 +279,37 @@ def test_closure_matches_bruteforce_closure(hierarchy):
                 queue.append(target)
     graph = build_callgraph(hierarchy, {main})
     assert graph.edges == want_edges
+
+
+def test_closure_resolves_each_distinct_site_once(hierarchy, monkeypatch):
+    resolved: Counter = Counter()
+
+    def counted_resolve(s, h, _original=resolve_targets):
+        resolved[s.kind, s.declared_target] += 1
+        return _original(s, h)
+
+    extracted = []
+
+    def counted_extract(cf, _original=extract_call_sites):
+        extracted.append(cf.class_name)
+        return _original(cf)
+
+    monkeypatch.setattr(apprepo.callgraph, "resolve_targets", counted_resolve)
+    for name, module in list(sys.modules.items()):
+        if name == "apprepo" or name.startswith("apprepo."):
+            for attr, value in list(vars(module).items()):
+                if value is extract_call_sites:
+                    monkeypatch.setattr(module, attr, counted_extract)
+    graph = build_callgraph(hierarchy, find_main_entries(hierarchy))
+    assert extracted == []
+    monkeypatch.undo()
+    visited_sites = [s for node in graph.nodes if node.ref.in_class in hierarchy.classes
+                     for s in extract_call_sites(hierarchy.classes[node.ref.in_class])
+                     if s.caller == node.ref]
+    distinct = {(s.kind, s.declared_target) for s in visited_sites}
+    assert len(visited_sites) > len(distinct)  # some target is called from two sites
+    assert set(resolved) == distinct
+    assert set(resolved.values()) == {1}
 
 
 def test_clinit_becomes_entry_point(hierarchy):

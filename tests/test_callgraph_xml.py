@@ -13,6 +13,7 @@ from apprepo.callgraph import (
 )
 from apprepo.classfile import MethodRef
 from apprepo.errors import SchemaViolation
+from apprepo.xmlio import escape_attr
 
 from generators import random_callgraph
 
@@ -23,6 +24,45 @@ def test_empty_graph_document():
     doc = serialize_callgraph(CallGraph.of(set()))
     assert doc == (b'<?xml version="1.0" encoding="UTF-8"?>\n'
                    b'<callgraph algorithm="CHA"/>\n')
+
+
+def test_golden_document_sorts_by_raw_text():
+    # "9" is a legal JVM method name. By raw text p/A.9()V sorts before
+    # p/A.<init>()V ('9' < '<'); by escaped text &lt;init&gt; would sort
+    # first ('&' < '9').
+    main = MethodRef("p/Main", "main", MAIN_DESC)
+    init = MethodRef("p/A", "<init>", "()V")
+    nine = MethodRef("p/A", "9", "()V")
+    graph = CallGraph.of(
+        {MethodNode(main, in_application=True),
+         MethodNode(init, in_library=True), MethodNode(nine, in_library=True)},
+        edges={(main, init), (main, nine)}, entry_points={main})
+    doc = serialize_callgraph(graph)
+    assert doc == (
+        b'<?xml version="1.0" encoding="UTF-8"?>\n'
+        b'<callgraph algorithm="CHA">\n'
+        b'  <method id="p/A.9()V" inClass="p/A" inFramework="false" inLibrary="true"'
+        b' inApplication="false" reachable="true"/>\n'
+        b'  <method id="p/A.&lt;init&gt;()V" inClass="p/A" inFramework="false"'
+        b' inLibrary="true" inApplication="false" reachable="true"/>\n'
+        b'  <method id="p/Main.main([Ljava/lang/String;)V" inClass="p/Main"'
+        b' inFramework="false" inLibrary="false" inApplication="true" reachable="true"'
+        b' entry="true">\n'
+        b'    <calls target="p/A.9()V"/>\n'
+        b'    <calls target="p/A.&lt;init&gt;()V"/>\n'
+        b'  </method>\n'
+        b'</callgraph>\n')
+    assert parse_callgraph(doc) == graph
+
+
+@pytest.mark.parametrize("raw,escaped", [
+    ("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;"),
+    ("\n", "&#10;"), ("\r", "&#13;"), ("\t", "&#9;"),
+    ("a&b<c>d\"e\nf\rg\th", "a&amp;b&lt;c&gt;d&quot;e&#10;f&#13;g&#9;h"),
+    ("pkg/Cls$1.m'x(I)V", "pkg/Cls$1.m'x(I)V"),
+])
+def test_escape_attr(raw, escaped):
+    assert escape_attr(raw) == escaped
 
 
 def test_single_node_attributes():

@@ -127,6 +127,30 @@ def test_bad_code_operand_reason_and_file_offset():
     assert data[offset:offset + len(bad_invoke)] == bad_invoke
 
 
+@pytest.mark.parametrize("text", ["a\u0000b\U0001F600", "\u0000", "\U0001F600\ud800"])
+def test_modified_utf8_string_constant(text):
+    # the assembler writes modified UTF-8 as javac does: "a\u0000b😀" is
+    # 61 C0 80 62 ED A0 BD ED B8 80
+    data = simple_class("S", methods=[
+        AsmMethod("m", "()V", ACC_PUBLIC, [("ldc_str", text), ("pop",), ("return",)])])
+    if text == "a\u0000b\U0001F600":
+        assert b"a\xc0\x80b\xed\xa0\xbd\xed\xb8\x80" in data
+    (ldc, *_) = parse_class(data).find_method("m", "()V").instructions
+    assert ldc.literal == text
+
+
+@pytest.mark.parametrize("payload", [b"\xff", b"a\xc0", b"\xed\xa0"])
+def test_undecodable_utf8_entry_reason_and_file_offset(payload):
+    head = struct.pack(">IHH", 0xCAFEBABE, 0, 50)
+    count = struct.pack(">H", 2)
+    entry = struct.pack(">BH", 1, len(payload)) + payload
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(head + count + entry + b"\x00" * 8, source="X.class")
+    assert err.value.reason == "constant pool entry 1 is not modified UTF-8"
+    assert err.value.offset == len(head + count)
+    assert err.value.source == "X.class"
+
+
 def test_root_object_class_may_lack_super():
     from fixtures import framework_classes
     cf = parse_class(assemble_class(framework_classes()[0]))

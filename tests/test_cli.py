@@ -126,6 +126,21 @@ def test_each_command_loads_the_class_path_once(tmp_path, monkeypatch):
         assert counts[command]["parse_callgraph"] == 1, command
 
 
+def test_report_without_metrics_counts_classes_from_the_code_model(tmp_path, monkeypatch,
+                                                                 capsys):
+    config = make_demo(tmp_path / "demo")
+    repo = tmp_path / "demo" / "repo"
+    assert main(["build", "--config", str(config), "--out", str(repo / "v1")]) == 0
+    stored = (repo / "v1" / "metrics.csv").read_text()
+    (repo / "v1" / "metrics.csv").unlink()
+    capsys.readouterr()
+    calls = record_reader_calls(monkeypatch)
+    assert main(["report", str(repo), "--csv"]) == 0
+    assert parse_version_csv(capsys.readouterr().out) == parse_version_csv(stored)
+    assert [Path(c).name for c in calls["iter_class_entries"]] == ["bin", "lib"]
+    assert len(calls["parse_class"]) == 16
+
+
 def test_build_byte_identical_outputs(inputs, tmp_path):
     out1, out2 = tmp_path / "p1", tmp_path / "p2"
     assert main(["build", "--config", str(inputs), "--out", str(out1)]) == 0
