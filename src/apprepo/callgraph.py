@@ -359,6 +359,8 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     inFramework / inLibrary / inApplication. Each method's text is computed
     and escaped once and the edges are grouped by caller once; the lines,
     in :class:`~apprepo.xmlio.XmlWriter`'s layout, are written directly.
+    A method text holding an unpaired surrogate, which modified UTF-8 class
+    files can carry but UTF-8 cannot, raises :class:`SchemaViolation`.
     """
     text = {node.ref: node.ref.text for node in g.nodes}
     escaped = {ref: escape_attr(t) for ref, t in text.items()}
@@ -383,7 +385,12 @@ def serialize_callgraph(g: CallGraph) -> bytes:
             lines.extend(f'    <calls target="{escaped[callee]}"/>' for callee in calls)
             lines.append("  </method>")
     lines.append("</callgraph>\n")
-    return "\n".join(lines).encode("utf-8")
+    try:
+        return "\n".join(lines).encode("utf-8")
+    except UnicodeEncodeError:
+        bad = min(t for t in text.values() if any("\ud800" <= ch <= "\udfff" for ch in t))
+        raise SchemaViolation(f"method {bad!r} holds an unpaired surrogate,"
+                              " which UTF-8 cannot encode") from None
 
 
 def _parse_bool(value: str, what: str) -> bool:

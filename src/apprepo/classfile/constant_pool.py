@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import MalformedClassFile
 
@@ -40,8 +40,7 @@ TAG_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class ConstantEntry:
+class ConstantEntry(NamedTuple):
     """One constant pool slot: a tag plus its decoded payload.
 
     Payloads are kept raw (indices unresolved); ``ConstantPool`` methods
@@ -50,6 +49,20 @@ class ConstantEntry:
 
     tag: int
     value: object
+
+
+def _field(fmt: str):
+    """A :class:`ByteReader` method that reads one big-endian ``fmt`` value."""
+    unpack = struct.Struct(fmt).unpack_from
+    size = struct.calcsize(fmt)
+
+    def read(self: ByteReader):
+        pos = self.pos
+        if pos + size > len(self.data):
+            raise self.fail("truncated class file")
+        self.pos = pos + size
+        return unpack(self.data, pos)[0]
+    return read
 
 
 class ByteReader:
@@ -63,42 +76,25 @@ class ByteReader:
     def fail(self, message: str, offset: int | None = None) -> MalformedClassFile:
         return MalformedClassFile(message, self.pos if offset is None else offset, self.source)
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise self.fail("truncated class file")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u1(self) -> int:
-        return self._take(1)[0]
-
-    def u2(self) -> int:
-        return struct.unpack(">H", self._take(2))[0]
-
-    def u4(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
-
-    def s1(self) -> int:
-        return struct.unpack(">b", self._take(1))[0]
-
-    def s2(self) -> int:
-        return struct.unpack(">h", self._take(2))[0]
-
-    def s4(self) -> int:
-        return struct.unpack(">i", self._take(4))[0]
-
-    def f4(self) -> float:
-        return struct.unpack(">f", self._take(4))[0]
-
-    def f8(self) -> float:
-        return struct.unpack(">d", self._take(8))[0]
-
-    def s8(self) -> int:
-        return struct.unpack(">q", self._take(8))[0]
+    u1 = _field(">B")
+    u2 = _field(">H")
+    u4 = _field(">I")
+    s2 = _field(">h")
+    s4 = _field(">i")
+    s8 = _field(">q")
+    f4 = _field(">f")
+    f8 = _field(">d")
 
     def raw(self, n: int) -> bytes:
-        return self._take(n)
+        pos = self.pos
+        if pos + n > len(self.data):
+            raise self.fail("truncated class file")
+        self.pos = pos + n
+        return self.data[pos:pos + n]
+
+    def s4s(self, count: int) -> tuple[int, ...]:
+        """``count`` consecutive s4 values."""
+        return struct.unpack(f">{count}i", self.raw(4 * count))
 
 
 class ConstantPool:

@@ -1,14 +1,19 @@
 """Class file parsing: binary format to an inspectable code model.
 
-Everything is decoded eagerly at parse time, including method bodies,
-so a returned :class:`ClassFile` is fully validated: all constant pool
-references resolve, all opcodes are known, all offsets are in range.
+Validation is eager and decoding is lazy. :func:`parse_class` checks
+everything, method bodies included, so a returned :class:`ClassFile` is
+fully validated: all constant pool references resolve, all opcodes are
+known, all offsets are in range. A method's code array is decoded into
+:class:`Instruction` records the first time its ``instructions`` are
+read, by the same decoder that validated it.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from ..errors import MalformedClassFile, MethodNotFound
 from . import constant_pool as cp
@@ -59,8 +64,7 @@ class MethodRef:
         return self.text
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(NamedTuple):
     """One decoded bytecode instruction.
 
     ``operands`` are rendered human-readably (pool references resolved to
@@ -89,16 +93,53 @@ class CallSite:
     offset: int
 
 
+class MethodBody(NamedTuple):
+    """A validated code array and what decoding it needs.
+
+    ``file_base`` is the code array's offset in the class file. The other
+    fields are shared by all bodies of one class: ``resolved`` maps the bytes
+    of each pool-indexed or ``newarray`` instruction to the instruction's
+    fields after its mnemonic, so each is checked and resolved once.
+    """
+
+    code: bytes
+    file_base: int
+    pool: ConstantPool
+    bootstrap_methods: list[tuple[str, str, str]]
+    source: str | None
+    resolved: dict[bytes, tuple]
+
+
 @dataclass(frozen=True)
 class MethodInfo:
-    """A parsed method: flags, disassembled body and line number table."""
+    """A parsed method: flags, line number table and body.
+
+    ``body`` holds the code array that :func:`parse_class` validated; it is
+    decoded into :attr:`instructions` on the first read, and the tuple is
+    kept. Equality compares the decoded instructions, not the body bytes.
+    """
 
     name: str
     descriptor: str
     access_flags: int
-    instructions: tuple[Instruction, ...] = ()
     line_numbers: tuple[tuple[int, int], ...] = ()
     attribute_names: tuple[str, ...] = ()
+    body: MethodBody | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def instructions(self) -> tuple[Instruction, ...]:
+        out: list[Instruction] = []
+        if self.body is not None:
+            disassemble(self.body, out)
+        return tuple(out)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.descriptor, self.access_flags, self.line_numbers,
+                self.attribute_names, self.instructions) == (
+            other.name, other.descriptor, other.access_flags, other.line_numbers,
+            other.attribute_names, other.instructions)
 
     @property
     def is_abstract(self) -> bool:
@@ -122,7 +163,7 @@ class MethodInfo:
 
 @dataclass(frozen=True)
 class ClassFile:
-    """A fully decoded class file.
+    """A fully validated class file.
 
     Its methods are indexed by ``(name, descriptor)`` on the first
     :meth:`find_method` call, which makes every call a dict lookup.
@@ -175,163 +216,217 @@ def _parse_bootstrap_methods(data: bytes, pool: ConstantPool,
     return methods
 
 
-def disassemble(code: bytes, pool: ConstantPool,
-                bootstrap_methods: list[tuple[str, str, str]],
-                file_base: int, source: str | None) -> tuple[Instruction, ...]:
-    """Decode a method's code array into instructions.
-
-    ``file_base`` is the code array's byte offset within the class file,
-    used so parse errors report file positions rather than code-relative
-    ones.
-    """
-    reader = ByteReader(code, source)
-    out: list[Instruction] = []
-
-    def fail(message: str, at: int) -> MalformedClassFile:
-        return MalformedClassFile(message, file_base + at, source)
-
-    while reader.pos < len(code):
-        offset = reader.pos
-        opcode = reader.u1()
-        if opcode not in OPCODES:
-            raise fail(f"unknown opcode 0x{opcode:02x}", offset)
-        mnemonic, fmt = OPCODES[opcode]
-        try:
-            out.append(_decode_one(reader, offset, mnemonic, fmt, pool, bootstrap_methods))
-        except MalformedClassFile as exc:
-            if exc.offset >= file_base:
-                raise
-            raise fail(exc.reason, offset) from exc
-    return tuple(out)
+def _loadable(body: MethodBody, mnemonic: str, index: int) -> tuple:
+    pool = body.pool
+    got = pool.entry(index)
+    two_word = (cp.CONST_LONG, cp.CONST_DOUBLE)
+    if mnemonic == "ldc2_w":
+        allowed = two_word
+    else:
+        allowed = (cp.CONST_INTEGER, cp.CONST_FLOAT, cp.CONST_STRING, cp.CONST_CLASS,
+                   cp.CONST_METHOD_TYPE, cp.CONST_METHOD_HANDLE)
+    if got.tag not in allowed:
+        raise MalformedClassFile(f"{mnemonic} operand has unloadable tag {got.tag}")
+    literal = None
+    if got.tag in (cp.CONST_INTEGER, cp.CONST_FLOAT) + two_word:
+        literal = got.value
+    elif got.tag == cp.CONST_STRING:
+        literal = pool.utf8(got.value)
+    return (pool.render(index),), None, None, None, literal
 
 
-def _decode_one(reader: ByteReader, offset: int, mnemonic: str, fmt: str,
-                pool: ConstantPool,
-                bootstrap_methods: list[tuple[str, str, str]]) -> Instruction:
-    if fmt == "":
-        return Instruction(offset, mnemonic)
-    if fmt == "s1":
-        return Instruction(offset, mnemonic, (reader.s1(),))
-    if fmt == "s2":
-        return Instruction(offset, mnemonic, (reader.s2(),))
-    if fmt == "u1":
-        return Instruction(offset, mnemonic, (reader.u1(),))
-    if fmt == "iinc":
-        return Instruction(offset, mnemonic, (reader.u1(), reader.s1()))
-    if fmt == "br2":
-        return Instruction(offset, mnemonic, (offset + reader.s2(),))
-    if fmt == "br4":
-        return Instruction(offset, mnemonic, (offset + reader.s4(),))
-    if fmt == "atype":
-        code = reader.u1()
-        if code not in ARRAY_TYPES:
-            raise reader.fail(f"invalid array type code {code}")
-        return Instruction(offset, mnemonic, (ARRAY_TYPES[code],))
-    if fmt in ("cp1", "cp2"):
-        index = reader.u1() if fmt == "cp1" else reader.u2()
-        return _decode_pool_op(offset, mnemonic, index, pool, reader)
-    if fmt == "iface":
-        index = reader.u2()
-        count = reader.u1()
-        if reader.u1() != 0:
-            raise reader.fail("invokeinterface fourth byte must be zero")
-        cls, name, desc = pool.member_ref(index)
-        ref = MethodRef(cls, name, desc)
-        return Instruction(offset, mnemonic, (ref.text, count), target=ref)
-    if fmt == "indy":
-        index = reader.u2()
-        if reader.u2() != 0:
-            raise reader.fail("invokedynamic trailing bytes must be zero")
-        bsm_idx, name, desc = pool.invoke_dynamic(index)
-        if bsm_idx >= len(bootstrap_methods):
-            raise reader.fail(f"invalid bootstrap method index {bsm_idx}")
-        bsm_cls, bsm_name, bsm_desc = bootstrap_methods[bsm_idx]
-        ref = MethodRef(bsm_cls, bsm_name, bsm_desc)
-        return Instruction(offset, mnemonic, (f"{name}{desc}", f"bootstrap={ref.text}"),
-                           target=ref)
-    if fmt == "multi":
-        index = reader.u2()
-        dims = reader.u1()
-        name = pool.class_name(index)
-        return Instruction(offset, mnemonic, (name, dims), type_name=name)
-    if fmt == "table":
-        _align_pad(reader, offset)
-        default = reader.s4()
-        low = reader.s4()
-        high = reader.s4()
-        if high < low:
-            raise reader.fail("tableswitch high < low")
-        targets = [offset + reader.s4() for _ in range(high - low + 1)]
-        operands = (f"default={offset + default}", f"low={low}", f"high={high}",
-                    "targets=" + ",".join(str(t) for t in targets))
-        return Instruction(offset, mnemonic, operands)
-    if fmt == "lookup":
-        _align_pad(reader, offset)
-        default = reader.s4()
-        npairs = reader.s4()
-        if npairs < 0:
-            raise reader.fail("lookupswitch negative pair count")
-        pairs = [(reader.s4(), reader.s4()) for _ in range(npairs)]
-        operands = (f"default={offset + default}",
-                    "matches=" + ",".join(f"{m}:{offset + t}" for m, t in pairs))
-        return Instruction(offset, mnemonic, operands)
-    if fmt == "wide":
-        sub = reader.u1()
-        if sub not in WIDE_TARGETS:
-            raise reader.fail(f"opcode 0x{sub:02x} cannot be widened")
-        sub_name = OPCODES[sub][0]
-        if sub_name == "iinc":
-            return Instruction(offset, mnemonic, (sub_name, reader.u2(), reader.s2()))
-        return Instruction(offset, mnemonic, (sub_name, reader.u2()))
-    raise reader.fail(f"unhandled operand format {fmt!r}")
+def _field_access(body: MethodBody, mnemonic: str, index: int) -> tuple:
+    member = body.pool.member_ref(index)
+    cls, name, desc = member
+    return (f"{cls}.{name}:{desc}",), None, member, None, None
 
 
-def _align_pad(reader: ByteReader, offset: int) -> None:
-    pad = 3 - (offset % 4)
-    for _ in range(pad):
+def _invoke(body: MethodBody, mnemonic: str, index: int) -> tuple:
+    ref = MethodRef(*body.pool.member_ref(index))
+    return (ref.text,), ref, None, None, None
+
+
+def _invokeinterface(body: MethodBody, mnemonic: str, index: int, count: int,
+                     zero: int) -> tuple:
+    if zero != 0:
+        raise MalformedClassFile("invokeinterface fourth byte must be zero")
+    ref = MethodRef(*body.pool.member_ref(index))
+    return (ref.text, count), ref, None, None, None
+
+
+def _invokedynamic(body: MethodBody, mnemonic: str, index: int, zero: int) -> tuple:
+    if zero != 0:
+        raise MalformedClassFile("invokedynamic trailing bytes must be zero")
+    bsm_idx, name, desc = body.pool.invoke_dynamic(index)
+    if bsm_idx >= len(body.bootstrap_methods):
+        raise MalformedClassFile(f"invalid bootstrap method index {bsm_idx}")
+    ref = MethodRef(*body.bootstrap_methods[bsm_idx])
+    return (f"{name}{desc}", f"bootstrap={ref.text}"), ref, None, None, None
+
+
+def _type(body: MethodBody, mnemonic: str, index: int) -> tuple:
+    name = body.pool.class_name(index)
+    return (name,), None, None, name, None
+
+
+def _multianewarray(body: MethodBody, mnemonic: str, index: int, dims: int) -> tuple:
+    name = body.pool.class_name(index)
+    return (name, dims), None, None, name, None
+
+
+def _newarray(body: MethodBody, mnemonic: str, type_code: int) -> tuple:
+    if type_code not in ARRAY_TYPES:
+        raise MalformedClassFile(f"invalid array type code {type_code}")
+    return (ARRAY_TYPES[type_code],), None, None, None, None
+
+
+def _switch_padding(reader: ByteReader, start: int) -> None:
+    for _ in range(3 - start % 4):
         if reader.u1() != 0:
             raise reader.fail("nonzero switch padding")
 
 
-def _decode_pool_op(offset: int, mnemonic: str, index: int, pool: ConstantPool,
-                    reader: ByteReader) -> Instruction:
-    if mnemonic in ("ldc", "ldc_w", "ldc2_w"):
-        got = pool.entry(index)
-        two_word = (cp.CONST_LONG, cp.CONST_DOUBLE)
-        if mnemonic == "ldc2_w":
-            allowed = two_word
-        else:
-            allowed = (cp.CONST_INTEGER, cp.CONST_FLOAT, cp.CONST_STRING, cp.CONST_CLASS,
-                       cp.CONST_METHOD_TYPE, cp.CONST_METHOD_HANDLE)
-        if got.tag not in allowed:
-            raise reader.fail(f"{mnemonic} operand has unloadable tag {got.tag}")
-        literal = None
-        if got.tag in (cp.CONST_INTEGER, cp.CONST_FLOAT) + two_word:
-            literal = got.value
-        elif got.tag == cp.CONST_STRING:
-            literal = pool.utf8(got.value)
-        return Instruction(offset, mnemonic, (pool.render(index),), literal=literal)
-    if mnemonic in ("getstatic", "putstatic", "getfield", "putfield"):
-        member = pool.member_ref(index)
-        cls, name, desc = member
-        return Instruction(offset, mnemonic, (f"{cls}.{name}:{desc}",), member=member)
-    if mnemonic in ("invokevirtual", "invokespecial", "invokestatic"):
-        cls, name, desc = pool.member_ref(index)
-        ref = MethodRef(cls, name, desc)
-        return Instruction(offset, mnemonic, (ref.text,), target=ref)
-    if mnemonic in ("new", "anewarray", "checkcast", "instanceof"):
-        name = pool.class_name(index)
-        return Instruction(offset, mnemonic, (name,), type_name=name)
-    raise reader.fail(f"unexpected pool-indexed mnemonic {mnemonic}")
+def _tableswitch(reader: ByteReader, start: int) -> tuple:
+    _switch_padding(reader, start)
+    default = reader.s4()
+    low = reader.s4()
+    high = reader.s4()
+    if high < low:
+        raise reader.fail("tableswitch high < low")
+    targets = reader.s4s(high - low + 1)
+    return (f"default={start + default}", f"low={low}", f"high={high}",
+            "targets=" + ",".join(str(start + t) for t in targets))
 
 
-def _skip_attribute_payload(reader: ByteReader, length: int) -> bytes:
-    return reader.raw(length)
+def _lookupswitch(reader: ByteReader, start: int) -> tuple:
+    _switch_padding(reader, start)
+    default = reader.s4()
+    npairs = reader.s4()
+    if npairs < 0:
+        raise reader.fail("lookupswitch negative pair count")
+    pairs = reader.s4s(2 * npairs)
+    return (f"default={start + default}",
+            "matches=" + ",".join(f"{m}:{start + t}" for m, t in zip(pairs[::2], pairs[1::2])))
+
+
+def _wide(reader: ByteReader, start: int) -> tuple:
+    sub = reader.u1()
+    if sub not in WIDE_TARGETS:
+        raise reader.fail(f"opcode 0x{sub:02x} cannot be widened")
+    sub_name = OPCODES[sub][0]
+    if sub_name == "iinc":
+        return sub_name, reader.u2(), reader.s2()
+    return sub_name, reader.u2()
+
+
+# How the decoder handles an opcode's operands:
+#   _PLAIN       none
+#   _IMMEDIATE   read by a struct, used as they are
+#   _BRANCH      one offset read by a struct, made absolute
+#   _RESOLVED    read by a struct and passed to a checker that returns the
+#                instruction's fields after its mnemonic
+#   _SEQUENTIAL  read from a ByteReader by a function (variable width)
+_PLAIN, _IMMEDIATE, _BRANCH, _RESOLVED, _SEQUENTIAL = range(5)
+
+# operand format (see opcodes.py) -> (kind, width with the opcode byte,
+# struct format skipping the opcode byte, or reader function)
+_FORMATS = {
+    "": (_PLAIN, 1, None),
+    "s1": (_IMMEDIATE, 2, ">xb"),
+    "s2": (_IMMEDIATE, 3, ">xh"),
+    "u1": (_IMMEDIATE, 2, ">xB"),
+    "iinc": (_IMMEDIATE, 3, ">xBb"),
+    "br2": (_BRANCH, 3, ">xh"),
+    "br4": (_BRANCH, 5, ">xi"),
+    "cp1": (_RESOLVED, 2, ">xB"),
+    "cp2": (_RESOLVED, 3, ">xH"),
+    "iface": (_RESOLVED, 5, ">xHBB"),
+    "indy": (_RESOLVED, 5, ">xHH"),
+    "multi": (_RESOLVED, 4, ">xHB"),
+    "atype": (_RESOLVED, 2, ">xB"),
+    "table": (_SEQUENTIAL, 1, _tableswitch),
+    "lookup": (_SEQUENTIAL, 1, _lookupswitch),
+    "wide": (_SEQUENTIAL, 1, _wide),
+}
+
+# mnemonic -> checker of a _RESOLVED instruction's operands
+_CHECKERS = {
+    "ldc": _loadable, "ldc_w": _loadable, "ldc2_w": _loadable,
+    "getstatic": _field_access, "putstatic": _field_access,
+    "getfield": _field_access, "putfield": _field_access,
+    "invokevirtual": _invoke, "invokespecial": _invoke, "invokestatic": _invoke,
+    "invokeinterface": _invokeinterface, "invokedynamic": _invokedynamic,
+    "new": _type, "anewarray": _type, "checkcast": _type, "instanceof": _type,
+    "multianewarray": _multianewarray, "newarray": _newarray,
+}
+
+# opcode -> (mnemonic, kind, width, operand reader, checker); None if unknown
+_FORMS = [None] * 256
+for _opcode, (_mnemonic, _fmt) in OPCODES.items():
+    _kind, _width, _operands = _FORMATS[_fmt]
+    if isinstance(_operands, str):
+        _operands = struct.Struct(_operands).unpack_from
+    _FORMS[_opcode] = (_mnemonic, _kind, _width, _operands, _CHECKERS.get(_mnemonic))
+
+_NO_REFS = (None, None, None, None)
+_PLAIN_FIELDS = ((),) + _NO_REFS
+_new = tuple.__new__
+
+
+def disassemble(body: MethodBody, out: list[Instruction] | None) -> None:
+    """Check a method's code array, appending its instructions to ``out`` if given.
+
+    :func:`parse_class` calls it with ``out=None`` on every body, so a bad
+    opcode, operand, padding or pool reference is reported at parse time,
+    at the file offset of the instruction that holds it. Reading
+    ``MethodInfo.instructions`` calls it again on an accepted body, which
+    cannot fail, and finds every pool operand already resolved.
+    """
+    code, resolved = body.code, body.resolved
+    end = len(code)
+    pos = start = 0
+    try:
+        while pos < end:
+            start = pos
+            form = _FORMS[code[pos]]
+            if form is None:
+                raise MalformedClassFile(f"unknown opcode 0x{code[pos]:02x}")
+            mnemonic, kind, width, operands, check = form
+            pos += width
+            if pos > end:
+                raise MalformedClassFile("truncated class file")
+            if kind == _PLAIN:
+                if out is not None:
+                    out.append(_new(Instruction, (start, mnemonic) + _PLAIN_FIELDS))
+                continue
+            if kind == _RESOLVED:
+                key = code[start:pos]
+                fields = resolved.get(key)
+                if fields is None:
+                    fields = resolved[key] = check(body, mnemonic, *operands(code, start))
+            elif kind == _SEQUENTIAL:
+                reader = ByteReader(code)
+                reader.pos = pos
+                fields = (operands(reader, start),) + _NO_REFS
+                pos = reader.pos
+            elif out is None:
+                continue
+            elif kind == _IMMEDIATE:
+                fields = (operands(code, start),) + _NO_REFS
+            else:
+                fields = ((start + operands(code, start)[0],),) + _NO_REFS
+            if out is not None:
+                out.append(_new(Instruction, (start, mnemonic) + fields))
+    except MalformedClassFile as exc:
+        raise MalformedClassFile(exc.reason, body.file_base + start, body.source) from exc
+
+
+_LINE_ENTRIES = struct.Struct(">HH").iter_unpack
 
 
 def _parse_code_attribute(data: bytes, pool: ConstantPool, file_base: int,
-                          source: str | None) -> tuple[bytes, int, tuple, tuple]:
-    """Split a Code attribute into (code bytes, code file offset, line table, attr names)."""
+                          source: str | None) -> tuple[bytes, int, tuple]:
+    """Split a Code attribute into (code bytes, code file offset, line table)."""
     reader = ByteReader(data, source)
     reader.u2()  # max_stack
     reader.u2()  # max_locals
@@ -347,19 +442,16 @@ def _parse_code_attribute(data: bytes, pool: ConstantPool, file_base: int,
         if catch_type:
             pool.class_name(catch_type)
     lines: list[tuple[int, int]] = []
-    names: list[str] = []
     attr_count = reader.u2()
     for _ in range(attr_count):
         name = pool.utf8(reader.u2())
-        names.append(name)
         length = reader.u4()
         payload = reader.raw(length)
         if name == "LineNumberTable":
             sub = ByteReader(payload, source)
             entry_count = sub.u2()
-            for _ in range(entry_count):
-                start_pc = sub.u2()
-                line = sub.u2()
+            whole = min(entry_count, (length - 2) // 4)
+            for start_pc, line in _LINE_ENTRIES(payload[2:2 + 4 * whole]):
                 if line < 1:
                     raise MalformedClassFile("line number must be positive",
                                              file_base, source)
@@ -367,11 +459,15 @@ def _parse_code_attribute(data: bytes, pool: ConstantPool, file_base: int,
                     raise MalformedClassFile("line table offset beyond code",
                                              file_base, source)
                 lines.append((start_pc, line))
-    return code, file_base + code_start, tuple(lines), tuple(names)
+            if whole < entry_count:
+                sub.pos = 2 + 4 * whole
+                sub.u2()
+                sub.u2()  # one of the two reads fails: the table is truncated
+    return code, file_base + code_start, tuple(lines)
 
 
 def parse_class(data: bytes, source: str | None = None) -> ClassFile:
-    """Parse class file bytes into a fully decoded :class:`ClassFile`."""
+    """Parse class file bytes into a fully validated :class:`ClassFile`."""
     reader = ByteReader(data, source)
     if len(data) < 4 or reader.u4() != 0xCAFEBABE:
         raise MalformedClassFile("bad magic number", 0, source)
@@ -403,10 +499,10 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         pool.utf8(reader.u2())
         for _ in range(reader.u2()):
             pool.utf8(reader.u2())
-            _skip_attribute_payload(reader, reader.u4())
+            reader.raw(reader.u4())
 
-    # methods: structure first; bodies disassembled after class attributes
-    # are read, since invokedynamic rendering needs BootstrapMethods
+    # methods: structure first; bodies checked after class attributes are
+    # read, since invokedynamic operands need BootstrapMethods
     raw_methods = []
     for _ in range(reader.u2()):
         m_flags = reader.u2()
@@ -423,7 +519,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
             names.append(a_name)
             length = reader.u4()
             payload_base = reader.pos
-            payload = _skip_attribute_payload(reader, length)
+            payload = reader.raw(length)
             if a_name == "Code":
                 if code_info is not None:
                     raise reader.fail(f"duplicate Code attribute on {m_name}{m_desc}")
@@ -442,7 +538,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         a_name = pool.utf8(reader.u2())
         class_attr_names.append(a_name)
         length = reader.u4()
-        payload = _skip_attribute_payload(reader, length)
+        payload = reader.raw(length)
         if a_name == "SourceFile":
             sub = ByteReader(payload, source)
             source_file = pool.utf8(sub.u2())
@@ -452,18 +548,20 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     if reader.pos != len(data):
         raise reader.fail("trailing bytes after class structure")
 
+    resolved: dict[bytes, tuple] = {}
     methods = []
     seen: set[tuple[str, str]] = set()
     for m_name, m_desc, m_flags, code_info, names in raw_methods:
         if (m_name, m_desc) in seen:
             raise MalformedClassFile(f"duplicate method {m_name}{m_desc}", 0, source)
         seen.add((m_name, m_desc))
-        instructions: tuple[Instruction, ...] = ()
+        body = None
         lines: tuple[tuple[int, int], ...] = ()
         if code_info is not None:
-            code, code_base, lines, _ = code_info
-            instructions = disassemble(code, pool, bootstrap_methods, code_base, source)
-        methods.append(MethodInfo(m_name, m_desc, m_flags, instructions, lines, names))
+            code, code_base, lines = code_info
+            body = MethodBody(code, code_base, pool, bootstrap_methods, source, resolved)
+            disassemble(body, None)
+        methods.append(MethodInfo(m_name, m_desc, m_flags, lines, names, body))
 
     return ClassFile(
         class_name=class_name,

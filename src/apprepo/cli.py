@@ -195,12 +195,12 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
             entries = cg.find_main_entries(hierarchy)
         else:
             entries = {MethodRef.from_text(t) for t in config.entry_points}
-        graph = cg.build_callgraph(hierarchy, entries)
+        document = cg.serialize_callgraph(cg.build_callgraph(hierarchy, entries))
     except (ApprepoError, ValueError) as exc:
         raise StageFailure("callgraph", exc) from exc
     callgraph_path = root / LAYOUT["callgraph"]
     callgraph_path.parent.mkdir(parents=True, exist_ok=True)
-    callgraph_path.write_bytes(cg.serialize_callgraph(graph))
+    callgraph_path.write_bytes(document)
 
     model = None
     if config.external_gui_path is not None:

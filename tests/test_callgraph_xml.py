@@ -65,6 +65,16 @@ def test_escape_attr(raw, escaped):
     assert escape_attr(raw) == escaped
 
 
+def test_unpaired_surrogate_in_method_name_is_a_schema_violation():
+    # "x\ud800" is valid modified UTF-8 (ED A0 80) but has no UTF-8 form
+    main = MethodRef("p/A", "main", MAIN_DESC)
+    odd = MethodRef("p/A", "x\ud800", "()V")
+    graph = CallGraph.of({MethodNode(main), MethodNode(odd)},
+                         edges={(main, odd)}, entry_points={main})
+    with pytest.raises(SchemaViolation, match=r"'p/A\.x\\ud800\(\)V' holds an unpaired"):
+        serialize_callgraph(graph)
+
+
 def test_single_node_attributes():
     ref = MethodRef("pkg/Cls", "m", "(I)I")
     node = MethodNode(ref, in_framework=False, in_library=False, in_application=True)

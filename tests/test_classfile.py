@@ -3,6 +3,8 @@
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apprepo.classfile import (
     MethodRef,
@@ -14,6 +16,7 @@ from apprepo.classfile import (
 from apprepo.errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
 
 from classasm import ACC_ABSTRACT, ACC_PUBLIC, AsmClass, AsmMethod, assemble_class
+from fixtures import all_classes
 
 
 def simple_class(name="A", methods=None, **kwargs) -> bytes:
@@ -127,6 +130,27 @@ def test_bad_code_operand_reason_and_file_offset():
     assert data[offset:offset + len(bad_invoke)] == bad_invoke
 
 
+@pytest.mark.parametrize("nops", [12, 2000])
+@pytest.mark.parametrize("bad,tail,reason", [
+    (b"\xbc\x63", [("return",)], "invalid array type code 99"),
+    (struct.pack(">BHBB", 0xB9, 1, 1, 7), [("return",)],
+     "invokeinterface fourth byte must be zero"),
+    (b"\xc4\x00", [("return",)], "opcode 0x00 cannot be widened"),
+    (b"\xaa\x00\x00\x01", [("return",)], "nonzero switch padding"),
+    (b"\x11\x00", [], "truncated class file"),
+])
+def test_code_error_reported_at_instruction_file_offset(nops, bad, tail, reason):
+    # a code array longer than its own file offset once let an operand
+    # error report its position in the code array instead of the file
+    data = simple_class("P", methods=[
+        AsmMethod("m", "()V", ACC_PUBLIC, [("nop",)] * nops + [("raw", bad)] + tail)])
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data)
+    assert err.value.reason == reason
+    offset = err.value.offset
+    assert data[offset:offset + len(bad)] == bad
+
+
 @pytest.mark.parametrize("text", ["a\u0000b\U0001F600", "\u0000", "\U0001F600\ud800"])
 def test_modified_utf8_string_constant(text):
     # the assembler writes modified UTF-8 as javac does: "a\u0000b😀" is
@@ -173,6 +197,55 @@ def test_unknown_attribute_recorded_not_fatal():
 def test_source_file_attribute():
     cf = parse_class(simple_class("S", source_file="S.java"))
     assert cf.source_file == "S.java"
+
+
+# --- contract fuzzing: any bytes give a ClassFile or MalformedClassFile ------
+
+FIXTURE_CLASSES = [assemble_class(spec) for group in all_classes().values() for spec in group]
+# (class bytes, start, end) of every code array of the fixture classes
+FIXTURE_CODE = [(data, m.body.file_base, m.body.file_base + len(m.body.code))
+                for data in FIXTURE_CLASSES for m in parse_class(data).methods if m.body]
+
+
+@st.composite
+def damaged_fixture_class(draw) -> bytes:
+    """A fixture class with bytes overwritten, in a code array or anywhere,
+    cut off, or spliced from another."""
+    damage = draw(st.sampled_from(["code", "overwrite", "truncate", "splice"]))
+    if damage == "code":
+        original, low, high = draw(st.sampled_from(FIXTURE_CODE))
+    else:
+        original = draw(st.sampled_from(FIXTURE_CLASSES))
+        low, high = 0, len(original)
+    data = bytearray(original)
+    if damage in ("code", "overwrite"):
+        edits = st.tuples(st.integers(low, high - 1), st.integers(0, 255))
+        for position, value in draw(st.lists(edits, min_size=1, max_size=6)):
+            data[position] = value
+    elif damage == "truncate":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    else:
+        donor = draw(st.sampled_from(FIXTURE_CLASSES))
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, len(data)))
+        donor_start = draw(st.integers(0, len(donor)))
+        donor_end = draw(st.integers(donor_start, len(donor)))
+        data[start:end] = donor[donor_start:donor_end]
+    return bytes(data)
+
+
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(damaged_fixture_class())
+def test_damaged_class_parses_or_raises_malformed(data):
+    try:
+        cf = parse_class(data, source="fuzz.class")
+    except MalformedClassFile as exc:
+        assert exc.source == "fuzz.class"
+        assert 0 <= exc.offset <= len(data)
+        return
+    for method in cf.methods:  # decoding a body that parse_class accepted cannot fail
+        offsets = [ins.offset for ins in method.instructions]
+        assert offsets == sorted(set(offsets)) and offsets[:1] in ([], [0])
 
 
 # --- corpus fidelity: the acceptance-grade ground truth check ---------------

@@ -16,7 +16,7 @@ from apprepo.metrics import parse_version_csv
 from apprepo.project import load_project, read_project_file
 
 from bundles import SOURCES_LOC, build_bundle, ripper_document, write_sources
-from classasm import AsmClass, assemble_class
+from classasm import ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
 from make_demo import make_demo
 
 
@@ -81,12 +81,18 @@ def test_build_counts_class_in_two_application_jars_once(corpus, tmp_path):
     assert parse_version_csv((out / "metrics.csv").read_text())[0].classes == 15
 
 
-def record_reader_calls(monkeypatch) -> dict[str, list]:
-    """First arguments of every container read, class parse and call graph parse.
+def patch_everywhere(monkeypatch, original, replacement) -> None:
+    """Replace a function under every name an ``apprepo`` module binds it to,
+    so calls through re-exports are seen too."""
+    for name, module in list(sys.modules.items()):
+        if name == "apprepo" or name.startswith("apprepo."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
 
-    Each function is replaced under every name an ``apprepo`` module binds
-    it to, so calls through re-exports are counted too.
-    """
+
+def record_reader_calls(monkeypatch) -> dict[str, list]:
+    """First arguments of every container read, class parse and call graph parse."""
     calls: dict[str, list] = {}
     for original in (apprepo.containers.iter_class_entries,
                      apprepo.classfile.parser.parse_class,
@@ -97,11 +103,7 @@ def record_reader_calls(monkeypatch) -> dict[str, list]:
             _log.append(args[0])
             return _original(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name == "apprepo" or name.startswith("apprepo."):
-                for attr, value in list(vars(module).items()):
-                    if value is original:
-                        monkeypatch.setattr(module, attr, counted)
+        patch_everywhere(monkeypatch, original, counted)
     return calls
 
 
@@ -124,6 +126,48 @@ def test_each_command_loads_the_class_path_once(tmp_path, monkeypatch):
     assert counts["build"]["iter_class_entries"] <= 5
     for command in ("build", "validate", "report"):
         assert counts[command]["parse_callgraph"] == 1, command
+
+
+def test_bodies_are_checked_at_parse_time_and_decoded_only_when_reached(tmp_path,
+                                                                       monkeypatch):
+    config = make_demo(tmp_path / "demo")
+    repo = tmp_path / "demo" / "repo"
+    checked, decoded, closures = [], [], []
+    disassemble = apprepo.classfile.parser.disassemble
+    build_callgraph = apprepo.callgraph.build_callgraph
+
+    def counted_disassemble(body, out):
+        (checked if out is None else decoded).append(body)
+        return disassemble(body, out)
+
+    def recorded_build_callgraph(h, entries):
+        graph = build_callgraph(h, entries)
+        closures.append((h, graph))
+        return graph
+
+    patch_everywhere(monkeypatch, disassemble, counted_disassemble)
+    patch_everywhere(monkeypatch, build_callgraph, recorded_build_callgraph)
+    for command, argv in (
+            ("build", ["build", "--config", str(config), "--out", str(repo / "v1")]),
+            ("validate", ["validate", str(repo / "v1" / "project.xml")]),
+            ("report", ["report", str(repo)])):
+        checked.clear()
+        decoded.clear()
+        assert main(argv) == 0, command
+        assert checked, command
+        assert len({id(body) for body in checked}) == len(checked), command
+        if command == "build":
+            (h, graph), = closures
+            bodies = [m.body for cf in h.classes.values() for m in cf.methods if m.body]
+            assert {id(body) for body in bodies} <= {id(body) for body in checked}
+            reached = [method.body for method in (
+                h.classes[n.ref.in_class].find_method(n.ref.name, n.ref.descriptor)
+                for n in graph.nodes if n.ref.in_class in h.classes)
+                if method is not None and method.body is not None]
+            assert reached
+            assert sorted(map(id, decoded)) == sorted(map(id, reached))
+        else:
+            assert decoded == [], command
 
 
 def test_report_without_metrics_counts_classes_from_the_code_model(tmp_path, monkeypatch,
@@ -160,6 +204,28 @@ def test_build_missing_binaries_no_output(corpus, tmp_path, capsys):
     assert not out.exists()
     assert not (tmp_path / "proj.building").exists()
     assert '"stage"' in capsys.readouterr().err
+
+
+def test_build_reports_unencodable_method_name_as_stage_failure(tmp_path, capsys):
+    app = tmp_path / "app"
+    (app / "p").mkdir(parents=True)
+    odd = "x\ud800"  # valid modified UTF-8 (ED A0 80), no UTF-8 form
+    (app / "p" / "A.class").write_bytes(assemble_class(AsmClass("p/A", methods=[
+        AsmMethod("main", "([Ljava/lang/String;)V", ACC_PUBLIC | ACC_STATIC,
+                  [("invokestatic", "p/A", odd, "()V"), ("return",)]),
+        AsmMethod(odd, "()V", ACC_PUBLIC | ACC_STATIC, [("return",)])])))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"name": "odd", "timestamp": "2001-06-01",
+                                  "application": [str(app)]}), encoding="utf-8")
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    failure = json.loads(next(line for line in err.splitlines() if line.startswith("{")))
+    assert (failure["stage"], failure["error"]) == ("callgraph", "SchemaViolation")
+    assert "unpaired surrogate" in failure["detail"]
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
 
 
 def test_build_without_gui_warns(corpus, tmp_path, caplog):
