@@ -39,7 +39,6 @@ from .guimodel import (
     link_event_handlers,
     load_gui,
     persist_gui,
-    register_transformer,
     transform_external,
     validate_gui,
 )
@@ -48,6 +47,7 @@ from .metrics import (
     count_classes,
     count_loc,
     version_csv,
+    version_metrics,
     version_table,
 )
 from .project import (

@@ -9,7 +9,6 @@ edge set over-approximates every dynamic call graph of the program
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,7 @@ from .classfile.constant_pool import CONST_CLASS
 from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
 from .errors import EntryPointMissing, SchemaViolation, TargetClassMissing
-from .xmlio import XML_DECLARATION, escape_attr
+from .xmlio import XML_DECLARATION, escape_attr, read_document
 
 ALGORITHM = "CHA"
 CLINIT_NAME = "<clinit>"
@@ -403,12 +402,7 @@ def _parse_bool(value: str, what: str) -> bool:
 
 def parse_callgraph(doc: bytes | str) -> CallGraph:
     """Parse and validate a persisted call graph document."""
-    try:
-        root = ET.fromstring(doc)
-    except ET.ParseError as exc:
-        raise SchemaViolation(f"not well-formed XML: {exc}") from exc
-    if root.tag != "callgraph":
-        raise SchemaViolation(f"root element must be <callgraph>, got <{root.tag}>")
+    root = read_document(doc, "callgraph", SchemaViolation)
     nodes: list[MethodNode] = []
     entry_points: set[MethodRef] = set()
     edges: set[tuple[MethodRef, MethodRef]] = set()

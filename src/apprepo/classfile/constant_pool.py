@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import struct
-from typing import NamedTuple
+from typing import Callable, NamedTuple, TypeVar
 
 from ..errors import MalformedClassFile
+
+T = TypeVar("T")
 
 CONST_UTF8 = 1
 CONST_INTEGER = 3
@@ -95,6 +97,18 @@ class ByteReader:
     def s4s(self, count: int) -> tuple[int, ...]:
         """``count`` consecutive s4 values."""
         return struct.unpack(f">{count}i", self.raw(4 * count))
+
+    def ref(self, lookup: Callable[[int], T]) -> T:
+        """Read a u2 constant pool index and resolve it with ``lookup``.
+
+        A bad reference is reported at the file offset of the index.
+        """
+        at = self.pos
+        index = self.u2()
+        try:
+            return lookup(index)
+        except MalformedClassFile as exc:
+            raise self.fail(exc.reason, at) from exc
 
 
 class ConstantPool:
@@ -198,8 +212,7 @@ class ConstantPool:
             elif got.tag == CONST_NAME_AND_TYPE:
                 self.name_and_type(index)
             elif got.tag == CONST_METHOD_HANDLE:
-                _, ref_idx = got.value
-                self.entry(ref_idx)
+                self.member_ref(got.value[1])
             elif got.tag == CONST_INVOKE_DYNAMIC:
                 _, nat_idx = got.value
                 self.name_and_type(nat_idx)

@@ -480,25 +480,24 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
             reader.pos - 2, source)
     pool = parse_constant_pool(reader)
     access_flags = reader.u2()
-    class_name = _check_internal_name(pool.class_name(reader.u2()), reader, "class name")
-    super_idx = reader.u2()
-    if super_idx == 0:
+    class_name = _check_internal_name(reader.ref(pool.class_name), reader, "class name")
+    super_name = reader.ref(lambda index: pool.class_name(index) if index else None)
+    if super_name is None:
         if class_name != ROOT_OBJECT_CLASS:
             raise reader.fail(f"class {class_name} lacks a superclass")
-        super_name = None
     else:
-        super_name = _check_internal_name(pool.class_name(super_idx), reader, "superclass name")
+        super_name = _check_internal_name(super_name, reader, "superclass name")
     interfaces = tuple(
-        _check_internal_name(pool.class_name(reader.u2()), reader, "interface name")
+        _check_internal_name(reader.ref(pool.class_name), reader, "interface name")
         for _ in range(reader.u2()))
 
     # fields: validated and skipped, the code model does not retain them
     for _ in range(reader.u2()):
         reader.u2()
-        pool.utf8(reader.u2())
-        pool.utf8(reader.u2())
+        reader.ref(pool.utf8)
+        reader.ref(pool.utf8)
         for _ in range(reader.u2()):
-            pool.utf8(reader.u2())
+            reader.ref(pool.utf8)
             reader.raw(reader.u4())
 
     # methods: structure first; bodies checked after class attributes are
@@ -506,8 +505,8 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     raw_methods = []
     for _ in range(reader.u2()):
         m_flags = reader.u2()
-        m_name = pool.utf8(reader.u2())
-        m_desc = pool.utf8(reader.u2())
+        m_name = reader.ref(pool.utf8)
+        m_desc = reader.ref(pool.utf8)
         try:
             parse_descriptor(m_desc)
         except Exception as exc:
@@ -515,7 +514,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         code_info = None
         names: list[str] = []
         for _ in range(reader.u2()):
-            a_name = pool.utf8(reader.u2())
+            a_name = reader.ref(pool.utf8)
             names.append(a_name)
             length = reader.u4()
             payload_base = reader.pos
@@ -535,7 +534,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     class_attr_names: list[str] = []
     source_file = None
     for _ in range(reader.u2()):
-        a_name = pool.utf8(reader.u2())
+        a_name = reader.ref(pool.utf8)
         class_attr_names.append(a_name)
         length = reader.u4()
         payload = reader.raw(length)

@@ -22,14 +22,12 @@ from pathlib import Path
 from . import callgraph as cg
 from .classfile import MethodRef
 from .errors import ApprepoError, IoFailure, SchemaViolation
-from .guimodel import RIPPER_FORMAT, persist_gui, transform_external
+from .guimodel import load_gui, persist_gui, transform_external
 from .metrics import (
-    DEFAULT_SOURCE_EXTENSIONS,
     VersionMetrics,
-    count_classes,
-    count_loc,
     parse_version_csv,
     version_csv,
+    version_metrics,
     version_table,
 )
 from .project import (
@@ -58,9 +56,7 @@ class PipelineConfig:
     output_project_dir: Path
     sources_dir: Path | None = None
     external_gui_path: Path | None = None
-    gui_format: str = RIPPER_FORMAT
     entry_points: list[str] | str = "auto"
-    source_extensions: tuple[str, ...] = DEFAULT_SOURCE_EXTENSIONS
 
     def input_dirs(self) -> list[Path]:
         dirs = list(self.partition.framework + self.partition.library
@@ -85,6 +81,12 @@ def load_config(path: Path, out_override: Path | None,
         raise IoFailure(f"config {path} missing required key {exc.args[0]!r}") from None
     except ValueError as exc:
         raise IoFailure(f"config {path} has invalid timestamp: {exc}") from None
+    for key, value in (("name", name), ("version", version_label)):
+        try:
+            value.encode("utf-8")
+        except (AttributeError, UnicodeEncodeError):
+            raise IoFailure(f"config {path} key {key!r} must be text that UTF-8"
+                            f" can encode, got {value!r}") from None
     base = path.parent
 
     def rel(raw_path: str) -> Path:
@@ -110,9 +112,7 @@ def load_config(path: Path, out_override: Path | None,
         output_project_dir=Path(out),
         sources_dir=rel(raw["sources"]) if "sources" in raw else None,
         external_gui_path=rel(raw["external_gui"]) if "external_gui" in raw else None,
-        gui_format=raw.get("gui_format", RIPPER_FORMAT),
         entry_points=entries,
-        source_extensions=tuple(raw.get("source_extensions", DEFAULT_SOURCE_EXTENSIONS)),
     )
 
 
@@ -206,7 +206,7 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
     if config.external_gui_path is not None:
         try:
             external_bytes = config.external_gui_path.read_bytes()
-            model = transform_external(external_bytes, config.gui_format)
+            model = transform_external(external_bytes)
         except ApprepoError as exc:
             raise StageFailure("gui", exc) from exc
         gui_path = root / LAYOUT["gui"]
@@ -217,17 +217,9 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
         log.warning("no external GUI model provided; project has no GUI artifacts")
 
     try:
-        widgets, windows = model.counts() if model is not None else (0, 0)
-        loc = (count_loc(root / LAYOUT["sources"], config.source_extensions)
-               if config.sources_dir is not None else 0)
-        row = VersionMetrics(
-            version_label=config.version_label,
-            timestamp=config.timestamp,
-            classes=count_classes(hierarchy),
-            loc=loc,
-            widgets=widgets,
-            windows=windows,
-        )
+        row = version_metrics(
+            config.version_label, config.timestamp, hierarchy,
+            root / LAYOUT["sources"] if config.sources_dir is not None else None, model)
     except ApprepoError as exc:
         raise StageFailure("metrics", exc) from exc
     (root / METRICS_FILE_NAME).write_text(version_csv([row]), encoding="utf-8")
@@ -243,8 +235,7 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
     )
 
 
-def project_metrics(p: Project, repository: ClassRepository | None = None,
-                    extensions=DEFAULT_SOURCE_EXTENSIONS) -> VersionMetrics:
+def project_metrics(p: Project, repository: ClassRepository | None = None) -> VersionMetrics:
     """The stored per-version metrics of a project, recomputed if absent.
 
     The class count comes from ``repository``, the project's code model,
@@ -255,16 +246,12 @@ def project_metrics(p: Project, repository: ClassRepository | None = None,
         rows = parse_version_csv(stored.read_text(encoding="utf-8"))
         if rows:
             return rows[0]
-    from .guimodel import load_gui
-
-    widgets, windows = 0, 0
+    model = None
     if p.gui_model_path is not None and p.gui_model_path.is_file():
-        widgets, windows = load_gui(p.gui_model_path.read_bytes()).counts()
-    loc = count_loc(p.sources_dir, extensions) if p.sources_dir else 0
+        model = load_gui(p.gui_model_path.read_bytes())
     hierarchy = (repository.hierarchy if repository is not None else
                  cg.build_hierarchy(cg.ClasspathPartition.of(application=[p.binaries_dir])))
-    classes = count_classes(hierarchy)
-    return VersionMetrics(p.version_label, p.timestamp, classes, loc, widgets, windows)
+    return version_metrics(p.version_label, p.timestamp, hierarchy, p.sources_dir, model)
 
 
 def cmd_validate(project_path: Path) -> int:

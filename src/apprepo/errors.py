@@ -58,10 +58,6 @@ class SchemaViolation(ApprepoError):
         super().__init__(message)
 
 
-class UnknownFormat(ApprepoError):
-    """No transformer is registered for the requested external format."""
-
-
 class TransformFailure(ApprepoError):
     """An external GUI document could not be transformed.
 

@@ -12,13 +12,17 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from pathlib import PureWindowsPath
-from typing import Callable, Iterator
+from typing import Iterator
 
-from .errors import SchemaViolation, TransformFailure, UnknownFormat
-from .xmlio import XmlWriter
+from .errors import SchemaViolation, TransformFailure
+from .xmlio import XmlWriter, read_document
 
 RIPPER_FORMAT = "ripper"
 SYNTH_PREFIX = "synth:"
+# deepest element level a model may hold (windows are level 1); reading,
+# writing and comparing models recurse up to four frames per level, which
+# keeps a model at the limit well under Python's default recursion limit
+MAX_GUI_DEPTH = 128
 
 
 @dataclass(frozen=True)
@@ -139,36 +143,6 @@ def _is_absolute(path: str) -> bool:
 
 # --- external model ingestion -------------------------------------------
 
-Transformer = Callable[[bytes], GuiModel]
-_TRANSFORMERS: dict[str, Transformer] = {}
-
-
-def register_transformer(name: str, transformer: Transformer) -> None:
-    _TRANSFORMERS[name] = transformer
-
-
-def transform_external(doc: bytes | str, transformer: str) -> GuiModel:
-    """Convert an externally produced model document via a named transformer.
-
-    The returned model has been validated; element ids come from the
-    external document, or are synthesized from the element's index path
-    when the document provides none.
-    """
-    transform = _TRANSFORMERS.get(transformer)
-    if transform is None:
-        known = ", ".join(sorted(_TRANSFORMERS)) or "none"
-        raise UnknownFormat(f"no transformer registered for {transformer!r} (known: {known})")
-    if isinstance(doc, str):
-        doc = doc.encode("utf-8")
-    model = transform(doc)
-    violations = validate_gui(model)
-    if violations:
-        raise TransformFailure(
-            "transformed model violates invariants: "
-            + "; ".join(v.message for v in violations))
-    return model
-
-
 def _ripper_properties(node: ET.Element, path: str) -> list[tuple[str, str]]:
     attrs = node.find("Attributes")
     pairs: list[tuple[str, str]] = []
@@ -194,7 +168,9 @@ def _ripper_int(pairs: dict[str, str], key: str, default: int, path: str) -> int
 
 
 def _ripper_element(node: ET.Element, path: str, index_path: str,
-                    is_window: bool) -> GuiElement:
+                    depth: int) -> GuiElement:
+    if depth > MAX_GUI_DEPTH:
+        raise TransformFailure(f"nested deeper than {MAX_GUI_DEPTH} levels", path)
     pairs = _ripper_properties(node, path)
     handlers = tuple(v for k, v in pairs if k == "EventHandler")
     known = {"ID", "Class", "Title", "X", "Y", "Width", "Height",
@@ -218,7 +194,7 @@ def _ripper_element(node: ET.Element, path: str, index_path: str,
                 child,
                 f"{path}/Contents/Component[{child_index}]",
                 f"{index_path}/{child_index}",
-                is_window=False))
+                depth + 1))
     return GuiElement(
         id=by_name.get("ID") or f"{SYNTH_PREFIX}{index_path}",
         element_class=by_name.get("Class", ""),
@@ -229,39 +205,39 @@ def _ripper_element(node: ET.Element, path: str, index_path: str,
         event_handlers=handlers,
         properties=extras,
         children=tuple(children),
-        is_window=is_window,
+        is_window=depth == 1,
     )
 
 
-def transform_ripper(doc: bytes) -> GuiModel:
-    """Built-in transformer for ripper-produced XML.
+def transform_external(doc: bytes | str) -> GuiModel:
+    """Convert a ripper-produced XML document into a validated model.
 
     Expected shape: a ``GUIStructure`` root with one ``GUI`` child holding
     ``Window`` elements; every Window/Component carries an ``Attributes``
     list of Name/Value ``Property`` pairs (ID, Class, Title, X, Y, Width,
     Height, Visible, Screenshot, repeated EventHandler; anything else is
     kept as an extra property) and an optional ``Contents`` list of child
-    ``Component`` elements.
+    ``Component`` elements, at most ``MAX_GUI_DEPTH`` levels deep. Element
+    ids come from the ``ID`` property, or are synthesized from the
+    element's index path when the document provides none.
     """
-    try:
-        root = ET.fromstring(doc)
-    except ET.ParseError as exc:
-        raise TransformFailure(f"not well-formed XML: {exc}") from exc
-    if root.tag != "GUIStructure":
-        raise TransformFailure(f"expected GUIStructure root, got {root.tag}")
+    root = read_document(doc, "GUIStructure", TransformFailure)
     gui = root.find("GUI")
     if gui is None:
         raise TransformFailure("missing GUI element", "/GUIStructure")
     windows = []
     for index, window in enumerate(gui.findall("Window")):
         windows.append(_ripper_element(
-            window, f"/GUIStructure/GUI/Window[{index}]", f"/{index}", is_window=True))
+            window, f"/GUIStructure/GUI/Window[{index}]", f"/{index}", 1))
     if not windows:
         raise TransformFailure("document contains no windows", "/GUIStructure/GUI")
-    return GuiModel(synthetic_root(tuple(windows)), RIPPER_FORMAT)
-
-
-register_transformer(RIPPER_FORMAT, transform_ripper)
+    model = GuiModel(synthetic_root(tuple(windows)), RIPPER_FORMAT)
+    violations = validate_gui(model)
+    if violations:
+        raise TransformFailure(
+            "transformed model violates invariants: "
+            + "; ".join(v.message for v in violations))
+    return model
 
 
 # --- persistence ----------------------------------------------------------
@@ -302,6 +278,9 @@ def persist_gui(m: GuiModel) -> bytes:
 
 
 def _load_element(elem: ET.Element, depth: int, path: str) -> GuiElement:
+    if depth > MAX_GUI_DEPTH:
+        raise SchemaViolation(
+            f"element at {path} is nested deeper than {MAX_GUI_DEPTH} levels")
     attrs = elem.attrib
     try:
         bounds = (int(attrs["x"]), int(attrs["y"]), int(attrs["w"]), int(attrs["h"]))
@@ -350,12 +329,7 @@ def load_gui(doc: bytes | str) -> GuiModel:
     Any validation violation (duplicate ids above all) aborts the load
     with a SchemaViolation carrying the full report.
     """
-    try:
-        root = ET.fromstring(doc)
-    except ET.ParseError as exc:
-        raise SchemaViolation(f"not well-formed XML: {exc}") from exc
-    if root.tag != "gui":
-        raise SchemaViolation(f"root element must be <gui>, got <{root.tag}>")
+    root = read_document(doc, "gui", SchemaViolation)
     if "source" not in root.attrib:
         raise SchemaViolation("<gui> missing required attribute 'source'")
     windows = []

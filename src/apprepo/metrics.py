@@ -16,8 +16,10 @@ from pathlib import Path
 
 from .callgraph import ClassHierarchy
 from .errors import IoFailure, UnsortedInput
+from .guimodel import GuiModel
 
-DEFAULT_SOURCE_EXTENSIONS = (".java",)
+# the suffix of the source files LOC counting reads and classes pair with
+JAVA_SUFFIX = ".java"
 
 CSV_HEADER = ["version", "timestamp", "classes", "loc", "widgets", "windows"]
 TABLE_COLUMNS = ["Version", "CVS Timestamp", "Classes", "LOC", "Widgets", "Windows"]
@@ -96,15 +98,14 @@ def count_loc_text(text: str) -> int:
     return count
 
 
-def count_loc(sources_dir: Path | str,
-              extensions: tuple[str, ...] = DEFAULT_SOURCE_EXTENSIONS) -> int:
-    """Sum of per-file LOC over all recognized sources under a directory."""
+def count_loc(sources_dir: Path | str) -> int:
+    """Sum of per-file LOC over all ``.java`` sources under a directory."""
     root = Path(sources_dir)
     if not root.is_dir():
         raise IoFailure(f"not a readable directory: {root}")
     total = 0
     for path in sorted(root.rglob("*")):
-        if path.is_file() and path.suffix in extensions:
+        if path.is_file() and path.suffix == JAVA_SUFFIX:
             try:
                 text = path.read_text(encoding="utf-8", errors="replace")
             except OSError as exc:
@@ -120,6 +121,18 @@ def count_classes(hierarchy: ClassHierarchy) -> int:
     several application containers provide counts once.
     """
     return sum(1 for flags in hierarchy.origins.values() if flags[2])
+
+
+def version_metrics(label: str, timestamp: date, hierarchy: ClassHierarchy,
+                    sources_dir: Path | None, model: GuiModel | None) -> VersionMetrics:
+    """The metrics row of one version.
+
+    A version without sources counts 0 LOC, and one without a GUI model
+    0 widgets and 0 windows.
+    """
+    loc = count_loc(sources_dir) if sources_dir is not None else 0
+    widgets, windows = model.counts() if model is not None else (0, 0)
+    return VersionMetrics(label, timestamp, count_classes(hierarchy), loc, widgets, windows)
 
 
 def _check_sorted(rows: list[VersionMetrics]) -> None:

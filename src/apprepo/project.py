@@ -10,7 +10,6 @@ must validate (unique ids above all) and the call graph must parse.
 from __future__ import annotations
 
 import logging
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
@@ -32,8 +31,8 @@ from .errors import (
     SchemaViolation,
 )
 from .guimodel import GuiModel, link_event_handlers, load_gui
-from .metrics import DEFAULT_SOURCE_EXTENSIONS
-from .xmlio import XmlWriter
+from .metrics import JAVA_SUFFIX
+from .xmlio import XmlWriter, read_document
 
 log = logging.getLogger(__name__)
 
@@ -205,12 +204,7 @@ def read_project_file(path: Path | str) -> Project:
         text = path.read_bytes()
     except OSError as exc:
         raise IoFailure(f"cannot read project file {path}: {exc}") from exc
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise SchemaViolation(f"project file is not well-formed XML: {exc}") from exc
-    if root.tag != "project":
-        raise SchemaViolation(f"root element must be <project>, got <{root.tag}>")
+    root = read_document(text, "project", SchemaViolation)
     for required in ("name", "version", "timestamp"):
         if required not in root.attrib:
             raise SchemaViolation(f"<project> missing required attribute {required!r}")
@@ -351,14 +345,12 @@ def load_project(path: Path | str) -> Project:
     return project
 
 
-def build_code_model(p: Project,
-                     source_extensions: tuple[str, ...] = DEFAULT_SOURCE_EXTENSIONS,
-                     ) -> ClassRepository:
+def build_code_model(p: Project) -> ClassRepository:
     """Parse the project's classes and link them with sources and call graph.
 
     Source pairing matches the class file's recorded source file name (or
-    the top-level class name plus a recognized extension) under the package
-    path in the sources directory.
+    the top-level class name plus ``.java``) under the package path in the
+    sources directory.
     """
     def present(container: Path | None) -> list[Path]:
         return [container] if container is not None and container.exists() else []
@@ -369,23 +361,18 @@ def build_code_model(p: Project,
     sources: dict[str, Path] = {}
     if p.sources_dir is not None and p.sources_dir.is_dir():
         for name, cf in hierarchy.classes.items():
-            found = _find_source(p.sources_dir, name, cf.source_file, source_extensions)
+            found = _find_source(p.sources_dir, name, cf.source_file)
             if found is not None:
                 sources[name] = found
     return ClassRepository(hierarchy, sources, p.callgraph_path)
 
 
-def _find_source(sources_dir: Path, class_name: str, source_file: str | None,
-                 extensions: tuple[str, ...] = DEFAULT_SOURCE_EXTENSIONS) -> Path | None:
+def _find_source(sources_dir: Path, class_name: str, source_file: str | None) -> Path | None:
     package, _, simple = class_name.rpartition("/")
     package_dir = sources_dir / package if package else sources_dir
     if source_file is not None:
         candidate = package_dir / source_file
         if candidate.is_file():
             return candidate
-    top_level = simple.split("$", 1)[0]
-    for ext in extensions:
-        candidate = package_dir / f"{top_level}{ext}"
-        if candidate.is_file():
-            return candidate
-    return None
+    candidate = package_dir / (simple.split("$", 1)[0] + JAVA_SUFFIX)
+    return candidate if candidate.is_file() else None

@@ -1,4 +1,4 @@
-"""Byte-deterministic XML writing.
+"""Byte-deterministic XML writing, and the one XML document reader.
 
 The standard library writer reorders nothing, but spelling out our own
 emitter keeps attribute order, indentation, escaping and the declaration
@@ -7,6 +7,8 @@ guarantees depend on.
 """
 
 from __future__ import annotations
+
+import xml.etree.ElementTree as ET
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
@@ -24,6 +26,23 @@ def escape_attr(value: str) -> str:
     every other character is kept as it is.
     """
     return value.translate(_ATTR_ESCAPES)
+
+
+def read_document(doc: bytes | str, root_tag: str,
+                  error: type[Exception]) -> ET.Element:
+    """Parse an XML document whose root element must be ``<root_tag>``.
+
+    Malformed XML, and a declared encoding that Python cannot decode with
+    (``LookupError`` for an unknown or non-text codec, ``ValueError`` for
+    a multi-byte or failing one), raise ``error`` with the message.
+    """
+    try:
+        root = ET.fromstring(doc)
+    except (ET.ParseError, LookupError, ValueError) as exc:
+        raise error(f"not well-formed XML: {exc}") from exc
+    if root.tag != root_tag:
+        raise error(f"root element must be <{root_tag}>, got <{root.tag}>")
+    return root
 
 
 class XmlWriter:

@@ -118,6 +118,60 @@ def test_pool_validation_failure_reason_and_file_offset():
     assert err.value.source == "X.class"
 
 
+@pytest.mark.parametrize("entries,reason", [
+    # #1 is a MethodHandle naming itself: rendering it once recursed forever
+    ([struct.pack(">BBH", 15, 6, 1)],
+     "constant pool index 1 holds MethodHandle, expected a member reference"),
+    ([struct.pack(">BH", 1, 1) + b"x", struct.pack(">BBH", 15, 6, 1)],
+     "constant pool index 1 holds Utf8, expected a member reference"),
+], ids=["self", "utf8"])
+def test_method_handle_must_reference_a_member(entries, reason):
+    head = struct.pack(">IHH", 0xCAFEBABE, 0, 50)
+    pool = struct.pack(">H", len(entries) + 1) + b"".join(entries)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(head + pool + b"\x00" * 8)
+    assert err.value.reason == reason
+    assert err.value.offset == len(head + pool)
+
+
+def pool_reference_class(field_name_index: int, this_index: int) -> tuple[bytes, int, int]:
+    """Class bytes with one field, and the file offsets of its this_class
+    and field-name indices."""
+    head = struct.pack(">IHH", 0xCAFEBABE, 0, 50)
+    pool = struct.pack(">H", 6) + b"".join([
+        struct.pack(">BH", 1, 1) + b"A",                   # 1 Utf8
+        struct.pack(">BH", 7, 1),                          # 2 Class A
+        struct.pack(">BH", 1, 16) + b"java/lang/Object",   # 3 Utf8
+        struct.pack(">BH", 7, 3),                          # 4 Class java/lang/Object
+        struct.pack(">BH", 1, 1) + b"I",                   # 5 Utf8
+    ])
+    this_at = len(head + pool) + 2
+    tail = struct.pack(">HHHH", ACC_PUBLIC, this_index, 4, 0)
+    field = struct.pack(">HHHH", 0, field_name_index, 5, 0)
+    name_at = len(head + pool + tail) + 2 + 2
+    rest = struct.pack(">H", 1) + field + struct.pack(">HH", 0, 0)
+    return head + pool + tail + rest, this_at, name_at
+
+
+def test_pool_reference_errors_carry_the_file_offset_of_their_index():
+    data, _, _ = pool_reference_class(field_name_index=1, this_index=2)
+    assert parse_class(data).class_name == "A"
+
+    data, this_at, _ = pool_reference_class(field_name_index=1, this_index=1)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data, source="A.class")
+    assert err.value.reason == "constant pool index 1 holds Utf8, expected Class"
+    assert (err.value.offset, err.value.source) == (this_at, "A.class")
+    assert data[this_at:this_at + 2] == b"\x00\x01"
+
+    data, _, name_at = pool_reference_class(field_name_index=2, this_index=2)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data)
+    assert err.value.reason == "constant pool index 2 holds Class, expected Utf8"
+    assert err.value.offset == name_at
+    assert data[name_at:name_at + 2] == b"\x00\x02"
+
+
 def test_bad_code_operand_reason_and_file_offset():
     bad_invoke = struct.pack(">BH", 0xB8, 999)
     data = simple_class("P", methods=[

@@ -271,6 +271,17 @@ def test_build_unreadable_config(tmp_path):
                  "--out", str(tmp_path / "p")]) == 2
 
 
+@pytest.mark.parametrize("key,value", [("name", "odd\ud800"), ("version", "1\ud800"),
+                                       ("version", 1.5)])
+def test_build_rejects_config_text_utf8_cannot_encode(corpus, tmp_path, caplog, key, value):
+    config = write_config(tmp_path / "c.json", corpus, **{key: value})
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 2
+    assert f"key {key!r}" in caplog.text
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
+
+
 def test_build_bad_external_gui_fails_atomically(corpus, tmp_path):
     bad_gui = tmp_path / "bad.xml"
     bad_gui.write_text("<GUIStructure><GUI></GUI></GUIStructure>")
@@ -322,6 +333,15 @@ def test_validate_garbage_project_file(tmp_path):
     bad = tmp_path / "project.xml"
     bad.write_text("this is not xml <<<")
     assert main(["validate", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("encoding", ["UTF-x", "cp932", "undefined"])
+def test_validate_project_file_with_unusable_encoding(corpus, hierarchy, tmp_path, encoding):
+    bundle = build_bundle(corpus, hierarchy, tmp_path / "p")
+    text = bundle.read_text(encoding="utf-8").replace('encoding="UTF-8"',
+                                                      f'encoding="{encoding}"')
+    bundle.write_text(text, encoding="utf-8")
+    assert main(["validate", str(bundle)]) == 2
 
 
 # --- report -----------------------------------------------------------------

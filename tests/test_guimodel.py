@@ -5,6 +5,7 @@ import random
 import pytest
 
 from apprepo.guimodel import (
+    MAX_GUI_DEPTH,
     GuiElement,
     GuiModel,
     link_event_handlers,
@@ -14,7 +15,7 @@ from apprepo.guimodel import (
     transform_external,
     validate_gui,
 )
-from apprepo.errors import SchemaViolation, TransformFailure, UnknownFormat
+from apprepo.errors import SchemaViolation, TransformFailure
 
 from generators import random_gui_model
 
@@ -54,7 +55,7 @@ def test_transform_window_with_button():
         prop("ID", "w1"), prop("Class", "JFrame"), prop("Title", "Main"),
         prop("X", "10"), prop("Y", "20"), prop("Width", "300"), prop("Height", "200"),
     ], [ripper_node("Component", [prop("ID", "b1"), prop("Class", "JButton")])]))
-    m = transform_external(doc, "ripper")
+    m = transform_external(doc)
     assert len(m.root.children) == 1
     win = m.root.children[0]
     assert (win.id, win.element_class, win.title) == ("w1", "JFrame", "Main")
@@ -66,7 +67,7 @@ def test_transform_window_with_button():
 
 def test_transform_empty_document_fails():
     with pytest.raises(TransformFailure):
-        transform_external(ripper_doc(), "ripper")
+        transform_external(ripper_doc())
 
 
 def test_transform_depth_three_preserves_order():
@@ -75,7 +76,7 @@ def test_transform_depth_three_preserves_order():
             ripper_node("Component", [prop("ID", "first")]),
             ripper_node("Component", [prop("ID", "second")]),
         ])]))
-    m = transform_external(doc, "ripper")
+    m = transform_external(doc)
     panel = m.root.children[0].children[0]
     assert [c.id for c in panel.children] == ["first", "second"]
 
@@ -85,7 +86,7 @@ def test_transform_synthesizes_missing_ids():
         ripper_node("Component", [prop("Class", "JButton")]),
         ripper_node("Component", [prop("ID", "named")]),
     ]))
-    m = transform_external(doc, "ripper")
+    m = transform_external(doc)
     win = m.root.children[0]
     assert win.id == "synth:/0"
     assert win.children[0].id == "synth:/0/0"
@@ -98,7 +99,7 @@ def test_transform_collects_handlers_and_extras():
         prop("Tooltip", "hi"), prop("Visible", "false"),
         prop("Screenshot", "shots/w.png"),
     ]))
-    win = transform_external(doc, "ripper").root.children[0]
+    win = transform_external(doc).root.children[0]
     assert win.event_handlers == ("app/H1", "app/H2")
     assert win.properties == (("Tooltip", "hi"),)
     assert win.visible is False
@@ -108,12 +109,7 @@ def test_transform_collects_handlers_and_extras():
 def test_transform_bad_int_names_node():
     doc = ripper_doc(ripper_node("Window", [prop("ID", "w"), prop("X", "wide")]))
     with pytest.raises(TransformFailure, match=r"Window\[0\]"):
-        transform_external(doc, "ripper")
-
-
-def test_transform_unknown_format():
-    with pytest.raises(UnknownFormat):
-        transform_external("<anything/>", "xaml")
+        transform_external(doc)
 
 
 def test_transform_duplicate_external_ids_fail():
@@ -122,7 +118,7 @@ def test_transform_duplicate_external_ids_fail():
                     [ripper_node("Component", [prop("ID", "b1")]),
                      ripper_node("Component", [prop("ID", "b1")])]))
     with pytest.raises(TransformFailure, match="b1"):
-        transform_external(doc, "ripper")
+        transform_external(doc)
 
 
 def test_widget_count_conservation():
@@ -132,7 +128,7 @@ def test_widget_count_conservation():
         # one window, all others nested underneath in a random chain
         nodes = [ripper_node("Component", [prop("ID", n)]) for n in names[1:]]
         doc = ripper_doc(ripper_node("Window", [prop("ID", names[0])], nodes))
-        m = transform_external(doc, "ripper")
+        m = transform_external(doc)
         widgets, windows = m.counts()
         assert widgets + windows == len(names)
 
@@ -229,6 +225,49 @@ def test_load_rejects_bad_structure():
         load_gui("<gui/>")
     with pytest.raises(SchemaViolation, match="missing attribute"):
         load_gui('<gui source="x"><window id="w" class="C"/></gui>')
+
+
+def nested_ripper_doc(depth):
+    """A ripper document holding one chain of elements ``depth`` levels deep."""
+    opens = [f"<Window><Attributes>{prop('ID', 'e1')}</Attributes>"]
+    opens += [f"<Contents><Component><Attributes>{prop('ID', f'e{level}')}</Attributes>"
+              for level in range(2, depth + 1)]
+    closes = ["</Component></Contents>"] * (depth - 1) + ["</Window>"]
+    return ripper_doc("".join(opens + closes))
+
+
+def nested_model_doc(depth):
+    """A persisted model holding one chain of elements ``depth`` levels deep."""
+    bounds = 'x="0" y="0" w="1" h="1" visible="true"'
+    opens = [f'<gui source="ripper"><window id="e1" class="C" {bounds}>']
+    opens += [f'<widget id="e{level}" class="C" {bounds}>' for level in range(2, depth + 1)]
+    closes = ["</widget>"] * (depth - 1) + ["</window></gui>"]
+    return "".join(opens + closes)
+
+
+def test_transform_rejects_nesting_beyond_the_limit():
+    with pytest.raises(TransformFailure) as err:
+        transform_external(nested_ripper_doc(2000))
+    assert f"nested deeper than {MAX_GUI_DEPTH} levels" in str(err.value)
+    assert err.value.node_path == (
+        "/GUIStructure/GUI/Window[0]" + "/Contents/Component[0]" * MAX_GUI_DEPTH)
+
+
+def test_load_rejects_nesting_beyond_the_limit():
+    with pytest.raises(SchemaViolation) as err:
+        load_gui(nested_model_doc(2000))
+    assert str(err.value) == (f"element at {'/0' * (MAX_GUI_DEPTH + 1)}"
+                              f" is nested deeper than {MAX_GUI_DEPTH} levels")
+
+
+def test_documents_at_the_depth_limit_load_and_round_trip():
+    m = transform_external(nested_ripper_doc(MAX_GUI_DEPTH))
+    assert m.counts() == (MAX_GUI_DEPTH - 1, 1)
+    assert max(depth for _, depth, _ in m.walk()) == MAX_GUI_DEPTH
+    doc = persist_gui(m)
+    assert load_gui(doc) == m
+    assert persist_gui(load_gui(doc)) == doc
+    assert load_gui(nested_model_doc(MAX_GUI_DEPTH)).counts() == (MAX_GUI_DEPTH - 1, 1)
 
 
 def test_round_trip_randomized():
