@@ -21,12 +21,10 @@ from .callgraph import (
     serialize_callgraph,
 )
 from .classfile import (
-    CallSite,
     ClassFile,
     Instruction,
     MethodInfo,
     MethodRef,
-    extract_call_sites,
     parse_class,
     parse_descriptor,
     render_method,

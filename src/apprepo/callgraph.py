@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classfile import ClassFile, MethodRef, CallSite, parse_class
+from .classfile import ClassFile, MethodRef, parse_class
 from .classfile.constant_pool import CONST_CLASS
 from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
@@ -191,24 +191,23 @@ def build_hierarchy(partition: ClasspathPartition) -> ClassHierarchy:
     return hierarchy
 
 
-def resolve_targets(site: CallSite, h: ClassHierarchy) -> set[MethodRef]:
-    """Possible callees of one call site under Class Hierarchy Analysis.
+def resolve_targets(kind: str, declared: MethodRef, h: ClassHierarchy) -> set[MethodRef]:
+    """Possible callees of a ``kind`` call site naming ``declared``, under CHA.
 
     static/special sites resolve to the single declared-or-inherited
     implementation; virtual/interface sites additionally fan out to every
     override in transitive subtypes of the declared class; dynamic sites
     resolve to nothing.
     """
-    if site.kind == "dynamic":
+    if kind == "dynamic":
         return set()
-    declared = site.declared_target
     if not h.knows(declared.in_class):
         raise TargetClassMissing(
             f"class {declared.in_class} of call target {declared.text} is not on"
             " the partition and is not a known external")
     base = h.lookup(declared.in_class, declared.name, declared.descriptor)
     targets = {base if base is not None else declared}
-    if site.kind in ("virtual", "interface"):
+    if kind in ("virtual", "interface"):
         for sub in h.transitive_subtypes(declared.in_class):
             if sub not in h.classes:
                 continue
@@ -321,8 +320,8 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
                 resolved = targets_of[mnemonic]
                 targets = resolved.get(ins.target)
                 if targets is None:
-                    site = CallSite(ref, INVOKE_KINDS[mnemonic], ins.target, ins.offset)
-                    targets = resolved[ins.target] = resolve_targets(site, h)
+                    targets = resolved[ins.target] = resolve_targets(
+                        INVOKE_KINDS[mnemonic], ins.target, h)
                 callees |= targets
         callees_of[ref] = callees
         fresh = callees - reached

@@ -14,21 +14,19 @@ from .parser import (
     MAX_MAJOR_VERSION,
     MIN_MAJOR_VERSION,
     ROOT_OBJECT_CLASS,
-    CallSite,
     ClassFile,
     Instruction,
     MethodInfo,
     MethodRef,
-    extract_call_sites,
     parse_class,
     render_method,
 )
 
 __all__ = [
-    "ClassFile", "MethodInfo", "Instruction", "CallSite", "MethodRef",
+    "ClassFile", "MethodInfo", "Instruction", "MethodRef",
     "ConstantPool", "ConstantEntry",
     "parse_class", "parse_descriptor", "parse_field_descriptor",
-    "extract_call_sites", "render_method", "quote_string",
+    "render_method", "quote_string",
     "ROOT_OBJECT_CLASS", "MAIN_NAME", "MAIN_DESCRIPTOR",
     "MIN_MAJOR_VERSION", "MAX_MAJOR_VERSION",
     "ACC_PUBLIC", "ACC_STATIC", "ACC_FINAL", "ACC_NATIVE",

@@ -41,6 +41,13 @@ TAG_NAMES = {
     CONST_INVOKE_DYNAMIC: "InvokeDynamic",
 }
 
+# what a member reference operand must name -> the entry kinds that qualify
+MEMBER_KINDS = {
+    "a member reference": (CONST_FIELDREF, CONST_METHODREF, CONST_INTERFACE_METHODREF),
+    "a method reference": (CONST_METHODREF, CONST_INTERFACE_METHODREF),
+    "Fieldref": (CONST_FIELDREF,),
+}
+
 
 class ConstantEntry(NamedTuple):
     """One constant pool slot: a tag plus its decoded payload.
@@ -123,9 +130,6 @@ class ConstantPool:
         self.entries = entries
         self.source = source
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def entry(self, index: int, tag: int | None = None) -> ConstantEntry:
         if index <= 0 or index >= len(self.entries) or self.entries[index] is None:
             raise MalformedClassFile(f"invalid constant pool index {index}", 0, self.source)
@@ -146,13 +150,13 @@ class ConstantPool:
         name_idx, desc_idx = self.entry(index, CONST_NAME_AND_TYPE).value
         return self.utf8(name_idx), self.utf8(desc_idx)
 
-    def member_ref(self, index: int) -> tuple[str, str, str]:
-        """Resolve a Fieldref/Methodref/InterfaceMethodref to (class, name, descriptor)."""
+    def member_ref(self, index: int, expected: str = "a member reference") -> tuple[str, str, str]:
+        """Resolve an entry of a ``MEMBER_KINDS[expected]`` kind to (class, name, descriptor)."""
         got = self.entry(index)
-        if got.tag not in (CONST_FIELDREF, CONST_METHODREF, CONST_INTERFACE_METHODREF):
+        if got.tag not in MEMBER_KINDS[expected]:
             raise MalformedClassFile(
                 f"constant pool index {index} holds {TAG_NAMES.get(got.tag, got.tag)},"
-                " expected a member reference", 0, self.source)
+                f" expected {expected}", 0, self.source)
         class_idx, nat_idx = got.value
         name, desc = self.name_and_type(nat_idx)
         return self.class_name(class_idx), name, desc

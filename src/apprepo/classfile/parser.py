@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 from ..errors import MalformedClassFile, MethodNotFound
 from . import constant_pool as cp
-from .constant_pool import ByteReader, ConstantPool, parse_constant_pool, quote_string
+from .constant_pool import ByteReader, ConstantPool, parse_constant_pool
 from .descriptors import parse_descriptor
-from .opcodes import ARRAY_TYPES, INVOKE_KINDS, OPCODES, WIDE_TARGETS
+from .opcodes import ARRAY_TYPES, OPCODES, WIDE_TARGETS
 
 ROOT_OBJECT_CLASS = "java/lang/Object"
 
@@ -83,16 +83,6 @@ class Instruction(NamedTuple):
     literal: object = None
 
 
-@dataclass(frozen=True)
-class CallSite:
-    """An invoke-family instruction inside a method body."""
-
-    caller: MethodRef
-    kind: str  # static | special | virtual | interface | dynamic
-    declared_target: MethodRef
-    offset: int
-
-
 class MethodBody(NamedTuple):
     """A validated code array and what decoding it needs.
 
@@ -144,10 +134,6 @@ class MethodInfo:
     @property
     def is_abstract(self) -> bool:
         return bool(self.access_flags & ACC_ABSTRACT)
-
-    @property
-    def is_static(self) -> bool:
-        return bool(self.access_flags & ACC_STATIC)
 
     @property
     def is_native(self) -> bool:
@@ -236,13 +222,13 @@ def _loadable(body: MethodBody, mnemonic: str, index: int) -> tuple:
 
 
 def _field_access(body: MethodBody, mnemonic: str, index: int) -> tuple:
-    member = body.pool.member_ref(index)
+    member = body.pool.member_ref(index, "Fieldref")
     cls, name, desc = member
     return (f"{cls}.{name}:{desc}",), None, member, None, None
 
 
 def _invoke(body: MethodBody, mnemonic: str, index: int) -> tuple:
-    ref = MethodRef(*body.pool.member_ref(index))
+    ref = MethodRef(*body.pool.member_ref(index, "a method reference"))
     return (ref.text,), ref, None, None, None
 
 
@@ -250,7 +236,7 @@ def _invokeinterface(body: MethodBody, mnemonic: str, index: int, count: int,
                      zero: int) -> tuple:
     if zero != 0:
         raise MalformedClassFile("invokeinterface fourth byte must be zero")
-    ref = MethodRef(*body.pool.member_ref(index))
+    ref = MethodRef(*body.pool.member_ref(index, "a method reference"))
     return (ref.text, count), ref, None, None, None
 
 
@@ -575,18 +561,6 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     )
 
 
-def extract_call_sites(cf: ClassFile) -> list[CallSite]:
-    """All invoke-family sites of a class, in (method, offset) order."""
-    sites: list[CallSite] = []
-    for method in cf.methods:
-        caller = method.ref(cf.class_name)
-        for ins in method.instructions:
-            kind = INVOKE_KINDS.get(ins.mnemonic)
-            if kind is not None:
-                sites.append(CallSite(caller, kind, ins.target, ins.offset))
-    return sites
-
-
 def render_method(cf: ClassFile, ref: MethodRef) -> str:
     """Deterministic one-line-per-instruction listing of a method body."""
     if ref.in_class != cf.class_name:
@@ -608,13 +582,3 @@ def render_method(cf: ClassFile, ref: MethodRef) -> str:
             text += f"  // line {line_at[ins.offset]}"
         lines.append(text)
     return "\n".join(lines) + "\n"
-
-
-__all__ = [
-    "ClassFile", "MethodInfo", "Instruction", "CallSite", "MethodRef",
-    "parse_class", "extract_call_sites", "render_method", "quote_string",
-    "ROOT_OBJECT_CLASS", "MAIN_NAME", "MAIN_DESCRIPTOR",
-    "MIN_MAJOR_VERSION", "MAX_MAJOR_VERSION",
-    "ACC_PUBLIC", "ACC_STATIC", "ACC_FINAL", "ACC_NATIVE",
-    "ACC_INTERFACE", "ACC_ABSTRACT",
-]

@@ -1,6 +1,6 @@
 """Command line pipeline: build project bundles, validate them, report.
 
-  apprepo build --config cfg.json [--entry <methodref>]... --out <dir>
+  apprepo build --config cfg.json --out <dir>
   apprepo validate <project-file>
   apprepo report <repo-root> [--csv]
 
@@ -21,7 +21,8 @@ from pathlib import Path
 
 from . import callgraph as cg
 from .classfile import MethodRef
-from .errors import ApprepoError, IoFailure, SchemaViolation
+from .containers import is_archive
+from .errors import ApprepoError, EntryPointMissing, IoFailure, SchemaViolation
 from .guimodel import load_gui, persist_gui, transform_external
 from .metrics import (
     VersionMetrics,
@@ -66,13 +67,31 @@ class PipelineConfig:
         return dirs
 
 
-def load_config(path: Path, out_override: Path | None,
-                entry_overrides: list[str]) -> PipelineConfig:
-    """Read a pipeline config document; command line flags win."""
+def _is_strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# config key -> (check of its value, what the value must be)
+_KEY_TYPES = {
+    **dict.fromkeys(("framework", "library", "application"),
+                    (_is_strings, "a list of strings")),
+    **dict.fromkeys(("sources", "external_gui", "timestamp"),
+                    (lambda v: isinstance(v, str), "a string")),
+    "entry_points": (lambda v: v == "auto" or _is_strings(v), '"auto" or a list of strings'),
+}
+
+
+def load_config(path: Path, out: Path) -> PipelineConfig:
+    """Read a pipeline config document that names the inputs of a build into ``out``."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise IoFailure(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise IoFailure(f"config {path} must be a JSON object")
+    for key, (check, want) in _KEY_TYPES.items():
+        if key in raw and not check(raw[key]):
+            raise IoFailure(f"config {path} key {key!r} must be {want}, got {raw[key]!r}")
     try:
         name = raw["name"]
         version_label = raw.get("version", "unversioned")
@@ -93,31 +112,28 @@ def load_config(path: Path, out_override: Path | None,
         p = Path(raw_path)
         return p if p.is_absolute() else base / p
 
-    partition = cg.ClasspathPartition.of(
-        framework=[rel(p) for p in raw.get("framework", [])],
-        library=[rel(p) for p in raw.get("library", [])],
-        application=[rel(p) for p in raw.get("application", [])],
-    )
-    out = out_override if out_override is not None else raw.get("output")
-    if out is None:
-        raise IoFailure("no output directory: pass --out or set 'output' in the config")
-    entries = raw.get("entry_points", "auto")
-    if entry_overrides:
-        entries = list(entry_overrides)
+    try:
+        partition = cg.ClasspathPartition.of(
+            framework=[rel(p) for p in raw.get("framework", [])],
+            library=[rel(p) for p in raw.get("library", [])],
+            application=[rel(p) for p in raw.get("application", [])],
+        )
+    except ValueError as exc:  # a container listed in two components
+        raise IoFailure(f"config {path}: {exc}") from None
     return PipelineConfig(
         name=name,
         version_label=version_label,
         timestamp=timestamp,
         partition=partition,
-        output_project_dir=Path(out),
+        output_project_dir=out,
         sources_dir=rel(raw["sources"]) if "sources" in raw else None,
         external_gui_path=rel(raw["external_gui"]) if "external_gui" in raw else None,
-        entry_points=entries,
+        entry_points=raw.get("entry_points", "auto"),
     )
 
 
 class StageFailure(Exception):
-    def __init__(self, stage: str, cause: Exception | str):
+    def __init__(self, stage: str, cause: ApprepoError):
         self.stage = stage
         self.cause = cause
         super().__init__(f"{stage}: {cause}")
@@ -128,14 +144,33 @@ def _check_config(config: PipelineConfig) -> None:
     for input_dir in config.input_dirs():
         resolved = input_dir.resolve()
         if out == resolved or out.is_relative_to(resolved) or resolved.is_relative_to(out):
-            raise StageFailure("config", f"output dir {out} overlaps input {input_dir}")
+            raise StageFailure("config", IoFailure(
+                f"output dir {out} overlaps input {input_dir}"))
         if not input_dir.exists():
-            raise StageFailure("inputs", f"input does not exist: {input_dir}")
+            raise StageFailure("inputs", IoFailure(f"input does not exist: {input_dir}"))
     if config.external_gui_path is not None and not config.external_gui_path.is_file():
-        raise StageFailure("inputs", f"external GUI model not found: {config.external_gui_path}")
+        raise StageFailure("inputs", IoFailure(
+            f"external GUI model not found: {config.external_gui_path}"))
 
 
 def _copy_containers(containers: tuple[Path, ...], dest: Path) -> None:
+    """Copy a component's jars into ``dest`` and merge its directories there.
+
+    Two containers that would write the same class file or archive fail
+    the copy: the bundle could keep only one of the copies analysed.
+    """
+    writer_of: dict[str, Path] = {}
+    for container in containers:
+        if container.is_dir():
+            written = [p.relative_to(container).as_posix() for p in container.rglob("*")
+                       if p.is_file() and (p.suffix == ".class" or is_archive(p))]
+        else:
+            written = [container.name]
+        for rel in written:
+            first = writer_of.setdefault(rel, container)
+            if first != container:
+                raise StageFailure("copy", IoFailure(
+                    f"containers {first} and {container} both write {rel}"))
     dest.mkdir(parents=True, exist_ok=True)
     for container in containers:
         if container.is_dir():
@@ -161,7 +196,8 @@ def cmd_build(config: PipelineConfig) -> int:
         report = validate_project(read_project_file(tmp / PROJECT_FILE_NAME))
         if not report.ok:
             details = "; ".join(i.detail for i in report.violations)
-            raise StageFailure("verify", f"built project fails validation: {details}")
+            raise StageFailure("verify", SchemaViolation(
+                f"built project fails validation: {details}"))
         if out.exists():
             shutil.rmtree(out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -184,7 +220,7 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
         if config.sources_dir is not None:
             shutil.copytree(config.sources_dir, root / LAYOUT["sources"])
     except OSError as exc:
-        raise StageFailure("copy", exc) from exc
+        raise StageFailure("copy", IoFailure(str(exc))) from exc
 
     try:
         hierarchy = cg.build_hierarchy(config.partition)
@@ -196,7 +232,9 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
         else:
             entries = {MethodRef.from_text(t) for t in config.entry_points}
         document = cg.serialize_callgraph(cg.build_callgraph(hierarchy, entries))
-    except (ApprepoError, ValueError) as exc:
+    except ValueError as exc:  # an entry point that is not a method reference
+        raise StageFailure("callgraph", EntryPointMissing(str(exc))) from exc
+    except ApprepoError as exc:
         raise StageFailure("callgraph", exc) from exc
     callgraph_path = root / LAYOUT["callgraph"]
     callgraph_path.parent.mkdir(parents=True, exist_ok=True)
@@ -312,11 +350,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="run the artifact pipeline into a project dir")
     p_build.add_argument("--config", required=True, type=Path,
                          help="pipeline configuration file (JSON)")
-    p_build.add_argument("--entry", action="append", default=[],
-                         metavar="METHODREF",
-                         help="entry point override, e.g. 'pkg/Main.main([Ljava/lang/String;)V'")
-    p_build.add_argument("--out", type=Path, default=None,
-                         help="output project directory (overrides config)")
+    p_build.add_argument("--out", required=True, type=Path,
+                         help="output project directory")
 
     p_validate = sub.add_parser("validate", help="validate one project bundle")
     p_validate.add_argument("project_file", type=Path)
@@ -333,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_arg_parser().parse_args(argv)
     try:
         if args.command == "build":
-            config = load_config(args.config, args.out, args.entry)
+            config = load_config(args.config, args.out)
             return cmd_build(config)
         if args.command == "validate":
             return cmd_validate(args.project_file)

@@ -3,12 +3,35 @@
 Enumerates every class in the hierarchy and takes the declared-or-
 inherited dispatch result for each subtype of the declared class. Written
 against the raw class declarations only; shares no resolution code with
-the package.
+the package. :func:`invoke_sites` lists a class's call sites from its
+decoded instructions, for tests that walk sites themselves.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from apprepo.classfile import ClassFile, MethodRef
+
+_SITE_KINDS = {"invokestatic": "static", "invokespecial": "special",
+               "invokevirtual": "virtual", "invokeinterface": "interface",
+               "invokedynamic": "dynamic"}
+
+
+class Site(NamedTuple):
+    """An invoke-family instruction inside a method body."""
+
+    caller: MethodRef
+    kind: str  # static | special | virtual | interface | dynamic
+    declared_target: MethodRef
+    offset: int
+
+
+def invoke_sites(cf: ClassFile) -> list[Site]:
+    """All invoke-family sites of a class, in (method, offset) order."""
+    return [Site(method.ref(cf.class_name), _SITE_KINDS[ins.mnemonic], ins.target, ins.offset)
+            for method in cf.methods for ins in method.instructions
+            if ins.mnemonic in _SITE_KINDS]
 
 
 def _declares(cf: ClassFile, name: str, desc: str) -> bool:

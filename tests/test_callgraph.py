@@ -1,7 +1,6 @@
 """Hierarchy construction, CHA resolution and graph building."""
 
 import random
-import sys
 from collections import Counter
 
 import pytest
@@ -17,19 +16,18 @@ from apprepo.callgraph import (
     hierarchy_from_classes,
     resolve_targets,
 )
-from apprepo.classfile import CallSite, MethodRef, extract_call_sites, parse_class
+from apprepo.classfile import MethodRef, parse_class
 from apprepo.errors import ContainerUnreadable, EntryPointMissing, TargetClassMissing
 
 from classasm import ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
 from generators import random_hierarchy, random_site_args
-from oracle_cha import oracle_resolve
+from oracle_cha import invoke_sites, oracle_resolve
 
 MAIN_DESC = "([Ljava/lang/String;)V"
 
 
-def site(kind: str, cls: str, name: str, desc: str,
-         caller=MethodRef("test/Caller", "run", "()V")) -> CallSite:
-    return CallSite(caller, kind, MethodRef(cls, name, desc), 0)
+def site(kind: str, cls: str, name: str, desc: str) -> tuple[str, MethodRef]:
+    return kind, MethodRef(cls, name, desc)
 
 
 # --- hierarchy -------------------------------------------------------------
@@ -132,31 +130,31 @@ def test_origin_follows_declared_name_not_entry_path(tmp_path):
 # --- resolution ---------------------------------------------------------------
 
 def test_static_exact(hierarchy):
-    targets = resolve_targets(site("static", "fix/Util", "max", "(II)I"), hierarchy)
+    targets = resolve_targets(*site("static", "fix/Util", "max", "(II)I"), hierarchy)
     assert targets == {MethodRef("fix/Util", "max", "(II)I")}
 
 
 def test_static_inherited_walks_up(hierarchy):
-    targets = resolve_targets(site("special", "fix/Leaf", "midOnly", "()V"), hierarchy)
+    targets = resolve_targets(*site("special", "fix/Leaf", "midOnly", "()V"), hierarchy)
     assert targets == {MethodRef("fix/Mid", "midOnly", "()V")}
 
 
 def test_virtual_fans_out_to_overrides(hierarchy):
     targets = resolve_targets(
-        site("virtual", "fix/Base", "speak", "()Ljava/lang/String;"), hierarchy)
+        *site("virtual", "fix/Base", "speak", "()Ljava/lang/String;"), hierarchy)
     assert targets == {MethodRef("fix/Base", "speak", "()Ljava/lang/String;"),
                        MethodRef("fix/Leaf", "speak", "()Ljava/lang/String;")}
 
 
 def test_virtual_on_intermediate_class(hierarchy):
     targets = resolve_targets(
-        site("virtual", "fix/Mid", "speak", "()Ljava/lang/String;"), hierarchy)
+        *site("virtual", "fix/Mid", "speak", "()Ljava/lang/String;"), hierarchy)
     assert targets == {MethodRef("fix/Base", "speak", "()Ljava/lang/String;"),
                        MethodRef("fix/Leaf", "speak", "()Ljava/lang/String;")}
 
 
 def test_interface_call_resolves_implementers(hierarchy):
-    targets = resolve_targets(site("interface", "fix/Shape", "area", "()I"), hierarchy)
+    targets = resolve_targets(*site("interface", "fix/Shape", "area", "()I"), hierarchy)
     assert targets == {MethodRef("fix/Shape", "area", "()I"),
                        MethodRef("fix/Circle", "area", "()I"),
                        MethodRef("fix/Square", "area", "()I")}
@@ -164,17 +162,17 @@ def test_interface_call_resolves_implementers(hierarchy):
 
 def test_virtual_no_subtypes_singleton(hierarchy):
     targets = resolve_targets(
-        site("virtual", "fix/Leaf", "speak", "()Ljava/lang/String;"), hierarchy)
+        *site("virtual", "fix/Leaf", "speak", "()Ljava/lang/String;"), hierarchy)
     assert targets == {MethodRef("fix/Leaf", "speak", "()Ljava/lang/String;")}
 
 
 def test_dynamic_resolves_to_nothing(hierarchy):
-    assert resolve_targets(site("dynamic", "fix/App", "bsm", "()V"), hierarchy) == set()
+    assert resolve_targets(*site("dynamic", "fix/App", "bsm", "()V"), hierarchy) == set()
 
 
 def test_missing_target_class(hierarchy):
     with pytest.raises(TargetClassMissing):
-        resolve_targets(site("virtual", "ghost/Nope", "m", "()V"), hierarchy)
+        resolve_targets(*site("virtual", "ghost/Nope", "m", "()V"), hierarchy)
 
 
 def test_external_declared_class_kept_as_target(corpus):
@@ -183,15 +181,15 @@ def test_external_declared_class_kept_as_target(corpus):
     h = hierarchy_from_classes(parsed)
     assert "java/lang/Object" in h.externals
     targets = resolve_targets(
-        site("virtual", "java/lang/Object", "toString", "()Ljava/lang/String;"), h)
+        *site("virtual", "java/lang/Object", "toString", "()Ljava/lang/String;"), h)
     assert MethodRef("java/lang/Object", "toString", "()Ljava/lang/String;") in targets
 
 
 def test_cha_matches_bruteforce_oracle_on_corpus(corpus, hierarchy):
     for spec in corpus.all_specs():
         cf = hierarchy.classes[spec.name]
-        for s in extract_call_sites(cf):
-            got = resolve_targets(s, hierarchy)
+        for s in invoke_sites(cf):
+            got = resolve_targets(s.kind, s.declared_target, hierarchy)
             want = oracle_resolve(s.kind, s.declared_target, hierarchy.classes)
             assert got == want, f"{s.caller.text} @{s.offset}"
 
@@ -203,8 +201,7 @@ def test_cha_matches_bruteforce_oracle_randomized():
         h = random_hierarchy(rng)
         for _ in range(10):
             kind, declared = random_site_args(rng, h)
-            s = site(kind, declared.in_class, declared.name, declared.descriptor)
-            got = resolve_targets(s, h)
+            got = resolve_targets(kind, declared, h)
             want = oracle_resolve(kind, declared, h.classes)
             assert got == want, f"seed={seed} {kind} {declared.text}"
             cases += 1
@@ -271,7 +268,7 @@ def test_closure_matches_bruteforce_closure(hierarchy):
         cf = hierarchy.classes.get(ref.in_class)
         if cf is None:
             continue
-        for s in extract_call_sites(cf):
+        for s in invoke_sites(cf):
             if s.caller != ref:
                 continue
             for target in oracle_resolve(s.kind, s.declared_target, hierarchy.classes):
@@ -284,27 +281,15 @@ def test_closure_matches_bruteforce_closure(hierarchy):
 def test_closure_resolves_each_distinct_site_once(hierarchy, monkeypatch):
     resolved: Counter = Counter()
 
-    def counted_resolve(s, h, _original=resolve_targets):
-        resolved[s.kind, s.declared_target] += 1
-        return _original(s, h)
-
-    extracted = []
-
-    def counted_extract(cf, _original=extract_call_sites):
-        extracted.append(cf.class_name)
-        return _original(cf)
+    def counted_resolve(kind, declared, h, _original=resolve_targets):
+        resolved[kind, declared] += 1
+        return _original(kind, declared, h)
 
     monkeypatch.setattr(apprepo.callgraph, "resolve_targets", counted_resolve)
-    for name, module in list(sys.modules.items()):
-        if name == "apprepo" or name.startswith("apprepo."):
-            for attr, value in list(vars(module).items()):
-                if value is extract_call_sites:
-                    monkeypatch.setattr(module, attr, counted_extract)
     graph = build_callgraph(hierarchy, find_main_entries(hierarchy))
-    assert extracted == []
     monkeypatch.undo()
     visited_sites = [s for node in graph.nodes if node.ref.in_class in hierarchy.classes
-                     for s in extract_call_sites(hierarchy.classes[node.ref.in_class])
+                     for s in invoke_sites(hierarchy.classes[node.ref.in_class])
                      if s.caller == node.ref]
     distinct = {(s.kind, s.declared_target) for s in visited_sites}
     assert len(visited_sites) > len(distinct)  # some target is called from two sites

@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from apprepo.classfile import (
     MethodRef,
-    extract_call_sites,
     parse_class,
     parse_descriptor,
     render_method,
 )
 from apprepo.errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
 
-from classasm import ACC_ABSTRACT, ACC_PUBLIC, AsmClass, AsmMethod, assemble_class
+from classasm import ACC_ABSTRACT, ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
 from fixtures import all_classes
+from oracle_cha import invoke_sites
 
 
 def simple_class(name="A", methods=None, **kwargs) -> bytes:
@@ -182,6 +182,35 @@ def test_bad_code_operand_reason_and_file_offset():
     assert " at offset" not in err.value.reason
     offset = err.value.offset
     assert data[offset:offset + len(bad_invoke)] == bad_invoke
+
+
+def wrong_kind_class(real_op: tuple, opcode: int) -> tuple[bytes, bytes, int]:
+    """Class ``p/Main`` whose ``main`` runs ``real_op`` and then ``opcode``
+    naming the pool entry that ``real_op`` names: the class bytes, the
+    bad instruction's bytes and that pool index."""
+    def assemble(extra: list) -> bytes:
+        return simple_class("p/Main", methods=[
+            AsmMethod("main", "([Ljava/lang/String;)V", ACC_PUBLIC | ACC_STATIC,
+                      [real_op, ("pop",)] + extra + [("return",)])])
+
+    pool = parse_class(assemble([])).constant_pool
+    # the Fieldref (tag 9) or Methodref (tag 10) that real_op names
+    index = next(i for i, e in enumerate(pool.entries) if e is not None and e.tag in (9, 10))
+    bad = struct.pack(">BH", opcode, index)
+    return assemble([("raw", bad)]), bad, index
+
+
+@pytest.mark.parametrize("real_op,opcode,reason", [
+    (("getstatic", "p/Main", "f", "I"), 0xB8, "holds Fieldref, expected a method reference"),
+    (("invokestatic", "p/Main", "g", "()I"), 0xB4, "holds Methodref, expected Fieldref"),
+], ids=["invokestatic-names-fieldref", "getfield-names-methodref"])
+def test_member_instruction_rejects_the_wrong_reference_kind(real_op, opcode, reason):
+    data, bad, index = wrong_kind_class(real_op, opcode)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data)
+    assert err.value.reason == f"constant pool index {index} {reason}"
+    offset = err.value.offset
+    assert data[offset:offset + len(bad)] == bad
 
 
 @pytest.mark.parametrize("nops", [12, 2000])
@@ -381,12 +410,12 @@ def test_descriptor_malformed(bad):
 def test_no_invokes_no_sites():
     cf = parse_class(simple_class("N", methods=[
         AsmMethod("m", "()V", ACC_PUBLIC, [("return",)])]))
-    assert extract_call_sites(cf) == []
+    assert invoke_sites(cf) == []
 
 
 def test_single_static_site(corpus):
     cf = parse_class(assemble_class(corpus.spec("fix/Main1")))
-    sites = [s for s in extract_call_sites(cf) if s.caller.name == "main"]
+    sites = [s for s in invoke_sites(cf) if s.caller.name == "main"]
     assert len(sites) == 1
     assert sites[0].kind == "static"
     assert sites[0].declared_target == MethodRef("fix/Util", "a", "()V")
@@ -394,22 +423,22 @@ def test_single_static_site(corpus):
 
 def test_interface_site_kind(corpus):
     cf = parse_class(assemble_class(corpus.spec("fix/Main2")))
-    kinds = {s.kind for s in extract_call_sites(cf)}
+    kinds = {s.kind for s in invoke_sites(cf)}
     assert "interface" in kinds
-    iface = [s for s in extract_call_sites(cf) if s.kind == "interface"]
+    iface = [s for s in invoke_sites(cf) if s.kind == "interface"]
     assert all(s.declared_target.in_class == "fix/Shape" for s in iface)
 
 
 def test_all_five_invoke_kinds_in_app(corpus):
     cf = parse_class(assemble_class(corpus.spec("fix/App")))
-    main_sites = [s for s in extract_call_sites(cf) if s.caller.name == "main"]
+    main_sites = [s for s in invoke_sites(cf) if s.caller.name == "main"]
     assert {s.kind for s in main_sites} == {"static", "special", "virtual",
                                             "interface", "dynamic"}
 
 
 def test_dynamic_site_records_bootstrap_method(corpus):
     cf = parse_class(assemble_class(corpus.spec("fix/App")))
-    dynamic = [s for s in extract_call_sites(cf) if s.kind == "dynamic"]
+    dynamic = [s for s in invoke_sites(cf) if s.kind == "dynamic"]
     assert len(dynamic) == 1
     assert dynamic[0].declared_target.in_class == "fix/App"
     assert dynamic[0].declared_target.name == "bsm"
@@ -421,12 +450,12 @@ def test_site_count_matches_invoke_opcode_count(corpus):
     for spec in corpus.all_specs():
         cf = parse_class(assemble_class(spec))
         want = sum(m.mnemonics().count(op) for m in spec.methods for op in invoke_names)
-        assert len(extract_call_sites(cf)) == want, spec.name
+        assert len(invoke_sites(cf)) == want, spec.name
 
 
 def test_sites_in_method_offset_order(corpus):
     cf = parse_class(assemble_class(corpus.spec("fix/App")))
-    sites = extract_call_sites(cf)
+    sites = invoke_sites(cf)
     method_order = [(m.name, m.descriptor) for m in cf.methods]
     keys = [(method_order.index((s.caller.name, s.caller.descriptor)), s.offset)
             for s in sites]

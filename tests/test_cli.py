@@ -10,14 +10,16 @@ import pytest
 
 import apprepo.callgraph
 import apprepo.classfile.parser
+import apprepo.cli
 import apprepo.containers
 from apprepo.cli import main
 from apprepo.metrics import parse_version_csv
-from apprepo.project import load_project, read_project_file
+from apprepo.project import LAYOUT, load_project, read_project_file
 
 from bundles import SOURCES_LOC, build_bundle, ripper_document, write_sources
 from classasm import ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
 from make_demo import make_demo
+from test_classfile import wrong_kind_class
 
 
 def write_config(path: Path, corpus, sources_dir=None, gui_path=None, **overrides):
@@ -47,6 +49,11 @@ def inputs(corpus, tmp_path):
     gui.write_text(ripper_document(), encoding="utf-8")
     config = write_config(tmp_path / "config.json", corpus, sources, gui)
     return config
+
+
+def stage_failure(err: str) -> dict:
+    """The JSON record a failed build writes to stderr."""
+    return json.loads(next(line for line in err.splitlines() if line.startswith("{")))
 
 
 def snapshot(root: Path) -> dict[str, bytes]:
@@ -228,6 +235,85 @@ def test_build_reports_unencodable_method_name_as_stage_failure(tmp_path, capsys
     assert not (tmp_path / "proj.building").exists()
 
 
+def test_build_missing_input_is_an_io_failure(corpus, tmp_path, capsys):
+    missing = tmp_path / "missing"
+    config = write_config(tmp_path / "c.json", corpus, application=[str(missing)])
+    assert main(["build", "--config", str(config), "--out", str(tmp_path / "proj")]) == 1
+    assert stage_failure(capsys.readouterr().err) == {
+        "stage": "inputs", "error": "IoFailure", "detail": f"input does not exist: {missing}"}
+
+
+def test_build_rejects_invoke_naming_a_field(tmp_path, capsys):
+    app = tmp_path / "app"
+    (app / "p").mkdir(parents=True)
+    data, _, _ = wrong_kind_class(("getstatic", "p/Main", "f", "I"), 0xB8)
+    (app / "p" / "Main.class").write_bytes(data)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"name": "odd", "timestamp": "2001-06-01",
+                                  "application": [str(app)]}), encoding="utf-8")
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 1
+    failure = stage_failure(capsys.readouterr().err)
+    assert (failure["stage"], failure["error"]) == ("hierarchy", "MalformedClassFile")
+    assert "holds Fieldref, expected a method reference" in failure["detail"]
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
+
+
+def write_container(container: Path, class_names: tuple[str, ...]) -> None:
+    """A jar (by suffix) or directory holding empty classes of these names."""
+    container.parent.mkdir(parents=True, exist_ok=True)
+    if container.suffix == ".jar":
+        with zipfile.ZipFile(container, "w") as zf:
+            for name in class_names:
+                zf.writestr(f"{name}.class", assemble_class(AsmClass(name)))
+        return
+    for name in class_names:
+        (container / name).parent.mkdir(parents=True, exist_ok=True)
+        (container / f"{name}.class").write_bytes(assemble_class(AsmClass(name)))
+
+
+@pytest.mark.parametrize("container,written", [("app.jar", "app.jar"),
+                                               ("classes", "p/A.class")])
+def test_build_rejects_containers_that_collide_in_the_bundle(corpus, tmp_path, capsys,
+                                                             container, written):
+    first, second = tmp_path / "d1" / container, tmp_path / "d2" / container
+    write_container(first, ("p/A", "p/B"))
+    write_container(second, ("p/A", "p/C"))
+    application = [str(corpus.paths["application"]), str(first), str(second)]
+    config = write_config(tmp_path / "c.json", corpus, application=application)
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 1
+    failure = stage_failure(capsys.readouterr().err)
+    assert (failure["stage"], failure["error"]) == ("copy", "IoFailure")
+    assert failure["detail"] == f"containers {first} and {second} both write {written}"
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
+
+
+def test_build_fails_verify_when_callgraph_is_corrupted_on_disk(inputs, tmp_path,
+                                                                monkeypatch, capsys):
+    def build_then_corrupt(config, root, _original=apprepo.cli._build_into):
+        _original(config, root)
+        (root / LAYOUT["callgraph"]).write_bytes(b"<callgraph")
+
+    monkeypatch.setattr(apprepo.cli, "_build_into", build_then_corrupt)
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(inputs), "--out", str(out)]) == 1
+    failure = stage_failure(capsys.readouterr().err)
+    assert (failure["stage"], failure["error"]) == ("verify", "SchemaViolation")
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
+
+
+def test_build_reports_malformed_entry_point_as_stage_failure(corpus, tmp_path, capsys):
+    config = write_config(tmp_path / "c.json", corpus, entry_points=["fix/Main1"])
+    assert main(["build", "--config", str(config), "--out", str(tmp_path / "proj")]) == 1
+    assert stage_failure(capsys.readouterr().err) == {
+        "stage": "callgraph", "error": "EntryPointMissing",
+        "detail": "not a method reference: 'fix/Main1'"}
+
+
 def test_build_without_gui_warns(corpus, tmp_path, caplog):
     config = write_config(tmp_path / "c.json", corpus)
     out = tmp_path / "proj"
@@ -247,10 +333,11 @@ def test_build_rejects_output_inside_input(corpus, tmp_path):
     assert not out.exists()
 
 
-def test_build_entry_override(inputs, tmp_path):
+def test_build_entry_override(corpus, tmp_path):
+    config = write_config(tmp_path / "c.json", corpus,
+                          entry_points=["fix/Main1.main([Ljava/lang/String;)V"])
     out = tmp_path / "proj"
-    rc = main(["build", "--config", str(inputs), "--out", str(out),
-               "--entry", "fix/Main1.main([Ljava/lang/String;)V"])
+    rc = main(["build", "--config", str(config), "--out", str(out)])
     assert rc == 0
     text = (out / "callgraph" / "callgraph.xml").read_text()
     assert "fix/Main1.main" in text
@@ -264,6 +351,46 @@ def test_build_auto_entries(corpus, tmp_path):
     text = (out / "callgraph" / "callgraph.xml").read_text()
     for main_class in ("fix/App", "fix/Main1", "fix/Main2", "fix/Main3"):
         assert f'{main_class}.main' in text
+
+
+def test_build_takes_the_project_directory_from_out_only(corpus, tmp_path):
+    elsewhere = tmp_path / "elsewhere"
+    config = write_config(tmp_path / "c.json", corpus, output=str(elsewhere))
+    with pytest.raises(SystemExit) as err:
+        main(["build", "--config", str(config)])
+    assert err.value.code == 2
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 0
+    assert (out / "project.xml").is_file()
+    assert not elsewhere.exists()
+
+
+@pytest.mark.parametrize("key,value", [
+    (None, ["not", "an", "object"]),
+    ("application", "app"), ("library", [5]), ("framework", None),
+    ("sources", 5), ("external_gui", ["gui.xml"]), ("timestamp", 5),
+    ("entry_points", 5), ("entry_points", "main"), ("entry_points", [None]),
+])
+def test_build_rejects_config_values_of_the_wrong_type(corpus, tmp_path, caplog, key, value):
+    config = tmp_path / "c.json"
+    if key is None:
+        config.write_text(json.dumps(value), encoding="utf-8")
+    else:
+        write_config(config, corpus, **{key: value})
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 2
+    assert (f"key {key!r}" if key else "must be a JSON object") in caplog.text
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
+
+
+def test_build_rejects_container_listed_in_two_components(corpus, tmp_path, caplog):
+    both = str(corpus.paths["application"])
+    config = write_config(tmp_path / "c.json", corpus, library=[both], application=[both])
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 2
+    assert "listed in both library and application" in caplog.text
+    assert not out.exists()
 
 
 def test_build_unreadable_config(tmp_path):
