@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classfile import ClassFile, MethodRef, parse_class
+from .classfile import ClassFile, MethodRef, parse_class, resolved_operands
 from .classfile.constant_pool import CONST_CLASS
 from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
@@ -67,8 +67,9 @@ class ClassHierarchy:
     (supertypes, interfaces or constant pool class entries) that no
     container provided; call resolution treats those as known-but-opaque.
     ``origins`` maps a provided class name to its (framework, library,
-    application) flags; a name it lacks is external. :meth:`lookup`
-    memoizes its answers, so the classes must not change once it is used.
+    application) flags; a name it lacks is external. :meth:`lookup` and
+    :meth:`transitive_subtypes` memoize their answers, so the classes must
+    not change once either is used.
     """
 
     classes: dict[str, ClassFile]
@@ -78,17 +79,23 @@ class ClassHierarchy:
     origins: dict[str, tuple[bool, bool, bool]] = field(default_factory=dict)
     _declarations: dict[tuple[str, str, str], MethodRef | None] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _subtype_closures: dict[str, frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    def transitive_subtypes(self, class_name: str) -> set[str]:
-        seen: set[str] = set()
-        work = list(self.subtypes.get(class_name, ()))
-        while work:
-            name = work.pop()
-            if name in seen:
-                continue
-            seen.add(name)
-            work.extend(self.subtypes.get(name, ()))
-        return seen
+    def transitive_subtypes(self, class_name: str) -> frozenset[str]:
+        """Every direct or indirect subtype of a class, computed once per class."""
+        closure = self._subtype_closures.get(class_name)
+        if closure is None:
+            seen: set[str] = set()
+            work = list(self.subtypes.get(class_name, ()))
+            while work:
+                name = work.pop()
+                if name in seen:
+                    continue
+                seen.add(name)
+                work.extend(self.subtypes.get(name, ()))
+            closure = self._subtype_closures[class_name] = frozenset(seen)
+        return closure
 
     def lookup(self, class_name: str, name: str, descriptor: str) -> MethodRef | None:
         """Nearest declaration of (name, descriptor) at or above a class.
@@ -279,8 +286,11 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
     entry points, superclass initializers included.
 
     Each reachable method is queued once on a first-in-first-out worklist
-    and its instructions are read once, in one pass that finds both its
-    call sites and the classes it initializes. Targets are resolved once
+    and its body is read once, in one pass that finds both its call sites
+    and the classes it initializes. The pass reads the operands that
+    :func:`~apprepo.classfile.parse_class` resolved, through
+    :func:`~apprepo.classfile.resolved_operands`; it decodes no
+    instructions. Targets are resolved once
     per distinct ``(kind, declared target)``. A class, with its superclass
     chain, is marked initialized when the closure first touches it; once
     the worklist drains, the ``<clinit>`` of each newly marked class that
@@ -310,18 +320,17 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
             return
         initialize(ref.in_class)
         callees: set[MethodRef] = set()
-        for ins in method.instructions:
-            mnemonic = ins.mnemonic
+        for mnemonic, (_, target, member, type_name, _) in resolved_operands(method.body):
             if mnemonic in _INITIALIZING:
-                initialize(ins.type_name if mnemonic == "new" else ins.member[0])
+                initialize(type_name if mnemonic == "new" else member[0])
             elif mnemonic in targets_of:
                 if mnemonic == "invokestatic":
-                    initialize(ins.target.in_class)
+                    initialize(target.in_class)
                 resolved = targets_of[mnemonic]
-                targets = resolved.get(ins.target)
+                targets = resolved.get(target)
                 if targets is None:
-                    targets = resolved[ins.target] = resolve_targets(
-                        INVOKE_KINDS[mnemonic], ins.target, h)
+                    targets = resolved[target] = resolve_targets(
+                        INVOKE_KINDS[mnemonic], target, h)
                 callees |= targets
         callees_of[ref] = callees
         fresh = callees - reached

@@ -20,13 +20,14 @@ from .parser import (
     MethodRef,
     parse_class,
     render_method,
+    resolved_operands,
 )
 
 __all__ = [
     "ClassFile", "MethodInfo", "Instruction", "MethodRef",
     "ConstantPool", "ConstantEntry",
     "parse_class", "parse_descriptor", "parse_field_descriptor",
-    "render_method", "quote_string",
+    "render_method", "resolved_operands", "quote_string",
     "ROOT_OBJECT_CLASS", "MAIN_NAME", "MAIN_DESCRIPTOR",
     "MIN_MAJOR_VERSION", "MAX_MAJOR_VERSION",
     "ACC_PUBLIC", "ACC_STATIC", "ACC_FINAL", "ACC_NATIVE",

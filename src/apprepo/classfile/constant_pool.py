@@ -75,15 +75,21 @@ def _field(fmt: str):
 
 
 class ByteReader:
-    """Big-endian cursor over class file bytes."""
+    """Big-endian cursor over class file bytes.
 
-    def __init__(self, data: bytes, source: str | None = None):
+    ``base`` is the file offset of ``data``'s first byte, so a reader over
+    an attribute payload reports its failures at file offsets.
+    """
+
+    def __init__(self, data: bytes, source: str | None = None, base: int = 0):
         self.data = data
         self.pos = 0
         self.source = source
+        self.base = base
 
     def fail(self, message: str, offset: int | None = None) -> MalformedClassFile:
-        return MalformedClassFile(message, self.pos if offset is None else offset, self.source)
+        return MalformedClassFile(
+            message, self.base + (self.pos if offset is None else offset), self.source)
 
     u1 = _field(">B")
     u2 = _field(">H")

@@ -3,9 +3,13 @@
 Validation is eager and decoding is lazy. :func:`parse_class` checks
 everything, method bodies included, so a returned :class:`ClassFile` is
 fully validated: all constant pool references resolve, all opcodes are
-known, all offsets are in range. A method's code array is decoded into
-:class:`Instruction` records the first time its ``instructions`` are
-read, by the same decoder that validated it.
+known, all offsets are in range. Checking a body resolves each of its
+pool-indexed instructions once and keeps the fields in the body's
+``resolved`` map, where :func:`resolved_operands` reads them without
+decoding anything else; the call graph closure reads bodies that way. A
+method's code array is decoded into :class:`Instruction` records only
+the first time its ``instructions`` are read, by the same decoder that
+validated it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from ..errors import MalformedClassFile, MethodNotFound
 from . import constant_pool as cp
@@ -38,9 +42,13 @@ MAIN_NAME = "main"
 MAIN_DESCRIPTOR = "([Ljava/lang/String;)V"
 
 
-@dataclass(frozen=True)
-class MethodRef:
-    """A method named by class, name and descriptor."""
+class MethodRef(NamedTuple):
+    """A method named by class, name and descriptor.
+
+    A plain tuple underneath: it hashes and compares in C, as the call
+    graph's sets and dicts need, and it equals the 3-tuple
+    ``(in_class, name, descriptor)``.
+    """
 
     in_class: str
     name: str
@@ -104,9 +112,11 @@ class MethodBody(NamedTuple):
 class MethodInfo:
     """A parsed method: flags, line number table and body.
 
-    ``body`` holds the code array that :func:`parse_class` validated; it is
-    decoded into :attr:`instructions` on the first read, and the tuple is
-    kept. Equality compares the decoded instructions, not the body bytes.
+    ``body`` holds the code array that :func:`parse_class` validated, with
+    its pool operands already resolved; :func:`resolved_operands` reads
+    those without decoding. The body is decoded into :attr:`instructions`
+    on the first read, and the tuple is kept. Equality compares the
+    decoded instructions, not the body bytes.
     """
 
     name: str
@@ -407,34 +417,68 @@ def disassemble(body: MethodBody, out: list[Instruction] | None) -> None:
         raise MalformedClassFile(exc.reason, body.file_base + start, body.source) from exc
 
 
+def resolved_operands(body: MethodBody | None) -> Iterator[tuple[str, tuple]]:
+    """The ``(mnemonic, fields)`` of each pool-indexed or ``newarray``
+    instruction of an accepted body, in code order.
+
+    ``fields`` are the instruction's fields after its mnemonic, as
+    :func:`disassemble` resolved them at parse time: ``(operands, target,
+    member, type_name, literal)``. Nothing is decoded or checked again;
+    the other instructions are only stepped over. A method without a body
+    has none.
+    """
+    if body is None:
+        return
+    code, resolved = body.code, body.resolved
+    end = len(code)
+    pos = 0
+    while pos < end:
+        start = pos
+        mnemonic, kind, width, operands, _ = _FORMS[code[pos]]
+        pos += width
+        if kind == _RESOLVED:
+            yield mnemonic, resolved[code[start:pos]]
+        elif kind == _SEQUENTIAL:
+            reader = ByteReader(code)
+            reader.pos = pos
+            operands(reader, start)
+            pos = reader.pos
+
+
 _LINE_ENTRIES = struct.Struct(">HH").iter_unpack
+
+
+def _optional_class(pool: ConstantPool):
+    """Resolver of a class index where 0 names no class (a root class's
+    superclass, a catch-all handler's catch type)."""
+    return lambda index: pool.class_name(index) if index else None
 
 
 def _parse_code_attribute(data: bytes, pool: ConstantPool, file_base: int,
                           source: str | None) -> tuple[bytes, int, tuple]:
     """Split a Code attribute into (code bytes, code file offset, line table)."""
-    reader = ByteReader(data, source)
+    reader = ByteReader(data, source, file_base)
     reader.u2()  # max_stack
     reader.u2()  # max_locals
     code_length = reader.u4()
     code_start = reader.pos
     code = reader.raw(code_length)
     exc_count = reader.u2()
+    catch_type = _optional_class(pool)
     for _ in range(exc_count):
         reader.u2()
         reader.u2()
         reader.u2()
-        catch_type = reader.u2()
-        if catch_type:
-            pool.class_name(catch_type)
+        reader.ref(catch_type)
     lines: list[tuple[int, int]] = []
     attr_count = reader.u2()
     for _ in range(attr_count):
-        name = pool.utf8(reader.u2())
+        name = reader.ref(pool.utf8)
         length = reader.u4()
+        payload_at = reader.pos
         payload = reader.raw(length)
         if name == "LineNumberTable":
-            sub = ByteReader(payload, source)
+            sub = ByteReader(payload, source, file_base + payload_at)
             entry_count = sub.u2()
             whole = min(entry_count, (length - 2) // 4)
             for start_pc, line in _LINE_ENTRIES(payload[2:2 + 4 * whole]):
@@ -467,7 +511,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     pool = parse_constant_pool(reader)
     access_flags = reader.u2()
     class_name = _check_internal_name(reader.ref(pool.class_name), reader, "class name")
-    super_name = reader.ref(lambda index: pool.class_name(index) if index else None)
+    super_name = reader.ref(_optional_class(pool))
     if super_name is None:
         if class_name != ROOT_OBJECT_CLASS:
             raise reader.fail(f"class {class_name} lacks a superclass")
@@ -523,10 +567,10 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         a_name = reader.ref(pool.utf8)
         class_attr_names.append(a_name)
         length = reader.u4()
+        payload_at = reader.pos
         payload = reader.raw(length)
         if a_name == "SourceFile":
-            sub = ByteReader(payload, source)
-            source_file = pool.utf8(sub.u2())
+            source_file = ByteReader(payload, source, payload_at).ref(pool.utf8)
         elif a_name == "BootstrapMethods":
             bootstrap_methods = _parse_bootstrap_methods(payload, pool, reader)
 

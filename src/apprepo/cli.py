@@ -11,6 +11,7 @@ error. Diagnostics go to stderr; data goes to stdout.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import shutil
@@ -22,7 +23,7 @@ from pathlib import Path
 from . import callgraph as cg
 from .classfile import MethodRef
 from .containers import is_archive
-from .errors import ApprepoError, EntryPointMissing, IoFailure, SchemaViolation
+from .errors import ApprepoError, IoFailure, SchemaViolation
 from .guimodel import load_gui, persist_gui, transform_external
 from .metrics import (
     VersionMetrics,
@@ -57,7 +58,7 @@ class PipelineConfig:
     output_project_dir: Path
     sources_dir: Path | None = None
     external_gui_path: Path | None = None
-    entry_points: list[str] | str = "auto"
+    entry_points: frozenset[MethodRef] | str = "auto"
 
     def input_dirs(self) -> list[Path]:
         dirs = list(self.partition.framework + self.partition.library
@@ -106,6 +107,13 @@ def load_config(path: Path, out: Path) -> PipelineConfig:
         except (AttributeError, UnicodeEncodeError):
             raise IoFailure(f"config {path} key {key!r} must be text that UTF-8"
                             f" can encode, got {value!r}") from None
+    entry_points = raw.get("entry_points", "auto")
+    if entry_points != "auto":
+        try:
+            entry_points = frozenset(MethodRef.from_text(t) for t in entry_points)
+        except ValueError as exc:
+            raise IoFailure(f"config {path} key 'entry_points': {exc},"
+                            " expected class.name(descriptor)") from None
     base = path.parent
 
     def rel(raw_path: str) -> Path:
@@ -128,7 +136,7 @@ def load_config(path: Path, out: Path) -> PipelineConfig:
         output_project_dir=out,
         sources_dir=rel(raw["sources"]) if "sources" in raw else None,
         external_gui_path=rel(raw["external_gui"]) if "external_gui" in raw else None,
-        entry_points=raw.get("entry_points", "auto"),
+        entry_points=entry_points,
     )
 
 
@@ -227,13 +235,9 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
     except ApprepoError as exc:
         raise StageFailure("hierarchy", exc) from exc
     try:
-        if config.entry_points == "auto":
-            entries = cg.find_main_entries(hierarchy)
-        else:
-            entries = {MethodRef.from_text(t) for t in config.entry_points}
+        entries = (cg.find_main_entries(hierarchy) if config.entry_points == "auto"
+                   else config.entry_points)
         document = cg.serialize_callgraph(cg.build_callgraph(hierarchy, entries))
-    except ValueError as exc:  # an entry point that is not a method reference
-        raise StageFailure("callgraph", EntryPointMissing(str(exc))) from exc
     except ApprepoError as exc:
         raise StageFailure("callgraph", exc) from exc
     callgraph_path = root / LAYOUT["callgraph"]
@@ -363,6 +367,24 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command with the cyclic garbage collector paused.
+
+    A command frees its memory by reference counting: it leaves a few
+    hundred objects in reference cycles at most, while the collector's
+    passes over the parsed classes and the call graph cost a large share
+    of a build. The collector's state is restored on the way out,
+    whatever the outcome, so an in-process caller keeps its own setting.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
     args = build_arg_parser().parse_args(argv)

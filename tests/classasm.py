@@ -287,6 +287,11 @@ class AsmMethod:
     flags: int = ACC_PUBLIC
     code: list[tuple] | None = None  # None = abstract/native
     lines: tuple[tuple[int, int], ...] = ()
+    # exception table entries over the whole code, handler at 0: a class
+    # name, or a raw pool index written as it is (0 catches anything)
+    catch_types: tuple[str | int, ...] = ()
+    # attributes inside Code after LineNumberTable: (name or raw pool index, payload)
+    code_attributes: tuple[tuple[str | int, bytes], ...] = ()
     max_stack: int = 8
     max_locals: int = 8
 
@@ -320,7 +325,7 @@ class AsmClass:
     flags: int = ACC_PUBLIC | ACC_SUPER
     fields: tuple[tuple[str, str, int], ...] = ()  # (name, desc, flags)
     methods: list[AsmMethod] = field(default_factory=list)
-    source_file: str | None = None
+    source_file: str | int | None = None  # an int is written as a raw pool index
     bootstrap_methods: tuple[tuple[str, str, str], ...] = ()
     inner_class: tuple[str, str, str] | None = None  # (inner, outer, simple name)
     extra_attribute: str | None = None  # unknown attribute, skipped by parsers
@@ -333,8 +338,12 @@ class AsmClass:
         raise KeyError(f"{self.name}.{name}{desc}")
 
 
-def _attribute(pool: Pool, name: str, payload: bytes) -> bytes:
-    return struct.pack(">HI", pool.utf8(name), len(payload)) + payload
+def _utf8_index(pool: Pool, value: str | int) -> int:
+    return value if isinstance(value, int) else pool.utf8(value)
+
+
+def _attribute(pool: Pool, name: str | int, payload: bytes) -> bytes:
+    return struct.pack(">HI", _utf8_index(pool, name), len(payload)) + payload
 
 
 def _method_bytes(method: AsmMethod, pool: Pool) -> bytes:
@@ -344,13 +353,17 @@ def _method_bytes(method: AsmMethod, pool: Pool) -> bytes:
         code = assemble_code(method.code, pool)
         body = struct.pack(">HHI", method.max_stack, method.max_locals, len(code))
         body += code
-        body += struct.pack(">H", 0)  # exception table
+        body += struct.pack(">H", len(method.catch_types))
+        for catch in method.catch_types:
+            catch_index = catch if isinstance(catch, int) else pool.klass(catch)
+            body += struct.pack(">HHHH", 0, len(code), 0, catch_index)
         code_attrs = []
         if method.lines:
             table = struct.pack(">H", len(method.lines))
             for pc, line in method.lines:
                 table += struct.pack(">HH", pc, line)
             code_attrs.append(_attribute(pool, "LineNumberTable", table))
+        code_attrs += [_attribute(pool, name, payload) for name, payload in method.code_attributes]
         body += struct.pack(">H", len(code_attrs)) + b"".join(code_attrs)
         attrs.append(_attribute(pool, "Code", body))
     out += struct.pack(">H", len(attrs)) + b"".join(attrs)
@@ -373,7 +386,7 @@ def assemble_class(spec: AsmClass) -> bytes:
     class_attrs = []
     if spec.source_file is not None:
         class_attrs.append(_attribute(
-            pool, "SourceFile", struct.pack(">H", pool.utf8(spec.source_file))))
+            pool, "SourceFile", struct.pack(">H", _utf8_index(pool, spec.source_file))))
     if spec.bootstrap_methods:
         payload = struct.pack(">H", len(spec.bootstrap_methods))
         for cls, name, desc in spec.bootstrap_methods:

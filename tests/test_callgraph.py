@@ -65,6 +65,23 @@ def test_subtype_map_from_declarations(hierarchy):
     assert hierarchy.transitive_subtypes("fix/Base") == {"fix/Mid", "fix/Leaf"}
 
 
+def test_transitive_subtypes_computed_once_per_class_and_immutable(hierarchy):
+    below_base = hierarchy.transitive_subtypes("fix/Base")
+    assert isinstance(below_base, frozenset)
+    assert hierarchy.transitive_subtypes("fix/Base") is below_base
+    assert hierarchy.transitive_subtypes("fix/Leaf") == frozenset()
+
+
+def test_method_ref_is_a_plain_tuple():
+    ref = MethodRef("p/A", "m", "(I)V")
+    assert ref == ("p/A", "m", "(I)V")
+    assert hash(ref) == hash(("p/A", "m", "(I)V"))
+    assert str(ref) == ref.text == "p/A.m(I)V"
+    assert MethodRef.from_text(ref.text) == ref
+    with pytest.raises(ValueError, match="not a method reference"):
+        MethodRef.from_text("p/A")
+
+
 def test_duplicates_recorded_application_first(corpus, hierarchy):
     assert "fix/Dup" in hierarchy.duplicates
     providers = hierarchy.duplicates["fix/Dup"]

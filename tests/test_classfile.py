@@ -184,6 +184,38 @@ def test_bad_code_operand_reason_and_file_offset():
     assert data[offset:offset + len(bad_invoke)] == bad_invoke
 
 
+def test_exception_table_catch_types_parse():
+    data = simple_class("P", methods=[
+        AsmMethod("m", "()V", ACC_PUBLIC, [("return",)],
+                  catch_types=("java/lang/Exception", 0))])
+    assert parse_class(data).find_method("m", "()V").instructions[0].mnemonic == "return"
+
+
+# where the fixture writes the bad index, and how far from the end of the
+# class it lands (what follows it is zero counts and an empty payload)
+@pytest.mark.parametrize("where,from_end", [
+    ("catch-type", 6),           # code attribute count, class attribute count
+    ("code-attribute-name", 8),  # payload length, class attribute count
+    ("source-file", 2),          # the last field of the class
+])
+def test_bad_pool_index_in_attribute_payload_reported_at_its_file_offset(where, from_end):
+    bad = 999
+    method = AsmMethod("m", "()V", ACC_PUBLIC, [("return",)])
+    spec = AsmClass("P", methods=[method])
+    if where == "catch-type":
+        method.catch_types = (bad,)
+    elif where == "code-attribute-name":
+        method.code_attributes = ((bad, b""),)
+    else:
+        spec.source_file = bad
+    data = assemble_class(spec)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data, source="P.class")
+    assert err.value.reason == f"invalid constant pool index {bad}"
+    assert (err.value.offset, err.value.source) == (len(data) - from_end, "P.class")
+    assert data[err.value.offset:err.value.offset + 2] == struct.pack(">H", bad)
+
+
 def wrong_kind_class(real_op: tuple, opcode: int) -> tuple[bytes, bytes, int]:
     """Class ``p/Main`` whose ``main`` runs ``real_op`` and then ``opcode``
     naming the pool entry that ``real_op`` names: the class bytes, the

@@ -1,5 +1,6 @@
 """End-to-end CLI pipeline: build, validate, report."""
 
+import gc
 import json
 import logging
 import sys
@@ -135,17 +136,21 @@ def test_each_command_loads_the_class_path_once(tmp_path, monkeypatch):
         assert counts[command]["parse_callgraph"] == 1, command
 
 
-def test_bodies_are_checked_at_parse_time_and_decoded_only_when_reached(tmp_path,
-                                                                       monkeypatch):
+def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatch):
     config = make_demo(tmp_path / "demo")
     repo = tmp_path / "demo" / "repo"
-    checked, decoded, closures = [], [], []
+    checked, decoded, read, closures = [], [], [], []
     disassemble = apprepo.classfile.parser.disassemble
+    resolved_operands = apprepo.classfile.parser.resolved_operands
     build_callgraph = apprepo.callgraph.build_callgraph
 
     def counted_disassemble(body, out):
         (checked if out is None else decoded).append(body)
         return disassemble(body, out)
+
+    def counted_resolved_operands(body):
+        read.append(body)
+        return resolved_operands(body)
 
     def recorded_build_callgraph(h, entries):
         graph = build_callgraph(h, entries)
@@ -153,6 +158,7 @@ def test_bodies_are_checked_at_parse_time_and_decoded_only_when_reached(tmp_path
         return graph
 
     patch_everywhere(monkeypatch, disassemble, counted_disassemble)
+    patch_everywhere(monkeypatch, resolved_operands, counted_resolved_operands)
     patch_everywhere(monkeypatch, build_callgraph, recorded_build_callgraph)
     for command, argv in (
             ("build", ["build", "--config", str(config), "--out", str(repo / "v1")]),
@@ -160,9 +166,11 @@ def test_bodies_are_checked_at_parse_time_and_decoded_only_when_reached(tmp_path
             ("report", ["report", str(repo)])):
         checked.clear()
         decoded.clear()
+        read.clear()
         assert main(argv) == 0, command
         assert checked, command
         assert len({id(body) for body in checked}) == len(checked), command
+        assert decoded == [], command
         if command == "build":
             (h, graph), = closures
             bodies = [m.body for cf in h.classes.values() for m in cf.methods if m.body]
@@ -172,9 +180,46 @@ def test_bodies_are_checked_at_parse_time_and_decoded_only_when_reached(tmp_path
                 for n in graph.nodes if n.ref.in_class in h.classes)
                 if method is not None and method.body is not None]
             assert reached
-            assert sorted(map(id, decoded)) == sorted(map(id, reached))
+            assert sorted(map(id, read)) == sorted(map(id, reached))
         else:
-            assert decoded == [], command
+            assert read == [], command
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("outcome", ["built", "stage-failure", "usage-error"])
+def test_main_pauses_the_collector_and_restores_its_state(corpus, tmp_path, monkeypatch,
+                                                          capsys, collecting, outcome):
+    during = []
+    build_hierarchy = apprepo.callgraph.build_hierarchy
+
+    def recorded_build_hierarchy(partition):
+        during.append(gc.isenabled())
+        return build_hierarchy(partition)
+
+    patch_everywhere(monkeypatch, build_hierarchy, recorded_build_hierarchy)
+    entry = "fix/Main2.main([Ljava/lang/String;)V" if outcome == "built" else "fix/Main2.gone()V"
+    config = write_config(tmp_path / "c.json", corpus, entry_points=[entry])
+    argv = ["build", "--config", str(config)]
+    if outcome != "usage-error":
+        argv += ["--out", str(tmp_path / "proj")]
+    was = gc.isenabled()
+    try:
+        (gc.enable if collecting else gc.disable)()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        after = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert after is collecting
+    assert code == {"built": 0, "stage-failure": 1, "usage-error": 2}[outcome]
+    if outcome == "usage-error":
+        assert during == []
+    else:
+        assert during and not any(during)
+    if outcome == "stage-failure":
+        assert stage_failure(capsys.readouterr().err)["stage"] == "callgraph"
 
 
 def test_report_without_metrics_counts_classes_from_the_code_model(tmp_path, monkeypatch,
@@ -306,12 +351,20 @@ def test_build_fails_verify_when_callgraph_is_corrupted_on_disk(inputs, tmp_path
     assert not (tmp_path / "proj.building").exists()
 
 
-def test_build_reports_malformed_entry_point_as_stage_failure(corpus, tmp_path, capsys):
-    config = write_config(tmp_path / "c.json", corpus, entry_points=["fix/Main1"])
-    assert main(["build", "--config", str(config), "--out", str(tmp_path / "proj")]) == 1
-    assert stage_failure(capsys.readouterr().err) == {
-        "stage": "callgraph", "error": "EntryPointMissing",
-        "detail": "not a method reference: 'fix/Main1'"}
+def test_build_rejects_malformed_entry_point_before_any_work(corpus, tmp_path, caplog,
+                                                           monkeypatch):
+    calls = record_reader_calls(monkeypatch)
+    copies = []
+    monkeypatch.setattr(apprepo.cli, "_copy_containers", lambda *args: copies.append(args))
+    config = write_config(tmp_path / "c.json", corpus,
+                          entry_points=["fix/Main2.main([Ljava/lang/String;)V", "fix/Main1"])
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 2
+    assert ("key 'entry_points': not a method reference: 'fix/Main1',"
+            " expected class.name(descriptor)") in caplog.text
+    assert copies == [] and not any(calls.values())
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
 
 
 def test_build_without_gui_warns(corpus, tmp_path, caplog):
