@@ -18,7 +18,7 @@ from .classfile.constant_pool import CONST_CLASS
 from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
 from .errors import EntryPointMissing, SchemaViolation, TargetClassMissing
-from .xmlio import XML_DECLARATION, escape_attr, read_document
+from .xmlio import XML_DECLARATION, escape_attr, non_xml_char, read_document
 
 ALGORITHM = "CHA"
 CLINIT_NAME = "<clinit>"
@@ -366,10 +366,17 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     inFramework / inLibrary / inApplication. Each method's text is computed
     and escaped once and the edges are grouped by caller once; the lines,
     in :class:`~apprepo.xmlio.XmlWriter`'s layout, are written directly.
-    A method text holding an unpaired surrogate, which modified UTF-8 class
-    files can carry but UTF-8 cannot, raises :class:`SchemaViolation`.
+    A method text holding a character that XML 1.0 cannot carry, such as
+    a control character or an unpaired surrogate (modified UTF-8 class
+    files can hold both), raises :class:`SchemaViolation` naming the method.
     """
     text = {node.ref: node.ref.text for node in g.nodes}
+    bad = min((t for t in text.values() if non_xml_char(t) is not None), default=None)
+    if bad is not None:
+        ch = non_xml_char(bad)
+        what = ("an unpaired surrogate" if "\ud800" <= ch <= "\udfff"
+                else f"character U+{ord(ch):04X}")
+        raise SchemaViolation(f"method {bad!r} holds {what}, which XML 1.0 cannot carry")
     escaped = {ref: escape_attr(t) for ref, t in text.items()}
     by_caller: dict[MethodRef, list[MethodRef]] = {}
     for caller, callee in g.edges:
@@ -392,12 +399,7 @@ def serialize_callgraph(g: CallGraph) -> bytes:
             lines.extend(f'    <calls target="{escaped[callee]}"/>' for callee in calls)
             lines.append("  </method>")
     lines.append("</callgraph>\n")
-    try:
-        return "\n".join(lines).encode("utf-8")
-    except UnicodeEncodeError:
-        bad = min(t for t in text.values() if any("\ud800" <= ch <= "\udfff" for ch in t))
-        raise SchemaViolation(f"method {bad!r} holds an unpaired surrogate,"
-                              " which UTF-8 cannot encode") from None
+    return "\n".join(lines).encode("utf-8")
 
 
 def _parse_bool(value: str, what: str) -> bool:

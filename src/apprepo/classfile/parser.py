@@ -193,22 +193,24 @@ def _check_internal_name(name: str, reader: ByteReader, what: str) -> str:
     return name
 
 
-def _parse_bootstrap_methods(data: bytes, pool: ConstantPool,
-                             reader: ByteReader) -> list[tuple[str, str, str]]:
-    """Decode a BootstrapMethods attribute into bootstrap method triples."""
-    sub = ByteReader(data, reader.source)
-    count = sub.u2()
+def _parse_bootstrap_methods(reader: ByteReader,
+                             pool: ConstantPool) -> list[tuple[str, str, str]]:
+    """Decode a BootstrapMethods attribute into bootstrap method triples.
+
+    ``reader`` is positioned at the payload; a bad handle or argument is
+    reported at the file offset of its index.
+    """
+    def method_of_handle(index: int) -> tuple[str, str, str]:
+        _, ref_idx = pool.entry(index, cp.CONST_METHOD_HANDLE).value
+        if pool.entry(ref_idx).tag not in (cp.CONST_METHODREF, cp.CONST_INTERFACE_METHODREF):
+            raise MalformedClassFile("bootstrap method handle does not reference a method")
+        return pool.member_ref(ref_idx)
+
     methods = []
-    for _ in range(count):
-        handle_idx = sub.u2()
-        kind, ref_idx = pool.entry(handle_idx, cp.CONST_METHOD_HANDLE).value
-        got = pool.entry(ref_idx)
-        if got.tag not in (cp.CONST_METHODREF, cp.CONST_INTERFACE_METHODREF):
-            raise reader.fail("bootstrap method handle does not reference a method")
-        methods.append(pool.member_ref(ref_idx))
-        arg_count = sub.u2()
-        for _ in range(arg_count):
-            pool.entry(sub.u2())
+    for _ in range(reader.u2()):
+        methods.append(reader.ref(method_of_handle))
+        for _ in range(reader.u2()):
+            reader.ref(pool.entry)
     return methods
 
 
@@ -572,7 +574,8 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         if a_name == "SourceFile":
             source_file = ByteReader(payload, source, payload_at).ref(pool.utf8)
         elif a_name == "BootstrapMethods":
-            bootstrap_methods = _parse_bootstrap_methods(payload, pool, reader)
+            bootstrap_methods = _parse_bootstrap_methods(
+                ByteReader(payload, source, payload_at), pool)
 
     if reader.pos != len(data):
         raise reader.fail("trailing bytes after class structure")

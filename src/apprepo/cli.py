@@ -24,7 +24,7 @@ from . import callgraph as cg
 from .classfile import MethodRef
 from .containers import is_archive
 from .errors import ApprepoError, IoFailure, SchemaViolation
-from .guimodel import load_gui, persist_gui, transform_external
+from .guimodel import persist_gui, transform_external
 from .metrics import (
     VersionMetrics,
     parse_version_csv,
@@ -35,12 +35,13 @@ from .metrics import (
 from .project import (
     LAYOUT,
     PROJECT_FILE_NAME,
-    ClassRepository,
     Project,
+    ProjectReport,
     init_project,
     read_project_file,
     validate_project,
 )
+from .xmlio import non_xml_char
 
 log = logging.getLogger(__name__)
 
@@ -102,11 +103,11 @@ def load_config(path: Path, out: Path) -> PipelineConfig:
     except ValueError as exc:
         raise IoFailure(f"config {path} has invalid timestamp: {exc}") from None
     for key, value in (("name", name), ("version", version_label)):
-        try:
-            value.encode("utf-8")
-        except (AttributeError, UnicodeEncodeError):
-            raise IoFailure(f"config {path} key {key!r} must be text that UTF-8"
-                            f" can encode, got {value!r}") from None
+        if not isinstance(value, str) or non_xml_char(value) is not None:
+            raise IoFailure(f"config {path} key {key!r} must be text that XML 1.0"
+                            f" can carry, got {value!r}")
+    if not name:
+        raise IoFailure(f"config {path} key 'name' must be non-empty")
     entry_points = raw.get("entry_points", "auto")
     if entry_points != "auto":
         try:
@@ -277,23 +278,23 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
     )
 
 
-def project_metrics(p: Project, repository: ClassRepository | None = None) -> VersionMetrics:
+def project_metrics(p: Project, report: ProjectReport) -> VersionMetrics:
     """The stored per-version metrics of a project, recomputed if absent.
 
-    The class count comes from ``repository``, the project's code model,
-    when the caller has one; otherwise the binaries are loaded here.
+    ``report`` is the project's passing validation: a recomputed row
+    counts from the code model and GUI model that validation loaded.
     """
     stored = p.project_dir / METRICS_FILE_NAME
     if stored.is_file():
-        rows = parse_version_csv(stored.read_text(encoding="utf-8"))
+        try:
+            text = stored.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise IoFailure(f"cannot read {stored}: {exc}") from exc
+        rows = parse_version_csv(text)
         if rows:
             return rows[0]
-    model = None
-    if p.gui_model_path is not None and p.gui_model_path.is_file():
-        model = load_gui(p.gui_model_path.read_bytes())
-    hierarchy = (repository.hierarchy if repository is not None else
-                 cg.build_hierarchy(cg.ClasspathPartition.of(application=[p.binaries_dir])))
-    return version_metrics(p.version_label, p.timestamp, hierarchy, p.sources_dir, model)
+    return version_metrics(p.version_label, p.timestamp, report.repository.hierarchy,
+                           p.sources_dir, report.gui_model)
 
 
 def cmd_validate(project_path: Path) -> int:
@@ -337,7 +338,7 @@ def cmd_report(repo_root: Path, as_csv: bool = False) -> int:
             report = validate_project(project)
             if not report.ok:
                 raise SchemaViolation("; ".join(i.detail for i in report.violations))
-            rows.append(project_metrics(project, report.repository))
+            rows.append(project_metrics(project, report))
         except ApprepoError as exc:
             log.warning("skipping %s: %s", child.name, exc)
     rows.sort(key=lambda r: (r.timestamp, r.version_label))

@@ -201,16 +201,24 @@ def version_csv(rows: list[VersionMetrics]) -> str:
 
 
 def parse_version_csv(text: str) -> list[VersionMetrics]:
-    """Read back rows written by version_csv."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    """Read back rows written by version_csv.
+
+    A malformed document, row, date or count raises :class:`IoFailure`.
+    """
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise IoFailure(f"malformed metrics CSV: {exc}") from None
     if not rows or rows[0] != CSV_HEADER:
         raise IoFailure(f"unexpected metrics CSV header: {rows[:1]!r}")
     out = []
     for row in rows[1:]:
         if len(row) != len(CSV_HEADER):
             raise IoFailure(f"malformed metrics CSV row: {row!r}")
-        out.append(VersionMetrics(
-            row[0], date.fromisoformat(row[1]),
-            int(row[2]), int(row[3]), int(row[4]), int(row[5])))
+        try:
+            out.append(VersionMetrics(
+                row[0], date.fromisoformat(row[1]),
+                int(row[2]), int(row[3]), int(row[4]), int(row[5])))
+        except ValueError as exc:
+            raise IoFailure(f"malformed metrics CSV row {row!r}: {exc}") from None
     return out

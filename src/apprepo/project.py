@@ -4,7 +4,8 @@ A project is a directory subtree plus a ``project.xml`` file naming the
 application and locating its artifacts (binaries, libraries, sources,
 GUI model, call graph, screenshots, startup script). Loading a project
 runs the safeguard checks: declared artifacts must exist, the GUI model
-must validate (unique ids above all) and the call graph must parse.
+must validate (unique ids above all), the call graph must parse and so
+must every class of the binaries and libraries.
 """
 
 from __future__ import annotations
@@ -12,11 +13,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property
 from pathlib import Path
 
 from .callgraph import (
-    CallGraph,
     ClassHierarchy,
     ClasspathPartition,
     build_hierarchy,
@@ -75,20 +74,10 @@ class Project:
 
 @dataclass(frozen=True)
 class ClassRepository:
-    """The linked code model of one project: classes, sources, call graph.
-
-    The call graph document is parsed on first access only.
-    """
+    """The linked code model of one project: its classes and their sources."""
 
     hierarchy: ClassHierarchy
     sources: dict[str, Path]
-    callgraph_path: Path | None
-
-    @cached_property
-    def callgraph(self) -> CallGraph:
-        if self.callgraph_path is None or not self.callgraph_path.is_file():
-            return CallGraph.of(set())
-        return parse_callgraph(self.callgraph_path.read_bytes())
 
 
 @dataclass
@@ -102,14 +91,15 @@ class ReportItem:
 class ProjectReport:
     """Aggregated validation result of one project.
 
-    ``repository`` is the code model the handler cross check built, or
-    None when validation built none.
+    ``repository`` and ``gui_model`` are the code model and GUI model
+    that validation loaded, or None where it loaded none.
     """
 
     items: list[ReportItem] = field(default_factory=list)
     handlers_resolved: int = 0
     handlers_unresolved: int = 0
     repository: ClassRepository | None = None
+    gui_model: GuiModel | None = None
 
     @property
     def violations(self) -> list[ReportItem]:
@@ -272,7 +262,9 @@ def validate_project(p: Project) -> ProjectReport:
     """Run every safeguard check, collecting violations and warnings.
 
     Covers artifact presence, GUI model validation, call graph schema
-    validation and the handler-to-code cross check.
+    validation, the code model (every class under the binaries and
+    libraries must parse) and the handler-to-code cross check. This is
+    the one load of a bundle: the report keeps the models it loaded.
     """
     report = ProjectReport()
 
@@ -292,7 +284,7 @@ def validate_project(p: Project) -> ProjectReport:
     gui_model: GuiModel | None = None
     if p.gui_model_path is not None and p.gui_model_path.is_file():
         try:
-            gui_model = load_gui(p.gui_model_path.read_bytes())
+            gui_model = report.gui_model = load_gui(p.gui_model_path.read_bytes())
         except SchemaViolation as exc:
             if exc.violations:
                 for v in exc.violations:
@@ -314,16 +306,15 @@ def validate_project(p: Project) -> ProjectReport:
         except SchemaViolation as exc:
             violation("CallgraphSchema", str(exc))
 
-    if gui_model is not None and p.binaries_dir is not None and p.binaries_dir.is_dir():
+    if p.binaries_dir.is_dir():
         try:
-            repo = build_code_model(p)
+            report.repository = build_code_model(p)
         except (MalformedClassFile, ContainerUnreadable) as exc:
             violation("CodeModel", str(exc))
-        else:
-            report.repository = repo
-            bindings = link_event_handlers(gui_model, repo.hierarchy)
-            report.handlers_resolved = sum(1 for b in bindings if b.status == "resolved")
-            report.handlers_unresolved = sum(1 for b in bindings if b.status == "unresolved")
+    if gui_model is not None and report.repository is not None:
+        bindings = link_event_handlers(gui_model, report.repository.hierarchy)
+        report.handlers_resolved = sum(1 for b in bindings if b.status == "resolved")
+        report.handlers_unresolved = sum(1 for b in bindings if b.status == "unresolved")
     return report
 
 
@@ -346,7 +337,7 @@ def load_project(path: Path | str) -> Project:
 
 
 def build_code_model(p: Project) -> ClassRepository:
-    """Parse the project's classes and link them with sources and call graph.
+    """Parse the project's classes and pair them with their sources.
 
     Source pairing matches the class file's recorded source file name (or
     the top-level class name plus ``.java``) under the package path in the
@@ -364,7 +355,7 @@ def build_code_model(p: Project) -> ClassRepository:
             found = _find_source(p.sources_dir, name, cf.source_file)
             if found is not None:
                 sources[name] = found
-    return ClassRepository(hierarchy, sources, p.callgraph_path)
+    return ClassRepository(hierarchy, sources)
 
 
 def _find_source(sources_dir: Path, class_name: str, source_file: str | None) -> Path | None:

@@ -8,9 +8,14 @@ guarantees depend on.
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
+
+# one character outside XML 1.0's Char production: C0 controls other than
+# tab, newline and carriage return, surrogates, U+FFFE and U+FFFF
+_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
 
 _ATTR_ESCAPES = str.maketrans({
     "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
@@ -26,6 +31,13 @@ def escape_attr(value: str) -> str:
     every other character is kept as it is.
     """
     return value.translate(_ATTR_ESCAPES)
+
+
+def non_xml_char(text: str) -> str | None:
+    """The first character of ``text`` that no XML 1.0 document can
+    carry, not even as a character reference, or None if there is none."""
+    found = _NON_XML_CHAR.search(text)
+    return found.group() if found else None
 
 
 def read_document(doc: bytes | str, root_tag: str,

@@ -326,7 +326,11 @@ class AsmClass:
     fields: tuple[tuple[str, str, int], ...] = ()  # (name, desc, flags)
     methods: list[AsmMethod] = field(default_factory=list)
     source_file: str | int | None = None  # an int is written as a raw pool index
-    bootstrap_methods: tuple[tuple[str, str, str], ...] = ()
+    # static bootstrap methods as (class, name, descriptor), or a raw pool
+    # index written as the handle; each takes the raw pool indices of
+    # bootstrap_arguments as its arguments
+    bootstrap_methods: tuple[tuple[str, str, str] | int, ...] = ()
+    bootstrap_arguments: tuple[int, ...] = ()
     inner_class: tuple[str, str, str] | None = None  # (inner, outer, simple name)
     extra_attribute: str | None = None  # unknown attribute, skipped by parsers
     major: int = 50
@@ -389,10 +393,13 @@ def assemble_class(spec: AsmClass) -> bytes:
             pool, "SourceFile", struct.pack(">H", _utf8_index(pool, spec.source_file))))
     if spec.bootstrap_methods:
         payload = struct.pack(">H", len(spec.bootstrap_methods))
-        for cls, name, desc in spec.bootstrap_methods:
-            ref = pool.methodref(cls, name, desc)
-            handle = pool.method_handle(6, ref)  # REF_invokeStatic
-            payload += struct.pack(">HH", handle, 0)
+        for method in spec.bootstrap_methods:
+            if isinstance(method, int):
+                handle = method
+            else:
+                handle = pool.method_handle(6, pool.methodref(*method))  # REF_invokeStatic
+            payload += struct.pack(">HH", handle, len(spec.bootstrap_arguments))
+            payload += b"".join(struct.pack(">H", arg) for arg in spec.bootstrap_arguments)
         class_attrs.append(_attribute(pool, "BootstrapMethods", payload))
     if spec.inner_class is not None:
         inner, outer, simple = spec.inner_class

@@ -17,6 +17,7 @@ from fixtures import write_corpus
 
 
 def make_demo(root: Path) -> Path:
+    root = root.resolve()  # the config's paths resolve against its own directory
     root.mkdir(parents=True, exist_ok=True)
     paths = write_corpus(root / "inputs")
     sources = root / "inputs" / "sources"

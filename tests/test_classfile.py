@@ -197,6 +197,8 @@ def test_exception_table_catch_types_parse():
     ("catch-type", 6),           # code attribute count, class attribute count
     ("code-attribute-name", 8),  # payload length, class attribute count
     ("source-file", 2),          # the last field of the class
+    ("bootstrap-handle", 4),     # the handle's argument count
+    ("bootstrap-argument", 2),   # the last field of the class
 ])
 def test_bad_pool_index_in_attribute_payload_reported_at_its_file_offset(where, from_end):
     bad = 999
@@ -206,6 +208,11 @@ def test_bad_pool_index_in_attribute_payload_reported_at_its_file_offset(where, 
         method.catch_types = (bad,)
     elif where == "code-attribute-name":
         method.code_attributes = ((bad, b""),)
+    elif where == "bootstrap-handle":
+        spec.bootstrap_methods = (bad,)
+    elif where == "bootstrap-argument":
+        spec.bootstrap_methods = (("p/B", "bsm", "()V"),)
+        spec.bootstrap_arguments = (bad,)
     else:
         spec.source_file = bad
     data = assemble_class(spec)
@@ -214,6 +221,22 @@ def test_bad_pool_index_in_attribute_payload_reported_at_its_file_offset(where, 
     assert err.value.reason == f"invalid constant pool index {bad}"
     assert (err.value.offset, err.value.source) == (len(data) - from_end, "P.class")
     assert data[err.value.offset:err.value.offset + 2] == struct.pack(">H", bad)
+
+
+def test_bootstrap_handle_naming_a_field_reported_at_its_file_offset():
+    spec = AsmClass("P", methods=[AsmMethod("m", "()V", ACC_PUBLIC, [("return",)])],
+                    bootstrap_methods=(("p/B", "bsm", "()V"),))
+    data = assemble_class(spec)
+    pool = parse_class(data).constant_pool
+    # the bootstrap handle's Methodref, turned into a Fieldref
+    index = next(i for i, e in enumerate(pool.entries) if e is not None and e.tag == 10)
+    methodref = struct.pack(">BHH", 10, *pool.entries[index].value)
+    assert data.count(methodref) == 1
+    data = data.replace(methodref, b"\x09" + methodref[1:])
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data, source="P.class")
+    assert err.value.reason == "bootstrap method handle does not reference a method"
+    assert (err.value.offset, err.value.source) == (len(data) - 4, "P.class")
 
 
 def wrong_kind_class(real_op: tuple, opcode: int) -> tuple[bytes, bytes, int]:

@@ -13,6 +13,7 @@ import apprepo.callgraph
 import apprepo.classfile.parser
 import apprepo.cli
 import apprepo.containers
+import apprepo.guimodel
 from apprepo.cli import main
 from apprepo.metrics import parse_version_csv
 from apprepo.project import LAYOUT, load_project, read_project_file
@@ -100,11 +101,13 @@ def patch_everywhere(monkeypatch, original, replacement) -> None:
 
 
 def record_reader_calls(monkeypatch) -> dict[str, list]:
-    """First arguments of every container read, class parse and call graph parse."""
+    """First arguments of every container read, class parse, call graph
+    parse and GUI model load."""
     calls: dict[str, list] = {}
     for original in (apprepo.containers.iter_class_entries,
                      apprepo.classfile.parser.parse_class,
-                     apprepo.callgraph.parse_callgraph):
+                     apprepo.callgraph.parse_callgraph,
+                     apprepo.guimodel.load_gui):
         log = calls[original.__name__] = []
 
         def counted(*args, _original=original, _log=log, **kwargs):
@@ -235,6 +238,50 @@ def test_report_without_metrics_counts_classes_from_the_code_model(tmp_path, mon
     assert parse_version_csv(capsys.readouterr().out) == parse_version_csv(stored)
     assert [Path(c).name for c in calls["iter_class_entries"]] == ["bin", "lib"]
     assert len(calls["parse_class"]) == 16
+    assert len(calls["load_gui"]) == 1
+
+
+@pytest.mark.parametrize("row,reason", [
+    (b"2.0,2002-02-02,many,10,3,1", "invalid literal for int()"),
+    (b"2.0,2002-02-02,-1,10,3,1", "classes must be non-negative"),
+    (b"2.0,2002-13-02,14,10,3,1", "month must be in 1..12"),
+    (b"\xff\xfe,2002-02-02,14,10,3,1", "can't decode byte 0xff"),
+], ids=["non-integer-count", "negative-count", "bad-date", "undecodable-bytes"])
+def test_report_skips_project_with_damaged_metrics(corpus, hierarchy, tmp_path, caplog,
+                                                   capsys, row, reason):
+    from datetime import date
+    repo = tmp_path / "repo"
+    build_bundle(corpus, hierarchy, repo / "good", version="1.0", timestamp=date(2001, 1, 1))
+    build_bundle(corpus, hierarchy, repo / "damaged", version="2.0",
+                 timestamp=date(2002, 2, 2))
+    (repo / "damaged" / "metrics.csv").write_bytes(
+        b"version,timestamp,classes,loc,widgets,windows\r\n" + row + b"\r\n")
+    with caplog.at_level(logging.WARNING):
+        assert main(["report", str(repo), "--csv"]) == 0
+    rows = parse_version_csv(capsys.readouterr().out)
+    assert [r.version_label for r in rows] == ["1.0"]
+    skipped = [r.message for r in caplog.records if r.message.startswith("skipping damaged")]
+    assert len(skipped) == 1 and reason in skipped[0]
+
+
+def test_corrupt_library_jar_fails_a_bundle_without_gui(corpus, tmp_path, capsys, caplog):
+    config = write_config(tmp_path / "c.json", corpus)
+    repo = tmp_path / "repo"
+    assert main(["build", "--config", str(config), "--out", str(repo / "v1")]) == 0
+    project = read_project_file(repo / "v1" / "project.xml")
+    assert project.gui_model_path is None
+    jar, = project.libraries_dir.glob("*.jar")
+    jar.write_bytes(b"garbage, not a zip archive")
+    capsys.readouterr()
+    assert main(["validate", str(repo / "v1" / "project.xml")]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [(l["level"], l["code"]) for l in lines[:-1]] == [("violation", "CodeModel")]
+    assert jar.name in lines[0]["detail"]
+    assert lines[-1]["violations"] == 1
+    with caplog.at_level(logging.WARNING):
+        assert main(["report", str(repo)]) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 2  # header and separator only
+    assert any(r.message.startswith("skipping v1") for r in caplog.records)
 
 
 def test_build_byte_identical_outputs(inputs, tmp_path):
@@ -276,6 +323,27 @@ def test_build_reports_unencodable_method_name_as_stage_failure(tmp_path, capsys
     failure = json.loads(next(line for line in err.splitlines() if line.startswith("{")))
     assert (failure["stage"], failure["error"]) == ("callgraph", "SchemaViolation")
     assert "unpaired surrogate" in failure["detail"]
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
+
+
+def test_build_reports_method_name_xml_cannot_carry_at_the_callgraph_stage(tmp_path, capsys):
+    app = tmp_path / "app"
+    (app / "p").mkdir(parents=True)
+    odd = "x\u0001y"  # a legal method name that XML 1.0 cannot carry
+    (app / "p" / "A.class").write_bytes(assemble_class(AsmClass("p/A", methods=[
+        AsmMethod("main", "([Ljava/lang/String;)V", ACC_PUBLIC | ACC_STATIC,
+                  [("invokestatic", "p/A", odd, "()V"), ("return",)]),
+        AsmMethod(odd, "()V", ACC_PUBLIC | ACC_STATIC, [("return",)])])))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"name": "odd", "timestamp": "2001-06-01",
+                                  "application": [str(app)]}), encoding="utf-8")
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 1
+    failure = stage_failure(capsys.readouterr().err)
+    assert failure == {"stage": "callgraph", "error": "SchemaViolation",
+                       "detail": "method 'p/A.x\\x01y()V' holds character U+0001,"
+                                 " which XML 1.0 cannot carry"}
     assert not out.exists()
     assert not (tmp_path / "proj.building").exists()
 
@@ -452,7 +520,8 @@ def test_build_unreadable_config(tmp_path):
 
 
 @pytest.mark.parametrize("key,value", [("name", "odd\ud800"), ("version", "1\ud800"),
-                                       ("version", 1.5)])
+                                       ("version", 1.5), ("name", ""),
+                                       ("name", "odd\u0001name"), ("version", "1\ufffe")])
 def test_build_rejects_config_text_utf8_cannot_encode(corpus, tmp_path, caplog, key, value):
     config = write_config(tmp_path / "c.json", corpus, **{key: value})
     out = tmp_path / "proj"

@@ -4,6 +4,7 @@ from datetime import date
 
 import pytest
 
+from apprepo.callgraph import parse_callgraph
 from apprepo.errors import AlreadyExists, IoFailure, MissingArtifact, SchemaViolation
 from apprepo.project import (
     build_code_model,
@@ -230,12 +231,13 @@ def test_unresolved_handler_counted(corpus, hierarchy, tmp_path):
 # --- code model ------------------------------------------------------------------
 
 def test_code_model_classes_and_sources(bundle):
-    repo = build_code_model(load_project(bundle))
+    project = load_project(bundle)
+    repo = build_code_model(project)
     assert "fix/Circle" in repo.hierarchy.classes
     assert "fix/LibThing" in repo.hierarchy.classes  # libraries parsed too
     assert repo.sources["fix/Circle"].name == "Circle.java"
     assert "fix/Square" not in repo.sources  # no source shipped
-    assert repo.callgraph.nodes
+    assert parse_callgraph(project.callgraph_path.read_bytes()).nodes
 
 
 def test_code_model_origin_flags(bundle):
@@ -264,7 +266,8 @@ def test_code_model_empty_binaries(corpus, hierarchy, tmp_path):
 
 
 def test_callgraph_classes_present_in_code_model(bundle):
-    repo = build_code_model(load_project(bundle))
-    for node in repo.callgraph.nodes:
+    project = load_project(bundle)
+    repo = build_code_model(project)
+    for node in parse_callgraph(project.callgraph_path.read_bytes()).nodes:
         if node.in_application or node.in_library:
             assert node.ref.in_class in repo.hierarchy.classes
