@@ -369,6 +369,10 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     A method text holding a character that XML 1.0 cannot carry, such as
     a control character or an unpaired surrogate (modified UTF-8 class
     files can hold both), raises :class:`SchemaViolation` naming the method.
+    So does a method whose text reads back as another method: a name
+    holding ``.`` (JVMS §4.2.2 forbids it, the parser lets it through) or
+    ``(``, or a class name holding ``(``. Of two methods sharing one text
+    at least one is such a case, so every id in the document is unique.
     """
     text = {node.ref: node.ref.text for node in g.nodes}
     bad = min((t for t in text.values() if non_xml_char(t) is not None), default=None)
@@ -377,6 +381,11 @@ def serialize_callgraph(g: CallGraph) -> bytes:
         what = ("an unpaired surrogate" if "\ud800" <= ch <= "\udfff"
                 else f"character U+{ord(ch):04X}")
         raise SchemaViolation(f"method {bad!r} holds {what}, which XML 1.0 cannot carry")
+    misread = min(((t, ref) for ref, t in text.items() if _read_back(t) != ref), default=None)
+    if misread is not None:
+        t, ref = misread
+        raise SchemaViolation(f"method {ref.name!r} of class {ref.in_class!r} is written as"
+                              f" {t!r}, which reads back as another method")
     escaped = {ref: escape_attr(t) for ref, t in text.items()}
     by_caller: dict[MethodRef, list[MethodRef]] = {}
     for caller, callee in g.edges:
@@ -400,6 +409,13 @@ def serialize_callgraph(g: CallGraph) -> bytes:
             lines.append("  </method>")
     lines.append("</callgraph>\n")
     return "\n".join(lines).encode("utf-8")
+
+
+def _read_back(text: str) -> MethodRef | None:
+    try:
+        return MethodRef.from_text(text)
+    except ValueError:
+        return None
 
 
 def _parse_bool(value: str, what: str) -> bool:

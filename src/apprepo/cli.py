@@ -25,27 +25,20 @@ from .classfile import MethodRef
 from .containers import is_archive
 from .errors import ApprepoError, IoFailure, SchemaViolation
 from .guimodel import persist_gui, transform_external
-from .metrics import (
-    VersionMetrics,
-    parse_version_csv,
-    version_csv,
-    version_metrics,
-    version_table,
-)
+from .metrics import VersionMetrics, version_csv, version_metrics, version_table
 from .project import (
     LAYOUT,
     PROJECT_FILE_NAME,
     Project,
     ProjectReport,
-    init_project,
+    missing_artifacts,
     read_project_file,
+    render_project_file,
     validate_project,
 )
 from .xmlio import non_xml_char
 
 log = logging.getLogger(__name__)
-
-METRICS_FILE_NAME = "metrics.csv"
 
 
 @dataclass
@@ -162,38 +155,46 @@ def _check_config(config: PipelineConfig) -> None:
             f"external GUI model not found: {config.external_gui_path}"))
 
 
-def _copy_containers(containers: tuple[Path, ...], dest: Path) -> None:
+def _copy_containers(containers: tuple[Path, ...], dest: Path) -> dict[Path, Path]:
     """Copy a component's jars into ``dest`` and merge its directories there.
 
     Two containers that would write the same class file or archive fail
     the copy: the bundle could keep only one of the copies analysed.
+    Returns the source of every class file and archive copied, keyed by
+    its copy.
     """
     writer_of: dict[str, Path] = {}
+    sources: dict[Path, Path] = {}
     for container in containers:
         if container.is_dir():
-            written = [p.relative_to(container).as_posix() for p in container.rglob("*")
+            written = [(p.relative_to(container).as_posix(), p) for p in container.rglob("*")
                        if p.is_file() and (p.suffix == ".class" or is_archive(p))]
         else:
-            written = [container.name]
-        for rel in written:
+            written = [(container.name, container)]
+        for rel, source in written:
             first = writer_of.setdefault(rel, container)
             if first != container:
                 raise StageFailure("copy", IoFailure(
                     f"containers {first} and {container} both write {rel}"))
+            sources[dest / rel] = source
     dest.mkdir(parents=True, exist_ok=True)
     for container in containers:
         if container.is_dir():
             shutil.copytree(container, dest, dirs_exist_ok=True)
         else:
             shutil.copy2(container, dest / container.name)
+    return sources
 
 
 def cmd_build(config: PipelineConfig) -> int:
     """Run the full pipeline into a fresh project directory.
 
     All artifacts are produced in a temporary directory that is renamed
-    into place only after the finished project passes validation, so a
-    failed build leaves nothing behind.
+    into place only after the verify step passes, so a failed build
+    leaves nothing behind. Verify compares what is on disk with what the
+    build holds (see :func:`_verify`) instead of loading the bundle again:
+    the build has already parsed every class it copied, checked the GUI
+    model it persisted and written each document from its model.
     """
     _check_config(config)
     out = config.output_project_dir
@@ -201,12 +202,7 @@ def cmd_build(config: PipelineConfig) -> int:
     if tmp.exists():
         shutil.rmtree(tmp)
     try:
-        _build_into(config, tmp)
-        report = validate_project(read_project_file(tmp / PROJECT_FILE_NAME))
-        if not report.ok:
-            details = "; ".join(i.detail for i in report.violations)
-            raise StageFailure("verify", SchemaViolation(
-                f"built project fails validation: {details}"))
+        _verify(tmp, _build_into(config, tmp))
         if out.exists():
             shutil.rmtree(out)
         out.parent.mkdir(parents=True, exist_ok=True)
@@ -219,13 +215,43 @@ def cmd_build(config: PipelineConfig) -> int:
     return 0
 
 
-def _build_into(config: PipelineConfig, root: Path) -> None:
+def _verify(root: Path, expected: dict[Path, bytes | Path]) -> None:
+    """Check a built project against what the build wrote into it.
+
+    The project file must read back and declare only artifacts that
+    exist, and each file of ``expected`` must hold its bytes, or those of
+    the file it was copied from. Any difference fails stage ``verify``.
+    """
+    try:
+        problems = [f"{artifact} missing: {path}" for artifact, path
+                    in missing_artifacts(read_project_file(root / PROJECT_FILE_NAME))]
+    except ApprepoError as exc:
+        problems = [str(exc)]
+    for path, want in expected.items():
+        try:
+            if path.read_bytes() != (want if isinstance(want, bytes) else want.read_bytes()):
+                problems.append(f"{path} differs from what the build wrote")
+        except OSError as exc:
+            problems.append(f"cannot read {exc.filename}: {exc.strerror}")
+    if problems:
+        raise StageFailure("verify", SchemaViolation(
+            f"built project fails verification: {'; '.join(problems)}"))
+
+
+def _build_into(config: PipelineConfig, root: Path) -> dict[Path, bytes | Path]:
+    """Build the project into ``root``.
+
+    Returns what :func:`_verify` compares, keyed by path: the source of
+    every class file and archive copied and the bytes of every document
+    written.
+    """
     try:
         root.mkdir(parents=True)
-        _copy_containers(config.partition.application, root / LAYOUT["binaries"])
+        copies = _copy_containers(config.partition.application, root / LAYOUT["binaries"])
         has_libraries = bool(config.partition.library)
         if has_libraries:
-            _copy_containers(config.partition.library, root / LAYOUT["libraries"])
+            copies.update(_copy_containers(config.partition.library,
+                                           root / LAYOUT["libraries"]))
         if config.sources_dir is not None:
             shutil.copytree(config.sources_dir, root / LAYOUT["sources"])
     except OSError as exc:
@@ -238,12 +264,10 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
     try:
         entries = (cg.find_main_entries(hierarchy) if config.entry_points == "auto"
                    else config.entry_points)
-        document = cg.serialize_callgraph(cg.build_callgraph(hierarchy, entries))
+        documents = {root / LAYOUT["callgraph"]:
+                     cg.serialize_callgraph(cg.build_callgraph(hierarchy, entries))}
     except ApprepoError as exc:
         raise StageFailure("callgraph", exc) from exc
-    callgraph_path = root / LAYOUT["callgraph"]
-    callgraph_path.parent.mkdir(parents=True, exist_ok=True)
-    callgraph_path.write_bytes(document)
 
     model = None
     if config.external_gui_path is not None:
@@ -252,10 +276,8 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
             model = transform_external(external_bytes)
         except ApprepoError as exc:
             raise StageFailure("gui", exc) from exc
-        gui_path = root / LAYOUT["gui"]
-        gui_path.parent.mkdir(parents=True, exist_ok=True)
-        gui_path.write_bytes(persist_gui(model))
-        (root / LAYOUT["external_gui"]).write_bytes(external_bytes)
+        documents[root / LAYOUT["gui"]] = persist_gui(model)
+        documents[root / LAYOUT["external_gui"]] = external_bytes
     else:
         log.warning("no external GUI model provided; project has no GUI artifacts")
 
@@ -265,10 +287,10 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
             root / LAYOUT["sources"] if config.sources_dir is not None else None, model)
     except ApprepoError as exc:
         raise StageFailure("metrics", exc) from exc
-    (root / METRICS_FILE_NAME).write_text(version_csv([row]), encoding="utf-8")
+    documents[root / LAYOUT["metrics"]] = version_csv([row]).encode("utf-8")
 
-    init_project(
-        root, config.name, config.version_label, config.timestamp,
+    documents[root / PROJECT_FILE_NAME] = render_project_file(
+        config.name, config.version_label, config.timestamp,
         binaries=LAYOUT["binaries"],
         libraries=LAYOUT["libraries"] if has_libraries else None,
         sources=LAYOUT["sources"] if config.sources_dir is not None else None,
@@ -276,23 +298,24 @@ def _build_into(config: PipelineConfig, root: Path) -> None:
         external_gui=LAYOUT["external_gui"] if model is not None else None,
         callgraph=LAYOUT["callgraph"],
     )
+    for path, data in documents.items():
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(data)
+        except OSError as exc:
+            raise IoFailure(f"cannot write {path}: {exc}") from exc
+    return {**copies, **documents}
 
 
 def project_metrics(p: Project, report: ProjectReport) -> VersionMetrics:
     """The stored per-version metrics of a project, recomputed if absent.
 
-    ``report`` is the project's passing validation: a recomputed row
-    counts from the code model and GUI model that validation loaded.
+    ``report`` is the project's passing validation: it holds the stored
+    row it checked, and a recomputed row counts from the code model and
+    GUI model that validation loaded.
     """
-    stored = p.project_dir / METRICS_FILE_NAME
-    if stored.is_file():
-        try:
-            text = stored.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise IoFailure(f"cannot read {stored}: {exc}") from exc
-        rows = parse_version_csv(text)
-        if rows:
-            return rows[0]
+    if report.metrics is not None:
+        return report.metrics
     return version_metrics(p.version_label, p.timestamp, report.repository.hierarchy,
                            p.sources_dir, report.gui_model)
 

@@ -5,7 +5,8 @@ application and locating its artifacts (binaries, libraries, sources,
 GUI model, call graph, screenshots, startup script). Loading a project
 runs the safeguard checks: declared artifacts must exist, the GUI model
 must validate (unique ids above all), the call graph must parse and so
-must every class of the binaries and libraries.
+must every class of the binaries and libraries, and a stored
+``metrics.csv`` must parse and agree with the project file.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (
     SchemaViolation,
 )
 from .guimodel import GuiModel, link_event_handlers, load_gui
-from .metrics import JAVA_SUFFIX
+from .metrics import JAVA_SUFFIX, VersionMetrics, parse_version_csv
 from .xmlio import XmlWriter, read_document
 
 log = logging.getLogger(__name__)
@@ -45,6 +46,7 @@ LAYOUT = {
     "gui": "gui/model.xml",
     "external_gui": "gui/ripper.xml",
     "callgraph": "callgraph/callgraph.xml",
+    "metrics": "metrics.csv",
     "screenshots": "screenshots",
     "startup": "scripts/start.sh",
 }
@@ -91,8 +93,9 @@ class ReportItem:
 class ProjectReport:
     """Aggregated validation result of one project.
 
-    ``repository`` and ``gui_model`` are the code model and GUI model
-    that validation loaded, or None where it loaded none.
+    ``repository``, ``gui_model`` and ``metrics`` are the code model, the
+    GUI model and the stored metrics row that validation loaded, or None
+    where it loaded none.
     """
 
     items: list[ReportItem] = field(default_factory=list)
@@ -100,6 +103,7 @@ class ProjectReport:
     handlers_unresolved: int = 0
     repository: ClassRepository | None = None
     gui_model: GuiModel | None = None
+    metrics: VersionMetrics | None = None
 
     @property
     def violations(self) -> list[ReportItem]:
@@ -140,9 +144,10 @@ def init_project(root: Path | str, name: str, version_label: str, timestamp: dat
     root = Path(root)
     if libraries is not None and Path(binaries) == Path(libraries):
         raise ValueError("binaries and libraries directories must be disjoint")
-    content = _render_project_file(name, version_label, timestamp, binaries, libraries,
-                                   sources, gui, external_gui, callgraph,
-                                   screenshots, startup)
+    content = render_project_file(name, version_label, timestamp, binaries=binaries,
+                                  libraries=libraries, sources=sources, gui=gui,
+                                  external_gui=external_gui, callgraph=callgraph,
+                                  screenshots=screenshots, startup=startup)
     target = root / PROJECT_FILE_NAME
     try:
         if target.exists():
@@ -162,8 +167,16 @@ def init_project(root: Path | str, name: str, version_label: str, timestamp: dat
     return target
 
 
-def _render_project_file(name, version_label, timestamp, binaries, libraries, sources,
-                         gui, external_gui, callgraph, screenshots, startup) -> bytes:
+def render_project_file(name: str, version_label: str, timestamp: date,
+                        binaries: str = LAYOUT["binaries"],
+                        libraries: str | None = None,
+                        sources: str | None = None,
+                        gui: str | None = None,
+                        external_gui: str | None = None,
+                        callgraph: str | None = None,
+                        screenshots: str | None = None,
+                        startup: str | None = None) -> bytes:
+    """The project file bytes :func:`init_project` writes for these arguments."""
     writer = XmlWriter()
     writer.open("project", [("name", name), ("version", version_label),
                             ("timestamp", timestamp.isoformat())])
@@ -246,7 +259,7 @@ def read_project_file(path: Path | str) -> Project:
     )
 
 
-def _missing_artifacts(p: Project) -> list[tuple[str, Path]]:
+def missing_artifacts(p: Project) -> list[tuple[str, Path]]:
     """(artifact, path) of every declared required artifact that is absent."""
     return [(artifact, path) for artifact, path, kind in (
         ("binaries", p.binaries_dir, "dir"),
@@ -262,9 +275,11 @@ def validate_project(p: Project) -> ProjectReport:
     """Run every safeguard check, collecting violations and warnings.
 
     Covers artifact presence, GUI model validation, call graph schema
-    validation, the code model (every class under the binaries and
-    libraries must parse) and the handler-to-code cross check. This is
-    the one load of a bundle: the report keeps the models it loaded.
+    validation, the stored metrics (``metrics.csv``, if present, must
+    parse and each row must carry the project's version and timestamp),
+    the code model (every class under the binaries and libraries must
+    parse) and the handler-to-code cross check. This is the one load of a
+    bundle: the report keeps the models and the metrics row it loaded.
     """
     report = ProjectReport()
 
@@ -274,7 +289,7 @@ def validate_project(p: Project) -> ProjectReport:
     def warning(code: str, detail: str) -> None:
         report.items.append(ReportItem("warning", code, detail))
 
-    for artifact, path in _missing_artifacts(p):
+    for artifact, path in missing_artifacts(p):
         violation("MissingArtifact", f"{artifact}: {path}")
     for artifact, path in (("screenshots", p.screenshots_dir),
                            ("startup", p.startup_script_path)):
@@ -306,6 +321,22 @@ def validate_project(p: Project) -> ProjectReport:
         except SchemaViolation as exc:
             violation("CallgraphSchema", str(exc))
 
+    metrics_path = p.project_dir / LAYOUT["metrics"]
+    if metrics_path.is_file():
+        try:
+            rows = parse_version_csv(metrics_path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            violation("Metrics", f"cannot read {metrics_path}: {exc}")
+        except IoFailure as exc:
+            violation("Metrics", f"{metrics_path}: {exc}")
+        else:
+            for row in rows:
+                if (row.version_label, row.timestamp) != (p.version_label, p.timestamp):
+                    violation("Metrics", f"{metrics_path}: row of version"
+                              f" {row.version_label!r} at {row.timestamp} disagrees"
+                              f" with the project's {p.version_label!r} at {p.timestamp}")
+            report.metrics = rows[0] if rows else None
+
     if p.binaries_dir.is_dir():
         try:
             report.repository = build_code_model(p)
@@ -325,11 +356,11 @@ def load_project(path: Path | str) -> Project:
     for item in report.warnings:
         log.warning("%s: %s", item.code, item.detail)
     if not report.ok:
-        missing = _missing_artifacts(project)
+        missing = missing_artifacts(project)
         if missing:
             raise MissingArtifact(*missing[0])
         gui_items = [i for i in report.violations
-                     if i.code not in ("CallgraphSchema", "CodeModel")]
+                     if i.code not in ("CallgraphSchema", "CodeModel", "Metrics")]
         summary = "; ".join(i.detail for i in report.violations)
         raise SchemaViolation(f"project failed validation: {summary}",
                               gui_items or None)

@@ -75,6 +75,23 @@ def test_unpaired_surrogate_in_method_name_is_a_schema_violation():
         serialize_callgraph(graph)
 
 
+@pytest.mark.parametrize("odd,twin", [
+    # written as p/A.x(y()V, which reads back as p/A.x with descriptor (y()V
+    (MethodRef("p/A", "x(y", "()V"), None),
+    # both written as p/A.b.c()V, which reads back as the second
+    (MethodRef("p/A", "b.c", "()V"), MethodRef("p/A.b", "c", "()V")),
+], ids=["paren-in-name", "dot-in-name-collides"])
+def test_method_whose_text_reads_back_as_another_is_a_schema_violation(odd, twin):
+    main = MethodRef("p/A", "main", MAIN_DESC)
+    callees = {odd} if twin is None else {odd, twin}
+    graph = CallGraph.of({MethodNode(main)} | {MethodNode(c) for c in callees},
+                         edges={(main, c) for c in callees}, entry_points={main})
+    with pytest.raises(SchemaViolation) as info:
+        serialize_callgraph(graph)
+    assert str(info.value) == (f"method {odd.name!r} of class 'p/A' is written as"
+                               f" {odd.text!r}, which reads back as another method")
+
+
 def test_single_node_attributes():
     ref = MethodRef("pkg/Cls", "m", "(I)I")
     node = MethodNode(ref, in_framework=False, in_library=False, in_application=True)

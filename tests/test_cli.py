@@ -133,9 +133,11 @@ def test_each_command_loads_the_class_path_once(tmp_path, monkeypatch):
         containers = [str(c) for c in calls["iter_class_entries"]]
         assert len(containers) == len(set(containers)), command
         counts[command] = {function: len(log) for function, log in calls.items()}
-    assert counts["build"]["parse_class"] <= 33
-    assert counts["build"]["iter_class_entries"] <= 5
-    for command in ("build", "validate", "report"):
+    # build reads each of the demo's 3 containers once and parses each of
+    # their 17 class entries once; it reads none of the documents it wrote
+    assert counts["build"] == {"iter_class_entries": 3, "parse_class": 17,
+                               "parse_callgraph": 0, "load_gui": 0}
+    for command in ("validate", "report"):
         assert counts[command]["parse_callgraph"] == 1, command
 
 
@@ -246,7 +248,10 @@ def test_report_without_metrics_counts_classes_from_the_code_model(tmp_path, mon
     (b"2.0,2002-02-02,-1,10,3,1", "classes must be non-negative"),
     (b"2.0,2002-13-02,14,10,3,1", "month must be in 1..12"),
     (b"\xff\xfe,2002-02-02,14,10,3,1", "can't decode byte 0xff"),
-], ids=["non-integer-count", "negative-count", "bad-date", "undecodable-bytes"])
+    (b"9.9,1999-01-01,14,10,3,1",
+     "row of version '9.9' at 1999-01-01 disagrees with the project's '2.0' at 2002-02-02"),
+], ids=["non-integer-count", "negative-count", "bad-date", "undecodable-bytes",
+        "disagreeing-row"])
 def test_report_skips_project_with_damaged_metrics(corpus, hierarchy, tmp_path, caplog,
                                                    capsys, row, reason):
     from datetime import date
@@ -262,6 +267,11 @@ def test_report_skips_project_with_damaged_metrics(corpus, hierarchy, tmp_path, 
     assert [r.version_label for r in rows] == ["1.0"]
     skipped = [r.message for r in caplog.records if r.message.startswith("skipping damaged")]
     assert len(skipped) == 1 and reason in skipped[0]
+    assert main(["validate", str(repo / "damaged" / "project.xml")]) == 1
+    violations = [json.loads(line) for line in capsys.readouterr().out.splitlines()
+                  if json.loads(line)["level"] == "violation"]
+    assert len(violations) == 1 and violations[0]["code"] == "Metrics"
+    assert reason in violations[0]["detail"]
 
 
 def test_corrupt_library_jar_fails_a_bundle_without_gui(corpus, tmp_path, capsys, caplog):
@@ -348,6 +358,36 @@ def test_build_reports_method_name_xml_cannot_carry_at_the_callgraph_stage(tmp_p
     assert not (tmp_path / "proj.building").exists()
 
 
+@pytest.mark.parametrize("odd,twin", [
+    ("x(y", None),
+    ("b.c", "p/A.b"),  # p/A.b.c()V is also method c of class p/A.b
+], ids=["paren-in-name", "dot-in-name-collides"])
+def test_build_rejects_method_text_that_reads_back_as_another_method(tmp_path, capsys,
+                                                                     odd, twin):
+    app = tmp_path / "app"
+    (app / "p").mkdir(parents=True)
+    calls = [("invokestatic", "p/A", odd, "()V")]
+    if twin is not None:
+        calls.append(("invokestatic", twin, "c", "()V"))
+        (app / "p" / "A.b.class").write_bytes(assemble_class(AsmClass(twin, methods=[
+            AsmMethod("c", "()V", ACC_PUBLIC | ACC_STATIC, [("return",)])])))
+    (app / "p" / "A.class").write_bytes(assemble_class(AsmClass("p/A", methods=[
+        AsmMethod("main", "([Ljava/lang/String;)V", ACC_PUBLIC | ACC_STATIC,
+                  calls + [("return",)]),
+        AsmMethod(odd, "()V", ACC_PUBLIC | ACC_STATIC, [("return",)])])))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"name": "odd", "timestamp": "2001-06-01",
+                                  "application": [str(app)]}), encoding="utf-8")
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 1
+    failure = stage_failure(capsys.readouterr().err)
+    assert failure == {"stage": "callgraph", "error": "SchemaViolation",
+                       "detail": f"method {odd!r} of class 'p/A' is written as"
+                                 f" 'p/A.{odd}()V', which reads back as another method"}
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
+
+
 def test_build_missing_input_is_an_io_failure(corpus, tmp_path, capsys):
     missing = tmp_path / "missing"
     config = write_config(tmp_path / "c.json", corpus, application=[str(missing)])
@@ -404,19 +444,41 @@ def test_build_rejects_containers_that_collide_in_the_bundle(corpus, tmp_path, c
     assert not (tmp_path / "proj.building").exists()
 
 
+def flip_last_byte(path: Path) -> None:
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+
+
+# ways to damage a built project between its build and its verify step
+CORRUPTIONS = {
+    "callgraph": lambda root: (root / LAYOUT["callgraph"]).write_bytes(b"<callgraph"),
+    "gui-model": lambda root: (root / LAYOUT["gui"]).write_bytes(b"<gui/>"),
+    "ripper-copy": lambda root: flip_last_byte(root / LAYOUT["external_gui"]),
+    "metrics": lambda root: (root / LAYOUT["metrics"]).write_bytes(
+        (root / LAYOUT["metrics"]).read_bytes().replace(b"1.0,2001-06-01", b"9.9,1999-01-01")),
+    "project-file": lambda root: (root / "project.xml").write_bytes(b"<project"),
+    "bin-class": lambda root: flip_last_byte(min((root / LAYOUT["binaries"]).rglob("*.class"))),
+    "lib-jar": lambda root: next((root / LAYOUT["libraries"]).glob("*.jar")).write_bytes(b"zip?"),
+    "deleted-gui-model": lambda root: (root / LAYOUT["gui"]).unlink(),
+}
+
+
 def test_build_fails_verify_when_callgraph_is_corrupted_on_disk(inputs, tmp_path,
                                                                 monkeypatch, capsys):
-    def build_then_corrupt(config, root, _original=apprepo.cli._build_into):
-        _original(config, root)
-        (root / LAYOUT["callgraph"]).write_bytes(b"<callgraph")
+    for name, corrupt in CORRUPTIONS.items():
+        def build_then_corrupt(config, root, _original=apprepo.cli._build_into):
+            written = _original(config, root)
+            corrupt(root)
+            return written
 
-    monkeypatch.setattr(apprepo.cli, "_build_into", build_then_corrupt)
-    out = tmp_path / "proj"
-    assert main(["build", "--config", str(inputs), "--out", str(out)]) == 1
-    failure = stage_failure(capsys.readouterr().err)
-    assert (failure["stage"], failure["error"]) == ("verify", "SchemaViolation")
-    assert not out.exists()
-    assert not (tmp_path / "proj.building").exists()
+        monkeypatch.setattr(apprepo.cli, "_build_into", build_then_corrupt)
+        out = tmp_path / "proj"
+        assert main(["build", "--config", str(inputs), "--out", str(out)]) == 1, name
+        failure = stage_failure(capsys.readouterr().err)
+        assert (failure["stage"], failure["error"]) == ("verify", "SchemaViolation"), name
+        assert not out.exists(), name
+        assert not (tmp_path / "proj.building").exists(), name
+        monkeypatch.undo()
 
 
 def test_build_rejects_malformed_entry_point_before_any_work(corpus, tmp_path, caplog,
