@@ -9,7 +9,7 @@ edge set over-approximates every dynamic call graph of the program
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -140,9 +140,8 @@ def _referenced_class_names(cf: ClassFile) -> set[str]:
     if cf.super_name:
         names.add(cf.super_name)
     names.update(cf.interfaces)
-    for entry in cf.constant_pool.entries:
-        if entry is not None and entry.tag == CONST_CLASS:
-            names.add(cf.constant_pool.utf8(entry.value))
+    names.update(entry.value for entry in cf.constant_pool.entries
+                 if entry is not None and entry.tag == CONST_CLASS)
     return names
 
 
@@ -460,7 +459,7 @@ def parse_callgraph(doc: bytes | str) -> CallGraph:
             _parse_bool(attrs["reachable"], "reachable"),
         )
         nodes.append(node)
-        if attrs.get("entry") == "true":
+        if _parse_bool(attrs.get("entry", "false"), "entry"):
             entry_points.add(ref)
         for child in elem:
             if child.tag != "calls":
@@ -474,6 +473,9 @@ def parse_callgraph(doc: bytes | str) -> CallGraph:
         if callee is None:
             raise SchemaViolation(f"dangling call target {target!r}")
         edges.add((caller, callee))
+    if len(edges) < len(pending_calls):
+        caller, target = next(call for call, n in Counter(pending_calls).items() if n > 1)
+        raise SchemaViolation(f"method {caller.text!r} lists call target {target!r} twice")
     return CallGraph(frozenset(nodes), frozenset(edges), frozenset(entry_points))
 
 

@@ -1,7 +1,7 @@
 """Compiled class file parsing and disassembly."""
 
 from .constant_pool import ConstantEntry, ConstantPool, quote_string
-from .descriptors import parse_descriptor, parse_field_descriptor
+from .descriptors import parse_descriptor
 from .parser import (
     ACC_ABSTRACT,
     ACC_FINAL,
@@ -26,7 +26,7 @@ from .parser import (
 __all__ = [
     "ClassFile", "MethodInfo", "Instruction", "MethodRef",
     "ConstantPool", "ConstantEntry",
-    "parse_class", "parse_descriptor", "parse_field_descriptor",
+    "parse_class", "parse_descriptor",
     "render_method", "resolved_operands", "quote_string",
     "ROOT_OBJECT_CLASS", "MAIN_NAME", "MAIN_DESCRIPTOR",
     "MIN_MAJOR_VERSION", "MAX_MAJOR_VERSION",

@@ -8,6 +8,7 @@ from typing import Callable, NamedTuple, TypeVar
 from ..errors import MalformedClassFile
 
 T = TypeVar("T")
+_new = tuple.__new__
 
 CONST_UTF8 = 1
 CONST_INTEGER = 3
@@ -48,12 +49,24 @@ MEMBER_KINDS = {
     "Fieldref": (CONST_FIELDREF,),
 }
 
+# tag -> listing text of an entry's resolved value (a tuple fills the fields)
+_RENDERINGS = {
+    CONST_INTEGER: "{}", CONST_LONG: "{}L", CONST_FLOAT: "{!r}f", CONST_DOUBLE: "{!r}d",
+    CONST_FIELDREF: "{}.{}:{}", CONST_METHODREF: "{}.{}{}",
+    CONST_INTERFACE_METHODREF: "{}.{}{}", CONST_NAME_AND_TYPE: "{}:{}",
+    CONST_INVOKE_DYNAMIC: "indy[{}] {}{}",
+}
+
 
 class ConstantEntry(NamedTuple):
-    """One constant pool slot: a tag plus its decoded payload.
+    """One constant pool slot: a tag plus its resolved value.
 
-    Payloads are kept raw (indices unresolved); ``ConstantPool`` methods
-    resolve and validate them on demand.
+    Utf8, Integer, Float, Long and Double hold their value; Class, String
+    and MethodType the text they name; NameAndType ``(name, descriptor)``;
+    Fieldref, Methodref and InterfaceMethodref ``(class, name,
+    descriptor)``; InvokeDynamic ``(bootstrap index, name, descriptor)``.
+    MethodHandle keeps ``(kind, index)``, its index naming a checked
+    member reference.
     """
 
     tag: int
@@ -96,9 +109,6 @@ class ByteReader:
     u4 = _field(">I")
     s2 = _field(">h")
     s4 = _field(">i")
-    s8 = _field(">q")
-    f4 = _field(">f")
-    f8 = _field(">d")
 
     def raw(self, n: int) -> bytes:
         pos = self.pos
@@ -125,7 +135,7 @@ class ByteReader:
 
 
 class ConstantPool:
-    """The indexed constant pool of one class file.
+    """The indexed, resolved constant pool of one class file.
 
     Slot 0 and the shadow slots after Long/Double entries hold ``None``.
     All lookups validate the index and the expected entry kind; a bad
@@ -150,82 +160,55 @@ class ConstantPool:
         return self.entry(index, CONST_UTF8).value
 
     def class_name(self, index: int) -> str:
-        return self.utf8(self.entry(index, CONST_CLASS).value)
+        return self.entry(index, CONST_CLASS).value
 
     def name_and_type(self, index: int) -> tuple[str, str]:
-        name_idx, desc_idx = self.entry(index, CONST_NAME_AND_TYPE).value
-        return self.utf8(name_idx), self.utf8(desc_idx)
+        return self.entry(index, CONST_NAME_AND_TYPE).value
 
     def member_ref(self, index: int, expected: str = "a member reference") -> tuple[str, str, str]:
-        """Resolve an entry of a ``MEMBER_KINDS[expected]`` kind to (class, name, descriptor)."""
+        """The (class, name, descriptor) of an entry of a ``MEMBER_KINDS[expected]`` kind."""
         got = self.entry(index)
         if got.tag not in MEMBER_KINDS[expected]:
             raise MalformedClassFile(
                 f"constant pool index {index} holds {TAG_NAMES.get(got.tag, got.tag)},"
                 f" expected {expected}", 0, self.source)
-        class_idx, nat_idx = got.value
-        name, desc = self.name_and_type(nat_idx)
-        return self.class_name(class_idx), name, desc
+        return got.value
 
     def invoke_dynamic(self, index: int) -> tuple[int, str, str]:
-        """Resolve an InvokeDynamic entry to (bootstrap index, name, descriptor)."""
-        bsm_idx, nat_idx = self.entry(index, CONST_INVOKE_DYNAMIC).value
-        name, desc = self.name_and_type(nat_idx)
-        return bsm_idx, name, desc
+        """The (bootstrap index, name, descriptor) of an InvokeDynamic entry."""
+        return self.entry(index, CONST_INVOKE_DYNAMIC).value
 
     def render(self, index: int) -> str:
         """Human-readable text for a loadable or referenced pool entry."""
-        got = self.entry(index)
-        tag = got.tag
-        if tag == CONST_UTF8:
-            return got.value
-        if tag == CONST_INTEGER:
-            return str(got.value)
-        if tag == CONST_LONG:
-            return f"{got.value}L"
-        if tag == CONST_FLOAT:
-            return f"{got.value!r}f"
-        if tag == CONST_DOUBLE:
-            return f"{got.value!r}d"
-        if tag == CONST_CLASS:
-            return self.class_name(index)
+        tag, value = self.entry(index)
+        if tag in (CONST_UTF8, CONST_CLASS, CONST_METHOD_TYPE):
+            return value
         if tag == CONST_STRING:
-            return quote_string(self.utf8(got.value))
-        if tag == CONST_FIELDREF:
-            cls, name, desc = self.member_ref(index)
-            return f"{cls}.{name}:{desc}"
-        if tag in (CONST_METHODREF, CONST_INTERFACE_METHODREF):
-            cls, name, desc = self.member_ref(index)
-            return f"{cls}.{name}{desc}"
-        if tag == CONST_NAME_AND_TYPE:
-            name, desc = self.name_and_type(index)
-            return f"{name}:{desc}"
-        if tag == CONST_METHOD_TYPE:
-            return self.utf8(got.value)
+            return quote_string(value)
         if tag == CONST_METHOD_HANDLE:
-            kind, ref_idx = got.value
-            return f"handle[{kind}] {self.render(ref_idx)}"
-        if tag == CONST_INVOKE_DYNAMIC:
-            bsm_idx, name, desc = self.invoke_dynamic(index)
-            return f"indy[{bsm_idx}] {name}{desc}"
-        raise MalformedClassFile(f"unrenderable constant tag {tag}", 0, self.source)
+            return f"handle[{value[0]}] {self.render(value[1])}"
+        if isinstance(value, tuple):
+            return _RENDERINGS[tag].format(*value)
+        return _RENDERINGS[tag].format(value)
 
-    def validate(self) -> None:
-        """Eagerly resolve every cross-reference in the pool."""
-        for index, got in enumerate(self.entries):
-            if got is None:
-                continue
-            if got.tag in (CONST_CLASS, CONST_STRING, CONST_METHOD_TYPE):
-                self.utf8(got.value)
-            elif got.tag in (CONST_FIELDREF, CONST_METHODREF, CONST_INTERFACE_METHODREF):
-                self.member_ref(index)
-            elif got.tag == CONST_NAME_AND_TYPE:
-                self.name_and_type(index)
-            elif got.tag == CONST_METHOD_HANDLE:
-                self.member_ref(got.value[1])
-            elif got.tag == CONST_INVOKE_DYNAMIC:
-                _, nat_idx = got.value
-                self.name_and_type(nat_idx)
+    def _resolve(self, tag: int, value) -> object:
+        """The final value of an entry read as ``value`` (see ConstantEntry).
+
+        The entries it names must be resolved already: Class and
+        NameAndType before the member references and InvokeDynamic entries
+        that name them. A MethodHandle needs only the kind of its entry.
+        """
+        if tag in (CONST_CLASS, CONST_STRING, CONST_METHOD_TYPE):
+            return self.utf8(value)
+        if tag == CONST_NAME_AND_TYPE:
+            return self.utf8(value[0]), self.utf8(value[1])
+        if tag == CONST_METHOD_HANDLE:
+            self.member_ref(value[1])
+            return value
+        name, desc = self.name_and_type(value[1])
+        if tag == CONST_INVOKE_DYNAMIC:
+            return value[0], name, desc
+        return self.class_name(value[0]), name, desc
 
 
 def quote_string(text: str) -> str:
@@ -256,48 +239,64 @@ def _decode_modified_utf8(raw: bytes) -> str:
         return units.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
 
 
+# tag -> (struct of the entry after its tag byte, pool slots it takes);
+# Utf8, whose length comes first, is read apart
+_LAYOUTS = {tag: (struct.Struct(fmt), slots) for tag, fmt, slots in [
+    (CONST_INTEGER, ">i", 1), (CONST_FLOAT, ">f", 1), (CONST_LONG, ">q", 2),
+    (CONST_DOUBLE, ">d", 2), (CONST_CLASS, ">H", 1), (CONST_STRING, ">H", 1),
+    (CONST_METHOD_TYPE, ">H", 1), (CONST_FIELDREF, ">HH", 1),
+    (CONST_METHODREF, ">HH", 1), (CONST_INTERFACE_METHODREF, ">HH", 1),
+    (CONST_NAME_AND_TYPE, ">HH", 1), (CONST_METHOD_HANDLE, ">BH", 1),
+    (CONST_INVOKE_DYNAMIC, ">HH", 1),
+]}
+
+# the kinds resolved by each step, in order: the first names only Utf8
+# entries, the second only kinds the first resolved, but for a handle,
+# which needs only the kind of the entry it names
+_RESOLUTION_STEPS = (
+    frozenset((CONST_CLASS, CONST_STRING, CONST_METHOD_TYPE, CONST_NAME_AND_TYPE)),
+    frozenset((CONST_FIELDREF, CONST_METHODREF, CONST_INTERFACE_METHODREF,
+               CONST_INVOKE_DYNAMIC, CONST_METHOD_HANDLE)),
+)
+
+
 def parse_constant_pool(reader: ByteReader) -> ConstantPool:
-    """Decode the constant pool table at the reader's position."""
+    """Read the constant pool table at the reader's position and resolve it.
+
+    A bad reference is reported at the file offset of the entry that holds it.
+    """
     count = reader.u2()
     entries: list[ConstantEntry | None] = [None]
-    index = 1
-    while index < count:
+    starts = [0]  # the file offset of each slot's entry
+    unresolved = []  # the index of each entry that is not Utf8
+    while len(entries) < count:
         start = reader.pos
+        starts.append(start)
         tag = reader.u1()
         if tag == CONST_UTF8:
-            length = reader.u2()
-            raw = reader.raw(length)
+            raw = reader.raw(reader.u2())
             try:
-                text = _decode_modified_utf8(raw)
+                entries.append(_new(ConstantEntry, (tag, _decode_modified_utf8(raw))))
             except UnicodeDecodeError:
-                raise reader.fail(
-                    f"constant pool entry {index} is not modified UTF-8", start) from None
-            entries.append(ConstantEntry(tag, text))
-        elif tag == CONST_INTEGER:
-            entries.append(ConstantEntry(tag, reader.s4()))
-        elif tag == CONST_FLOAT:
-            entries.append(ConstantEntry(tag, reader.f4()))
-        elif tag == CONST_LONG:
-            entries.append(ConstantEntry(tag, reader.s8()))
-            entries.append(None)
-            index += 1
-        elif tag == CONST_DOUBLE:
-            entries.append(ConstantEntry(tag, reader.f8()))
-            entries.append(None)
-            index += 1
-        elif tag in (CONST_CLASS, CONST_STRING, CONST_METHOD_TYPE):
-            entries.append(ConstantEntry(tag, reader.u2()))
-        elif tag in (CONST_FIELDREF, CONST_METHODREF, CONST_INTERFACE_METHODREF,
-                     CONST_NAME_AND_TYPE, CONST_INVOKE_DYNAMIC):
-            entries.append(ConstantEntry(tag, (reader.u2(), reader.u2())))
-        elif tag == CONST_METHOD_HANDLE:
-            entries.append(ConstantEntry(tag, (reader.u1(), reader.u2())))
-        else:
+                raise reader.fail(f"constant pool entry {len(entries)} is not modified UTF-8",
+                                  start) from None
+            continue
+        if tag not in _LAYOUTS:
             raise reader.fail(f"unknown constant pool tag {tag}", start)
-        index += 1
+        layout, slots = _LAYOUTS[tag]
+        value = layout.unpack(reader.raw(layout.size))
+        unresolved.append(len(entries))
+        entries.append(_new(ConstantEntry, (tag, value[0] if len(value) == 1 else value)))
+        if slots == 2:
+            entries.append(None)
+            starts.append(start)
     pool = ConstantPool(entries, reader.source)
-    try:
-        pool.validate()
-    except MalformedClassFile as exc:
-        raise reader.fail(exc.reason) from exc
+    for kinds in _RESOLUTION_STEPS:
+        for index in unresolved:
+            tag, value = entries[index]
+            if tag in kinds:
+                try:
+                    entries[index] = _new(ConstantEntry, (tag, pool._resolve(tag, value)))
+                except MalformedClassFile as exc:
+                    raise reader.fail(exc.reason, starts[index]) from exc
     return pool

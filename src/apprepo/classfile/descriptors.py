@@ -69,13 +69,3 @@ def parse_descriptor(text: str) -> tuple[list[str], str]:
     if pos != len(text):
         raise MalformedDescriptor("trailing characters after return type", pos)
     return params, ret
-
-
-def parse_field_descriptor(text: str) -> str:
-    """Decode a single field descriptor to its rendered type."""
-    if not text:
-        raise MalformedDescriptor("empty descriptor", 0)
-    rendered, pos = _parse_type(text, 0)
-    if pos != len(text):
-        raise MalformedDescriptor("trailing characters after type", pos)
-    return rendered

@@ -202,9 +202,10 @@ def _parse_bootstrap_methods(reader: ByteReader,
     """
     def method_of_handle(index: int) -> tuple[str, str, str]:
         _, ref_idx = pool.entry(index, cp.CONST_METHOD_HANDLE).value
-        if pool.entry(ref_idx).tag not in (cp.CONST_METHODREF, cp.CONST_INTERFACE_METHODREF):
+        member = pool.entry(ref_idx)
+        if member.tag not in (cp.CONST_METHODREF, cp.CONST_INTERFACE_METHODREF):
             raise MalformedClassFile("bootstrap method handle does not reference a method")
-        return pool.member_ref(ref_idx)
+        return member.value
 
     methods = []
     for _ in range(reader.u2()):
@@ -217,19 +218,14 @@ def _parse_bootstrap_methods(reader: ByteReader,
 def _loadable(body: MethodBody, mnemonic: str, index: int) -> tuple:
     pool = body.pool
     got = pool.entry(index)
-    two_word = (cp.CONST_LONG, cp.CONST_DOUBLE)
+    symbolic = (cp.CONST_CLASS, cp.CONST_METHOD_TYPE, cp.CONST_METHOD_HANDLE)
     if mnemonic == "ldc2_w":
-        allowed = two_word
+        allowed = (cp.CONST_LONG, cp.CONST_DOUBLE)
     else:
-        allowed = (cp.CONST_INTEGER, cp.CONST_FLOAT, cp.CONST_STRING, cp.CONST_CLASS,
-                   cp.CONST_METHOD_TYPE, cp.CONST_METHOD_HANDLE)
+        allowed = (cp.CONST_INTEGER, cp.CONST_FLOAT, cp.CONST_STRING) + symbolic
     if got.tag not in allowed:
         raise MalformedClassFile(f"{mnemonic} operand has unloadable tag {got.tag}")
-    literal = None
-    if got.tag in (cp.CONST_INTEGER, cp.CONST_FLOAT) + two_word:
-        literal = got.value
-    elif got.tag == cp.CONST_STRING:
-        literal = pool.utf8(got.value)
+    literal = None if got.tag in symbolic else got.value
     return (pool.render(index),), None, None, None, literal
 
 

@@ -370,9 +370,9 @@ def load_project(path: Path | str) -> Project:
 def build_code_model(p: Project) -> ClassRepository:
     """Parse the project's classes and pair them with their sources.
 
-    Source pairing matches the class file's recorded source file name (or
-    the top-level class name plus ``.java``) under the package path in the
-    sources directory.
+    Source pairing matches the class file's recorded source file name, if
+    it is a bare file name (or else the top-level class name plus
+    ``.java``), under the package path in the sources directory.
     """
     def present(container: Path | None) -> list[Path]:
         return [container] if container is not None and container.exists() else []
@@ -392,7 +392,8 @@ def build_code_model(p: Project) -> ClassRepository:
 def _find_source(sources_dir: Path, class_name: str, source_file: str | None) -> Path | None:
     package, _, simple = class_name.rpartition("/")
     package_dir = sources_dir / package if package else sources_dir
-    if source_file is not None:
+    # SourceFile is a file name (JVMS §4.7.10): a path could lead out of the sources
+    if source_file is not None and Path(source_file).name == source_file:
         candidate = package_dir / source_file
         if candidate.is_file():
             return candidate

@@ -14,8 +14,9 @@ import xml.etree.ElementTree as ET
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 # one character outside XML 1.0's Char production: C0 controls other than
-# tab, newline and carriage return, surrogates, U+FFFE and U+FFFF
-_NON_XML_CHAR = re.compile("[^\t\n\r\x20-\ud7ff\ue000-\ufffd\U00010000-\U0010ffff]")
+# tab, newline and carriage return, surrogates, U+FFFE and U+FFFF (listed,
+# not negated: the negated class over the whole range is slow to compile)
+_NON_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 _ATTR_ESCAPES = str.maketrans({
     "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",

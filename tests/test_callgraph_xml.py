@@ -13,7 +13,7 @@ from apprepo.callgraph import (
 )
 from apprepo.classfile import MethodRef
 from apprepo.errors import SchemaViolation
-from apprepo.xmlio import escape_attr
+from apprepo.xmlio import escape_attr, non_xml_char
 
 from generators import random_callgraph
 
@@ -202,14 +202,35 @@ def test_parse_rejects_wrong_root():
         parse_callgraph("<graph/>")
 
 
-def test_parse_rejects_bad_boolean():
-    doc = """<?xml version="1.0" encoding="UTF-8"?>
+@pytest.mark.parametrize("flag", ["inFramework", "entry"])
+def test_parse_rejects_bad_boolean(flag):
+    flags = {"inFramework": "false", "inLibrary": "false", "inApplication": "true",
+             "reachable": "true", flag: "yes"}
+    attrs = "".join(f' {name}="{value}"' for name, value in flags.items())
+    doc = f"""<?xml version="1.0" encoding="UTF-8"?>
 <callgraph algorithm="CHA">
-  <method id="A.m()V" inClass="A" inFramework="maybe" inLibrary="false" inApplication="true" reachable="true"/>
+  <method id="A.m()V" inClass="A"{attrs}/>
 </callgraph>
 """
-    with pytest.raises(SchemaViolation, match="inFramework"):
+    with pytest.raises(SchemaViolation,
+                       match=f"^{flag} must be 'true' or 'false', got 'yes'$"):
         parse_callgraph(doc)
+
+
+def test_parse_rejects_a_repeated_call_target():
+    flags = 'inFramework="false" inLibrary="false" inApplication="true" reachable="true"'
+    doc = f"""<?xml version="1.0" encoding="UTF-8"?>
+<callgraph algorithm="CHA">
+  <method id="A.m()V" inClass="A" {flags}>
+    <calls target="A.n()V"/>
+    <calls target="A.n()V"/>
+  </method>
+  <method id="A.n()V" inClass="A" {flags}/>
+</callgraph>
+"""
+    with pytest.raises(SchemaViolation) as err:
+        parse_callgraph(doc)
+    assert str(err.value) == "method 'A.m()V' lists call target 'A.n()V' twice"
 
 
 def test_text_edit_duplicating_id_detected(hierarchy):
@@ -221,3 +242,13 @@ def test_text_edit_duplicating_id_detected(hierarchy):
     lines.insert(lines.index(method_line), method_line)
     with pytest.raises(SchemaViolation, match="duplicate method id"):
         parse_callgraph("\n".join(lines))
+
+
+def test_non_xml_char_follows_the_xml_char_production():
+    def is_char(c: int) -> bool:  # XML 1.0 production [2] Char
+        return (c in (0x9, 0xA, 0xD) or 0x20 <= c <= 0xD7FF or 0xE000 <= c <= 0xFFFD
+                or 0x10000 <= c <= 0x10FFFF)
+
+    plane_bounds = [c for plane in range(1, 17) for c in (plane << 16, plane << 16 | 0xFFFF)]
+    for c in [*range(0x10000), *plane_bounds]:
+        assert non_xml_char(f"a{chr(c)}b") == (None if is_char(c) else chr(c)), hex(c)

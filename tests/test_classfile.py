@@ -12,6 +12,7 @@ from apprepo.classfile import (
     parse_descriptor,
     render_method,
 )
+from apprepo.classfile.constant_pool import ByteReader, parse_constant_pool
 from apprepo.errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
 
 from classasm import ACC_ABSTRACT, ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
@@ -114,7 +115,7 @@ def test_pool_validation_failure_reason_and_file_offset():
         parse_class(head + pool + b"\x00" * 8, source="X.class")
     assert err.value.reason == "constant pool index 2 holds Integer, expected Utf8"
     assert " at offset" not in err.value.reason
-    assert err.value.offset == len(head + pool)
+    assert err.value.offset == len(head) + 2  # the tag byte of #1, after the pool count
     assert err.value.source == "X.class"
 
 
@@ -131,7 +132,23 @@ def test_method_handle_must_reference_a_member(entries, reason):
     with pytest.raises(MalformedClassFile) as err:
         parse_class(head + pool + b"\x00" * 8)
     assert err.value.reason == reason
-    assert err.value.offset == len(head + pool)
+    assert err.value.offset == len(head + pool) - len(entries[-1])  # the handle's tag byte
+
+
+def test_parsed_pool_holds_resolved_values():
+    spec = AsmClass("p/R", methods=[AsmMethod("m", "()V", ACC_PUBLIC | ACC_STATIC, [
+        ("ldc_str", "hi"), ("pop",), ("ldc2_long", 7), ("pop2",),
+        ("getstatic", "p/R", "f", "I"), ("pop",), ("invokestatic", "p/R", "g", "()V"),
+        ("invokedynamic", "run", "()Ljava/lang/Runnable;", 0), ("pop",),
+        ("new", "p/Q"), ("pop",), ("return",)])],
+        bootstrap_methods=(("p/B", "bsm", "()V"),))
+    entries = parse_class(assemble_class(spec)).constant_pool.entries
+    assert {(8, "hi"), (5, 7), (7, "p/R"), (7, "p/Q"), (12, ("f", "I")),
+            (9, ("p/R", "f", "I")), (10, ("p/R", "g", "()V")),
+            (18, (0, "run", "()Ljava/lang/Runnable;"))} <= set(filter(None, entries))
+    # a handle keeps its kind and index, which names the member reference
+    kind, index = next(e.value for e in entries if e is not None and e.tag == 15)
+    assert (kind, entries[index]) == (6, (10, ("p/B", "bsm", "()V")))
 
 
 def pool_reference_class(field_name_index: int, this_index: int) -> tuple[bytes, int, int]:
@@ -227,10 +244,11 @@ def test_bootstrap_handle_naming_a_field_reported_at_its_file_offset():
     spec = AsmClass("P", methods=[AsmMethod("m", "()V", ACC_PUBLIC, [("return",)])],
                     bootstrap_methods=(("p/B", "bsm", "()V"),))
     data = assemble_class(spec)
-    pool = parse_class(data).constant_pool
+    entries = parse_class(data).constant_pool.entries
     # the bootstrap handle's Methodref, turned into a Fieldref
-    index = next(i for i, e in enumerate(pool.entries) if e is not None and e.tag == 10)
-    methodref = struct.pack(">BHH", 10, *pool.entries[index].value)
+    cls, name, desc = next(e.value for e in entries if e is not None and e.tag == 10)
+    methodref = struct.pack(">BHH", 10, entries.index((7, cls)),
+                            entries.index((12, (name, desc))))
     assert data.count(methodref) == 1
     data = data.replace(methodref, b"\x09" + methodref[1:])
     with pytest.raises(MalformedClassFile) as err:
@@ -345,18 +363,30 @@ FIXTURE_CODE = [(data, m.body.file_base, m.body.file_base + len(m.body.code))
                 for data in FIXTURE_CLASSES for m in parse_class(data).methods if m.body]
 
 
+def pool_entries_end(data: bytes) -> int:
+    reader = ByteReader(data)
+    reader.pos = 8  # magic and version
+    parse_constant_pool(reader)
+    return reader.pos
+
+
+# (class bytes, start, end) of the constant pool entries of the fixture classes
+FIXTURE_POOLS = [(data, 10, pool_entries_end(data)) for data in FIXTURE_CLASSES]
+
+
 @st.composite
 def damaged_fixture_class(draw) -> bytes:
-    """A fixture class with bytes overwritten, in a code array or anywhere,
-    cut off, or spliced from another."""
-    damage = draw(st.sampled_from(["code", "overwrite", "truncate", "splice"]))
-    if damage == "code":
-        original, low, high = draw(st.sampled_from(FIXTURE_CODE))
+    """A fixture class with bytes overwritten, in a code array, in the
+    constant pool or anywhere, cut off, or spliced from another."""
+    damage = draw(st.sampled_from(["code", "pool", "overwrite", "truncate", "splice"]))
+    if damage in ("code", "pool"):
+        original, low, high = draw(st.sampled_from(
+            FIXTURE_CODE if damage == "code" else FIXTURE_POOLS))
     else:
         original = draw(st.sampled_from(FIXTURE_CLASSES))
         low, high = 0, len(original)
     data = bytearray(original)
-    if damage in ("code", "overwrite"):
+    if damage in ("code", "pool", "overwrite"):
         edits = st.tuples(st.integers(low, high - 1), st.integers(0, 255))
         for position, value in draw(st.lists(edits, min_size=1, max_size=6)):
             data[position] = value
@@ -372,7 +402,7 @@ def damaged_fixture_class(draw) -> bytes:
     return bytes(data)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
 @given(damaged_fixture_class())
 def test_damaged_class_parses_or_raises_malformed(data):
     try:

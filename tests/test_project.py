@@ -15,6 +15,7 @@ from apprepo.project import (
 )
 
 from bundles import build_bundle
+from classasm import AsmClass, assemble_class
 
 TS = date(2001, 6, 1)
 
@@ -252,6 +253,24 @@ def test_code_model_inner_class_source_pairing(bundle):
     (project.sources_dir / "fix" / "App.java").write_text("public class App {}\n")
     repo = build_code_model(project)
     assert repo.sources["fix/App$Helper"].name == "App.java"
+
+
+@pytest.mark.parametrize("source_file,named", [
+    ("{tmp}/abs/X.java", "abs/X.java"),
+    ("../../outside.java", "p/outside.java"),
+    ("sub/X.java", "p/src/q/sub/X.java"),
+], ids=["absolute", "parent", "subdirectory"])
+def test_code_model_pairs_source_file_only_as_a_bare_name(tmp_path, source_file, named):
+    # SourceFile names a file, never a directory or an absolute path (JVMS §4.7.10)
+    root = tmp_path / "p"
+    project = read_project_file(init_project(root, "odd", "1.0", TS, sources="src"))
+    spec = AsmClass("q/X", source_file=source_file.format(tmp=tmp_path))
+    (root / "bin" / "q").mkdir(parents=True)
+    (root / "bin" / "q" / "X.class").write_bytes(assemble_class(spec))
+    for path in (tmp_path / named, root / "src" / "q" / "X.java"):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("class X {}\n")
+    assert build_code_model(project).sources == {"q/X": root / "src" / "q" / "X.java"}
 
 
 def test_code_model_empty_binaries(corpus, hierarchy, tmp_path):
