@@ -11,7 +11,6 @@ from .callgraph import (
     CallGraph,
     ClassHierarchy,
     ClasspathPartition,
-    MethodNode,
     build_callgraph,
     build_hierarchy,
     find_main_entries,

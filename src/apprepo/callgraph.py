@@ -11,13 +11,16 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
+from typing import NamedTuple
 
 from .classfile import ClassFile, MethodRef, parse_class, resolved_operands
 from .classfile.constant_pool import CONST_CLASS
 from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
-from .errors import EntryPointMissing, SchemaViolation, TargetClassMissing
+from .errors import (EntryPointMissing, MalformedClassFile, SchemaViolation,
+                     TargetClassMissing)
 from .xmlio import XML_DECLARATION, escape_attr, non_xml_char, read_document
 
 ALGORITHM = "CHA"
@@ -25,6 +28,13 @@ CLINIT_NAME = "<clinit>"
 CLINIT_DESCRIPTOR = "()V"
 # instructions that initialize the class they name (JVMS §5.5), besides invokestatic
 _INITIALIZING = frozenset(("new", "getstatic", "putstatic"))
+_NO_ORIGIN = (False, False, False)  # the origin flags of an external class
+# the attributes of a <method> that hold its flags, in CallGraph.nodes order
+_FLAGS = ("inFramework", "inLibrary", "inApplication", "reachable")
+# each possible tuple of method flags -> the text of its attributes
+_FLAG_ATTRS = {flags: " ".join(f'{name}="{"true" if value else "false"}"'
+                               for name, value in zip(_FLAGS, flags))
+               for flags in product((False, True), repeat=len(_FLAGS))}
 
 
 @dataclass(frozen=True)
@@ -150,11 +160,26 @@ def hierarchy_from_classes(classes: list[ClassFile],
                            ) -> ClassHierarchy:
     """Assemble a hierarchy from already parsed classes (first name wins).
 
-    Without ``origins`` no class has origin flags set.
+    Without ``origins`` no class has origin flags set. A class that is its
+    own superclass, directly or through others, raises
+    :class:`MalformedClassFile` naming the cycle (JVMS §5.3.5).
     """
     by_name: dict[str, ClassFile] = {}
     for cf in classes:
         by_name.setdefault(cf.class_name, cf)
+    ending: set[str] = set()  # classes whose superclass chain is known to end
+    for start in by_name:
+        chain: dict[str, None] = {}  # the classes walked from start, in order
+        current = start
+        while current in by_name and current not in ending:
+            if current in chain:
+                walked = list(chain)
+                cycle = " -> ".join(walked[walked.index(current):] + [current])
+                raise MalformedClassFile(f"class {current} is its own superclass: {cycle}",
+                                         0, by_name[current].constant_pool.source)
+            chain[current] = None
+            current = by_name[current].super_name
+        ending.update(chain)
     subtypes: dict[str, set[str]] = {}
     referenced: set[str] = set()
     for cf in by_name.values():
@@ -223,49 +248,27 @@ def resolve_targets(kind: str, declared: MethodRef, h: ClassHierarchy) -> set[Me
     return targets
 
 
-@dataclass(frozen=True)
-class MethodNode:
-    """A call graph vertex: a method plus its class path origin flags."""
+class CallGraph(NamedTuple):
+    """Immutable call graph: one table of methods, their callees and entries.
 
-    ref: MethodRef
-    in_framework: bool = False
-    in_library: bool = False
-    in_application: bool = False
-    reachable: bool = True
-
-    @property
-    def unresolved(self) -> bool:
-        """True for externals: no partition component provides the class."""
-        return not (self.in_framework or self.in_library or self.in_application)
-
-
-@dataclass(frozen=True)
-class CallGraph:
-    """Immutable call graph: method nodes, caller->callee edges, entries.
-
-    Construction indexes the nodes by their method, for :meth:`node_for`.
+    ``nodes`` maps every method to its (inFramework, inLibrary,
+    inApplication, reachable) flags; a method whose three origin flags are
+    all false is an external, provided by no partition component.
+    ``calls`` maps each method that has callees to them, so a built graph
+    and its read-back compare equal. Nothing checks the table when it is
+    made: :func:`serialize_callgraph` rejects a call or entry point that
+    names a method outside ``nodes``.
     """
 
-    nodes: frozenset[MethodNode]
-    edges: frozenset[tuple[MethodRef, MethodRef]]
+    nodes: dict[MethodRef, tuple[bool, bool, bool, bool]]
+    calls: dict[MethodRef, frozenset[MethodRef]]
     entry_points: frozenset[MethodRef]
 
-    def __post_init__(self):
-        by_ref = {n.ref: n for n in self.nodes}
-        for caller, callee in self.edges:
-            if caller not in by_ref or callee not in by_ref:
-                raise ValueError(f"edge endpoint not among nodes: {caller.text} -> {callee.text}")
-        for entry in self.entry_points:
-            if entry not in by_ref:
-                raise ValueError(f"entry point not among nodes: {entry.text}")
-        object.__setattr__(self, "_node_by_ref", by_ref)
-
-    @staticmethod
-    def of(nodes, edges=(), entry_points=()) -> "CallGraph":
-        return CallGraph(frozenset(nodes), frozenset(edges), frozenset(entry_points))
-
-    def node_for(self, ref: MethodRef) -> MethodNode | None:
-        return self._node_by_ref.get(ref)
+    @property
+    def edges(self) -> frozenset[tuple[MethodRef, MethodRef]]:
+        """Every (caller, callee) pair, built on each call."""
+        return frozenset((caller, callee)
+                         for caller, callees in self.calls.items() for callee in callees)
 
 
 def _resolve_entry(entry: MethodRef, h: ClassHierarchy) -> MethodRef:
@@ -346,15 +349,9 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
         entry_refs.update(pending)
         work.extend(pending)
 
-    nodes = {MethodNode(ref, *h.origins.get(ref.in_class, (False, False, False)))
-             for ref in reached}
-    edges = frozenset((caller, callee)
-                      for caller, callees in callees_of.items() for callee in callees)
-    return CallGraph(frozenset(nodes), edges, frozenset(entry_refs))
-
-
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
+    return CallGraph({ref: (*h.origins.get(ref.in_class, _NO_ORIGIN), True) for ref in reached},
+                     {ref: frozenset(callees) for ref, callees in callees_of.items() if callees},
+                     frozenset(entry_refs))
 
 
 def serialize_callgraph(g: CallGraph) -> bytes:
@@ -363,8 +360,10 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     Methods are sorted by id, ``calls`` children by target, both by the raw
     (unescaped) method text; flags use the fixed attribute names inClass /
     inFramework / inLibrary / inApplication. Each method's text is computed
-    and escaped once and the edges are grouped by caller once; the lines,
-    in :class:`~apprepo.xmlio.XmlWriter`'s layout, are written directly.
+    and escaped once; the lines, in :class:`~apprepo.xmlio.XmlWriter`'s
+    layout, are written directly from the graph's table.
+    A caller, call target or entry point outside ``nodes`` raises
+    :class:`SchemaViolation`, for the document would not read back.
     A method text holding a character that XML 1.0 cannot carry, such as
     a control character or an unpaired surrogate (modified UTF-8 class
     files can hold both), raises :class:`SchemaViolation` naming the method.
@@ -373,7 +372,13 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     ``(``, or a class name holding ``(``. Of two methods sharing one text
     at least one is such a case, so every id in the document is unique.
     """
-    text = {node.ref: node.ref.text for node in g.nodes}
+    for what, refs in (("caller", g.calls),
+                       ("call target", (c for callees in g.calls.values() for c in callees)),
+                       ("entry point", g.entry_points)):
+        stray = min((ref.text for ref in refs if ref not in g.nodes), default=None)
+        if stray is not None:
+            raise SchemaViolation(f"{what} {stray!r} is not among the graph's methods")
+    text = {ref: ref.text for ref in g.nodes}
     bad = min((t for t in text.values() if non_xml_char(t) is not None), default=None)
     if bad is not None:
         ch = non_xml_char(bad)
@@ -386,23 +391,15 @@ def serialize_callgraph(g: CallGraph) -> bytes:
         raise SchemaViolation(f"method {ref.name!r} of class {ref.in_class!r} is written as"
                               f" {t!r}, which reads back as another method")
     escaped = {ref: escape_attr(t) for ref, t in text.items()}
-    by_caller: dict[MethodRef, list[MethodRef]] = {}
-    for caller, callee in g.edges:
-        by_caller.setdefault(caller, []).append(callee)
     if not text:
         return (XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}"/>\n').encode("utf-8")
     lines = [XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}">']
-    for node in sorted(g.nodes, key=lambda n: text[n.ref]):
-        ref = node.ref
-        calls = sorted(by_caller.get(ref, ()), key=text.__getitem__)
+    for ref in sorted(text, key=text.__getitem__):
+        calls = sorted(g.calls.get(ref, ()), key=text.__getitem__)
         entry = ' entry="true"' if ref in g.entry_points else ""
         lines.append(
             f'  <method id="{escaped[ref]}" inClass="{escape_attr(ref.in_class)}"'
-            f' inFramework="{_bool_text(node.in_framework)}"'
-            f' inLibrary="{_bool_text(node.in_library)}"'
-            f' inApplication="{_bool_text(node.in_application)}"'
-            f' reachable="{_bool_text(node.reachable)}"'
-            f'{entry}{">" if calls else "/>"}')
+            f' {_FLAG_ATTRS[g.nodes[ref]]}{entry}{">" if calls else "/>"}')
         if calls:
             lines.extend(f'    <calls target="{escaped[callee]}"/>' for callee in calls)
             lines.append("  </method>")
@@ -428,17 +425,15 @@ def _parse_bool(value: str, what: str) -> bool:
 def parse_callgraph(doc: bytes | str) -> CallGraph:
     """Parse and validate a persisted call graph document."""
     root = read_document(doc, "callgraph", SchemaViolation)
-    nodes: list[MethodNode] = []
+    nodes: dict[MethodRef, tuple[bool, bool, bool, bool]] = {}
+    listed: dict[MethodRef, list[str]] = {}  # each caller's call targets, as written
     entry_points: set[MethodRef] = set()
-    edges: set[tuple[MethodRef, MethodRef]] = set()
-    pending_calls: list[tuple[MethodRef, str]] = []
     refs: dict[str, MethodRef] = {}
     for elem in root:
         if elem.tag != "method":
             raise SchemaViolation(f"unexpected element <{elem.tag}> under <callgraph>")
         attrs = elem.attrib
-        for required in ("id", "inClass", "inFramework", "inLibrary",
-                         "inApplication", "reachable"):
+        for required in ("id", "inClass", *_FLAGS):
             if required not in attrs:
                 raise SchemaViolation(f"<method> missing required attribute {required!r}")
         method_id = attrs["id"]
@@ -451,14 +446,7 @@ def parse_callgraph(doc: bytes | str) -> CallGraph:
         if attrs["inClass"] != ref.in_class:
             raise SchemaViolation(
                 f"inClass {attrs['inClass']!r} disagrees with id {method_id!r}")
-        node = MethodNode(
-            ref,
-            _parse_bool(attrs["inFramework"], "inFramework"),
-            _parse_bool(attrs["inLibrary"], "inLibrary"),
-            _parse_bool(attrs["inApplication"], "inApplication"),
-            _parse_bool(attrs["reachable"], "reachable"),
-        )
-        nodes.append(node)
+        nodes[ref] = tuple(_parse_bool(attrs[flag], flag) for flag in _FLAGS)
         if _parse_bool(attrs.get("entry", "false"), "entry"):
             entry_points.add(ref)
         for child in elem:
@@ -467,16 +455,17 @@ def parse_callgraph(doc: bytes | str) -> CallGraph:
             target = child.attrib.get("target")
             if target is None:
                 raise SchemaViolation("<calls> missing required attribute 'target'")
-            pending_calls.append((ref, target))
-    for caller, target in pending_calls:
-        callee = refs.get(target)
-        if callee is None:
-            raise SchemaViolation(f"dangling call target {target!r}")
-        edges.add((caller, callee))
-    if len(edges) < len(pending_calls):
-        caller, target = next(call for call, n in Counter(pending_calls).items() if n > 1)
-        raise SchemaViolation(f"method {caller.text!r} lists call target {target!r} twice")
-    return CallGraph(frozenset(nodes), frozenset(edges), frozenset(entry_points))
+            listed.setdefault(ref, []).append(target)
+    dangling = next((t for targets in listed.values() for t in targets if t not in refs), None)
+    if dangling is not None:
+        raise SchemaViolation(f"dangling call target {dangling!r}")
+    calls = {caller: frozenset(map(refs.__getitem__, targets))
+             for caller, targets in listed.items()}
+    for caller, targets in listed.items():
+        if len(calls[caller]) < len(targets):
+            target = next(t for t, n in Counter(targets).items() if n > 1)
+            raise SchemaViolation(f"method {caller.text!r} lists call target {target!r} twice")
+    return CallGraph(nodes, calls, frozenset(entry_points))
 
 
 def find_main_entries(h: ClassHierarchy) -> set[MethodRef]:
@@ -485,8 +474,7 @@ def find_main_entries(h: ClassHierarchy) -> set[MethodRef]:
 
     entries = set()
     for name, cf in h.classes.items():
-        flags = h.origins.get(name, (False, False, False))
-        if not flags[2]:
+        if not h.origins.get(name, _NO_ORIGIN)[2]:
             continue
         if cf.find_method(MAIN_NAME, MAIN_DESCRIPTOR) is not None:
             entries.add(MethodRef(name, MAIN_NAME, MAIN_DESCRIPTOR))

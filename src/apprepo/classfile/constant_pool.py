@@ -47,7 +47,14 @@ MEMBER_KINDS = {
     "a member reference": (CONST_FIELDREF, CONST_METHODREF, CONST_INTERFACE_METHODREF),
     "a method reference": (CONST_METHODREF, CONST_INTERFACE_METHODREF),
     "Fieldref": (CONST_FIELDREF,),
+    "Methodref": (CONST_METHODREF,),
+    "InterfaceMethodref": (CONST_INTERFACE_METHODREF,),
 }
+
+# MethodHandle reference_kind -> what it must name (JVMS §4.4.8), a MEMBER_KINDS key
+_HANDLE_KINDS = {**dict.fromkeys((1, 2, 3, 4), "Fieldref"), 5: "Methodref",
+                 6: "a method reference", 7: "a method reference", 8: "Methodref",
+                 9: "InterfaceMethodref"}
 
 # tag -> listing text of an entry's resolved value (a tuple fills the fields)
 _RENDERINGS = {
@@ -65,8 +72,8 @@ class ConstantEntry(NamedTuple):
     and MethodType the text they name; NameAndType ``(name, descriptor)``;
     Fieldref, Methodref and InterfaceMethodref ``(class, name,
     descriptor)``; InvokeDynamic ``(bootstrap index, name, descriptor)``.
-    MethodHandle keeps ``(kind, index)``, its index naming a checked
-    member reference.
+    MethodHandle keeps ``(kind, index)``, its index naming a member
+    reference of a kind that its reference kind allows.
     """
 
     tag: int
@@ -203,7 +210,11 @@ class ConstantPool:
         if tag == CONST_NAME_AND_TYPE:
             return self.utf8(value[0]), self.utf8(value[1])
         if tag == CONST_METHOD_HANDLE:
-            self.member_ref(value[1])
+            kind, index = value
+            self.member_ref(index)
+            if kind not in _HANDLE_KINDS:
+                raise MalformedClassFile(f"invalid MethodHandle kind {kind}", 0, self.source)
+            self.member_ref(index, _HANDLE_KINDS[kind])
             return value
         name, desc = self.name_and_type(value[1])
         if tag == CONST_INVOKE_DYNAMIC:
@@ -288,6 +299,9 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
         unresolved.append(len(entries))
         entries.append(_new(ConstantEntry, (tag, value[0] if len(value) == 1 else value)))
         if slots == 2:
+            if len(entries) == count:
+                raise reader.fail(f"constant pool entry {count - 1} is a {TAG_NAMES[tag]} in the"
+                                  " last slot, which leaves no room for its second slot", start)
             entries.append(None)
             starts.append(start)
     pool = ConstantPool(entries, reader.source)

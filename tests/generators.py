@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from apprepo.callgraph import CallGraph, ClassHierarchy, MethodNode, hierarchy_from_classes
+from apprepo.callgraph import CallGraph, ClassHierarchy, hierarchy_from_classes
 from apprepo.classfile import ClassFile, MethodInfo, MethodRef
 from apprepo.classfile.constant_pool import ConstantPool
 from apprepo.classfile.parser import ACC_ABSTRACT, ACC_INTERFACE, ACC_PUBLIC
@@ -91,31 +91,40 @@ def _random_text(rng: random.Random, chars: str, low: int, high: int) -> str:
     return "".join(rng.choice(chars) for _ in range(rng.randint(low, high)))
 
 
+# method flags (inFramework, inLibrary, inApplication, reachable) of a
+# reachable method of each origin
+APP = (False, False, True, True)
+LIB = (False, True, False, True)
+EXTERNAL = (False, False, False, True)
+
+
+def callgraph_of(nodes: dict[MethodRef, tuple[bool, bool, bool, bool]],
+                 edges=(), entry_points=()) -> CallGraph:
+    """A call graph from each method's flags and (caller, callee) pairs."""
+    calls: dict[MethodRef, set[MethodRef]] = {}
+    for caller, callee in edges:
+        calls.setdefault(caller, set()).add(callee)
+    return CallGraph(dict(nodes), {caller: frozenset(callees) for caller, callees in calls.items()},
+                     frozenset(entry_points))
+
+
 def random_callgraph(rng: random.Random) -> CallGraph:
     count = rng.randint(0, 12)
-    nodes = []
+    nodes = {}
     for i in range(count):
         cls = f"p{rng.randint(0, 3)}/Cls{i}"
         name = rng.choice(["m", "<init>", "<clinit>", "do_it"])
         desc = rng.choice(DESCRIPTORS)
-        ref = MethodRef(cls, name, desc)
-        nodes.append(MethodNode(
-            ref,
-            in_framework=rng.random() < 0.3,
-            in_library=rng.random() < 0.3,
-            in_application=rng.random() < 0.7,
-            reachable=rng.random() < 0.9,
-        ))
-    # dedupe refs: MethodNode identity is its ref text in the schema
-    unique = {n.ref.text: n for n in nodes}
-    nodes = list(unique.values())
-    refs = [n.ref for n in nodes]
+        # a repeated method keeps its first place and its last flags
+        nodes[MethodRef(cls, name, desc)] = (rng.random() < 0.3, rng.random() < 0.3,
+                                             rng.random() < 0.7, rng.random() < 0.9)
+    refs = list(nodes)
     edges = set()
     for _ in range(rng.randint(0, 20)):
         if len(refs) >= 2:
             edges.add((rng.choice(refs), rng.choice(refs)))
     entries = {ref for ref in refs if rng.random() < 0.25}
-    return CallGraph(frozenset(nodes), frozenset(edges), frozenset(entries))
+    return callgraph_of(nodes, edges, entries)
 
 
 def random_gui_element(rng: random.Random, depth: int, used_ids: set[str],

@@ -7,20 +7,25 @@ import pytest
 
 import apprepo.callgraph
 from apprepo.callgraph import (
-    CallGraph,
     ClasspathPartition,
-    MethodNode,
     build_callgraph,
     build_hierarchy,
     find_main_entries,
     hierarchy_from_classes,
     resolve_targets,
+    serialize_callgraph,
 )
 from apprepo.classfile import MethodRef, parse_class
-from apprepo.errors import ContainerUnreadable, EntryPointMissing, TargetClassMissing
+from apprepo.errors import (
+    ContainerUnreadable,
+    EntryPointMissing,
+    MalformedClassFile,
+    SchemaViolation,
+    TargetClassMissing,
+)
 
 from classasm import ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
-from generators import random_hierarchy, random_site_args
+from generators import APP, callgraph_of, random_hierarchy, random_site_args
 from oracle_cha import invoke_sites, oracle_resolve
 
 MAIN_DESC = "([Ljava/lang/String;)V"
@@ -105,7 +110,6 @@ def test_partition_lists_must_be_disjoint(tmp_path):
 
 
 def test_malformed_class_annotated_with_container_and_entry(tmp_path):
-    from apprepo.errors import MalformedClassFile
     bad_dir = tmp_path / "app"
     bad_dir.mkdir()
     (bad_dir / "Broken.class").write_bytes(b"\xca\xfe\xba\xbe\x00\x00")
@@ -113,6 +117,21 @@ def test_malformed_class_annotated_with_container_and_entry(tmp_path):
         build_hierarchy(ClasspathPartition.of(application=[bad_dir]))
     assert "Broken.class" in str(err.value)
     assert str(bad_dir) in str(err.value)
+
+
+@pytest.mark.parametrize("supers,cycle", [
+    ({"p/A": "p/A"}, "p/A -> p/A"),
+    # p/C is walked first and leads into the cycle without being on it
+    ({"p/C": "p/A", "p/A": "p/B", "p/B": "p/A"}, "p/A -> p/B -> p/A"),
+], ids=["self", "through-another"])
+def test_superclass_cycle_is_malformed(supers, cycle):
+    # JVMS §5.3.5: a class that is its own superclass is a ClassCircularityError
+    classes = [parse_class(assemble_class(AsmClass(name, super_name=parent)),
+                           source=f"{name}.class") for name, parent in supers.items()]
+    with pytest.raises(MalformedClassFile) as err:
+        hierarchy_from_classes(classes)
+    assert err.value.reason == f"class p/A is its own superclass: {cycle}"
+    assert err.value.source == "p/A.class"
 
 
 # --- origin classification ---------------------------------------------------
@@ -247,7 +266,7 @@ def test_monotonicity_adding_override_never_removes_edges(corpus, hierarchy):
 
 def test_empty_entries_empty_graph(hierarchy):
     graph = build_callgraph(hierarchy, set())
-    assert graph.nodes == frozenset()
+    assert graph.nodes == {}
     assert graph.edges == frozenset()
 
 
@@ -257,7 +276,7 @@ def test_static_chain_exact_edges(hierarchy):
     a = MethodRef("fix/Util", "a", "()V")
     b = MethodRef("fix/Util", "b", "()V")
     assert graph.edges == {(main, a), (a, b)}
-    assert {n.ref for n in graph.nodes} == {main, a, b}
+    assert set(graph.nodes) == {main, a, b}
     assert graph.entry_points == {main}
 
 
@@ -305,9 +324,9 @@ def test_closure_resolves_each_distinct_site_once(hierarchy, monkeypatch):
     monkeypatch.setattr(apprepo.callgraph, "resolve_targets", counted_resolve)
     graph = build_callgraph(hierarchy, find_main_entries(hierarchy))
     monkeypatch.undo()
-    visited_sites = [s for node in graph.nodes if node.ref.in_class in hierarchy.classes
-                     for s in invoke_sites(hierarchy.classes[node.ref.in_class])
-                     if s.caller == node.ref]
+    visited_sites = [s for ref in graph.nodes if ref.in_class in hierarchy.classes
+                     for s in invoke_sites(hierarchy.classes[ref.in_class])
+                     if s.caller == ref]
     distinct = {(s.kind, s.declared_target) for s in visited_sites}
     assert len(visited_sites) > len(distinct)  # some target is called from two sites
     assert set(resolved) == distinct
@@ -340,20 +359,20 @@ def test_entry_point_missing(hierarchy):
 def test_origin_completeness(hierarchy):
     main = MethodRef("fix/Main3", "main", MAIN_DESC)
     graph = build_callgraph(hierarchy, {main})
-    for node in graph.nodes:
-        if node.ref.in_class in hierarchy.classes:
-            assert not node.unresolved, node.ref.text
-        assert node.reachable
+    for ref, (framework, library, application, reachable) in graph.nodes.items():
+        if ref.in_class in hierarchy.classes:
+            assert framework or library or application, ref.text
+        assert reachable
 
 
 def test_library_origin_flags(hierarchy):
     main = MethodRef("fix/Main3", "main", MAIN_DESC)
     graph = build_callgraph(hierarchy, {main})
-    twice = graph.node_for(MethodRef("fix/LibThing", "twice", "(I)I"))
+    twice = graph.nodes.get(MethodRef("fix/LibThing", "twice", "(I)I"))
     assert twice is not None
-    assert (twice.in_framework, twice.in_library, twice.in_application) == (False, True, False)
-    dup = graph.node_for(MethodRef("fix/Dup", "tag", "()I"))
-    assert (dup.in_framework, dup.in_library, dup.in_application) == (False, True, True)
+    assert twice[:3] == (False, True, False)
+    dup = graph.nodes.get(MethodRef("fix/Dup", "tag", "()I"))
+    assert dup[:3] == (False, True, True)
 
 
 def test_find_main_entries(hierarchy):
@@ -363,10 +382,12 @@ def test_find_main_entries(hierarchy):
 
 
 def test_graph_invariants_enforced():
+    # the writer refuses a graph whose document would not read back
     ref_a = MethodRef("A", "m", "()V")
     ref_b = MethodRef("B", "m", "()V")
-    node_a = MethodNode(ref_a, in_application=True)
-    with pytest.raises(ValueError):
-        CallGraph.of({node_a}, edges={(ref_a, ref_b)})
-    with pytest.raises(ValueError):
-        CallGraph.of({node_a}, entry_points={ref_b})
+    for what, graph in (("call target", callgraph_of({ref_a: APP}, edges={(ref_a, ref_b)})),
+                        ("caller", callgraph_of({ref_a: APP}, edges={(ref_b, ref_a)})),
+                        ("entry point", callgraph_of({ref_a: APP}, entry_points={ref_b}))):
+        with pytest.raises(SchemaViolation) as err:
+            serialize_callgraph(graph)
+        assert str(err.value) == f"{what} 'B.m()V' is not among the graph's methods"

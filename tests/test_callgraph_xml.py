@@ -1,13 +1,13 @@
 """Call graph XML persistence: schema, round trips, determinism."""
 
 import random
+import xml.etree.ElementTree as ET
 
 import pytest
 
 from apprepo.callgraph import (
-    CallGraph,
-    MethodNode,
     build_callgraph,
+    find_main_entries,
     parse_callgraph,
     serialize_callgraph,
 )
@@ -15,13 +15,13 @@ from apprepo.classfile import MethodRef
 from apprepo.errors import SchemaViolation
 from apprepo.xmlio import escape_attr, non_xml_char
 
-from generators import random_callgraph
+from generators import APP, EXTERNAL, LIB, callgraph_of, random_callgraph
 
 MAIN_DESC = "([Ljava/lang/String;)V"
 
 
 def test_empty_graph_document():
-    doc = serialize_callgraph(CallGraph.of(set()))
+    doc = serialize_callgraph(callgraph_of({}))
     assert doc == (b'<?xml version="1.0" encoding="UTF-8"?>\n'
                    b'<callgraph algorithm="CHA"/>\n')
 
@@ -33,10 +33,8 @@ def test_golden_document_sorts_by_raw_text():
     main = MethodRef("p/Main", "main", MAIN_DESC)
     init = MethodRef("p/A", "<init>", "()V")
     nine = MethodRef("p/A", "9", "()V")
-    graph = CallGraph.of(
-        {MethodNode(main, in_application=True),
-         MethodNode(init, in_library=True), MethodNode(nine, in_library=True)},
-        edges={(main, init), (main, nine)}, entry_points={main})
+    graph = callgraph_of({main: APP, init: LIB, nine: LIB},
+                         edges={(main, init), (main, nine)}, entry_points={main})
     doc = serialize_callgraph(graph)
     assert doc == (
         b'<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -69,7 +67,7 @@ def test_unpaired_surrogate_in_method_name_is_a_schema_violation():
     # "x\ud800" is valid modified UTF-8 (ED A0 80) but has no UTF-8 form
     main = MethodRef("p/A", "main", MAIN_DESC)
     odd = MethodRef("p/A", "x\ud800", "()V")
-    graph = CallGraph.of({MethodNode(main), MethodNode(odd)},
+    graph = callgraph_of({main: EXTERNAL, odd: EXTERNAL},
                          edges={(main, odd)}, entry_points={main})
     with pytest.raises(SchemaViolation, match=r"'p/A\.x\\ud800\(\)V' holds an unpaired"):
         serialize_callgraph(graph)
@@ -84,7 +82,7 @@ def test_unpaired_surrogate_in_method_name_is_a_schema_violation():
 def test_method_whose_text_reads_back_as_another_is_a_schema_violation(odd, twin):
     main = MethodRef("p/A", "main", MAIN_DESC)
     callees = {odd} if twin is None else {odd, twin}
-    graph = CallGraph.of({MethodNode(main)} | {MethodNode(c) for c in callees},
+    graph = callgraph_of(dict.fromkeys({main} | callees, EXTERNAL),
                          edges={(main, c) for c in callees}, entry_points={main})
     with pytest.raises(SchemaViolation) as info:
         serialize_callgraph(graph)
@@ -94,8 +92,7 @@ def test_method_whose_text_reads_back_as_another_is_a_schema_violation(odd, twin
 
 def test_single_node_attributes():
     ref = MethodRef("pkg/Cls", "m", "(I)I")
-    node = MethodNode(ref, in_framework=False, in_library=False, in_application=True)
-    doc = serialize_callgraph(CallGraph.of({node})).decode()
+    doc = serialize_callgraph(callgraph_of({ref: APP})).decode()
     assert '<method id="pkg/Cls.m(I)I"' in doc
     assert 'inClass="pkg/Cls"' in doc
     assert 'inFramework="false"' in doc
@@ -128,6 +125,17 @@ def test_round_trip_built_graph(hierarchy):
         assert parse_callgraph(doc) == graph
 
 
+def test_node_and_edge_counts_match_the_document(hierarchy):
+    # the bench reports callgraph.nodes and callgraph.edges from these lengths
+    graph = build_callgraph(hierarchy, find_main_entries(hierarchy))
+    doc = serialize_callgraph(graph)
+    root = ET.fromstring(doc)
+    counts = (len(root.findall("method")), len(root.findall("method/calls")))
+    assert counts[1] > 0
+    for g in (graph, parse_callgraph(doc)):
+        assert (len(g.nodes), len(g.edges)) == counts
+
+
 def test_serialize_deterministic(hierarchy):
     graph = build_callgraph(hierarchy, {MethodRef("fix/Main3", "main", MAIN_DESC)})
     assert serialize_callgraph(graph) == serialize_callgraph(graph)
@@ -144,7 +152,7 @@ def test_round_trip_randomized():
 
 def test_entry_points_survive_round_trip():
     ref = MethodRef("A", "main", MAIN_DESC)
-    graph = CallGraph.of({MethodNode(ref, in_application=True)}, entry_points={ref})
+    graph = callgraph_of({ref: APP}, entry_points={ref})
     back = parse_callgraph(serialize_callgraph(graph))
     assert back.entry_points == {ref}
 

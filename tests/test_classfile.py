@@ -135,6 +135,42 @@ def test_method_handle_must_reference_a_member(entries, reason):
     assert err.value.offset == len(head + pool) - len(entries[-1])  # the handle's tag byte
 
 
+# #1-#6 end in #6, a Methodref p/A.m()V
+HANDLE_POOL = [struct.pack(">BH", 1, 3) + b"p/A", struct.pack(">BH", 7, 1),
+               struct.pack(">BH", 1, 1) + b"m", struct.pack(">BH", 1, 3) + b"()V",
+               struct.pack(">BHH", 12, 3, 4), struct.pack(">BHH", 10, 2, 5)]
+
+
+@pytest.mark.parametrize("kind,reason", [
+    (0, "invalid MethodHandle kind 0"),
+    (10, "invalid MethodHandle kind 10"),
+    (200, "invalid MethodHandle kind 200"),
+    (1, "constant pool index 6 holds Methodref, expected Fieldref"),  # REF_getField
+    (9, "constant pool index 6 holds Methodref, expected InterfaceMethodref"),
+])
+def test_method_handle_kind_must_match_the_entry_it_names(kind, reason):
+    def pool(kind: int) -> bytes:  # #7 is a MethodHandle of this kind naming #6
+        return (struct.pack(">H", len(HANDLE_POOL) + 2) + b"".join(HANDLE_POOL)
+                + struct.pack(">BBH", 15, kind, 6))
+
+    assert parse_constant_pool(ByteReader(pool(6))).entries[7] == (15, (6, 6))
+    data = pool(kind)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_constant_pool(ByteReader(data))
+    assert err.value.reason == reason
+    assert err.value.offset == len(data) - 4  # the handle's tag byte
+
+
+@pytest.mark.parametrize("tag,name", [(5, "Long"), (6, "Double")])
+def test_long_or_double_in_the_last_pool_slot_is_malformed(tag, name):
+    assert parse_constant_pool(ByteReader(struct.pack(">HBq", 3, tag, 0))).entries[2] is None
+    with pytest.raises(MalformedClassFile) as err:
+        parse_constant_pool(ByteReader(struct.pack(">HBq", 2, tag, 0)))
+    assert err.value.reason == (f"constant pool entry 1 is a {name} in the last slot,"
+                                " which leaves no room for its second slot")
+    assert err.value.offset == 2  # the entry's tag byte, after the pool count
+
+
 def test_parsed_pool_holds_resolved_values():
     spec = AsmClass("p/R", methods=[AsmMethod("m", "()V", ACC_PUBLIC | ACC_STATIC, [
         ("ldc_str", "hi"), ("pop",), ("ldc2_long", 7), ("pop2",),
@@ -251,6 +287,10 @@ def test_bootstrap_handle_naming_a_field_reported_at_its_file_offset():
                             entries.index((12, (name, desc))))
     assert data.count(methodref) == 1
     data = data.replace(methodref, b"\x09" + methodref[1:])
+    # ... and its handle's kind made REF_getField (1), which may name a Fieldref
+    handle = struct.pack(">BBH", 15, 6, entries.index((10, (cls, name, desc))))
+    assert data.count(handle) == 1
+    data = data.replace(handle, handle[:1] + b"\x01" + handle[2:])
     with pytest.raises(MalformedClassFile) as err:
         parse_class(data, source="P.class")
     assert err.value.reason == "bootstrap method handle does not reference a method"

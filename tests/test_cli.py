@@ -181,8 +181,8 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
             bodies = [m.body for cf in h.classes.values() for m in cf.methods if m.body]
             assert {id(body) for body in bodies} <= {id(body) for body in checked}
             reached = [method.body for method in (
-                h.classes[n.ref.in_class].find_method(n.ref.name, n.ref.descriptor)
-                for n in graph.nodes if n.ref.in_class in h.classes)
+                h.classes[ref.in_class].find_method(ref.name, ref.descriptor)
+                for ref in graph.nodes if ref.in_class in h.classes)
                 if method is not None and method.body is not None]
             assert reached
             assert sorted(map(id, read)) == sorted(map(id, reached))
@@ -411,6 +411,37 @@ def test_build_rejects_invoke_naming_a_field(tmp_path, capsys):
     assert "holds Fieldref, expected a method reference" in failure["detail"]
     assert not out.exists()
     assert not (tmp_path / "proj.building").exists()
+
+
+def write_superclass_cycle(container: Path) -> None:
+    """Classes p/A and p/B, each the other's superclass; p/A has a main."""
+    (container / "p").mkdir(parents=True, exist_ok=True)
+    (container / "p" / "A.class").write_bytes(assemble_class(AsmClass("p/A", "p/B", methods=[
+        AsmMethod("main", "([Ljava/lang/String;)V", ACC_PUBLIC | ACC_STATIC, [("return",)])])))
+    (container / "p" / "B.class").write_bytes(assemble_class(AsmClass("p/B", "p/A")))
+
+
+def test_superclass_cycle_fails_build_at_hierarchy_and_validate_at_code_model(
+        corpus, hierarchy, tmp_path, capsys):
+    app = tmp_path / "app"
+    write_superclass_cycle(app)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"name": "odd", "timestamp": "2001-06-01",
+                                  "application": [str(app)]}), encoding="utf-8")
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 1
+    failure = stage_failure(capsys.readouterr().err)
+    assert (failure["stage"], failure["error"]) == ("hierarchy", "MalformedClassFile")
+    assert failure["detail"].startswith("class p/A is its own superclass: p/A -> p/B -> p/A")
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
+
+    bundle = build_bundle(corpus, hierarchy, tmp_path / "bundle")
+    write_superclass_cycle(read_project_file(bundle).binaries_dir)
+    assert main(["validate", str(bundle)]) == 1
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [(l["level"], l["code"]) for l in lines[:-1]] == [("violation", "CodeModel")]
+    assert "class p/A is its own superclass: p/A -> p/B -> p/A" in lines[0]["detail"]
 
 
 def write_container(container: Path, class_names: tuple[str, ...]) -> None:

@@ -71,6 +71,6 @@ def test_unresolved_external_nodes_have_no_flags_and_no_edges(corpus):
     main = MethodRef("fix/Main2", "main", "([Ljava/lang/String;)V")
     graph = build_callgraph(h, {main})
     object_init = MethodRef("java/lang/Object", "<init>", "()V")
-    node = graph.node_for(object_init)
-    assert node is not None and node.unresolved
+    flags = graph.nodes.get(object_init)
+    assert flags is not None and not any(flags[:3])
     assert not any(caller == object_init for caller, _ in graph.edges)

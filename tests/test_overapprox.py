@@ -30,7 +30,7 @@ def test_trace_edges_subset_of_static_graph(hierarchy, main_class):
     missing = [edge for edge in invoke_edges if edge not in static_edges]
     assert not missing, f"dynamic edges absent from static graph: {missing}"
     # every executed method must be a graph node
-    node_texts = {n.ref.text for n in graph.nodes}
+    node_texts = {ref.text for ref in graph.nodes}
     for _, callee, kind in trace:
         if kind != "dynamic":
             assert callee in node_texts

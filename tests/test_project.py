@@ -287,6 +287,7 @@ def test_code_model_empty_binaries(corpus, hierarchy, tmp_path):
 def test_callgraph_classes_present_in_code_model(bundle):
     project = load_project(bundle)
     repo = build_code_model(project)
-    for node in parse_callgraph(project.callgraph_path.read_bytes()).nodes:
-        if node.in_application or node.in_library:
-            assert node.ref.in_class in repo.hierarchy.classes
+    graph = parse_callgraph(project.callgraph_path.read_bytes())
+    for ref, (_, in_library, in_application, _) in graph.nodes.items():
+        if in_application or in_library:
+            assert ref.in_class in repo.hierarchy.classes
