@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from functools import partial
 from typing import Callable, NamedTuple, TypeVar
 
 from ..errors import MalformedClassFile
@@ -149,9 +150,12 @@ class ConstantPool:
     reference raises :class:`MalformedClassFile`.
     """
 
-    def __init__(self, entries: list[ConstantEntry | None], source: str | None = None):
+    def __init__(self, entries: list[ConstantEntry | None], source: str | None = None,
+                 texts: dict[int, str] | None = None):
         self.entries = entries
         self.source = source
+        # index -> text of Utf8 entries, for lookups that need no checks on a hit
+        self.texts = {} if texts is None else texts
 
     def entry(self, index: int, tag: int | None = None) -> ConstantEntry:
         if index <= 0 or index >= len(self.entries) or self.entries[index] is None:
@@ -174,7 +178,11 @@ class ConstantPool:
 
     def member_ref(self, index: int, expected: str = "a member reference") -> tuple[str, str, str]:
         """The (class, name, descriptor) of an entry of a ``MEMBER_KINDS[expected]`` kind."""
-        got = self.entry(index)
+        entries = self.entries
+        got = entries[index] if 0 < index < len(entries) else None
+        if got is not None and got.tag in MEMBER_KINDS[expected]:
+            return got.value
+        got = self.entry(index)  # raises for a bad index
         if got.tag not in MEMBER_KINDS[expected]:
             raise MalformedClassFile(
                 f"constant pool index {index} holds {TAG_NAMES.get(got.tag, got.tag)},"
@@ -234,83 +242,159 @@ def quote_string(text: str) -> str:
     return f'"{escaped}"'
 
 
-def _decode_modified_utf8(raw: bytes) -> str:
-    """The text of a Utf8 entry, in JVMS §4.4.7 modified UTF-8.
+def _decode_modified_utf8(raw: bytes) -> str | None:
+    """The text of a Utf8 entry that is not plain UTF-8, in JVMS §4.4.7
+    modified UTF-8; None for bytes that no encoder writes.
 
-    Plain UTF-8 is tried first. Modified UTF-8 writes NUL as ``C0 80`` and
-    each UTF-16 code unit as its own sequence, so a supplementary character
-    arrives as two encoded surrogates; these are joined into one character,
-    and an unpaired surrogate is kept. Raises UnicodeDecodeError for bytes
-    that no encoder writes.
+    Modified UTF-8 writes NUL as ``C0 80`` and each UTF-16 code unit as its
+    own sequence, so a supplementary character arrives as two encoded
+    surrogates; these are joined into one character, and an unpaired
+    surrogate is kept.
     """
     try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError:
         units = raw.replace(b"\xc0\x80", b"\x00").decode("utf-8", "surrogatepass")
         return units.encode("utf-16-le", "surrogatepass").decode("utf-16-le", "surrogatepass")
+    except UnicodeDecodeError:
+        return None
 
 
-# tag -> (struct of the entry after its tag byte, pool slots it takes);
-# Utf8, whose length comes first, is read apart
-_LAYOUTS = {tag: (struct.Struct(fmt), slots) for tag, fmt, slots in [
-    (CONST_INTEGER, ">i", 1), (CONST_FLOAT, ">f", 1), (CONST_LONG, ">q", 2),
-    (CONST_DOUBLE, ">d", 2), (CONST_CLASS, ">H", 1), (CONST_STRING, ">H", 1),
-    (CONST_METHOD_TYPE, ">H", 1), (CONST_FIELDREF, ">HH", 1),
-    (CONST_METHODREF, ">HH", 1), (CONST_INTERFACE_METHODREF, ">HH", 1),
-    (CONST_NAME_AND_TYPE, ">HH", 1), (CONST_METHOD_HANDLE, ">BH", 1),
-    (CONST_INVOKE_DYNAMIC, ">HH", 1),
+# tag -> (unpack_from of the entry after its tag byte, its size, whether it
+# holds one value, resolution step: 0 for a literal, 1 for an entry that
+# names Utf8 entries, 2 for one that names entries of step 1); Utf8, whose
+# length comes first, is read apart
+_LAYOUTS = {tag: (struct.Struct(fmt).unpack_from, struct.calcsize(fmt), len(fmt) == 2, step)
+            for tag, fmt, step in [
+    (CONST_INTEGER, ">i", 0), (CONST_FLOAT, ">f", 0), (CONST_LONG, ">q", 0),
+    (CONST_DOUBLE, ">d", 0), (CONST_CLASS, ">H", 1), (CONST_STRING, ">H", 1),
+    (CONST_METHOD_TYPE, ">H", 1), (CONST_NAME_AND_TYPE, ">HH", 1),
+    (CONST_FIELDREF, ">HH", 2), (CONST_METHODREF, ">HH", 2),
+    (CONST_INTERFACE_METHODREF, ">HH", 2), (CONST_METHOD_HANDLE, ">BH", 2),
+    (CONST_INVOKE_DYNAMIC, ">HH", 2),
 ]}
 
-# the kinds resolved by each step, in order: the first names only Utf8
-# entries, the second only kinds the first resolved, but for a handle,
-# which needs only the kind of the entry it names
-_RESOLUTION_STEPS = (
-    frozenset((CONST_CLASS, CONST_STRING, CONST_METHOD_TYPE, CONST_NAME_AND_TYPE)),
-    frozenset((CONST_FIELDREF, CONST_METHODREF, CONST_INTERFACE_METHODREF,
-               CONST_INVOKE_DYNAMIC, CONST_METHOD_HANDLE)),
-)
+_TRUNCATED = "truncated class file"
+_entry = partial(_new, ConstantEntry)  # (tag, value) -> ConstantEntry, in C
+
+
+def _entry_start(data: bytes, pos: int, index: int) -> int:
+    """The offset in ``data`` of pool entry ``index``, in a table already
+    read whole whose first entry is at ``pos``."""
+    slot = 1
+    while slot < index:
+        tag = data[pos]
+        if tag == CONST_UTF8:
+            pos += 3 + (data[pos + 1] << 8 | data[pos + 2])
+        else:
+            pos += 1 + _LAYOUTS[tag][1]
+            slot += tag in (CONST_LONG, CONST_DOUBLE)
+        slot += 1
+    return pos
 
 
 def parse_constant_pool(reader: ByteReader) -> ConstantPool:
     """Read the constant pool table at the reader's position and resolve it.
 
-    A bad reference is reported at the file offset of the entry that holds it.
+    The table is walked by position, each entry read with one unpack into
+    a list of tags and a list of values. Then each entry that names others
+    is resolved by reading the entries it names directly, and the entries
+    are made from the two lists in one pass. Only a bad reference goes
+    through :meth:`ConstantPool._resolve`, which raises it. A failure is
+    reported at the file offset of the entry that holds it, or where a
+    truncated table ends.
     """
     count = reader.u2()
-    entries: list[ConstantEntry | None] = [None]
-    starts = [0]  # the file offset of each slot's entry
-    unresolved = []  # the index of each entry that is not Utf8
-    while len(entries) < count:
-        start = reader.pos
-        starts.append(start)
-        tag = reader.u1()
-        if tag == CONST_UTF8:
-            raw = reader.raw(reader.u2())
-            try:
-                entries.append(_new(ConstantEntry, (tag, _decode_modified_utf8(raw))))
-            except UnicodeDecodeError:
-                raise reader.fail(f"constant pool entry {len(entries)} is not modified UTF-8",
-                                  start) from None
-            continue
-        if tag not in _LAYOUTS:
-            raise reader.fail(f"unknown constant pool tag {tag}", start)
-        layout, slots = _LAYOUTS[tag]
-        value = layout.unpack(reader.raw(layout.size))
-        unresolved.append(len(entries))
-        entries.append(_new(ConstantEntry, (tag, value[0] if len(value) == 1 else value)))
-        if slots == 2:
-            if len(entries) == count:
-                raise reader.fail(f"constant pool entry {count - 1} is a {TAG_NAMES[tag]} in the"
-                                  " last slot, which leaves no room for its second slot", start)
-            entries.append(None)
-            starts.append(start)
-    pool = ConstantPool(entries, reader.source)
-    for kinds in _RESOLUTION_STEPS:
-        for index in unresolved:
-            tag, value = entries[index]
-            if tag in kinds:
+    data, first = reader.data, reader.pos
+    end = len(data)
+    tags = [0] * max(count, 1)
+    values: list = [None] * len(tags)
+    texts: dict[int, str] = {}
+    steps: tuple[list[int], list[int]] = ([], [])  # the entries each step resolves
+    empty = [0]  # the slots that hold no entry: 0, and the one after a Long or Double
+    layouts = _LAYOUTS
+    pos = first
+    index = 1
+    try:
+        while index < count:
+            tags[index] = tag = data[pos]
+            if tag == CONST_UTF8:
+                start = pos + 3
+                stop = start + (data[pos + 1] << 8 | data[pos + 2])
+                if stop > end:
+                    raise reader.fail(_TRUNCATED, start)
+                raw = data[start:stop]
                 try:
-                    entries[index] = _new(ConstantEntry, (tag, pool._resolve(tag, value)))
-                except MalformedClassFile as exc:
-                    raise reader.fail(exc.reason, starts[index]) from exc
+                    text = raw.decode()  # plain UTF-8, as most entries are
+                except UnicodeDecodeError:
+                    text = _decode_modified_utf8(raw)
+                    if text is None:
+                        raise reader.fail(f"constant pool entry {index} is not modified UTF-8",
+                                          pos) from None
+                values[index] = texts[index] = text
+                pos = stop
+                index += 1
+                continue
+            unpack, size, single, step = layouts[tag]
+            value = unpack(data, pos + 1)
+            values[index] = value[0] if single else value
+            if step:
+                steps[step - 1].append(index)
+            elif tag == CONST_LONG or tag == CONST_DOUBLE:
+                if index + 1 == count:
+                    raise reader.fail(f"constant pool entry {index} is a {TAG_NAMES[tag]} in"
+                                      " the last slot, which leaves no room for its second"
+                                      " slot", pos)
+                index += 1
+                empty.append(index)
+            pos += 1 + size
+            index += 1
+    except (IndexError, struct.error):
+        # a tag byte, Utf8 length or entry that runs past the end
+        raise reader.fail(_TRUNCATED, pos if pos >= end else pos + 1) from None
+    except KeyError:
+        raise reader.fail(f"unknown constant pool tag {data[pos]}", pos) from None
+    reader.pos = pos
+    pool = ConstantPool([], reader.source, texts)
+
+    def entries() -> list[ConstantEntry | None]:
+        made: list[ConstantEntry | None] = list(map(_entry, zip(tags, values)))
+        for index in empty:
+            made[index] = None
+        return made
+
+    def resolved(index: int) -> object:
+        """The final value of entry ``index`` that the direct reads missed:
+        a bad reference, raised at the entry."""
+        pool.entries = entries()
+        try:
+            return pool._resolve(tags[index], values[index])
+        except MalformedClassFile as exc:
+            raise reader.fail(exc.reason, _entry_start(data, first, index)) from exc
+
+    text_of = texts.get
+    for index in steps[0]:
+        value = values[index]
+        if tags[index] == CONST_NAME_AND_TYPE:
+            final = text_of(value[0]), text_of(value[1])
+            values[index] = resolved(index) if None in final else final
+        else:
+            final = text_of(value)
+            values[index] = resolved(index) if final is None else final
+    for index in steps[1]:
+        tag = tags[index]
+        named, nat_index = values[index]
+        if tag == CONST_METHOD_HANDLE:
+            wanted = _HANDLE_KINDS.get(named)
+            if (wanted is None or nat_index >= count
+                    or tags[nat_index] not in MEMBER_KINDS[wanted]):
+                resolved(index)
+            continue  # a handle keeps its kind and index
+        if nat_index >= count or tags[nat_index] != CONST_NAME_AND_TYPE:
+            values[index] = resolved(index)
+        elif tag == CONST_INVOKE_DYNAMIC:
+            values[index] = (named,) + values[nat_index]
+        elif named >= count or tags[named] != CONST_CLASS:
+            values[index] = resolved(index)
+        else:
+            values[index] = (values[named],) + values[nat_index]
+    pool.entries = entries()
     return pool

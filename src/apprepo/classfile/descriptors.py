@@ -69,3 +69,12 @@ def parse_descriptor(text: str) -> tuple[list[str], str]:
     if pos != len(text):
         raise MalformedDescriptor("trailing characters after return type", pos)
     return params, ret
+
+
+def parse_field_descriptor(text: str) -> str:
+    """Decode a field descriptor into its type, rendered as
+    :func:`parse_descriptor` renders a parameter type."""
+    rendered, pos = _parse_type(text, 0)
+    if pos != len(text):
+        raise MalformedDescriptor("trailing characters after field type", pos)
+    return rendered

@@ -1,31 +1,42 @@
 """Class file parsing: binary format to an inspectable code model.
 
-Validation is eager and decoding is lazy. :func:`parse_class` checks
-everything, method bodies included, so a returned :class:`ClassFile` is
-fully validated: all constant pool references resolve, all opcodes are
-known, all offsets are in range. Checking a body resolves each of its
-pool-indexed instructions once and keeps the fields in the body's
-``resolved`` map, where :func:`resolved_operands` reads them without
-decoding anything else; the call graph closure reads bodies that way. A
-method's code array is decoded into :class:`Instruction` records only
-the first time its ``instructions`` are read, by the same decoder that
-validated it.
+Validation is eager and decoding is lazy. :func:`parse_class` checks the
+whole structure, method bodies included, so a returned :class:`ClassFile`
+is validated: every constant pool reference it reads resolves to an entry
+of the kind its use requires, every field and method descriptor is well
+formed, every attribute it reads (Code, LineNumberTable, SourceFile,
+BootstrapMethods) is exactly as long as its contents, and every code
+array is 1 to 65535 bytes of known opcodes with complete operands, zero
+switch padding and the loadable, member or type operands each instruction
+needs. Branch and switch targets are not checked: one may point outside
+the code array or into the middle of an instruction, and a listing shows
+it as it is (JVMS §4.9.1 forbids both).
+
+Checking a body resolves each distinct pool-indexed instruction once and
+keeps its fields in the body's ``resolved`` map, where
+:func:`resolved_operands` reads them without decoding anything else; the
+call graph closure reads bodies that way. A method's code array is decoded
+into :class:`Instruction` records only the first time its ``instructions``
+are read, by :func:`disassemble`, the one reference decoder, which also
+reports the reason and offset of any failure the body check finds.
 """
 
 from __future__ import annotations
 
+import re
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, NamedTuple
+from functools import cached_property, lru_cache
+from typing import Callable, Iterator, NamedTuple
 
-from ..errors import MalformedClassFile, MethodNotFound
+from ..errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
 from . import constant_pool as cp
 from .constant_pool import ByteReader, ConstantPool, parse_constant_pool
-from .descriptors import parse_descriptor
-from .opcodes import ARRAY_TYPES, OPCODES, WIDE_TARGETS
+from .descriptors import parse_descriptor, parse_field_descriptor
+from .opcodes import ARRAY_TYPES, MNEMONICS, OPCODES, WIDE_TARGETS
 
 ROOT_OBJECT_CLASS = "java/lang/Object"
+_new = tuple.__new__
 
 # class file major versions this parser accepts
 MIN_MAJOR_VERSION = 45
@@ -112,19 +123,27 @@ class MethodBody(NamedTuple):
 class MethodInfo:
     """A parsed method: flags, line number table and body.
 
-    ``body`` holds the code array that :func:`parse_class` validated, with
-    its pool operands already resolved; :func:`resolved_operands` reads
-    those without decoding. The body is decoded into :attr:`instructions`
-    on the first read, and the tuple is kept. Equality compares the
-    decoded instructions, not the body bytes.
+    ``line_table`` holds the checked LineNumberTable entries as they are
+    stored, ``start_pc`` and ``line_number`` of each in turn; they are
+    paired into :attr:`line_numbers` on the first read. ``body`` holds the
+    code array that :func:`parse_class` validated, with its pool operands
+    already resolved; :func:`resolved_operands` reads those without
+    decoding. The body is decoded into :attr:`instructions` on the first
+    read, and the tuple is kept. Equality compares the decoded
+    instructions, not the body bytes.
     """
 
     name: str
     descriptor: str
     access_flags: int
-    line_numbers: tuple[tuple[int, int], ...] = ()
+    line_table: tuple[int, ...] = field(default=(), repr=False)
     attribute_names: tuple[str, ...] = ()
     body: MethodBody | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def line_numbers(self) -> tuple[tuple[int, int], ...]:
+        """The ``(start_pc, line_number)`` pairs of the line table."""
+        return tuple(zip(self.line_table[::2], self.line_table[1::2]))
 
     @cached_property
     def instructions(self) -> tuple[Instruction, ...]:
@@ -136,9 +155,9 @@ class MethodInfo:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.name, self.descriptor, self.access_flags, self.line_numbers,
+        return (self.name, self.descriptor, self.access_flags, self.line_table,
                 self.attribute_names, self.instructions) == (
-            other.name, other.descriptor, other.access_flags, other.line_numbers,
+            other.name, other.descriptor, other.access_flags, other.line_table,
             other.attribute_names, other.instructions)
 
     @property
@@ -187,8 +206,11 @@ class ClassFile:
         return self._methods_by_key.get((name, descriptor))
 
 
+_NAME_DELIMITER = re.compile("[;()]").search
+
+
 def _check_internal_name(name: str, reader: ByteReader, what: str) -> str:
-    if not name or any(ch in name for ch in ";()"):
+    if not name or _NAME_DELIMITER(name):
         raise reader.fail(f"invalid {what} {name!r}")
     return name
 
@@ -215,17 +237,20 @@ def _parse_bootstrap_methods(reader: ByteReader,
     return methods
 
 
+# the pool entries that load a symbolic reference, not a literal
+_SYMBOLIC = frozenset((cp.CONST_CLASS, cp.CONST_METHOD_TYPE, cp.CONST_METHOD_HANDLE))
+# ldc mnemonic -> the kinds of entry it loads
+_LOADABLE = {"ldc2_w": frozenset((cp.CONST_LONG, cp.CONST_DOUBLE)),
+             **dict.fromkeys(("ldc", "ldc_w"), _SYMBOLIC | frozenset(
+                 (cp.CONST_INTEGER, cp.CONST_FLOAT, cp.CONST_STRING)))}
+
+
 def _loadable(body: MethodBody, mnemonic: str, index: int) -> tuple:
     pool = body.pool
     got = pool.entry(index)
-    symbolic = (cp.CONST_CLASS, cp.CONST_METHOD_TYPE, cp.CONST_METHOD_HANDLE)
-    if mnemonic == "ldc2_w":
-        allowed = (cp.CONST_LONG, cp.CONST_DOUBLE)
-    else:
-        allowed = (cp.CONST_INTEGER, cp.CONST_FLOAT, cp.CONST_STRING) + symbolic
-    if got.tag not in allowed:
+    if got.tag not in _LOADABLE[mnemonic]:
         raise MalformedClassFile(f"{mnemonic} operand has unloadable tag {got.tag}")
-    literal = None if got.tag in symbolic else got.value
+    literal = None if got.tag in _SYMBOLIC else got.value
     return (pool.render(index),), None, None, None, literal
 
 
@@ -236,7 +261,7 @@ def _field_access(body: MethodBody, mnemonic: str, index: int) -> tuple:
 
 
 def _invoke(body: MethodBody, mnemonic: str, index: int) -> tuple:
-    ref = MethodRef(*body.pool.member_ref(index, "a method reference"))
+    ref = _new(MethodRef, body.pool.member_ref(index, "a method reference"))
     return (ref.text,), ref, None, None, None
 
 
@@ -244,7 +269,7 @@ def _invokeinterface(body: MethodBody, mnemonic: str, index: int, count: int,
                      zero: int) -> tuple:
     if zero != 0:
         raise MalformedClassFile("invokeinterface fourth byte must be zero")
-    ref = MethodRef(*body.pool.member_ref(index, "a method reference"))
+    ref = _new(MethodRef, body.pool.member_ref(index, "a method reference"))
     return (ref.text, count), ref, None, None, None
 
 
@@ -364,17 +389,129 @@ for _opcode, (_mnemonic, _fmt) in OPCODES.items():
 
 _NO_REFS = (None, None, None, None)
 _PLAIN_FIELDS = ((),) + _NO_REFS
-_new = tuple.__new__
+
+
+def _opcode_class(opcodes: list[int]) -> bytes:
+    return b"[" + b"".join(b"\\x%02x" % op for op in opcodes) + b"]"
+
+
+def _alternatives(opcodes: Iterator[int], width_of: Callable[[int], int]) -> list[bytes]:
+    """Patterns of one instruction among ``opcodes``, one per width: its
+    opcode class followed by as many operand bytes, widest last."""
+    by_width: dict[int, list[int]] = {}
+    for opcode in opcodes:
+        by_width.setdefault(width_of(opcode), []).append(opcode)
+    return [_opcode_class(ops) + b"." * (width - 1) for width, ops in sorted(by_width.items())]
+
+
+def _form_alternatives(kinds: set[int]) -> list[bytes]:
+    return _alternatives((op for op, form in enumerate(_FORMS)
+                          if form is not None and form[1] in kinds),
+                         lambda op: _FORMS[op][2])
+
+
+def _run(alternatives: list[bytes]) -> bytes:
+    """A possessive run of the instructions ``alternatives`` match, the first
+    of which is the class of one-byte instructions: runs of those repeat a
+    single class, the fastest loop of ``re``."""
+    plain = alternatives[0] + b"*+"
+    return b"%s(?:(?:%s)%s)*+" % (plain, b"|".join(alternatives[1:]), plain)
+
+
+# a wide instruction: its opcode, then an opcode it widens with operands of
+# twice their usual width
+_WIDE = b"\\x%02x(?:%s)" % (MNEMONICS["wide"], b"|".join(_alternatives(
+    sorted(WIDE_TARGETS), lambda op: 2 * _FORMS[op][2] - 1)))
+# Each alternative starts with its own opcode class, so a code array splits
+# into instructions in one way only. From an instruction's start, _KEYS
+# matches the bytes of each pool-indexed (or newarray) instruction in turn,
+# stepping over the others, until the end, where it matches empty, or until
+# an instruction it cannot step over: a switch, the only kind of variable
+# width, or a bad one. Then its last nonempty match is the rest of the code
+# array from that instruction on, which no complete instruction equals.
+_KEYS = re.compile(b"%s(%s|\\Z|.+)" % (
+    _run(_form_alternatives({_PLAIN, _IMMEDIATE, _BRANCH}) + [_WIDE]),
+    b"|".join(_form_alternatives({_RESOLVED}))), re.DOTALL).findall
+# opcode -> width of a pool-indexed instruction, 0 for other opcodes
+_KEY_WIDTHS = [form[2] if form is not None and form[1] == _RESOLVED else 0 for form in _FORMS]
+_TABLESWITCH, _LOOKUPSWITCH = MNEMONICS["tableswitch"], MNEMONICS["lookupswitch"]
+_TABLE_HEAD = struct.Struct(">xxxxii").unpack_from  # default, then low and high
+_LOOKUP_HEAD = struct.Struct(">xxxxi").unpack_from  # default, then npairs
+
+
+def _switch_end(code: bytes, start: int) -> int | None:
+    """The end of the switch instruction at ``start``; None if there is
+    none, or if its padding, bounds, pair count or length is bad."""
+    pos = start + 4 - start % 4  # past the opcode and padding
+    if code.count(0, start + 1, pos) != pos - start - 1:
+        return None
+    opcode, end = code[start], len(code)
+    if opcode == _TABLESWITCH and pos + 12 <= end:
+        low, high = _TABLE_HEAD(code, pos)
+        if high < low:
+            return None
+        pos += 12 + 4 * (high - low + 1)
+    elif opcode == _LOOKUPSWITCH and pos + 8 <= end:
+        npairs, = _LOOKUP_HEAD(code, pos)
+        if npairs < 0:
+            return None
+        pos += 8 + 8 * npairs
+    else:
+        return None
+    return pos if pos <= end else None
+
+
+def _rest(found: list[bytes]) -> bytes:
+    """The rest of the code array where the _KEYS matches ``found`` stopped
+    short of its end, or b"" if they reached it."""
+    rest = found[-2] if len(found) > 1 else b""
+    return b"" if not rest or _KEY_WIDTHS[rest[0]] == len(rest) else rest
+
+
+def _check_body(body: MethodBody) -> None:
+    """Check a method's code array as :func:`disassemble` does, by scanning it.
+
+    The instructions between switches are matched by one pattern, each
+    switch is checked without rendering it, and each pool-indexed
+    instruction not yet in the class's ``resolved`` map is checked once and
+    added to it. On any failure the body goes to :func:`disassemble`, which
+    reports the reason at the file offset of the first bad instruction and
+    resolves, as the scan would have, only the instructions before it.
+    """
+    code = body.code
+    end = len(code)
+    keys: set[bytes] = set()
+    pos = 0
+    while True:
+        found = _KEYS(code, pos)
+        keys.update(found)
+        rest = _rest(found)
+        if not rest:
+            break
+        keys.discard(rest)
+        pos = _switch_end(code, end - len(rest))
+        if pos is None:
+            return disassemble(body, None)
+    keys.discard(b"")
+    fresh = {}
+    try:
+        for key in keys.difference(body.resolved):
+            mnemonic, _, _, operands, check = _FORMS[key[0]]
+            fresh[key] = check(body, mnemonic, *operands(key, 0))
+    except MalformedClassFile:
+        return disassemble(body, None)
+    body.resolved.update(fresh)
 
 
 def disassemble(body: MethodBody, out: list[Instruction] | None) -> None:
     """Check a method's code array, appending its instructions to ``out`` if given.
 
-    :func:`parse_class` calls it with ``out=None`` on every body, so a bad
-    opcode, operand, padding or pool reference is reported at parse time,
-    at the file offset of the instruction that holds it. Reading
-    ``MethodInfo.instructions`` calls it again on an accepted body, which
-    cannot fail, and finds every pool operand already resolved.
+    The reference decoder, one instruction at a time. When the body check
+    of :func:`parse_class` finds a bad opcode, operand, padding or pool
+    reference, it calls this with ``out=None``, which reports the first
+    one at the file offset of the instruction that holds it. Reading
+    ``MethodInfo.instructions`` calls it on an accepted body, which cannot
+    fail, and finds every pool operand already resolved.
     """
     code, resolved = body.code, body.resolved
     end = len(code)
@@ -419,31 +556,35 @@ def resolved_operands(body: MethodBody | None) -> Iterator[tuple[str, tuple]]:
     """The ``(mnemonic, fields)`` of each pool-indexed or ``newarray``
     instruction of an accepted body, in code order.
 
-    ``fields`` are the instruction's fields after its mnemonic, as
-    :func:`disassemble` resolved them at parse time: ``(operands, target,
-    member, type_name, literal)``. Nothing is decoded or checked again;
-    the other instructions are only stepped over. A method without a body
-    has none.
+    ``fields`` are the instruction's fields after its mnemonic, as the
+    body check resolved them at parse time: ``(operands, target, member,
+    type_name, literal)``. Nothing is decoded or checked again: the body is
+    scanned with the pattern of that check, and switches are stepped over.
+    A method without a body has none.
     """
     if body is None:
         return
-    code, resolved = body.code, body.resolved
+    code, fields_of = body.code, body.resolved.get
     end = len(code)
     pos = 0
-    while pos < end:
-        start = pos
-        mnemonic, kind, width, operands, _ = _FORMS[code[pos]]
-        pos += width
-        if kind == _RESOLVED:
-            yield mnemonic, resolved[code[start:pos]]
-        elif kind == _SEQUENTIAL:
-            reader = ByteReader(code)
-            reader.pos = pos
-            operands(reader, start)
-            pos = reader.pos
+    while True:
+        found = _KEYS(code, pos)
+        for key in found:
+            fields = fields_of(key)
+            if fields is not None:
+                yield _FORMS[key[0]][0], fields
+        rest = _rest(found)
+        if not rest:
+            return
+        pos = _switch_end(code, end - len(rest))
 
 
-_LINE_ENTRIES = struct.Struct(">HH").iter_unpack
+_TRUNCATED = "truncated class file"
+_MEMBER = struct.Struct(">HHH").unpack_from  # access_flags, name_index, descriptor_index
+_ATTRIBUTE = struct.Struct(">HI").unpack_from  # attribute_name_index, attribute_length
+_CODE = struct.Struct(">xxxxI").unpack_from  # code_length, after max_stack and max_locals
+_HANDLERS = struct.Struct(">HHHH").iter_unpack  # start_pc, end_pc, handler_pc, catch_type
+MAX_CODE_LENGTH = 65535  # JVMS §4.7.3
 
 
 def _optional_class(pool: ConstantPool):
@@ -452,50 +593,165 @@ def _optional_class(pool: ConstantPool):
     return lambda index: pool.class_name(index) if index else None
 
 
-def _parse_code_attribute(data: bytes, pool: ConstantPool, file_base: int,
+def _ref(lookup: Callable[[int], object], index: int, offset: int, source: str | None):
+    """``lookup(index)``, a pool lookup whose failure is reported at file
+    offset ``offset``: the slow path of a lookup in ``ConstantPool.texts``
+    that missed or found an empty text."""
+    try:
+        return lookup(index)
+    except MalformedClassFile as exc:
+        raise MalformedClassFile(exc.reason, offset, source) from exc
+
+
+def _short(data: bytes, limit: int, pos: int, lookups: tuple, source: str | None,
+           ) -> MalformedClassFile:
+    """The error of a header at ``pos`` that runs past ``limit``, as reading
+    its fields one by one finds it: u2 fields, each resolved by its entry of
+    ``lookups`` (None for a plain value), maybe followed by a u4. That is a
+    bad pool index in a field that fits, else the truncation at the first
+    field that does not."""
+    for lookup in lookups:
+        if pos + 2 > limit:
+            break
+        if lookup is not None:
+            _ref(lookup, data[pos] << 8 | data[pos + 1], pos, source)
+        pos += 2
+    return MalformedClassFile(_TRUNCATED, pos, source)
+
+
+def _count(data: bytes, pos: int, limit: int, source: str | None) -> tuple[int, int]:
+    """The u2 count at ``pos``, and the position after it."""
+    if pos + 2 > limit:
+        raise MalformedClassFile(_TRUNCATED, pos, source)
+    return data[pos] << 8 | data[pos + 1], pos + 2
+
+
+def _attribute(data: bytes, pos: int, limit: int, pool: ConstantPool,
+               source: str | None) -> tuple[str, int, int]:
+    """The name, payload start and payload end of the attribute at ``pos``."""
+    if pos + 6 > limit:
+        raise _short(data, limit, pos, (pool.utf8,), source)
+    name_index, length = _ATTRIBUTE(data, pos)
+    name = pool.texts.get(name_index) or _ref(pool.utf8, name_index, pos, source)
+    pos += 6
+    if pos + length > limit:
+        raise MalformedClassFile(_TRUNCATED, pos, source)
+    return name, pos, pos + length
+
+
+def _unread(name: str, start: int, used: int, stop: int, source: str | None,
+            ) -> MalformedClassFile:
+    """The error of bytes left unread in the attribute payload
+    ``data[start:stop]``, whose contents end at ``used``."""
+    return MalformedClassFile(f"{name} attribute has length {stop - start}, but its"
+                              f" contents take {used - start} bytes", used, source)
+
+
+@lru_cache(maxsize=256)
+def _u2s(count: int) -> Callable[[bytes, int], tuple[int, ...]]:
+    """The unpack_from of ``count`` consecutive u2 values."""
+    return struct.Struct(f">{count}H").unpack_from
+
+
+@lru_cache(maxsize=4096)
+def _descriptor_error(text: str, method: bool) -> str | None:
+    """What is wrong with a method or field descriptor, or None if nothing;
+    memoized, since the same few descriptors recur in every class."""
+    try:
+        (parse_descriptor if method else parse_field_descriptor)(text)
+    except MalformedDescriptor as exc:
+        return f"invalid {'method' if method else 'field'} descriptor {text!r}: {exc}"
+    return None
+
+
+def _member(data: bytes, pos: int, limit: int, pool: ConstantPool, source: str | None,
+            method: bool) -> tuple[int, str, str, int, int]:
+    """The access flags, name, checked descriptor and attribute count of the
+    field or method at ``pos``, and the position of its first attribute."""
+    utf8, texts = pool.utf8, pool.texts
+    if pos + 6 > limit:
+        raise _short(data, limit, pos, (None, utf8, utf8), source)
+    flags, name_index, desc_index = _MEMBER(data, pos)
+    name = texts.get(name_index) or _ref(utf8, name_index, pos + 2, source)
+    desc = texts.get(desc_index) or _ref(utf8, desc_index, pos + 4, source)
+    pos += 6
+    error = _descriptor_error(desc, method)
+    if error is not None:
+        raise MalformedClassFile(error, pos, source)
+    if pos + 2 > limit:
+        raise MalformedClassFile(_TRUNCATED, pos, source)
+    return flags, name, desc, data[pos] << 8 | data[pos + 1], pos + 2
+
+
+def _line_numbers(data: bytes, start: int, stop: int, code_length: int, code_attr: int,
+                  source: str | None) -> tuple[int, ...]:
+    """The entries of the LineNumberTable payload ``data[start:stop]``, their
+    fields in a flat tuple; a bad entry is reported at the Code payload's
+    offset ``code_attr``."""
+    if start + 2 > stop:
+        raise MalformedClassFile(_TRUNCATED, start, source)
+    count = data[start] << 8 | data[start + 1]
+    pos = start + 2
+    whole = min(count, (stop - pos) // 4)
+    fields = _u2s(2 * whole)(data, pos)
+    if whole and (0 in fields[1::2] or max(fields[::2]) > code_length):
+        for start_pc, line in zip(fields[::2], fields[1::2]):
+            if line < 1:
+                raise MalformedClassFile("line number must be positive", code_attr, source)
+            if start_pc > code_length:
+                raise MalformedClassFile("line table offset beyond code", code_attr, source)
+    if whole < count:
+        raise _short(data, stop, pos + 4 * whole, (None, None), source)
+    if pos + 4 * count != stop:
+        raise _unread("LineNumberTable", start, pos + 4 * count, stop, source)
+    return fields
+
+
+def _parse_code_attribute(data: bytes, start: int, stop: int, pool: ConstantPool,
                           source: str | None) -> tuple[bytes, int, tuple]:
-    """Split a Code attribute into (code bytes, code file offset, line table)."""
-    reader = ByteReader(data, source, file_base)
-    reader.u2()  # max_stack
-    reader.u2()  # max_locals
-    code_length = reader.u4()
-    code_start = reader.pos
-    code = reader.raw(code_length)
-    exc_count = reader.u2()
-    catch_type = _optional_class(pool)
-    for _ in range(exc_count):
-        reader.u2()
-        reader.u2()
-        reader.u2()
-        reader.ref(catch_type)
-    lines: list[tuple[int, int]] = []
-    attr_count = reader.u2()
-    for _ in range(attr_count):
-        name = reader.ref(pool.utf8)
-        length = reader.u4()
-        payload_at = reader.pos
-        payload = reader.raw(length)
+    """Split the Code payload ``data[start:stop]`` into (code bytes, code file
+    offset, flat line table)."""
+    if start + 8 > stop:
+        raise _short(data, stop, start, (None, None), source)
+    code_length, = _CODE(data, start)
+    if not 0 < code_length <= MAX_CODE_LENGTH:
+        raise MalformedClassFile(f"code length {code_length} is not in 1..{MAX_CODE_LENGTH}",
+                                 start + 4, source)
+    code_start = start + 8
+    pos = code_start + code_length
+    if pos + 2 > stop:
+        raise MalformedClassFile(_TRUNCATED, code_start if pos > stop else pos, source)
+    count = data[pos] << 8 | data[pos + 1]  # exception_table_length
+    pos += 2
+    if count:
+        whole = min(count, (stop - pos) // 8)
+        for i, (_, _, _, catch_type) in enumerate(_HANDLERS(data[pos:pos + 8 * whole])):
+            if catch_type:
+                _ref(pool.class_name, catch_type, pos + 8 * i + 6, source)
+        if whole < count:
+            raise _short(data, stop, pos + 8 * whole,
+                         (None, None, None, _optional_class(pool)), source)
+        pos += 8 * count
+    if pos + 2 > stop:
+        raise MalformedClassFile(_TRUNCATED, pos, source)
+    count = data[pos] << 8 | data[pos + 1]  # attributes_count
+    pos += 2
+    lines: tuple[int, ...] = ()
+    for _ in range(count):
+        name, at, pos = _attribute(data, pos, stop, pool, source)
         if name == "LineNumberTable":
-            sub = ByteReader(payload, source, file_base + payload_at)
-            entry_count = sub.u2()
-            whole = min(entry_count, (length - 2) // 4)
-            for start_pc, line in _LINE_ENTRIES(payload[2:2 + 4 * whole]):
-                if line < 1:
-                    raise MalformedClassFile("line number must be positive",
-                                             file_base, source)
-                if start_pc > code_length:
-                    raise MalformedClassFile("line table offset beyond code",
-                                             file_base, source)
-                lines.append((start_pc, line))
-            if whole < entry_count:
-                sub.pos = 2 + 4 * whole
-                sub.u2()
-                sub.u2()  # one of the two reads fails: the table is truncated
-    return code, file_base + code_start, tuple(lines)
+            lines += _line_numbers(data, at, pos, code_length, start, source)
+    if pos != stop:
+        raise _unread("Code", start, pos, stop, source)
+    return data[code_start:code_start + code_length], code_start, lines
 
 
 def parse_class(data: bytes, source: str | None = None) -> ClassFile:
-    """Parse class file bytes into a fully validated :class:`ClassFile`."""
+    """Parse class file bytes into a validated :class:`ClassFile`.
+
+    A failure raises :class:`MalformedClassFile` with the file offset where
+    reading the class file in order first finds it.
+    """
     reader = ByteReader(data, source)
     if len(data) < 4 or reader.u4() != 0xCAFEBABE:
         raise MalformedClassFile("bad magic number", 0, source)
@@ -518,63 +774,58 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     interfaces = tuple(
         _check_internal_name(reader.ref(pool.class_name), reader, "interface name")
         for _ in range(reader.u2()))
+    pos, end = reader.pos, len(data)
 
     # fields: validated and skipped, the code model does not retain them
-    for _ in range(reader.u2()):
-        reader.u2()
-        reader.ref(pool.utf8)
-        reader.ref(pool.utf8)
-        for _ in range(reader.u2()):
-            reader.ref(pool.utf8)
-            reader.raw(reader.u4())
+    count, pos = _count(data, pos, end, source)
+    for _ in range(count):
+        _, _, _, attributes, pos = _member(data, pos, end, pool, source, False)
+        for _ in range(attributes):
+            pos = _attribute(data, pos, end, pool, source)[2]
 
     # methods: structure first; bodies checked after class attributes are
     # read, since invokedynamic operands need BootstrapMethods
     raw_methods = []
-    for _ in range(reader.u2()):
-        m_flags = reader.u2()
-        m_name = reader.ref(pool.utf8)
-        m_desc = reader.ref(pool.utf8)
-        try:
-            parse_descriptor(m_desc)
-        except Exception as exc:
-            raise reader.fail(f"invalid method descriptor {m_desc!r}: {exc}") from exc
+    count, pos = _count(data, pos, end, source)
+    for _ in range(count):
+        m_flags, m_name, m_desc, attributes, pos = _member(data, pos, end, pool, source, True)
         code_info = None
         names: list[str] = []
-        for _ in range(reader.u2()):
-            a_name = reader.ref(pool.utf8)
+        for _ in range(attributes):
+            a_name, start, pos = _attribute(data, pos, end, pool, source)
             names.append(a_name)
-            length = reader.u4()
-            payload_base = reader.pos
-            payload = reader.raw(length)
             if a_name == "Code":
                 if code_info is not None:
-                    raise reader.fail(f"duplicate Code attribute on {m_name}{m_desc}")
-                code_info = _parse_code_attribute(payload, pool, payload_base, source)
+                    raise MalformedClassFile(f"duplicate Code attribute on {m_name}{m_desc}",
+                                             pos, source)
+                code_info = _parse_code_attribute(data, start, pos, pool, source)
         abstract_or_native = bool(m_flags & (ACC_ABSTRACT | ACC_NATIVE))
         if abstract_or_native and code_info is not None:
-            raise reader.fail(f"abstract/native method {m_name}{m_desc} has code")
+            raise MalformedClassFile(f"abstract/native method {m_name}{m_desc} has code",
+                                     pos, source)
         if not abstract_or_native and code_info is None:
-            raise reader.fail(f"method {m_name}{m_desc} lacks a Code attribute")
+            raise MalformedClassFile(f"method {m_name}{m_desc} lacks a Code attribute",
+                                     pos, source)
         raw_methods.append((m_name, m_desc, m_flags, code_info, tuple(names)))
 
     bootstrap_methods: list[tuple[str, str, str]] = []
     class_attr_names: list[str] = []
     source_file = None
-    for _ in range(reader.u2()):
-        a_name = reader.ref(pool.utf8)
+    count, pos = _count(data, pos, end, source)
+    for _ in range(count):
+        a_name, start, pos = _attribute(data, pos, end, pool, source)
         class_attr_names.append(a_name)
-        length = reader.u4()
-        payload_at = reader.pos
-        payload = reader.raw(length)
-        if a_name == "SourceFile":
-            source_file = ByteReader(payload, source, payload_at).ref(pool.utf8)
-        elif a_name == "BootstrapMethods":
-            bootstrap_methods = _parse_bootstrap_methods(
-                ByteReader(payload, source, payload_at), pool)
+        if a_name in ("SourceFile", "BootstrapMethods"):
+            payload = ByteReader(data[start:pos], source, start)
+            if a_name == "SourceFile":
+                source_file = payload.ref(pool.utf8)
+            else:
+                bootstrap_methods = _parse_bootstrap_methods(payload, pool)
+            if start + payload.pos != pos:
+                raise _unread(a_name, start, start + payload.pos, pos, source)
 
-    if reader.pos != len(data):
-        raise reader.fail("trailing bytes after class structure")
+    if pos != end:
+        raise MalformedClassFile("trailing bytes after class structure", pos, source)
 
     resolved: dict[bytes, tuple] = {}
     methods = []
@@ -584,11 +835,12 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
             raise MalformedClassFile(f"duplicate method {m_name}{m_desc}", 0, source)
         seen.add((m_name, m_desc))
         body = None
-        lines: tuple[tuple[int, int], ...] = ()
+        lines: tuple[int, ...] = ()
         if code_info is not None:
             code, code_base, lines = code_info
-            body = MethodBody(code, code_base, pool, bootstrap_methods, source, resolved)
-            disassemble(body, None)
+            body = _new(MethodBody, (code, code_base, pool, bootstrap_methods, source,
+                                     resolved))
+            _check_body(body)
         methods.append(MethodInfo(m_name, m_desc, m_flags, lines, names, body))
 
     return ClassFile(

@@ -334,6 +334,9 @@ class AsmClass:
     inner_class: tuple[str, str, str] | None = None  # (inner, outer, simple name)
     extra_attribute: str | None = None  # unknown attribute, skipped by parsers
     major: int = 50
+    # attribute name -> bytes appended to the payload of every attribute of
+    # that name, after its contents: an attribute longer than its contents
+    padding: dict[str, bytes] = field(default_factory=dict)
 
     def method(self, name: str, desc: str) -> AsmMethod:
         for m in self.methods:
@@ -346,11 +349,13 @@ def _utf8_index(pool: Pool, value: str | int) -> int:
     return value if isinstance(value, int) else pool.utf8(value)
 
 
-def _attribute(pool: Pool, name: str | int, payload: bytes) -> bytes:
+def _attribute(pool: Pool, name: str | int, payload: bytes,
+               padding: dict[str, bytes] | None = None) -> bytes:
+    payload += (padding or {}).get(name, b"")
     return struct.pack(">HI", _utf8_index(pool, name), len(payload)) + payload
 
 
-def _method_bytes(method: AsmMethod, pool: Pool) -> bytes:
+def _method_bytes(method: AsmMethod, pool: Pool, padding: dict[str, bytes]) -> bytes:
     out = struct.pack(">HHH", method.flags, pool.utf8(method.name), pool.utf8(method.desc))
     attrs = []
     if method.code is not None:
@@ -366,10 +371,10 @@ def _method_bytes(method: AsmMethod, pool: Pool) -> bytes:
             table = struct.pack(">H", len(method.lines))
             for pc, line in method.lines:
                 table += struct.pack(">HH", pc, line)
-            code_attrs.append(_attribute(pool, "LineNumberTable", table))
+            code_attrs.append(_attribute(pool, "LineNumberTable", table, padding))
         code_attrs += [_attribute(pool, name, payload) for name, payload in method.code_attributes]
         body += struct.pack(">H", len(code_attrs)) + b"".join(code_attrs)
-        attrs.append(_attribute(pool, "Code", body))
+        attrs.append(_attribute(pool, "Code", body, padding))
     out += struct.pack(">H", len(attrs)) + b"".join(attrs)
     return out
 
@@ -385,12 +390,13 @@ def assemble_class(spec: AsmClass) -> bytes:
         field_bytes += struct.pack(
             ">HHHH", f_flags, pool.utf8(f_name), pool.utf8(f_desc), 0)
 
-    method_bytes = b"".join(_method_bytes(m, pool) for m in spec.methods)
+    method_bytes = b"".join(_method_bytes(m, pool, spec.padding) for m in spec.methods)
 
     class_attrs = []
     if spec.source_file is not None:
         class_attrs.append(_attribute(
-            pool, "SourceFile", struct.pack(">H", _utf8_index(pool, spec.source_file))))
+            pool, "SourceFile", struct.pack(">H", _utf8_index(pool, spec.source_file)),
+            spec.padding))
     if spec.bootstrap_methods:
         payload = struct.pack(">H", len(spec.bootstrap_methods))
         for method in spec.bootstrap_methods:
@@ -400,7 +406,7 @@ def assemble_class(spec: AsmClass) -> bytes:
                 handle = pool.method_handle(6, pool.methodref(*method))  # REF_invokeStatic
             payload += struct.pack(">HH", handle, len(spec.bootstrap_arguments))
             payload += b"".join(struct.pack(">H", arg) for arg in spec.bootstrap_arguments)
-        class_attrs.append(_attribute(pool, "BootstrapMethods", payload))
+        class_attrs.append(_attribute(pool, "BootstrapMethods", payload, spec.padding))
     if spec.inner_class is not None:
         inner, outer, simple = spec.inner_class
         payload = struct.pack(">HHHHH", 1, pool.klass(inner), pool.klass(outer),

@@ -1,5 +1,6 @@
 """Class file parsing against the independent assembler's ground truth."""
 
+import re
 import struct
 
 import pytest
@@ -13,6 +14,15 @@ from apprepo.classfile import (
     render_method,
 )
 from apprepo.classfile.constant_pool import ByteReader, parse_constant_pool
+from apprepo.classfile.opcodes import MNEMONICS, OPCODES, WIDE_TARGETS
+from apprepo.classfile.parser import (
+    _FORMS,
+    _RESOLVED,
+    MethodBody,
+    _check_body,
+    disassemble,
+    resolved_operands,
+)
 from apprepo.errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
 
 from classasm import ACC_ABSTRACT, ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
@@ -371,6 +381,69 @@ def test_undecodable_utf8_entry_reason_and_file_offset(payload):
     assert err.value.source == "X.class"
 
 
+# --- JVMS bounds: code length, attribute lengths, field descriptors ----------
+
+@pytest.mark.parametrize("length", [0, 65536, 70001])
+def test_code_length_outside_1_to_65535_is_malformed(length):
+    def assemble(code: list) -> bytes:
+        return simple_class("p/A", methods=[AsmMethod("m", "()V", ACC_PUBLIC, code)])
+
+    code_at = parse_class(assemble([("return",)])).methods[0].body.file_base
+    data = assemble([("raw", bytes(length))])
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data)
+    assert err.value.reason == f"code length {length} is not in 1..65535"
+    assert err.value.offset == code_at - 4  # the code_length field
+    assert data[code_at - 4:code_at] == struct.pack(">I", length)
+
+
+def test_code_length_65535_parses():
+    data = simple_class("p/A", methods=[
+        AsmMethod("m", "()V", ACC_PUBLIC, [("raw", bytes(65534)), ("return",)])])
+    assert len(parse_class(data).methods[0].body.code) == 65535
+
+
+JUNK = b"\xde\xad\xbe"
+
+
+@pytest.mark.parametrize("name", ["Code", "LineNumberTable", "SourceFile", "BootstrapMethods"])
+def test_bytes_left_unread_in_an_attribute_are_malformed(name):
+    spec = AsmClass("p/A", source_file="A.java", bootstrap_methods=(("p/B", "bsm", "()V"),),
+                    methods=[AsmMethod("m", "()V", ACC_PUBLIC | ACC_STATIC,
+                                       [("invokedynamic", "run", "()V", 0), ("return",)],
+                                       lines=((0, 1), (5, 2)))])
+    parse_class(assemble_class(spec))
+    spec.padding = {name: JUNK}
+    data = assemble_class(spec)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data)
+    found = re.fullmatch(f"{name} attribute has length (\\d+), but its contents take (\\d+) bytes",
+                         err.value.reason)
+    assert found, err.value.reason
+    length, used = int(found[1]), int(found[2])
+    assert length == used + len(JUNK)
+    offset = err.value.offset
+    assert data[offset:offset + len(JUNK)] == JUNK  # where the unread bytes begin
+    assert data[offset - used - 4:offset - used] == struct.pack(">I", length)
+
+
+@pytest.mark.parametrize("desc,problem", [
+    ("Q", "invalid type tag 'Q' at position 0"),
+    ("", "unexpected end of descriptor at position 0"),
+    ("II", "trailing characters after field type at position 1"),
+    ("()V", "invalid type tag '(' at position 0"),
+    ("[L;", "empty object type name at position 1"),
+])
+def test_field_descriptor_is_checked(desc, problem):
+    data = simple_class("p/A", fields=(("ok", "[[Ljava/lang/String;", 0), ("f", desc, 0)))
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data)
+    assert err.value.reason == f"invalid field descriptor {desc!r}: {problem}"
+    # past the pool: flags, this, super, interface and field counts, then the first field
+    second_field = pool_entries_end(data) + 10 + 8
+    assert err.value.offset == second_field + 6
+
+
 def test_root_object_class_may_lack_super():
     from fixtures import framework_classes
     cf = parse_class(assemble_class(framework_classes()[0]))
@@ -454,6 +527,83 @@ def test_damaged_class_parses_or_raises_malformed(data):
     for method in cf.methods:  # decoding a body that parse_class accepted cannot fail
         offsets = [ins.offset for ins in method.instructions]
         assert offsets == sorted(set(offsets)) and offsets[:1] in ([], [0])
+
+
+# --- the parse-time body scan against the reference decoder ----------------
+
+SCAN_CLASS = AsmClass("p/S", bootstrap_methods=(("p/B", "bsm", "()V"),), methods=[
+    AsmMethod("m", "()V", ACC_PUBLIC | ACC_STATIC, [
+        ("ldc_int", 7), ("ldc_float", 1.5), ("ldc_str", "s"), ("ldc_class", "p/C"),
+        ("ldc_w_str", "w"), ("ldc2_long", 5), ("ldc2_double", 2.5),
+        ("getstatic", "p/S", "f", "I"), ("invokevirtual", "p/S", "v", "()V"),
+        ("invokeinterface", "p/I", "i", "()V", 1), ("invokedynamic", "run", "()V", 0),
+        ("new", "p/S"), ("multianewarray", "[[I", 2), ("return",)])])
+SCAN_BODY = parse_class(assemble_class(SCAN_CLASS)).methods[0].body
+SCAN_POOL_SIZE = len(SCAN_BODY.pool.entries)
+
+
+@st.composite
+def scanned_code(draw) -> bytes:
+    """A code array of instructions drawn from the decoder's opcode table,
+    their pool indices mostly valid, then maybe overwritten or cut off."""
+    code = bytearray()
+    for _ in range(draw(st.integers(1, 30))):
+        opcode = draw(st.sampled_from(sorted(OPCODES)))
+        mnemonic, kind, width = _FORMS[opcode][:3]
+        fmt = OPCODES[opcode][1]
+        code.append(opcode)
+        if fmt in ("table", "lookup"):
+            code += bytes(3 - (len(code) - 1) % 4)
+            count = draw(st.integers(0, 3))
+            offsets = draw(st.lists(st.integers(-8, 40), min_size=2 * count + 1,
+                                    max_size=2 * count + 1))
+            if fmt == "table":
+                low = draw(st.integers(-2, 2))
+                code += struct.pack(f">iii{count}i", offsets[0], low, low + count - 1,
+                                    *offsets[1:count + 1])
+            else:
+                code += struct.pack(f">ii{2 * count}i", offsets[0], count, *offsets[1:])
+        elif fmt == "wide":
+            widened = draw(st.sampled_from(sorted(WIDE_TARGETS)))
+            code += bytes([widened]) + draw(st.binary(min_size=2, max_size=2))
+            if OPCODES[widened][1] == "iinc":
+                code += draw(st.binary(min_size=2, max_size=2))
+        elif kind == _RESOLVED and fmt != "atype":
+            index = draw(st.integers(0, SCAN_POOL_SIZE + 1))
+            code += bytes([index]) if fmt == "cp1" else struct.pack(">H", index)
+            for _ in range(width - (2 if fmt == "cp1" else 3)):  # counts and zero bytes
+                code.append(draw(st.sampled_from([0, 0, 0, 1, 2])))
+        else:
+            code += draw(st.binary(min_size=width - 1, max_size=width - 1))
+    for position, value in draw(st.lists(st.tuples(st.integers(0, len(code) - 1),
+                                                   st.integers(0, 255)), max_size=3)):
+        code[position] = value
+    cut = draw(st.one_of(st.none(), st.integers(0, len(code) - 1)))
+    return bytes(code[:cut])
+
+
+def scan_outcome(check, code: bytes) -> tuple:
+    body = MethodBody(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, "s.class", {})
+    try:
+        check(body)
+    except MalformedClassFile as exc:
+        return (exc.reason, exc.offset, exc.source), body.resolved, body
+    return None, body.resolved, body
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(scanned_code())
+def test_body_scan_agrees_with_the_reference_decoder(code):
+    scanned, resolved, body = scan_outcome(_check_body, code)
+    decoded, decoded_resolved, _ = scan_outcome(lambda b: disassemble(b, None), code)
+    assert scanned == decoded
+    assert resolved == decoded_resolved
+    if scanned is None:
+        instructions: list = []
+        disassemble(body, instructions)
+        assert list(resolved_operands(body)) == [
+            (ins.mnemonic, tuple(ins)[2:]) for ins in instructions
+            if _FORMS[MNEMONICS[ins.mnemonic]][1] == _RESOLVED]
 
 
 # --- corpus fidelity: the acceptance-grade ground truth check ---------------

@@ -145,12 +145,17 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
     config = make_demo(tmp_path / "demo")
     repo = tmp_path / "demo" / "repo"
     checked, decoded, read, closures = [], [], [], []
+    check_body = apprepo.classfile.parser._check_body
     disassemble = apprepo.classfile.parser.disassemble
     resolved_operands = apprepo.classfile.parser.resolved_operands
     build_callgraph = apprepo.callgraph.build_callgraph
 
+    def counted_check_body(body):
+        checked.append(body)
+        return check_body(body)
+
     def counted_disassemble(body, out):
-        (checked if out is None else decoded).append(body)
+        decoded.append(body)
         return disassemble(body, out)
 
     def counted_resolved_operands(body):
@@ -162,6 +167,7 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
         closures.append((h, graph))
         return graph
 
+    patch_everywhere(monkeypatch, check_body, counted_check_body)
     patch_everywhere(monkeypatch, disassemble, counted_disassemble)
     patch_everywhere(monkeypatch, resolved_operands, counted_resolved_operands)
     patch_everywhere(monkeypatch, build_callgraph, recorded_build_callgraph)
