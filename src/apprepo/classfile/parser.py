@@ -427,8 +427,9 @@ _WIDE = b"\\x%02x(?:%s)" % (MNEMONICS["wide"], b"|".join(_alternatives(
 # matches the bytes of each pool-indexed (or newarray) instruction in turn,
 # stepping over the others, until the end, where it matches empty, or until
 # an instruction it cannot step over: a switch, the only kind of variable
-# width, or a bad one. Then its last nonempty match is the rest of the code
-# array from that instruction on, which no complete instruction equals.
+# width, a bad one or one cut off by the end. Then its last nonempty match
+# is the rest, from that instruction to the end, which no complete
+# pool-indexed instruction equals.
 _KEYS = re.compile(b"%s(%s|\\Z|.+)" % (
     _run(_form_alternatives({_PLAIN, _IMMEDIATE, _BRANCH}) + [_WIDE]),
     b"|".join(_form_alternatives({_RESOLVED}))), re.DOTALL).findall
@@ -461,11 +462,39 @@ def _switch_end(code: bytes, start: int) -> int | None:
     return pos if pos <= end else None
 
 
-def _rest(found: list[bytes]) -> bytes:
-    """The rest of the code array where the _KEYS matches ``found`` stopped
-    short of its end, or b"" if they reached it."""
-    rest = found[-2] if len(found) > 1 else b""
-    return b"" if not rest or _KEY_WIDTHS[rest[0]] == len(rest) else rest
+# bytes matched per _KEYS call: it bounds the rest each call copies
+_WINDOW = 1024
+# the widest instruction of fixed width (a wide iinc): one that starts
+# nearer a window's end than this may have been cut off by it
+_WIDEST = 6
+
+
+def _keys(code: bytes) -> list[bytes] | None:
+    """The _KEYS matches of a code array, window by window and switch by
+    switch, with their rests removed; None if it holds a bad instruction or
+    switch."""
+    keys: list[bytes] = []
+    end = len(code)
+    pos = 0
+    while pos < end:
+        stop = pos + _WINDOW
+        if stop > end:
+            stop = end
+        found = _KEYS(code, pos, stop)
+        rest = found[-2] if len(found) > 1 else b""
+        if not rest or _KEY_WIDTHS[rest[0]] == len(rest):
+            keys += found
+            pos = stop
+            continue
+        del found[-2]
+        keys += found
+        at = stop - len(rest)
+        pos = _switch_end(code, at)
+        if pos is None:
+            if stop == end or at <= stop - _WIDEST:
+                return None
+            pos = at  # an instruction the window cut off
+    return keys
 
 
 def _check_body(body: MethodBody) -> None:
@@ -478,20 +507,10 @@ def _check_body(body: MethodBody) -> None:
     reports the reason at the file offset of the first bad instruction and
     resolves, as the scan would have, only the instructions before it.
     """
-    code = body.code
-    end = len(code)
-    keys: set[bytes] = set()
-    pos = 0
-    while True:
-        found = _KEYS(code, pos)
-        keys.update(found)
-        rest = _rest(found)
-        if not rest:
-            break
-        keys.discard(rest)
-        pos = _switch_end(code, end - len(rest))
-        if pos is None:
-            return disassemble(body, None)
+    found = _keys(body.code)
+    if found is None:
+        return disassemble(body, None)
+    keys = set(found)
     keys.discard(b"")
     fresh = {}
     try:
@@ -564,19 +583,11 @@ def resolved_operands(body: MethodBody | None) -> Iterator[tuple[str, tuple]]:
     """
     if body is None:
         return
-    code, fields_of = body.code, body.resolved.get
-    end = len(code)
-    pos = 0
-    while True:
-        found = _KEYS(code, pos)
-        for key in found:
-            fields = fields_of(key)
-            if fields is not None:
-                yield _FORMS[key[0]][0], fields
-        rest = _rest(found)
-        if not rest:
-            return
-        pos = _switch_end(code, end - len(rest))
+    fields_of = body.resolved.get
+    for key in _keys(body.code):
+        fields = fields_of(key)
+        if fields is not None:
+            yield _FORMS[key[0]][0], fields
 
 
 _TRUNCATED = "truncated class file"

@@ -2,6 +2,7 @@
 
 import re
 import struct
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from apprepo.classfile import (
     render_method,
 )
 from apprepo.classfile.constant_pool import ByteReader, parse_constant_pool
+from apprepo.classfile import parser
 from apprepo.classfile.opcodes import MNEMONICS, OPCODES, WIDE_TARGETS
 from apprepo.classfile.parser import (
     _FORMS,
@@ -542,34 +544,67 @@ SCAN_BODY = parse_class(assemble_class(SCAN_CLASS)).methods[0].body
 SCAN_POOL_SIZE = len(SCAN_BODY.pool.entries)
 
 
+def scan_outcome(check, code: bytes) -> tuple:
+    body = MethodBody(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, "s.class", {})
+    try:
+        check(body)
+    except MalformedClassFile as exc:
+        return (exc.reason, exc.offset, exc.source), body.resolved, body
+    return None, body.resolved, body
+
+
+def _names_a_valid_entry(opcode: int, index: int) -> bool:
+    fmt = OPCODES[opcode][1]
+    operands = bytes([index]) if fmt == "cp1" else struct.pack(">H", index)
+    code = bytes([opcode]) + operands + bytes(_FORMS[opcode][2] - 1 - len(operands))
+    if fmt == "iface":
+        code = code[:3] + b"\x01\x00"
+    return scan_outcome(lambda b: disassemble(b, None), code)[0] is None
+
+
+# pool-indexed opcode -> the pool indices it may name in SCAN_BODY's pool
+SCAN_INDICES = {opcode: [index for index in range(SCAN_POOL_SIZE)
+                         if _names_a_valid_entry(opcode, index)]
+                for opcode, (_, fmt) in OPCODES.items()
+                if _FORMS[opcode][1] == _RESOLVED and fmt != "atype"}
+# opcodes to draw: switches and wide more often than their share of the table
+SCAN_OPCODES = sorted(OPCODES) + [MNEMONICS["tableswitch"], MNEMONICS["lookupswitch"],
+                                  MNEMONICS["wide"]] * 8
+
+
 @st.composite
 def scanned_code(draw) -> bytes:
     """A code array of instructions drawn from the decoder's opcode table,
     their pool indices mostly valid, then maybe overwritten or cut off."""
     code = bytearray()
     for _ in range(draw(st.integers(1, 30))):
-        opcode = draw(st.sampled_from(sorted(OPCODES)))
+        opcode = draw(st.sampled_from(SCAN_OPCODES))
         mnemonic, kind, width = _FORMS[opcode][:3]
         fmt = OPCODES[opcode][1]
         code.append(opcode)
         if fmt in ("table", "lookup"):
-            code += bytes(3 - (len(code) - 1) % 4)
+            padding = 3 - (len(code) - 1) % 4
+            code += draw(st.sampled_from([bytes(padding)] * 5 + [b"\x01" * padding]))
             count = draw(st.integers(0, 3))
             offsets = draw(st.lists(st.integers(-8, 40), min_size=2 * count + 1,
                                     max_size=2 * count + 1))
+            bad = draw(st.sampled_from([False] * 5 + [True]))  # high < low, npairs < 0
             if fmt == "table":
                 low = draw(st.integers(-2, 2))
-                code += struct.pack(f">iii{count}i", offsets[0], low, low + count - 1,
-                                    *offsets[1:count + 1])
+                high = low - 1 if bad else low + count
+                code += struct.pack(f">iii{count + 1}i", offsets[0], low, high,
+                                    *offsets[:count + 1])
             else:
-                code += struct.pack(f">ii{2 * count}i", offsets[0], count, *offsets[1:])
+                code += struct.pack(f">ii{2 * count}i", offsets[0], -1 if bad else count,
+                                    *offsets[1:])
         elif fmt == "wide":
             widened = draw(st.sampled_from(sorted(WIDE_TARGETS)))
             code += bytes([widened]) + draw(st.binary(min_size=2, max_size=2))
             if OPCODES[widened][1] == "iinc":
                 code += draw(st.binary(min_size=2, max_size=2))
         elif kind == _RESOLVED and fmt != "atype":
-            index = draw(st.integers(0, SCAN_POOL_SIZE + 1))
+            index = draw(st.one_of(st.sampled_from(SCAN_INDICES[opcode]) if SCAN_INDICES[opcode]
+                                   else st.nothing(), st.integers(0, SCAN_POOL_SIZE + 1)))
             code += bytes([index]) if fmt == "cp1" else struct.pack(">H", index)
             for _ in range(width - (2 if fmt == "cp1" else 3)):  # counts and zero bytes
                 code.append(draw(st.sampled_from([0, 0, 0, 1, 2])))
@@ -582,28 +617,20 @@ def scanned_code(draw) -> bytes:
     return bytes(code[:cut])
 
 
-def scan_outcome(check, code: bytes) -> tuple:
-    body = MethodBody(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, "s.class", {})
-    try:
-        check(body)
-    except MalformedClassFile as exc:
-        return (exc.reason, exc.offset, exc.source), body.resolved, body
-    return None, body.resolved, body
-
-
-@settings(max_examples=500, derandomize=True, deadline=None, database=None)
-@given(scanned_code())
-def test_body_scan_agrees_with_the_reference_decoder(code):
-    scanned, resolved, body = scan_outcome(_check_body, code)
+@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@given(scanned_code(), st.sampled_from([parser._WINDOW, 6, 7, 11]))
+def test_body_scan_agrees_with_the_reference_decoder(code, window):
     decoded, decoded_resolved, _ = scan_outcome(lambda b: disassemble(b, None), code)
-    assert scanned == decoded
-    assert resolved == decoded_resolved
-    if scanned is None:
-        instructions: list = []
-        disassemble(body, instructions)
-        assert list(resolved_operands(body)) == [
-            (ins.mnemonic, tuple(ins)[2:]) for ins in instructions
-            if _FORMS[MNEMONICS[ins.mnemonic]][1] == _RESOLVED]
+    with mock.patch.object(parser, "_WINDOW", window):  # small windows cut instructions
+        scanned, resolved, body = scan_outcome(_check_body, code)
+        assert scanned == decoded
+        assert resolved == decoded_resolved
+        if scanned is None:
+            instructions: list = []
+            disassemble(body, instructions)
+            assert list(resolved_operands(body)) == [
+                (ins.mnemonic, tuple(ins)[2:]) for ins in instructions
+                if _FORMS[MNEMONICS[ins.mnemonic]][1] == _RESOLVED]
 
 
 # --- corpus fidelity: the acceptance-grade ground truth check ---------------
