@@ -469,7 +469,7 @@ _WINDOW = 1024
 _WIDEST = 6
 
 
-def _keys(code: bytes) -> list[bytes] | None:
+def _scan(code: bytes) -> list[bytes] | None:
     """The _KEYS matches of a code array, window by window and switch by
     switch, with their rests removed; None if it holds a bad instruction or
     switch."""
@@ -507,7 +507,7 @@ def _check_body(body: MethodBody) -> None:
     reports the reason at the file offset of the first bad instruction and
     resolves, as the scan would have, only the instructions before it.
     """
-    found = _keys(body.code)
+    found = _scan(body.code)
     if found is None:
         return disassemble(body, None)
     keys = set(found)
@@ -584,7 +584,7 @@ def resolved_operands(body: MethodBody | None) -> Iterator[tuple[str, tuple]]:
     if body is None:
         return
     fields_of = body.resolved.get
-    for key in _keys(body.code):
+    for key in _scan(body.code):
         fields = fields_of(key)
         if fields is not None:
             yield _FORMS[key[0]][0], fields
