@@ -206,11 +206,8 @@ class ClassFile:
         return self._methods_by_key.get((name, descriptor))
 
 
-_NAME_DELIMITER = re.compile("[;()]").search
-
-
 def _check_internal_name(name: str, reader: ByteReader, what: str) -> str:
-    if not name or _NAME_DELIMITER(name):
+    if not name or any(ch in name for ch in ";()"):
         raise reader.fail(f"invalid {what} {name!r}")
     return name
 
@@ -425,11 +422,11 @@ _WIDE = b"\\x%02x(?:%s)" % (MNEMONICS["wide"], b"|".join(_alternatives(
 # Each alternative starts with its own opcode class, so a code array splits
 # into instructions in one way only. From an instruction's start, _KEYS
 # matches the bytes of each pool-indexed (or newarray) instruction in turn,
-# stepping over the others, until the end, where it matches empty, or until
-# an instruction it cannot step over: a switch, the only kind of variable
-# width, a bad one or one cut off by the end. Then its last nonempty match
-# is the rest, from that instruction to the end, which no complete
-# pool-indexed instruction equals.
+# stepping over the others, until the end of the span it scans, where it
+# matches empty, or until an instruction it cannot step over: a switch, the
+# only kind of variable width, a bad one or one cut off by the span's end.
+# Then its last nonempty match is the rest, from that instruction to the
+# span's end, which no complete pool-indexed instruction equals.
 _KEYS = re.compile(b"%s(%s|\\Z|.+)" % (
     _run(_form_alternatives({_PLAIN, _IMMEDIATE, _BRANCH}) + [_WIDE]),
     b"|".join(_form_alternatives({_RESOLVED}))), re.DOTALL).findall
