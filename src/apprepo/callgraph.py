@@ -9,6 +9,7 @@ edge set over-approximates every dynamic call graph of the program
 
 from __future__ import annotations
 
+import re
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from itertools import product
@@ -21,7 +22,8 @@ from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
 from .errors import (EntryPointMissing, MalformedClassFile, SchemaViolation,
                      TargetClassMissing)
-from .xmlio import XML_DECLARATION, escape_attr, non_xml_char, read_document
+from .xmlio import (ESCAPED_VALUE, XML_DECLARATION, escape_attr, non_xml_char,
+                    read_document, unescape_attr)
 
 ALGORITHM = "CHA"
 CLINIT_NAME = "<clinit>"
@@ -35,6 +37,22 @@ _FLAGS = ("inFramework", "inLibrary", "inApplication", "reachable")
 _FLAG_ATTRS = {flags: " ".join(f'{name}="{"true" if value else "false"}"'
                                for name, value in zip(_FLAGS, flags))
                for flags in product((False, True), repeat=len(_FLAGS))}
+_FLAGS_OF = {text: flags for flags, text in _FLAG_ATTRS.items()}
+
+# the document of a graph with no methods, and the lines around the methods
+# of any other graph, as serialize_callgraph writes them
+_EMPTY_DOCUMENT = XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}"/>\n'
+_HEAD = XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}">\n'
+_TAIL = "</callgraph>\n"
+# a run of <calls> lines is the targets joined by what ends one line and starts the next
+_CALLS_OPEN, _CALLS_CLOSE = '    <calls target="', '"/>\n'
+# one <method> element, as serialize_callgraph writes it: the raw id and
+# inClass, the flag attributes, entry, and the run of <calls> lines if any.
+# A target's characters need no check here: it counts only if it is an id.
+_FLAG_VALUES = " ".join(f'{name}="(?:true|false)"' for name in _FLAGS)
+_METHOD = (f'  <method id="({ESCAPED_VALUE})" inClass="({ESCAPED_VALUE})"'
+           f' ({_FLAG_VALUES})( entry="true")?'
+           f'(?:/>\n|>\n((?:{_CALLS_OPEN}[^"]*+{_CALLS_CLOSE})++)  </method>\n)')
 
 
 @dataclass(frozen=True)
@@ -358,8 +376,10 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     """Render a call graph as deterministic UTF-8 XML bytes.
 
     Methods are sorted by id, ``calls`` children by target, both by the raw
-    (unescaped) method text; flags use the fixed attribute names inClass /
-    inFramework / inLibrary / inApplication. Each method's text is computed
+    (unescaped) method text. Each method's attributes come in a fixed
+    order: id, inClass, the flags inFramework / inLibrary / inApplication /
+    reachable, each ``true`` or ``false``, and ``entry="true"`` on an entry
+    point only. Each method's text is computed
     and escaped once; the lines, in :class:`~apprepo.xmlio.XmlWriter`'s
     layout, are written directly from the graph's table.
     A caller, call target or entry point outside ``nodes`` raises
@@ -392,7 +412,7 @@ def serialize_callgraph(g: CallGraph) -> bytes:
                               f" {t!r}, which reads back as another method")
     escaped = {ref: escape_attr(t) for ref, t in text.items()}
     if not text:
-        return (XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}"/>\n').encode("utf-8")
+        return _EMPTY_DOCUMENT.encode("utf-8")
     lines = [XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}">']
     for ref in sorted(text, key=text.__getitem__):
         calls = sorted(g.calls.get(ref, ()), key=text.__getitem__)
@@ -423,7 +443,73 @@ def _parse_bool(value: str, what: str) -> bool:
 
 
 def parse_callgraph(doc: bytes | str) -> CallGraph:
-    """Parse and validate a persisted call graph document."""
+    """Parse and validate a persisted call graph document.
+
+    A document in exactly :func:`serialize_callgraph`'s layout that passes
+    every schema check is read with one pattern scan. Any other document
+    goes to the tree reader, which is the reference reader and the source
+    of every error.
+    """
+    graph = _scan_callgraph(doc)
+    return _parse_tree(doc) if graph is None else graph
+
+
+def _scan_callgraph(doc: bytes | str) -> CallGraph | None:
+    """The graph of a document that the writer's own layout matches at
+    every byte and that passes every schema check, else None.
+
+    Each method's match must start where the last one ended. Every value
+    has one spelling (see :data:`~apprepo.xmlio.ESCAPED_VALUE`), so ids are
+    compared, and call targets looked up, by their raw text.
+    """
+    if not isinstance(doc, str):
+        try:
+            doc = doc.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    if doc == _EMPTY_DOCUMENT:
+        return CallGraph({}, {}, frozenset())
+    if not doc.startswith(_HEAD):
+        return None
+    pos = len(_HEAD)
+    refs: dict[str, MethodRef] = {}  # raw id -> its method
+    nodes: dict[MethodRef, tuple[bool, bool, bool, bool]] = {}
+    entry_points: list[MethodRef] = []
+    listed: list[tuple[MethodRef, int, int]] = []  # each caller's run of <calls> lines
+    # compiled on the first read (re caches it), so other commands never pay for it
+    for match in re.compile(_METHOD).finditer(doc, pos):
+        if match.start() != pos:
+            return None
+        pos = match.end()
+        raw_id, raw_class, flags, entry = match.group(1, 2, 3, 4)
+        if raw_id in refs:
+            return None
+        try:
+            ref = refs[raw_id] = MethodRef.from_text(unescape_attr(raw_id))
+        except ValueError:
+            return None
+        if unescape_attr(raw_class) != ref.in_class:
+            return None
+        nodes[ref] = _FLAGS_OF[flags]
+        if entry:
+            entry_points.append(ref)
+        start, end = match.span(5)
+        if start >= 0:
+            listed.append((ref, start + len(_CALLS_OPEN), end - len(_CALLS_CLOSE)))
+    if not nodes or pos + len(_TAIL) != len(doc) or not doc.endswith(_TAIL):
+        return None
+    calls: dict[MethodRef, frozenset[MethodRef]] = {}
+    separator = _CALLS_CLOSE + _CALLS_OPEN
+    for caller, start, end in listed:
+        targets = doc[start:end].split(separator)
+        callees = calls[caller] = frozenset(map(refs.get, targets))
+        if None in callees or len(callees) < len(targets):
+            return None  # a dangling or repeated target
+    return CallGraph(nodes, calls, frozenset(entry_points))
+
+
+def _parse_tree(doc: bytes | str) -> CallGraph:
+    """The reference reader: any document, through an element tree."""
     root = read_document(doc, "callgraph", SchemaViolation)
     nodes: dict[MethodRef, tuple[bool, bool, bool, bool]] = {}
     listed: dict[MethodRef, list[str]] = {}  # each caller's call targets, as written

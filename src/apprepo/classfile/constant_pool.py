@@ -276,7 +276,7 @@ _TRUNCATED = "truncated class file"
 _entry = partial(_new, ConstantEntry)  # (tag, value) -> ConstantEntry, in C
 
 
-def _entry_start(data: bytes, pos: int, index: int) -> int:
+def entry_offset(data: bytes, pos: int, index: int) -> int:
     """The offset in ``data`` of pool entry ``index``, in a table already
     read whole whose first entry is at ``pos``."""
     slot = 1
@@ -368,7 +368,7 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
         try:
             return pool._resolve(tags[index], values[index])
         except MalformedClassFile as exc:
-            raise reader.fail(exc.reason, _entry_start(data, first, index)) from exc
+            raise reader.fail(exc.reason, entry_offset(data, first, index)) from exc
 
     text_of = texts.get
     for index in steps[0]:
@@ -379,6 +379,7 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
         else:
             final = text_of(value)
             values[index] = resolved(index) if final is None else final
+    handles = []
     for index in steps[1]:
         tag = tags[index]
         named, nat_index = values[index]
@@ -387,6 +388,7 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
             if (wanted is None or nat_index >= count
                     or tags[nat_index] not in MEMBER_KINDS[wanted]):
                 resolved(index)
+            handles.append(index)
             continue  # a handle keeps its kind and index
         if nat_index >= count or tags[nat_index] != CONST_NAME_AND_TYPE:
             values[index] = resolved(index)
@@ -396,5 +398,15 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
             values[index] = resolved(index)
         else:
             values[index] = (values[named],) + values[nat_index]
+    # kind 8 (REF_newInvokeSpecial) names <init>, and kinds 5, 6, 7 and 9
+    # name no special method (JVMS §4.4.8)
+    for index in handles:
+        kind, member = values[index]
+        name = values[member][1]
+        if (kind == 8 and name != "<init>"
+                or kind in (5, 6, 7, 9) and name in ("<init>", "<clinit>")):
+            rule = "must name <init>" if kind == 8 else "may not name <init> or <clinit>"
+            raise reader.fail(f"MethodHandle of kind {kind} {rule}, got {name}",
+                              entry_offset(data, first, index))
     pool.entries = entries()
     return pool

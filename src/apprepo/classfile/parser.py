@@ -770,7 +770,17 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
             f"unsupported major version {major}"
             f" (supported: {MIN_MAJOR_VERSION}..{MAX_MAJOR_VERSION})",
             reader.pos - 2, source)
+    pool_start = reader.pos + 2  # after the entry count
     pool = parse_constant_pool(reader)
+    if major < 52:  # before 52, kinds 6 and 7 name only a Methodref (JVMS §4.4.8)
+        for index, entry in enumerate(pool.entries):
+            if (entry is not None and entry.tag == cp.CONST_METHOD_HANDLE
+                    and entry.value[0] in (6, 7)
+                    and pool.entries[entry.value[1]].tag == cp.CONST_INTERFACE_METHODREF):
+                raise MalformedClassFile(
+                    f"MethodHandle of kind {entry.value[0]} names an InterfaceMethodref,"
+                    f" which needs major version 52, got {major}",
+                    cp.entry_offset(data, pool_start, index), source)
     access_flags = reader.u2()
     class_name = _check_internal_name(reader.ref(pool.class_name), reader, "class name")
     super_name = reader.ref(_optional_class(pool))

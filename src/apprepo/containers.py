@@ -7,13 +7,21 @@ A "container" is anywhere class files live: a directory tree holding
 
 from __future__ import annotations
 
+import lzma
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Iterator
 
 from .errors import ContainerUnreadable
 
 ARCHIVE_SUFFIXES = (".jar", ".zip")
+# what zipfile raises on damaged archive bytes: besides BadZipFile and
+# OSError, a bad deflate or LZMA stream, a stream that ends early, an
+# unknown compression method or zip version, an encrypted entry, a negative
+# offset or a file name that is not UTF-8
+_DAMAGED = (zipfile.BadZipFile, OSError, zlib.error, lzma.LZMAError, EOFError,
+            NotImplementedError, RuntimeError, ValueError)
 
 
 def is_archive(path: Path) -> bool:
@@ -50,9 +58,15 @@ def iter_class_entries(container: Path) -> Iterator[tuple[str, bytes]]:
 
 def _iter_archive(path: Path, prefix: str = "") -> Iterator[tuple[str, bytes]]:
     try:
-        with zipfile.ZipFile(path) as zf:
-            for name in zf.namelist():
-                if name.endswith(".class"):
-                    yield prefix + name, zf.read(name)
-    except (zipfile.BadZipFile, OSError) as exc:
+        archive = zipfile.ZipFile(path)
+    except _DAMAGED as exc:
         raise ContainerUnreadable(f"cannot read archive {path}: {exc}") from exc
+    with archive:
+        for name in archive.namelist():
+            if name.endswith(".class"):
+                try:
+                    data = archive.read(name)
+                except _DAMAGED as exc:
+                    raise ContainerUnreadable(f"cannot read entry {name} of archive {path}:"
+                                              f" {exc or type(exc).__name__}") from exc
+                yield prefix + name, data

@@ -13,15 +13,24 @@ import xml.etree.ElementTree as ET
 
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
-# one character outside XML 1.0's Char production: C0 controls other than
+# the characters outside XML 1.0's Char production: C0 controls other than
 # tab, newline and carriage return, surrogates, U+FFFE and U+FFFF (listed,
 # not negated: the negated class over the whole range is slow to compile)
-_NON_XML_CHAR = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+_NON_XML = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
+_NON_XML_CHAR = re.compile(f"[{_NON_XML}]")
 
 _ATTR_ESCAPES = str.maketrans({
     "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
     "\n": "&#10;", "\r": "&#13;", "\t": "&#9;",
 })
+
+# a run of characters that escape_attr writes as they are
+_LITERAL = f'[^"&<>\t\n\r{_NON_XML}]*+'
+# an attribute value (without its quotes) exactly as escape_attr spells it:
+# literal characters and its seven references only. Each text has one such
+# spelling, and each spelling reads as that text; a tree reader reads a
+# literal tab or newline as a space, so neither is literal here.
+ESCAPED_VALUE = f"{_LITERAL}(?:&(?:amp|lt|gt|quot|#10|#13|#9);{_LITERAL})*+"
 
 
 def escape_attr(value: str) -> str:
@@ -32,6 +41,16 @@ def escape_attr(value: str) -> str:
     every other character is kept as it is.
     """
     return value.translate(_ATTR_ESCAPES)
+
+
+def unescape_attr(value: str) -> str:
+    """The text of a value matching :data:`ESCAPED_VALUE`, the inverse of
+    :func:`escape_attr` (``&amp;`` goes last, so ``&amp;lt;`` gives ``&lt;``)."""
+    if "&" not in value:
+        return value
+    return (value.replace("&lt;", "<").replace("&gt;", ">").replace("&quot;", '"')
+            .replace("&#10;", "\n").replace("&#13;", "\r").replace("&#9;", "\t")
+            .replace("&amp;", "&"))
 
 
 def non_xml_char(text: str) -> str | None:

@@ -173,6 +173,63 @@ def test_method_handle_kind_must_match_the_entry_it_names(kind, reason):
     assert err.value.offset == len(data) - 4  # the handle's tag byte
 
 
+def handle_pool(kind: int, name: str, tag: int = 10) -> bytes:
+    """A pool whose #7 is a MethodHandle of ``kind`` naming #6, a member
+    reference of ``tag`` to p/A.``name``()V."""
+    return struct.pack(">H", 8) + b"".join([
+        struct.pack(">BH", 1, 3) + b"p/A", struct.pack(">BH", 7, 1),
+        struct.pack(">BH", 1, len(name)) + name.encode(), struct.pack(">BH", 1, 3) + b"()V",
+        struct.pack(">BHH", 12, 3, 4), struct.pack(">BHH", tag, 2, 5),
+        struct.pack(">BBH", 15, kind, 6)])
+
+
+@pytest.mark.parametrize("kind,tag,name", [
+    (5, 10, "<init>"), (6, 10, "<clinit>"), (6, 11, "<init>"), (7, 10, "<init>"),
+    (7, 11, "<clinit>"), (9, 11, "<init>"), (9, 11, "<clinit>"),
+    (8, 10, "m"), (8, 10, "<clinit>"),
+])
+def test_method_handle_names_no_special_method_unless_kind_8_names_init(kind, tag, name):
+    allowed = "<init>" if kind == 8 else "m"
+    assert parse_constant_pool(ByteReader(handle_pool(kind, allowed, tag))).entries[7] == (
+        15, (kind, 6))
+    data = handle_pool(kind, name, tag)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_constant_pool(ByteReader(data))
+    rule = "must name <init>" if kind == 8 else "may not name <init> or <clinit>"
+    assert err.value.reason == f"MethodHandle of kind {kind} {rule}, got {name}"
+    assert err.value.offset == len(data) - 4  # the handle's tag byte
+
+
+@pytest.mark.parametrize("kind", [6, 7])
+def test_method_handle_names_an_interface_method_only_from_major_52(kind):
+    def assembled(major: int) -> tuple[bytes, int]:
+        """Class bytes whose bootstrap handle of ``kind`` names an
+        InterfaceMethodref, and the handle's offset."""
+        spec = AsmClass("P", methods=[AsmMethod("m", "()V", ACC_PUBLIC, [("return",)])],
+                        bootstrap_methods=(("p/B", "bsm", "()V"),), major=major)
+        data = assemble_class(spec)
+        entries = parse_class(data).constant_pool.entries
+        index = next(i for i, e in enumerate(entries) if e is not None and e.tag == 10)
+        cls, name, desc = entries[index].value
+        methodref = struct.pack(">BHH", 10, entries.index((7, cls)),
+                                entries.index((12, (name, desc))))
+        handle = struct.pack(">BBH", 15, 6, index)
+        assert data.count(methodref) == data.count(handle) == 1
+        data = data.replace(methodref, b"\x0b" + methodref[1:])
+        return data.replace(handle, struct.pack(">BBH", 15, kind, index)), data.index(handle)
+
+    data, _ = assembled(52)
+    handles = [e.value for e in parse_class(data).constant_pool.entries
+               if e is not None and e.tag == 15]
+    assert [kind for kind, _ in handles] == [kind]
+    data, offset = assembled(51)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data, source="P.class")
+    assert err.value.reason == (f"MethodHandle of kind {kind} names an InterfaceMethodref,"
+                                " which needs major version 52, got 51")
+    assert (err.value.offset, err.value.source) == (offset, "P.class")
+
+
 @pytest.mark.parametrize("tag,name", [(5, "Long"), (6, "Double")])
 def test_long_or_double_in_the_last_pool_slot_is_malformed(tag, name):
     assert parse_constant_pool(ByteReader(struct.pack(">HBq", 3, tag, 0))).entries[2] is None

@@ -22,6 +22,7 @@ from bundles import SOURCES_LOC, build_bundle, ripper_document, write_sources
 from classasm import ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
 from make_demo import make_demo
 from test_classfile import wrong_kind_class
+from test_containers import damage_jar
 
 
 def write_config(path: Path, corpus, sources_dir=None, gui_path=None, **overrides):
@@ -298,6 +299,27 @@ def test_corrupt_library_jar_fails_a_bundle_without_gui(corpus, tmp_path, capsys
         assert main(["report", str(repo)]) == 1
     assert len(capsys.readouterr().out.splitlines()) == 2  # header and separator only
     assert any(r.message.startswith("skipping v1") for r in caplog.records)
+
+
+def test_damaged_jar_entry_fails_validate_and_build_without_a_traceback(
+        corpus, hierarchy, tmp_path, capsys):
+    bundle = build_bundle(corpus, hierarchy, tmp_path / "bundle")
+    jar, = read_project_file(bundle).libraries_dir.glob("*.jar")
+    entry = damage_jar(jar, "deflate")
+    capsys.readouterr()
+    assert main(["validate", str(bundle)]) == 1
+    out, err = capsys.readouterr()
+    lines = [json.loads(l) for l in out.splitlines()]
+    assert [(l["level"], l["code"]) for l in lines[:-1]] == [("violation", "CodeModel")]
+    assert f"cannot read entry {entry} of archive {jar}" in lines[0]["detail"]
+    assert "Traceback" not in err
+
+    config = write_config(tmp_path / "c.json", corpus, library=[str(jar)])
+    assert main(["build", "--config", str(config), "--out", str(tmp_path / "proj")]) == 1
+    out, err = capsys.readouterr()
+    failure = stage_failure(err)
+    assert (failure["stage"], failure["error"]) == ("hierarchy", "ContainerUnreadable")
+    assert "Traceback" not in err
 
 
 def test_build_byte_identical_outputs(inputs, tmp_path):

@@ -1,6 +1,8 @@
 """Class container discovery: directories, jars, nested archives."""
 
+import struct
 import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,55 @@ def test_corrupt_archive(tmp_path):
     bad.write_bytes(b"not a zip at all")
     with pytest.raises(ContainerUnreadable):
         list(iter_class_entries(bad))
+
+
+def damage_jar(jar: Path, damage: str) -> str:
+    """Rewrite ``jar`` with one class entry damaged, and return its name.
+
+    ``deflate`` and ``lzma`` overwrite the start of the entry's compressed
+    stream; ``method`` sets compression method 99 and ``encrypted`` the
+    encryption flag, each in the local and the central header.
+    """
+    with zipfile.ZipFile(jar) as zf:
+        entries = {name: zf.read(name) for name in zf.namelist()}
+    name = next(n for n in entries if n.endswith(".class"))
+    method = zipfile.ZIP_LZMA if damage == "lzma" else zipfile.ZIP_DEFLATED
+    with zipfile.ZipFile(jar, "w", method) as zf:  # the damaged entry first
+        zf.writestr(name, entries.pop(name))
+        for other, data in entries.items():
+            zf.writestr(other, data)
+    data = bytearray(jar.read_bytes())
+    central = data.index(b"PK\x01\x02")
+    # the stream follows the local header, and for LZMA its 9-byte properties
+    stream = 30 + len(name.encode()) + (9 if damage == "lzma" else 0)
+    if damage in ("deflate", "lzma"):
+        data[stream:stream + 8] = b"\xff" * 8
+    elif damage == "method":
+        struct.pack_into("<H", data, 8, 99)
+        struct.pack_into("<H", data, central + 10, 99)
+    else:
+        data[6] |= 1
+        data[central + 8] |= 1
+    jar.write_bytes(bytes(data))
+    return name
+
+
+@pytest.mark.parametrize("damage,reason", [
+    ("deflate", "invalid block type"),
+    ("lzma", "Corrupt input data"),
+    ("method", "compression method is not supported"),
+    ("encrypted", "is encrypted"),
+])
+def test_damaged_entry_is_unreadable_naming_archive_and_entry(tmp_path, damage, reason):
+    jar = tmp_path / "lib.jar"
+    with zipfile.ZipFile(jar, "w") as zf:
+        zf.writestr("x/C.class", klass("x/C"))
+        zf.writestr("x/D.class", klass("x/D"))
+    name = damage_jar(jar, damage)
+    with pytest.raises(ContainerUnreadable) as err:
+        list(iter_class_entries(jar))
+    assert f"cannot read entry {name} of archive {jar}: " in str(err.value)
+    assert reason in str(err.value)
 
 
 def test_unresolved_external_nodes_have_no_flags_and_no_edges(corpus):
