@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
 from typing import NamedTuple
@@ -55,19 +54,22 @@ _METHOD = (f'  <method id="({ESCAPED_VALUE})" inClass="({ESCAPED_VALUE})"'
            f'(?:/>\n|>\n((?:{_CALLS_OPEN}[^"]*+{_CALLS_CLOSE})++)  </method>\n)')
 
 
-@dataclass(frozen=True)
-class ClasspathPartition:
+class _PartitionFields(NamedTuple):
+    framework: tuple[Path, ...] = ()
+    library: tuple[Path, ...] = ()
+    application: tuple[Path, ...] = ()
+
+
+class ClasspathPartition(_PartitionFields):
     """The framework / library / application split of the class path.
 
     The three container lists must be disjoint as paths; the classes they
     provide may still overlap by name.
     """
 
-    framework: tuple[Path, ...] = ()
-    library: tuple[Path, ...] = ()
-    application: tuple[Path, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *fields, **named):
         seen: dict = {}
         for component, containers in (("framework", self.framework),
                                        ("library", self.library),
@@ -78,6 +80,10 @@ class ClasspathPartition:
                         f"container {path} listed in both {seen[path]} and {component}")
                 seen[path] = component
 
+    @classmethod
+    def _make(cls, values) -> "ClasspathPartition":
+        return cls(*values)  # so that _replace checks as the constructor does
+
     @staticmethod
     def of(framework=(), library=(), application=()) -> "ClasspathPartition":
         return ClasspathPartition(
@@ -87,7 +93,6 @@ class ClasspathPartition:
         )
 
 
-@dataclass
 class ClassHierarchy:
     """All parsed classes plus the inverted subtype relation.
 
@@ -97,18 +102,29 @@ class ClassHierarchy:
     ``origins`` maps a provided class name to its (framework, library,
     application) flags; a name it lacks is external. :meth:`lookup` and
     :meth:`transitive_subtypes` memoize their answers, so the classes must
-    not change once either is used.
+    not change once either is used. Equality compares the five fields,
+    not the memos.
     """
 
-    classes: dict[str, ClassFile]
-    subtypes: dict[str, set[str]]
-    duplicates: dict[str, list[str]]
-    externals: set[str]
-    origins: dict[str, tuple[bool, bool, bool]] = field(default_factory=dict)
-    _declarations: dict[tuple[str, str, str], MethodRef | None] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _subtype_closures: dict[str, frozenset[str]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("classes", "subtypes", "duplicates", "externals", "origins",
+                 "_declarations", "_subtype_closures")
+
+    def __init__(self, classes: dict[str, ClassFile], subtypes: dict[str, set[str]],
+                 duplicates: dict[str, list[str]], externals: set[str],
+                 origins: dict[str, tuple[bool, bool, bool]] | None = None):
+        self.classes = classes
+        self.subtypes = subtypes
+        self.duplicates = duplicates
+        self.externals = externals
+        self.origins = {} if origins is None else origins
+        self._declarations: dict[tuple[str, str, str], MethodRef | None] = {}
+        self._subtype_closures: dict[str, frozenset[str]] = {}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in self.__slots__[:5])
 
     def transitive_subtypes(self, class_name: str) -> frozenset[str]:
         """Every direct or indirect subtype of a class, computed once per class."""

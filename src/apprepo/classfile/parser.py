@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterator, NamedTuple
 
@@ -119,8 +118,34 @@ class MethodBody(NamedTuple):
     resolved: dict[bytes, tuple]
 
 
-@dataclass(frozen=True)
-class MethodInfo:
+# MethodInfo and ClassFile are named tuples with an instance dict for their
+# cached reads; these keep them as read-only as their fields, and give the
+# inequality and repr that the tuple's own would get wrong
+def _read_only(self, name: str, *value) -> None:
+    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is read-only")
+
+
+def _differs(self, other: object) -> bool:
+    equal = self.__eq__(other)
+    return equal if equal is NotImplemented else not equal
+
+
+def _repr(record: tuple, hidden: tuple[str, ...]) -> str:
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, record)
+                      if name not in hidden)
+    return f"{type(record).__name__}({shown})"
+
+
+class _MethodFields(NamedTuple):
+    name: str
+    descriptor: str
+    access_flags: int
+    line_table: tuple[int, ...] = ()
+    attribute_names: tuple[str, ...] = ()
+    body: MethodBody | None = None
+
+
+class MethodInfo(_MethodFields):
     """A parsed method: flags, line number table and body.
 
     ``line_table`` holds the checked LineNumberTable entries as they are
@@ -130,15 +155,13 @@ class MethodInfo:
     already resolved; :func:`resolved_operands` reads those without
     decoding. The body is decoded into :attr:`instructions` on the first
     read, and the tuple is kept. Equality compares the decoded
-    instructions, not the body bytes.
+    instructions, not the body bytes, and the hash leaves both out.
+
+    A named tuple underneath, so it is built without a Python-level
+    ``__init__``; its own ``__dict__`` only keeps the two cached reads.
     """
 
-    name: str
-    descriptor: str
-    access_flags: int
-    line_table: tuple[int, ...] = field(default=(), repr=False)
-    attribute_names: tuple[str, ...] = ()
-    body: MethodBody | None = field(default=None, compare=False, repr=False)
+    __setattr__ = __delattr__ = _read_only
 
     @cached_property
     def line_numbers(self) -> tuple[tuple[int, int], ...]:
@@ -155,10 +178,15 @@ class MethodInfo:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.name, self.descriptor, self.access_flags, self.line_table,
-                self.attribute_names, self.instructions) == (
-            other.name, other.descriptor, other.access_flags, other.line_table,
-            other.attribute_names, other.instructions)
+        return self[:5] == other[:5] and self.instructions == other.instructions
+
+    __ne__ = _differs
+
+    def __hash__(self) -> int:
+        return hash(self[:5])
+
+    def __repr__(self) -> str:
+        return _repr(self, ("line_table", "body"))
 
     @property
     def is_abstract(self) -> bool:
@@ -176,23 +204,43 @@ class MethodInfo:
         return MethodRef(class_name, self.name, self.descriptor)
 
 
-@dataclass(frozen=True)
-class ClassFile:
-    """A fully validated class file.
-
-    Its methods are indexed by ``(name, descriptor)`` on the first
-    :meth:`find_method` call, which makes every call a dict lookup.
-    """
-
+class _ClassFields(NamedTuple):
     class_name: str
     super_name: str | None
     interfaces: tuple[str, ...]
     access_flags: int
     methods: tuple[MethodInfo, ...]
     source_file: str | None
-    constant_pool: ConstantPool = field(compare=False, repr=False)
+    constant_pool: ConstantPool
     version: tuple[int, int] = (MIN_MAJOR_VERSION, 0)
     attribute_names: tuple[str, ...] = ()
+
+
+class ClassFile(_ClassFields):
+    """A fully validated class file.
+
+    Its methods are indexed by ``(name, descriptor)`` on the first
+    :meth:`find_method` call, which makes every call a dict lookup.
+    Equality and the hash leave out ``constant_pool``.
+    """
+
+    __setattr__ = __delattr__ = _read_only
+
+    def _compared(self) -> tuple:
+        return self[:6] + self[7:]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._compared() == other._compared()
+
+    __ne__ = _differs
+
+    def __hash__(self) -> int:
+        return hash(self._compared())
+
+    def __repr__(self) -> str:
+        return _repr(self, ("constant_pool",))
 
     @property
     def is_interface(self) -> bool:
@@ -859,7 +907,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
             body = _new(MethodBody, (code, code_base, pool, bootstrap_methods, source,
                                      resolved))
             _check_body(body)
-        methods.append(MethodInfo(m_name, m_desc, m_flags, lines, names, body))
+        methods.append(_new(MethodInfo, (m_name, m_desc, m_flags, lines, names, body)))
 
     return ClassFile(
         class_name=class_name,

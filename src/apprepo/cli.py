@@ -5,7 +5,8 @@
   apprepo report <repo-root> [--csv]
 
 Exit codes: 0 success, 1 validation or pipeline failure, 2 usage or I/O
-error. Diagnostics go to stderr; data goes to stdout.
+error, 120 when stdout or stderr cannot be flushed at the end.
+Diagnostics go to stderr; data goes to stdout.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ import argparse
 import gc
 import json
 import logging
+import os
 import shutil
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from stat import S_IFDIR, S_IFREG
+from typing import NamedTuple, NoReturn
 
 from . import callgraph as cg
 from .classfile import MethodRef
@@ -31,6 +34,7 @@ from .project import (
     PROJECT_FILE_NAME,
     Project,
     ProjectReport,
+    exists_as,
     missing_artifacts,
     read_project_file,
     render_project_file,
@@ -41,8 +45,7 @@ from .xmlio import non_xml_char
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     """One declarative build-pipeline run."""
 
     name: str
@@ -148,9 +151,10 @@ def _check_config(config: PipelineConfig) -> None:
         if out == resolved or out.is_relative_to(resolved) or resolved.is_relative_to(out):
             raise StageFailure("config", IoFailure(
                 f"output dir {out} overlaps input {input_dir}"))
-        if not input_dir.exists():
+        if not exists_as(input_dir):
             raise StageFailure("inputs", IoFailure(f"input does not exist: {input_dir}"))
-    if config.external_gui_path is not None and not config.external_gui_path.is_file():
+    if (config.external_gui_path is not None
+            and not exists_as(config.external_gui_path, S_IFREG)):
         raise StageFailure("inputs", IoFailure(
             f"external GUI model not found: {config.external_gui_path}"))
 
@@ -199,16 +203,16 @@ def cmd_build(config: PipelineConfig) -> int:
     _check_config(config)
     out = config.output_project_dir
     tmp = out.parent / (out.name + ".building")
-    if tmp.exists():
+    if exists_as(tmp):
         shutil.rmtree(tmp)
     try:
         _verify(tmp, _build_into(config, tmp))
-        if out.exists():
+        if exists_as(out):
             shutil.rmtree(out)
         out.parent.mkdir(parents=True, exist_ok=True)
         tmp.rename(out)
     except BaseException:
-        if tmp.exists():
+        if exists_as(tmp):
             shutil.rmtree(tmp, ignore_errors=True)
         raise
     log.info("project written to %s", out)
@@ -348,7 +352,7 @@ def cmd_validate(project_path: Path) -> int:
 
 def cmd_report(repo_root: Path, as_csv: bool = False) -> int:
     """Version history table over every project directly under a root."""
-    if not repo_root.is_dir():
+    if not exists_as(repo_root, S_IFDIR):
         log.error("not a directory: %s", repo_root)
         return 2
     rows = []
@@ -434,5 +438,24 @@ def _run(argv: list[str] | None) -> int:
     return 2
 
 
+def console_main() -> NoReturn:
+    """The ``apprepo`` command: run :func:`main`, flush, and exit at once.
+
+    The logs and both standard streams are flushed, and the process then
+    ends with ``os._exit``, so the interpreter does not tear down the
+    modules and objects of the command: the exit returns their memory
+    anyway. A stream that cannot be flushed makes the exit code 120, as
+    it does for the interpreter's own exit.
+    """
+    code = main()
+    logging.shutdown()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except (OSError, ValueError):
+            code = 120
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -10,9 +10,8 @@ uniqueness safeguard runs on every load.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
 from pathlib import PureWindowsPath
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import SchemaViolation, TransformFailure
 from .xmlio import XmlWriter, read_document
@@ -25,8 +24,7 @@ SYNTH_PREFIX = "synth:"
 MAX_GUI_DEPTH = 128
 
 
-@dataclass(frozen=True)
-class GuiElement:
+class GuiElement(NamedTuple):
     """One window or widget, with its recorded properties and children."""
 
     id: str
@@ -45,8 +43,7 @@ def synthetic_root(windows: tuple[GuiElement, ...]) -> GuiElement:
     return GuiElement(id="", element_class="", children=windows)
 
 
-@dataclass(frozen=True)
-class GuiModel:
+class GuiModel(NamedTuple):
     """A validated-on-load GUI tree plus the tag of its external origin."""
 
     root: GuiElement
@@ -78,22 +75,28 @@ class GuiModel:
         return widgets, windows
 
 
-@dataclass(frozen=True)
-class HandlerBinding:
-    """The link from one GUI element to one event handler class."""
-
+class _BindingFields(NamedTuple):
     element_id: str
     handler_class: str
     status: str  # resolved | unresolved
     methods: tuple = ()
 
-    def __post_init__(self):
+
+class HandlerBinding(_BindingFields):
+    """The link from one GUI element to one event handler class."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields, **named):
         if (self.status == "resolved") != bool(self.methods):
             raise ValueError("resolved bindings carry methods; unresolved carry none")
 
+    @classmethod
+    def _make(cls, values) -> "HandlerBinding":
+        return cls(*values)  # so that _replace checks as the constructor does
 
-@dataclass(frozen=True)
-class Violation:
+
+class Violation(NamedTuple):
     """One finding of the model validator."""
 
     code: str

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
+from typing import NamedTuple
 
 from .callgraph import ClassHierarchy
 from .errors import IoFailure, UnsortedInput
@@ -25,10 +25,7 @@ CSV_HEADER = ["version", "timestamp", "classes", "loc", "widgets", "windows"]
 TABLE_COLUMNS = ["Version", "CVS Timestamp", "Classes", "LOC", "Widgets", "Windows"]
 
 
-@dataclass(frozen=True)
-class VersionMetrics:
-    """The four per-version counts plus identifying label and date."""
-
+class _MetricsFields(NamedTuple):
     version_label: str
     timestamp: date
     classes: int
@@ -36,10 +33,20 @@ class VersionMetrics:
     widgets: int
     windows: int
 
-    def __post_init__(self):
+
+class VersionMetrics(_MetricsFields):
+    """The four per-version counts plus identifying label and date."""
+
+    __slots__ = ()
+
+    def __init__(self, *fields, **named):
         for name in ("classes", "loc", "widgets", "windows"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
+
+    @classmethod
+    def _make(cls, values) -> "VersionMetrics":
+        return cls(*values)  # so that _replace checks as the constructor does
 
 
 def count_loc_text(text: str) -> int:

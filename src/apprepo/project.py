@@ -12,9 +12,11 @@ must every class of the binaries and libraries, and a stored
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+import os
 from datetime import date
 from pathlib import Path
+from stat import S_IFDIR, S_IFMT, S_IFREG
+from typing import NamedTuple
 
 from .callgraph import (
     ClassHierarchy,
@@ -52,8 +54,7 @@ LAYOUT = {
 }
 
 
-@dataclass(frozen=True)
-class Project:
+class Project(NamedTuple):
     """A loaded project file: name, version stamp and resolved artifact paths.
 
     All paths are resolved against the directory holding the project file;
@@ -74,36 +75,44 @@ class Project:
     startup_script_path: Path | None = None
 
 
-@dataclass(frozen=True)
-class ClassRepository:
+class ClassRepository(NamedTuple):
     """The linked code model of one project: its classes and their sources."""
 
     hierarchy: ClassHierarchy
     sources: dict[str, Path]
 
 
-@dataclass
-class ReportItem:
+class ReportItem(NamedTuple):
     level: str  # violation | warning
     code: str
     detail: str
 
 
-@dataclass
 class ProjectReport:
     """Aggregated validation result of one project.
 
     ``repository``, ``gui_model`` and ``metrics`` are the code model, the
     GUI model and the stored metrics row that validation loaded, or None
-    where it loaded none.
+    where it loaded none. Equality compares every field.
     """
 
-    items: list[ReportItem] = field(default_factory=list)
-    handlers_resolved: int = 0
-    handlers_unresolved: int = 0
-    repository: ClassRepository | None = None
-    gui_model: GuiModel | None = None
-    metrics: VersionMetrics | None = None
+    __slots__ = ("items", "handlers_resolved", "handlers_unresolved", "repository",
+                 "gui_model", "metrics")
+
+    def __init__(self, items: list[ReportItem] | None = None, handlers_resolved: int = 0,
+                 handlers_unresolved: int = 0, repository: ClassRepository | None = None,
+                 gui_model: GuiModel | None = None, metrics: VersionMetrics | None = None):
+        self.items = [] if items is None else items
+        self.handlers_resolved = handlers_resolved
+        self.handlers_unresolved = handlers_unresolved
+        self.repository = repository
+        self.gui_model = gui_model
+        self.metrics = metrics
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     @property
     def violations(self) -> list[ReportItem]:
@@ -119,6 +128,21 @@ class ProjectReport:
 
     def handler_summary(self) -> str:
         return f"{self.handlers_resolved} resolved / {self.handlers_unresolved} unresolved"
+
+
+def exists_as(path: Path, kind: int | None = None) -> bool:
+    """Whether ``path`` exists, as a ``kind`` of file if one is given.
+
+    ``kind`` is ``S_IFDIR`` or ``S_IFREG``. A path that cannot be looked up
+    is absent, whatever the error, as for ``os.path.exists``: pathlib's
+    ``exists``, ``is_dir`` and ``is_file`` raise on some errors, a name
+    longer than the file system allows among them.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except (OSError, ValueError):
+        return False
+    return kind is None or S_IFMT(mode) == kind
 
 
 def _relative_to_project(root: Path, raw: str) -> Path:
@@ -262,13 +286,13 @@ def read_project_file(path: Path | str) -> Project:
 def missing_artifacts(p: Project) -> list[tuple[str, Path]]:
     """(artifact, path) of every declared required artifact that is absent."""
     return [(artifact, path) for artifact, path, kind in (
-        ("binaries", p.binaries_dir, "dir"),
-        ("libraries", p.libraries_dir, "dir"),
-        ("sources", p.sources_dir, "dir"),
-        ("gui", p.gui_model_path, "file"),
-        ("external_gui", p.external_gui_path, "file"),
-        ("callgraph", p.callgraph_path, "file"),
-    ) if path is not None and not (path.is_dir() if kind == "dir" else path.is_file())]
+        ("binaries", p.binaries_dir, S_IFDIR),
+        ("libraries", p.libraries_dir, S_IFDIR),
+        ("sources", p.sources_dir, S_IFDIR),
+        ("gui", p.gui_model_path, S_IFREG),
+        ("external_gui", p.external_gui_path, S_IFREG),
+        ("callgraph", p.callgraph_path, S_IFREG),
+    ) if path is not None and not exists_as(path, kind)]
 
 
 def validate_project(p: Project) -> ProjectReport:
@@ -293,11 +317,11 @@ def validate_project(p: Project) -> ProjectReport:
         violation("MissingArtifact", f"{artifact}: {path}")
     for artifact, path in (("screenshots", p.screenshots_dir),
                            ("startup", p.startup_script_path)):
-        if path is not None and not path.exists():
+        if path is not None and not exists_as(path):
             warning("MissingOptionalArtifact", f"{artifact}: {path}")
 
     gui_model: GuiModel | None = None
-    if p.gui_model_path is not None and p.gui_model_path.is_file():
+    if p.gui_model_path is not None and exists_as(p.gui_model_path, S_IFREG):
         try:
             gui_model = report.gui_model = load_gui(p.gui_model_path.read_bytes())
         except SchemaViolation as exc:
@@ -311,18 +335,19 @@ def validate_project(p: Project) -> ProjectReport:
         # screenshots live outside version control; absent files warn only
         base = p.screenshots_dir if p.screenshots_dir is not None else p.project_dir
         for element, _, _ in gui_model.walk():
-            if element.screenshot is not None and not (base / element.screenshot).is_file():
+            if (element.screenshot is not None
+                    and not exists_as(base / element.screenshot, S_IFREG)):
                 warning("MissingScreenshot",
                         f"element {element.id!r}: {element.screenshot}")
 
-    if p.callgraph_path is not None and p.callgraph_path.is_file():
+    if p.callgraph_path is not None and exists_as(p.callgraph_path, S_IFREG):
         try:
             parse_callgraph(p.callgraph_path.read_bytes())
         except SchemaViolation as exc:
             violation("CallgraphSchema", str(exc))
 
     metrics_path = p.project_dir / LAYOUT["metrics"]
-    if metrics_path.is_file():
+    if exists_as(metrics_path, S_IFREG):
         try:
             rows = parse_version_csv(metrics_path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
@@ -337,7 +362,7 @@ def validate_project(p: Project) -> ProjectReport:
                               f" with the project's {p.version_label!r} at {p.timestamp}")
             report.metrics = rows[0] if rows else None
 
-    if p.binaries_dir.is_dir():
+    if exists_as(p.binaries_dir, S_IFDIR):
         try:
             report.repository = build_code_model(p)
         except (MalformedClassFile, ContainerUnreadable) as exc:
@@ -375,13 +400,13 @@ def build_code_model(p: Project) -> ClassRepository:
     ``.java``), under the package path in the sources directory.
     """
     def present(container: Path | None) -> list[Path]:
-        return [container] if container is not None and container.exists() else []
+        return [container] if container is not None and exists_as(container) else []
 
     hierarchy = build_hierarchy(ClasspathPartition.of(
         library=present(p.libraries_dir), application=present(p.binaries_dir)))
 
     sources: dict[str, Path] = {}
-    if p.sources_dir is not None and p.sources_dir.is_dir():
+    if p.sources_dir is not None and exists_as(p.sources_dir, S_IFDIR):
         for name, cf in hierarchy.classes.items():
             found = _find_source(p.sources_dir, name, cf.source_file)
             if found is not None:
@@ -395,7 +420,7 @@ def _find_source(sources_dir: Path, class_name: str, source_file: str | None) ->
     # SourceFile is a file name (JVMS §4.7.10): a path could lead out of the sources
     if source_file is not None and Path(source_file).name == source_file:
         candidate = package_dir / source_file
-        if candidate.is_file():
+        if exists_as(candidate, S_IFREG):
             return candidate
     candidate = package_dir / (simple.split("$", 1)[0] + JAVA_SUFFIX)
-    return candidate if candidate.is_file() else None
+    return candidate if exists_as(candidate, S_IFREG) else None

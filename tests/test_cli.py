@@ -3,6 +3,8 @@
 import gc
 import json
 import logging
+import os
+import subprocess
 import sys
 import zipfile
 from pathlib import Path
@@ -417,11 +419,12 @@ def test_build_rejects_method_text_that_reads_back_as_another_method(tmp_path, c
 
 
 def test_build_missing_input_is_an_io_failure(corpus, tmp_path, capsys):
-    missing = tmp_path / "missing"
-    config = write_config(tmp_path / "c.json", corpus, application=[str(missing)])
-    assert main(["build", "--config", str(config), "--out", str(tmp_path / "proj")]) == 1
-    assert stage_failure(capsys.readouterr().err) == {
-        "stage": "inputs", "error": "IoFailure", "detail": f"input does not exist: {missing}"}
+    for missing in (tmp_path / "missing", tmp_path / ("x" * 300)):  # absent, over-long
+        config = write_config(tmp_path / "c.json", corpus, application=[str(missing)])
+        assert main(["build", "--config", str(config), "--out", str(tmp_path / "proj")]) == 1
+        assert stage_failure(capsys.readouterr().err) == {
+            "stage": "inputs", "error": "IoFailure",
+            "detail": f"input does not exist: {missing}"}
 
 
 def test_build_rejects_invoke_naming_a_field(tmp_path, capsys):
@@ -573,6 +576,17 @@ def test_build_rejects_output_inside_input(corpus, tmp_path):
     out = corpus.paths["application"] / "nested"
     assert main(["build", "--config", str(config), "--out", str(out)]) == 1
     assert not out.exists()
+
+
+def test_build_out_too_long_for_its_temporary_name_is_a_stage_failure(corpus, tmp_path,
+                                                                     capsys):
+    # the build writes into "<out>.building" first: 259 bytes, over the file system's limit
+    config = write_config(tmp_path / "c.json", corpus)
+    out = tmp_path / "out" / ("y" * 250)
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 1
+    failure = stage_failure(capsys.readouterr().err)
+    assert (failure["stage"], failure["error"]) == ("copy", "IoFailure")
+    assert not any((tmp_path / "out").iterdir())
 
 
 def test_build_entry_override(corpus, tmp_path):
@@ -771,9 +785,70 @@ def test_report_skips_corrupt_project(corpus, hierarchy, tmp_path, capsys, caplo
 
 def test_report_missing_root(tmp_path):
     assert main(["report", str(tmp_path / "ghost")]) == 2
+    assert main(["report", str(tmp_path / ("x" * 300))]) == 2  # over-long: absent too
 
 
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# --- the console entry -------------------------------------------------------
+
+SRC = Path(apprepo.cli.__file__).resolve().parents[1]
+# stdout buffered, as it is by default when it is not a terminal, so that the
+# output reaches the reader only through the flush before the exit
+CHILD_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+             "PYTHONPATH": str(SRC)}
+
+
+def run_apprepo(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+    """``python -m apprepo`` in a fresh interpreter, as the console script runs it."""
+    return subprocess.run([sys.executable, "-m", "apprepo", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, timeout=120, env=CHILD_ENV)
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every command pays for its imports; inspect alone brings ast and dis
+    code = ("import sys, apprepo.cli;"
+            " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          timeout=60, env=CHILD_ENV)
+    assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
+
+
+def test_console_entry_exits_with_the_code_of_main_and_complete_output(corpus, hierarchy,
+                                                                       tmp_path):
+    good = build_bundle(corpus, hierarchy, tmp_path / "good")
+    bad = build_bundle(corpus, hierarchy, tmp_path / "bad")
+    gui = read_project_file(bad).gui_model_path
+    gui.write_bytes(gui.read_bytes().replace(b'id="lbl"', b'id="ok"'))
+    for bundle, code, violations in ((good, 0, 0), (bad, 1, 1)):
+        done = run_apprepo("validate", str(bundle))
+        assert done.returncode == code, done.stderr
+        records = [json.loads(line) for line in done.stdout.splitlines()]
+        assert done.stdout.endswith("\n") and len(records) == violations + 1
+        assert records[-1]["level"] == "summary"
+        assert records[-1]["violations"] == violations
+        assert done.stderr.endswith(" unresolved\n")
+        assert done.stderr.splitlines()[-1].startswith(f"INFO demo: {violations} violation(s)")
+    done = run_apprepo("validate", str(tmp_path / "nope.xml"))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("ERROR unreadable project file: ")
+    assert done.stderr.endswith("\n") and done.stderr.count("\n") == 1
+    done = run_apprepo("report", str(tmp_path), "--csv")
+    assert done.returncode == 0, done.stderr
+    assert [row.version_label for row in parse_version_csv(done.stdout)] == ["1.0"]
+    assert "skipping bad" in done.stderr
+    done = run_apprepo("frobnicate")
+    assert done.returncode == 2 and "invalid choice" in done.stderr
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_console_entry_exits_non_zero_when_stdout_cannot_be_flushed(corpus, hierarchy,
+                                                                    tmp_path):
+    bundle = build_bundle(corpus, hierarchy, tmp_path / "p")
+    with open("/dev/full", "w") as full:
+        done = run_apprepo("validate", str(bundle), stdout=full)
+    assert done.returncode == 120

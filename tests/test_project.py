@@ -18,6 +18,7 @@ from bundles import build_bundle
 from classasm import AsmClass, assemble_class
 
 TS = date(2001, 6, 1)
+LONG_NAME = "x" * 300  # longer than a file system allows a path component to be
 
 
 @pytest.fixture
@@ -193,16 +194,14 @@ def test_load_validate_equivalence(corpus, hierarchy, tmp_path):
 
 
 def test_missing_screenshot_file_is_warning(corpus, hierarchy, tmp_path):
-    from dataclasses import replace
-
     from apprepo.guimodel import GuiModel, persist_gui
     from bundles import bundle_gui_model
 
     bundle = build_bundle(corpus, hierarchy, tmp_path / "p", screenshots=True)
     project = read_project_file(bundle)
     base = bundle_gui_model()
-    window = replace(base.root.children[0], screenshot="shots/main.png")
-    model = GuiModel(replace(base.root, children=(window,)), base.source_format)
+    window = base.root.children[0]._replace(screenshot="shots/main.png")
+    model = GuiModel(base.root._replace(children=(window,)), base.source_format)
     project.gui_model_path.write_bytes(persist_gui(model))
 
     report = validate_project(project)
@@ -214,6 +213,47 @@ def test_missing_screenshot_file_is_warning(corpus, hierarchy, tmp_path):
     shot.write_bytes(b"\x89PNG fake")
     report = validate_project(project)
     assert not any(i.code == "MissingScreenshot" for i in report.warnings)
+
+
+# a path component too long for the file system makes pathlib's checks raise
+# ENAMETOOLONG; validation must read such a path from bundle data as absent
+
+def test_over_long_sources_path_is_a_missing_artifact(bundle):
+    text = bundle.read_text().replace('<sources path="src"/>',
+                                      f'<sources path="{LONG_NAME}"/>')
+    bundle.write_text(text)
+    report = validate_project(read_project_file(bundle))
+    assert [i.code for i in report.items] == ["MissingArtifact"]
+    assert report.items[0].detail.startswith("sources: ")
+    assert report.repository.sources == {}
+    with pytest.raises(MissingArtifact) as err:
+        load_project(bundle)
+    assert err.value.artifact == "sources"
+
+
+def test_over_long_screenshots_path_is_a_missing_optional_artifact(bundle):
+    text = bundle.read_text().replace("</project>",
+                                      f'  <screenshots path="{LONG_NAME}"/>\n</project>')
+    bundle.write_text(text)
+    report = validate_project(read_project_file(bundle))
+    assert report.violations == []
+    assert [(i.code, i.detail.split(":")[0]) for i in report.warnings] == [
+        ("MissingOptionalArtifact", "screenshots")]
+
+
+def test_over_long_element_screenshot_is_a_missing_screenshot(bundle):
+    from apprepo.guimodel import GuiModel, persist_gui
+    from bundles import bundle_gui_model
+
+    project = read_project_file(bundle)
+    base = bundle_gui_model()
+    window = base.root.children[0]._replace(screenshot=LONG_NAME)
+    model = GuiModel(base.root._replace(children=(window,)), base.source_format)
+    project.gui_model_path.write_bytes(persist_gui(model))
+    report = validate_project(project)
+    assert report.violations == []
+    assert [i.code for i in report.warnings] == ["MissingScreenshot"]
+    assert report.warnings[0].detail == f"element 'main': {LONG_NAME}"
 
 
 def test_unresolved_handler_counted(corpus, hierarchy, tmp_path):
@@ -271,6 +311,20 @@ def test_code_model_pairs_source_file_only_as_a_bare_name(tmp_path, source_file,
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("class X {}\n")
     assert build_code_model(project).sources == {"q/X": root / "src" / "q" / "X.java"}
+
+
+def test_code_model_over_long_source_file_name_pairs_by_class_name(tmp_path):
+    root = tmp_path / "p"
+    project = read_project_file(init_project(root, "odd", "1.0", TS, sources="src"))
+    (root / "bin" / "q").mkdir(parents=True)
+    (root / "bin" / "q" / "X.class").write_bytes(
+        assemble_class(AsmClass("q/X", source_file=LONG_NAME + ".java")))
+    (root / "bin" / "q" / "Y.class").write_bytes(
+        assemble_class(AsmClass("q/Y", source_file=LONG_NAME)))
+    (root / "src" / "q").mkdir(parents=True)
+    (root / "src" / "q" / "X.java").write_text("class X {}\n")
+    assert build_code_model(project).sources == {"q/X": root / "src" / "q" / "X.java"}
+    assert validate_project(project).items == []
 
 
 def test_code_model_empty_binaries(corpus, hierarchy, tmp_path):
