@@ -1,0 +1,80 @@
+"""Seeded damage of class file bytes, and the outcome of parsing them.
+
+Shared by ``test_parse_outcomes.py``, which pins the outcomes of a few
+hundred damaged fixture classes in a golden file, and by
+``parse_differential.py``, which compares two revisions of the parser on
+many more. Four kinds of damage:
+
+- ``overwrite``: 1 to 4 bytes anywhere are set to random values;
+- ``overwrite_tail``: the same, in the second half of the file, past the
+  constant pool of most classes;
+- ``truncate``: the file is cut at a random length;
+- ``splice``: the head of one class is joined to the tail of another.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+from typing import Callable, Iterator
+
+from classasm import assemble_class
+from fixtures import all_classes
+
+KINDS = ("overwrite", "overwrite_tail", "truncate", "splice")
+
+
+def fixture_classes() -> list[bytes]:
+    """The assembled fixture corpus, one class file per spec, in a fixed order."""
+    return [assemble_class(spec) for group in all_classes().values() for spec in group]
+
+
+def _overwrite(rng: random.Random, data: bytes, low: int) -> bytes:
+    out = bytearray(data)
+    for _ in range(rng.randint(1, 4)):
+        out[rng.randrange(low, len(out))] = rng.getrandbits(8)
+    return bytes(out)
+
+
+def damage(rng: random.Random, kind: str, classes: list[bytes]) -> bytes:
+    """One damaged class file of ``kind``, drawn from ``classes`` with ``rng``."""
+    data = rng.choice(classes)
+    if kind == "overwrite":
+        return _overwrite(rng, data, 0)
+    if kind == "overwrite_tail":
+        return _overwrite(rng, data, len(data) // 2)
+    if kind == "truncate":
+        return data[:rng.randrange(len(data))]
+    if kind == "splice":
+        other = rng.choice(classes)
+        return data[:rng.randrange(len(data))] + other[rng.randrange(len(other)):]
+    raise ValueError(f"unknown damage kind {kind!r}")
+
+
+def damaged(classes: list[bytes], kind: str, seed: int, count: int) -> Iterator[bytes]:
+    """``count`` damaged class files of ``kind``; the same for the same arguments."""
+    rng = random.Random(f"{seed}/{kind}")
+    for _ in range(count):
+        yield damage(rng, kind, classes)
+
+
+def outcome(parse_class: Callable, data: bytes) -> str:
+    """What ``parse_class`` makes of ``data``: ``ok`` and a digest of the
+    accepted class, or the offset and reason of its ``MalformedClassFile``
+    (a reason may hold any character a pool text can); any other exception
+    is ``raised`` with its type.
+
+    The digest covers every compared field of the class and of each method,
+    decoded instructions included, so two revisions agree on it exactly
+    when they give equal classes.
+    """
+    try:
+        cf = parse_class(data, "damaged.class")
+    except Exception as exc:  # noqa: BLE001 - the outcome records it
+        if type(exc).__name__ == "MalformedClassFile":
+            return f"{exc.offset} {exc.reason}"
+        return f"raised {type(exc).__name__}: {exc}"
+    form = (cf.class_name, cf.super_name, cf.interfaces, cf.access_flags, cf.source_file,
+            cf.version, cf.attribute_names,
+            tuple((tuple(m[:5]), m.instructions) for m in cf.methods))
+    return "ok " + hashlib.sha256(repr(form).encode()).hexdigest()[:16]
