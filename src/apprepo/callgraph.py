@@ -184,8 +184,8 @@ def _referenced_class_names(cf: ClassFile) -> set[str]:
     if cf.super_name:
         names.add(cf.super_name)
     names.update(cf.interfaces)
-    names.update(entry.value for entry in cf.constant_pool.entries
-                 if entry is not None and entry.tag == CONST_CLASS)
+    pool = cf.constant_pool
+    names.update(value for tag, value in zip(pool.tags, pool.values) if tag == CONST_CLASS)
     return names
 
 

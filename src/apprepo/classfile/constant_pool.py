@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import struct
-from functools import partial
-from typing import Callable, NamedTuple, TypeVar
+from typing import NamedTuple
 
 from ..errors import MalformedClassFile
 
-T = TypeVar("T")
 _new = tuple.__new__
 
 CONST_UTF8 = 1
@@ -67,7 +65,8 @@ _RENDERINGS = {
 
 
 class ConstantEntry(NamedTuple):
-    """One constant pool slot: a tag plus its resolved value.
+    """One constant pool slot: a tag plus its resolved value, made by
+    :meth:`ConstantPool.entry` when it is asked for.
 
     Utf8, Integer, Float, Long and Double hold their value; Class, String
     and MethodType the text they name; NameAndType ``(name, descriptor)``;
@@ -81,91 +80,31 @@ class ConstantEntry(NamedTuple):
     value: object
 
 
-def _field(fmt: str):
-    """A :class:`ByteReader` method that reads one big-endian ``fmt`` value."""
-    unpack = struct.Struct(fmt).unpack_from
-    size = struct.calcsize(fmt)
-
-    def read(self: ByteReader):
-        pos = self.pos
-        if pos + size > len(self.data):
-            raise self.fail("truncated class file")
-        self.pos = pos + size
-        return unpack(self.data, pos)[0]
-    return read
-
-
-class ByteReader:
-    """Big-endian cursor over class file bytes.
-
-    ``base`` is the file offset of ``data``'s first byte, so a reader over
-    an attribute payload reports its failures at file offsets.
-    """
-
-    def __init__(self, data: bytes, source: str | None = None, base: int = 0):
-        self.data = data
-        self.pos = 0
-        self.source = source
-        self.base = base
-
-    def fail(self, message: str, offset: int | None = None) -> MalformedClassFile:
-        return MalformedClassFile(
-            message, self.base + (self.pos if offset is None else offset), self.source)
-
-    u1 = _field(">B")
-    u2 = _field(">H")
-    u4 = _field(">I")
-    s2 = _field(">h")
-    s4 = _field(">i")
-
-    def raw(self, n: int) -> bytes:
-        pos = self.pos
-        if pos + n > len(self.data):
-            raise self.fail("truncated class file")
-        self.pos = pos + n
-        return self.data[pos:pos + n]
-
-    def s4s(self, count: int) -> tuple[int, ...]:
-        """``count`` consecutive s4 values."""
-        return struct.unpack(f">{count}i", self.raw(4 * count))
-
-    def ref(self, lookup: Callable[[int], T]) -> T:
-        """Read a u2 constant pool index and resolve it with ``lookup``.
-
-        A bad reference is reported at the file offset of the index.
-        """
-        at = self.pos
-        index = self.u2()
-        try:
-            return lookup(index)
-        except MalformedClassFile as exc:
-            raise self.fail(exc.reason, at) from exc
-
-
 class ConstantPool:
-    """The indexed, resolved constant pool of one class file.
+    """The indexed, resolved constant pool of one class file, as two lists
+    of one slot per index: ``tags`` and ``values``.
 
-    Slot 0 and the shadow slots after Long/Double entries hold ``None``.
-    All lookups validate the index and the expected entry kind; a bad
-    reference raises :class:`MalformedClassFile`.
+    ``values`` holds each entry's final value (see :class:`ConstantEntry`).
+    Slot 0 and the slot after a Long or Double keep tag 0. Lookups validate
+    the index and the expected entry kind, and a bad reference raises
+    :class:`MalformedClassFile`; :meth:`entry` makes the entry it returns.
     """
 
-    def __init__(self, entries: list[ConstantEntry | None], source: str | None = None,
-                 texts: dict[int, str] | None = None):
-        self.entries = entries
+    def __init__(self, tags: list[int], values: list, source: str | None = None):
+        self.tags = tags
+        self.values = values
         self.source = source
-        # index -> text of Utf8 entries, for lookups that need no checks on a hit
-        self.texts = {} if texts is None else texts
 
     def entry(self, index: int, tag: int | None = None) -> ConstantEntry:
-        if index <= 0 or index >= len(self.entries) or self.entries[index] is None:
+        tags = self.tags
+        got = tags[index] if 0 < index < len(tags) else 0
+        if not got:
             raise MalformedClassFile(f"invalid constant pool index {index}", 0, self.source)
-        got = self.entries[index]
-        if tag is not None and got.tag != tag:
+        if tag is not None and got != tag:
             raise MalformedClassFile(
-                f"constant pool index {index} holds {TAG_NAMES.get(got.tag, got.tag)},"
+                f"constant pool index {index} holds {TAG_NAMES.get(got, got)},"
                 f" expected {TAG_NAMES[tag]}", 0, self.source)
-        return got
+        return _new(ConstantEntry, (got, self.values[index]))
 
     def utf8(self, index: int) -> str:
         return self.entry(index, CONST_UTF8).value
@@ -178,10 +117,9 @@ class ConstantPool:
 
     def member_ref(self, index: int, expected: str = "a member reference") -> tuple[str, str, str]:
         """The (class, name, descriptor) of an entry of a ``MEMBER_KINDS[expected]`` kind."""
-        entries = self.entries
-        got = entries[index] if 0 < index < len(entries) else None
-        if got is not None and got.tag in MEMBER_KINDS[expected]:
-            return got.value
+        tags = self.tags
+        if 0 < index < len(tags) and tags[index] in MEMBER_KINDS[expected]:
+            return self.values[index]
         got = self.entry(index)  # raises for a bad index
         if got.tag not in MEMBER_KINDS[expected]:
             raise MalformedClassFile(
@@ -273,7 +211,6 @@ _LAYOUTS = {tag: (struct.Struct(fmt).unpack_from, struct.calcsize(fmt), len(fmt)
 ]}
 
 _TRUNCATED = "truncated class file"
-_entry = partial(_new, ConstantEntry)  # (tag, value) -> ConstantEntry, in C
 
 
 def entry_offset(data: bytes, pos: int, index: int) -> int:
@@ -291,27 +228,28 @@ def entry_offset(data: bytes, pos: int, index: int) -> int:
     return pos
 
 
-def parse_constant_pool(reader: ByteReader) -> ConstantPool:
-    """Read the constant pool table at the reader's position and resolve it.
+def parse_constant_pool(data: bytes, pos: int, source: str | None = None,
+                        ) -> tuple[ConstantPool, int]:
+    """Read the constant pool table at ``data[pos:]``, its count first, and
+    resolve it; return the pool and the position after the table.
 
     The table is walked by position, each entry read with one unpack into
-    a list of tags and a list of values. Then each entry that names others
-    is resolved by reading the entries it names directly, and the entries
-    are made from the two lists in one pass. Only a bad reference goes
-    through :meth:`ConstantPool._resolve`, which raises it. A failure is
-    reported at the file offset of the entry that holds it, or where a
-    truncated table ends.
+    the pool's two lists, ``tags`` and ``values``. Then each entry that
+    names others is resolved by reading the entries it names directly in
+    the lists. Only a bad reference goes through
+    :meth:`ConstantPool._resolve`, which raises it. A failure is reported
+    at the file offset of the entry that holds it, or where a truncated
+    table ends.
     """
-    count = reader.u2()
-    data, first = reader.data, reader.pos
     end = len(data)
+    if pos + 2 > end:
+        raise MalformedClassFile(_TRUNCATED, pos, source)
+    count = data[pos] << 8 | data[pos + 1]
+    pos = first = pos + 2
     tags = [0] * max(count, 1)
     values: list = [None] * len(tags)
-    texts: dict[int, str] = {}
     steps: tuple[list[int], list[int]] = ([], [])  # the entries each step resolves
-    empty = [0]  # the slots that hold no entry: 0, and the one after a Long or Double
     layouts = _LAYOUTS
-    pos = first
     index = 1
     try:
         while index < count:
@@ -320,16 +258,17 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
                 start = pos + 3
                 stop = start + (data[pos + 1] << 8 | data[pos + 2])
                 if stop > end:
-                    raise reader.fail(_TRUNCATED, start)
+                    raise MalformedClassFile(_TRUNCATED, start, source)
                 raw = data[start:stop]
                 try:
                     text = raw.decode()  # plain UTF-8, as most entries are
                 except UnicodeDecodeError:
                     text = _decode_modified_utf8(raw)
                     if text is None:
-                        raise reader.fail(f"constant pool entry {index} is not modified UTF-8",
-                                          pos) from None
-                values[index] = texts[index] = text
+                        raise MalformedClassFile(
+                            f"constant pool entry {index} is not modified UTF-8", pos,
+                            source) from None
+                values[index] = text
                 pos = stop
                 index += 1
                 continue
@@ -340,45 +279,41 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
                 steps[step - 1].append(index)
             elif tag == CONST_LONG or tag == CONST_DOUBLE:
                 if index + 1 == count:
-                    raise reader.fail(f"constant pool entry {index} is a {TAG_NAMES[tag]} in"
-                                      " the last slot, which leaves no room for its second"
-                                      " slot", pos)
+                    raise MalformedClassFile(
+                        f"constant pool entry {index} is a {TAG_NAMES[tag]} in the last slot,"
+                        " which leaves no room for its second slot", pos, source)
                 index += 1
-                empty.append(index)
             pos += 1 + size
             index += 1
     except (IndexError, struct.error):
         # a tag byte, Utf8 length or entry that runs past the end
-        raise reader.fail(_TRUNCATED, pos if pos >= end else pos + 1) from None
+        raise MalformedClassFile(_TRUNCATED, pos if pos >= end else pos + 1, source) from None
     except KeyError:
-        raise reader.fail(f"unknown constant pool tag {data[pos]}", pos) from None
-    reader.pos = pos
-    pool = ConstantPool([], reader.source, texts)
-
-    def entries() -> list[ConstantEntry | None]:
-        made: list[ConstantEntry | None] = list(map(_entry, zip(tags, values)))
-        for index in empty:
-            made[index] = None
-        return made
+        raise MalformedClassFile(f"unknown constant pool tag {data[pos]}", pos, source) from None
+    pool = ConstantPool(tags, values, source)
 
     def resolved(index: int) -> object:
         """The final value of entry ``index`` that the direct reads missed:
         a bad reference, raised at the entry."""
-        pool.entries = entries()
         try:
             return pool._resolve(tags[index], values[index])
         except MalformedClassFile as exc:
-            raise reader.fail(exc.reason, entry_offset(data, first, index)) from exc
+            raise MalformedClassFile(exc.reason, entry_offset(data, first, index),
+                                     source) from exc
 
-    text_of = texts.get
+    utf8 = CONST_UTF8
     for index in steps[0]:
         value = values[index]
         if tags[index] == CONST_NAME_AND_TYPE:
-            final = text_of(value[0]), text_of(value[1])
-            values[index] = resolved(index) if None in final else final
+            name, desc = value
+            if name < count and desc < count and tags[name] == tags[desc] == utf8:
+                values[index] = values[name], values[desc]
+            else:
+                values[index] = resolved(index)
+        elif value < count and tags[value] == utf8:
+            values[index] = values[value]
         else:
-            final = text_of(value)
-            values[index] = resolved(index) if final is None else final
+            values[index] = resolved(index)
     handles = []
     for index in steps[1]:
         tag = tags[index]
@@ -406,7 +341,6 @@ def parse_constant_pool(reader: ByteReader) -> ConstantPool:
         if (kind == 8 and name != "<init>"
                 or kind in (5, 6, 7, 9) and name in ("<init>", "<clinit>")):
             rule = "must name <init>" if kind == 8 else "may not name <init> or <clinit>"
-            raise reader.fail(f"MethodHandle of kind {kind} {rule}, got {name}",
-                              entry_offset(data, first, index))
-    pool.entries = entries()
-    return pool
+            raise MalformedClassFile(f"MethodHandle of kind {kind} {rule}, got {name}",
+                                     entry_offset(data, first, index), source)
+    return pool, pos

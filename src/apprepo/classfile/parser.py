@@ -30,7 +30,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from ..errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
 from . import constant_pool as cp
-from .constant_pool import ByteReader, ConstantPool, parse_constant_pool
+from .constant_pool import ConstantPool, parse_constant_pool
 from .descriptors import parse_descriptor, parse_field_descriptor
 from .opcodes import ARRAY_TYPES, MNEMONICS, OPCODES, WIDE_TARGETS
 
@@ -50,6 +50,8 @@ ACC_ABSTRACT = 0x0400
 
 MAIN_NAME = "main"
 MAIN_DESCRIPTOR = "([Ljava/lang/String;)V"
+
+_TRUNCATED = "truncated class file"
 
 
 class MethodRef(NamedTuple):
@@ -254,18 +256,12 @@ class ClassFile(_ClassFields):
         return self._methods_by_key.get((name, descriptor))
 
 
-def _check_internal_name(name: str, reader: ByteReader, what: str) -> str:
-    if not name or any(ch in name for ch in ";()"):
-        raise reader.fail(f"invalid {what} {name!r}")
-    return name
+def _bootstrap_methods(data: bytes, pos: int, limit: int, pool: ConstantPool,
+                       source: str | None) -> tuple[list[tuple[str, str, str]], int]:
+    """The bootstrap method triples of the BootstrapMethods payload at
+    ``pos``, which ends at ``limit``, and the end of its contents.
 
-
-def _parse_bootstrap_methods(reader: ByteReader,
-                             pool: ConstantPool) -> list[tuple[str, str, str]]:
-    """Decode a BootstrapMethods attribute into bootstrap method triples.
-
-    ``reader`` is positioned at the payload; a bad handle or argument is
-    reported at the file offset of its index.
+    A bad handle or argument is reported at the file offset of its index.
     """
     def method_of_handle(index: int) -> tuple[str, str, str]:
         _, ref_idx = pool.entry(index, cp.CONST_METHOD_HANDLE).value
@@ -275,11 +271,15 @@ def _parse_bootstrap_methods(reader: ByteReader,
         return member.value
 
     methods = []
-    for _ in range(reader.u2()):
-        methods.append(reader.ref(method_of_handle))
-        for _ in range(reader.u2()):
-            reader.ref(pool.entry)
-    return methods
+    count, pos = _u2(data, pos, limit, source)
+    for _ in range(count):
+        index, pos = _u2(data, pos, limit, source)
+        methods.append(_ref(method_of_handle, index, pos - 2, source))
+        arguments, pos = _u2(data, pos, limit, source)
+        for _ in range(arguments):
+            index, pos = _u2(data, pos, limit, source)
+            _ref(pool.entry, index, pos - 2, source)
+    return methods, pos
 
 
 # the pool entries that load a symbolic reference, not a literal
@@ -344,43 +344,55 @@ def _newarray(body: MethodBody, mnemonic: str, type_code: int) -> tuple:
     return (ARRAY_TYPES[type_code],), None, None, None, None
 
 
-def _switch_padding(reader: ByteReader, start: int) -> None:
-    for _ in range(3 - start % 4):
-        if reader.u1() != 0:
-            raise reader.fail("nonzero switch padding")
+# The readers of variable-width operands (_tableswitch, _lookupswitch and
+# _wide) take the code array, the position after the opcode and the
+# instruction's start, and return the operands and the position after
+# them. Their failures carry no offset: disassemble reports them at the
+# instruction's start.
+def _unpack(fmt: str, code: bytes, pos: int) -> tuple[tuple, int]:
+    end = pos + struct.calcsize(fmt)
+    if end > len(code):
+        raise MalformedClassFile(_TRUNCATED)
+    return struct.unpack_from(fmt, code, pos), end
 
 
-def _tableswitch(reader: ByteReader, start: int) -> tuple:
-    _switch_padding(reader, start)
-    default = reader.s4()
-    low = reader.s4()
-    high = reader.s4()
+def _switch_padding(code: bytes, pos: int, start: int) -> int:
+    end = pos + 3 - start % 4
+    if any(code[pos:end]):
+        raise MalformedClassFile("nonzero switch padding")
+    if end > len(code):
+        raise MalformedClassFile(_TRUNCATED)
+    return end
+
+
+def _tableswitch(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
+    (default, low, high), pos = _unpack(">3i", code, _switch_padding(code, pos, start))
     if high < low:
-        raise reader.fail("tableswitch high < low")
-    targets = reader.s4s(high - low + 1)
+        raise MalformedClassFile("tableswitch high < low")
+    targets, pos = _unpack(f">{high - low + 1}i", code, pos)
     return (f"default={start + default}", f"low={low}", f"high={high}",
-            "targets=" + ",".join(str(start + t) for t in targets))
+            "targets=" + ",".join(str(start + t) for t in targets)), pos
 
 
-def _lookupswitch(reader: ByteReader, start: int) -> tuple:
-    _switch_padding(reader, start)
-    default = reader.s4()
-    npairs = reader.s4()
+def _lookupswitch(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
+    (default, npairs), pos = _unpack(">2i", code, _switch_padding(code, pos, start))
     if npairs < 0:
-        raise reader.fail("lookupswitch negative pair count")
-    pairs = reader.s4s(2 * npairs)
+        raise MalformedClassFile("lookupswitch negative pair count")
+    pairs, pos = _unpack(f">{2 * npairs}i", code, pos)
     return (f"default={start + default}",
-            "matches=" + ",".join(f"{m}:{start + t}" for m, t in zip(pairs[::2], pairs[1::2])))
+            "matches=" + ",".join(f"{m}:{start + t}" for m, t in zip(pairs[::2], pairs[1::2]))
+            ), pos
 
 
-def _wide(reader: ByteReader, start: int) -> tuple:
-    sub = reader.u1()
+def _wide(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
+    if pos == len(code):
+        raise MalformedClassFile(_TRUNCATED)
+    sub = code[pos]
     if sub not in WIDE_TARGETS:
-        raise reader.fail(f"opcode 0x{sub:02x} cannot be widened")
+        raise MalformedClassFile(f"opcode 0x{sub:02x} cannot be widened")
     sub_name = OPCODES[sub][0]
-    if sub_name == "iinc":
-        return sub_name, reader.u2(), reader.s2()
-    return sub_name, reader.u2()
+    values, pos = _unpack(">xHh" if sub_name == "iinc" else ">xH", code, pos)
+    return (sub_name, *values), pos
 
 
 # How the decoder handles an opcode's operands:
@@ -389,7 +401,8 @@ def _wide(reader: ByteReader, start: int) -> tuple:
 #   _BRANCH      one offset read by a struct, made absolute
 #   _RESOLVED    read by a struct and passed to a checker that returns the
 #                instruction's fields after its mnemonic
-#   _SEQUENTIAL  read from a ByteReader by a function (variable width)
+#   _SEQUENTIAL  read by a function that returns them and their end
+#                (variable width)
 _PLAIN, _IMMEDIATE, _BRANCH, _RESOLVED, _SEQUENTIAL = range(5)
 
 # operand format (see opcodes.py) -> (kind, width with the opcode byte,
@@ -600,10 +613,8 @@ def disassemble(body: MethodBody, out: list[Instruction] | None) -> None:
                 if fields is None:
                     fields = resolved[key] = check(body, mnemonic, *operands(code, start))
             elif kind == _SEQUENTIAL:
-                reader = ByteReader(code)
-                reader.pos = pos
-                fields = (operands(reader, start),) + _NO_REFS
-                pos = reader.pos
+                read, pos = operands(code, pos, start)
+                fields = (read,) + _NO_REFS
             elif out is None:
                 continue
             elif kind == _IMMEDIATE:
@@ -635,7 +646,8 @@ def resolved_operands(body: MethodBody | None) -> Iterator[tuple[str, tuple]]:
             yield _FORMS[key[0]][0], fields
 
 
-_TRUNCATED = "truncated class file"
+_MAGIC = b"\xca\xfe\xba\xbe"
+_VERSION = struct.Struct(">HH").unpack_from  # minor_version, major_version
 _MEMBER = struct.Struct(">HHH").unpack_from  # access_flags, name_index, descriptor_index
 _ATTRIBUTE = struct.Struct(">HI").unpack_from  # attribute_name_index, attribute_length
 _CODE = struct.Struct(">xxxxI").unpack_from  # code_length, after max_stack and max_locals
@@ -651,12 +663,31 @@ def _optional_class(pool: ConstantPool):
 
 def _ref(lookup: Callable[[int], object], index: int, offset: int, source: str | None):
     """``lookup(index)``, a pool lookup whose failure is reported at file
-    offset ``offset``: the slow path of a lookup in ``ConstantPool.texts``
-    that missed or found an empty text."""
+    offset ``offset``."""
     try:
         return lookup(index)
     except MalformedClassFile as exc:
         raise MalformedClassFile(exc.reason, offset, source) from exc
+
+
+def _class_ref(data: bytes, pos: int, limit: int, pool: ConstantPool, source: str | None,
+               what: str) -> tuple[str, int]:
+    """The class name that the u2 index at ``pos`` names, checked as the
+    ``what`` of a class, and the position after the index."""
+    index, pos = _u2(data, pos, limit, source)
+    name = _ref(pool.class_name, index, pos - 2, source)
+    if not name or any(ch in name for ch in ";()"):
+        raise MalformedClassFile(f"invalid {what} {name!r}", pos, source)
+    return name, pos
+
+
+def _utf8(pool: ConstantPool, index: int, offset: int, source: str | None) -> str:
+    """The text of Utf8 entry ``index``, read from the pool's ``tags`` and
+    ``values`` lists; a bad index goes to :func:`_ref` to raise."""
+    tags = pool.tags
+    if index < len(tags) and tags[index] == cp.CONST_UTF8:
+        return pool.values[index]
+    return _ref(pool.utf8, index, offset, source)
 
 
 def _short(data: bytes, limit: int, pos: int, lookups: tuple, source: str | None,
@@ -675,8 +706,8 @@ def _short(data: bytes, limit: int, pos: int, lookups: tuple, source: str | None
     return MalformedClassFile(_TRUNCATED, pos, source)
 
 
-def _count(data: bytes, pos: int, limit: int, source: str | None) -> tuple[int, int]:
-    """The u2 count at ``pos``, and the position after it."""
+def _u2(data: bytes, pos: int, limit: int, source: str | None) -> tuple[int, int]:
+    """The u2 at ``pos`` (a count or an index), and the position after it."""
     if pos + 2 > limit:
         raise MalformedClassFile(_TRUNCATED, pos, source)
     return data[pos] << 8 | data[pos + 1], pos + 2
@@ -688,7 +719,7 @@ def _attribute(data: bytes, pos: int, limit: int, pool: ConstantPool,
     if pos + 6 > limit:
         raise _short(data, limit, pos, (pool.utf8,), source)
     name_index, length = _ATTRIBUTE(data, pos)
-    name = pool.texts.get(name_index) or _ref(pool.utf8, name_index, pos, source)
+    name = _utf8(pool, name_index, pos, source)
     pos += 6
     if pos + length > limit:
         raise MalformedClassFile(_TRUNCATED, pos, source)
@@ -724,12 +755,11 @@ def _member(data: bytes, pos: int, limit: int, pool: ConstantPool, source: str |
             method: bool) -> tuple[int, str, str, int, int]:
     """The access flags, name, checked descriptor and attribute count of the
     field or method at ``pos``, and the position of its first attribute."""
-    utf8, texts = pool.utf8, pool.texts
     if pos + 6 > limit:
-        raise _short(data, limit, pos, (None, utf8, utf8), source)
+        raise _short(data, limit, pos, (None, pool.utf8, pool.utf8), source)
     flags, name_index, desc_index = _MEMBER(data, pos)
-    name = texts.get(name_index) or _ref(utf8, name_index, pos + 2, source)
-    desc = texts.get(desc_index) or _ref(utf8, desc_index, pos + 4, source)
+    name = _utf8(pool, name_index, pos + 2, source)
+    desc = _utf8(pool, desc_index, pos + 4, source)
     pos += 6
     error = _descriptor_error(desc, method)
     if error is not None:
@@ -808,42 +838,43 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     A failure raises :class:`MalformedClassFile` with the file offset where
     reading the class file in order first finds it.
     """
-    reader = ByteReader(data, source)
-    if len(data) < 4 or reader.u4() != 0xCAFEBABE:
+    if data[:4] != _MAGIC:
         raise MalformedClassFile("bad magic number", 0, source)
-    minor = reader.u2()
-    major = reader.u2()
+    end = len(data)
+    if end < 8:
+        raise _short(data, end, 4, (None, None), source)
+    minor, major = _VERSION(data, 4)
     if not MIN_MAJOR_VERSION <= major <= MAX_MAJOR_VERSION:
         raise MalformedClassFile(
             f"unsupported major version {major}"
-            f" (supported: {MIN_MAJOR_VERSION}..{MAX_MAJOR_VERSION})",
-            reader.pos - 2, source)
-    pool_start = reader.pos + 2  # after the entry count
-    pool = parse_constant_pool(reader)
+            f" (supported: {MIN_MAJOR_VERSION}..{MAX_MAJOR_VERSION})", 6, source)
+    pool, pos = parse_constant_pool(data, 8, source)
     if major < 52:  # before 52, kinds 6 and 7 name only a Methodref (JVMS §4.4.8)
-        for index, entry in enumerate(pool.entries):
-            if (entry is not None and entry.tag == cp.CONST_METHOD_HANDLE
-                    and entry.value[0] in (6, 7)
-                    and pool.entries[entry.value[1]].tag == cp.CONST_INTERFACE_METHODREF):
-                raise MalformedClassFile(
-                    f"MethodHandle of kind {entry.value[0]} names an InterfaceMethodref,"
-                    f" which needs major version 52, got {major}",
-                    cp.entry_offset(data, pool_start, index), source)
-    access_flags = reader.u2()
-    class_name = _check_internal_name(reader.ref(pool.class_name), reader, "class name")
-    super_name = reader.ref(_optional_class(pool))
-    if super_name is None:
-        if class_name != ROOT_OBJECT_CLASS:
-            raise reader.fail(f"class {class_name} lacks a superclass")
+        tags, values = pool.tags, pool.values
+        for index, tag in enumerate(tags):
+            if tag == cp.CONST_METHOD_HANDLE:
+                kind, member = values[index]
+                if kind in (6, 7) and tags[member] == cp.CONST_INTERFACE_METHODREF:
+                    raise MalformedClassFile(
+                        f"MethodHandle of kind {kind} names an InterfaceMethodref,"
+                        f" which needs major version 52, got {major}",
+                        cp.entry_offset(data, 10, index), source)
+    access_flags, pos = _u2(data, pos, end, source)
+    class_name, pos = _class_ref(data, pos, end, pool, source, "class name")
+    if data[pos:pos + 2] != b"\0\0":
+        super_name, pos = _class_ref(data, pos, end, pool, source, "superclass name")
+    elif class_name == ROOT_OBJECT_CLASS:
+        super_name, pos = None, pos + 2
     else:
-        super_name = _check_internal_name(super_name, reader, "superclass name")
-    interfaces = tuple(
-        _check_internal_name(reader.ref(pool.class_name), reader, "interface name")
-        for _ in range(reader.u2()))
-    pos, end = reader.pos, len(data)
+        raise MalformedClassFile(f"class {class_name} lacks a superclass", pos + 2, source)
+    count, pos = _u2(data, pos, end, source)
+    interfaces = []
+    for _ in range(count):
+        name, pos = _class_ref(data, pos, end, pool, source, "interface name")
+        interfaces.append(name)
 
     # fields: validated and skipped, the code model does not retain them
-    count, pos = _count(data, pos, end, source)
+    count, pos = _u2(data, pos, end, source)
     for _ in range(count):
         _, _, _, attributes, pos = _member(data, pos, end, pool, source, False)
         for _ in range(attributes):
@@ -852,7 +883,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     # methods: structure first; bodies checked after class attributes are
     # read, since invokedynamic operands need BootstrapMethods
     raw_methods = []
-    count, pos = _count(data, pos, end, source)
+    count, pos = _u2(data, pos, end, source)
     for _ in range(count):
         m_flags, m_name, m_desc, attributes, pos = _member(data, pos, end, pool, source, True)
         code_info = None
@@ -877,18 +908,19 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     bootstrap_methods: list[tuple[str, str, str]] = []
     class_attr_names: list[str] = []
     source_file = None
-    count, pos = _count(data, pos, end, source)
+    count, pos = _u2(data, pos, end, source)
     for _ in range(count):
         a_name, start, pos = _attribute(data, pos, end, pool, source)
         class_attr_names.append(a_name)
-        if a_name in ("SourceFile", "BootstrapMethods"):
-            payload = ByteReader(data[start:pos], source, start)
-            if a_name == "SourceFile":
-                source_file = payload.ref(pool.utf8)
-            else:
-                bootstrap_methods = _parse_bootstrap_methods(payload, pool)
-            if start + payload.pos != pos:
-                raise _unread(a_name, start, start + payload.pos, pos, source)
+        if a_name == "SourceFile":
+            index, used = _u2(data, start, pos, source)
+            source_file = _utf8(pool, index, start, source)
+        elif a_name == "BootstrapMethods":
+            bootstrap_methods, used = _bootstrap_methods(data, start, pos, pool, source)
+        else:
+            continue
+        if used != pos:
+            raise _unread(a_name, start, used, pos, source)
 
     if pos != end:
         raise MalformedClassFile("trailing bytes after class structure", pos, source)
@@ -912,7 +944,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     return ClassFile(
         class_name=class_name,
         super_name=super_name,
-        interfaces=interfaces,
+        interfaces=tuple(interfaces),
         access_flags=access_flags,
         methods=tuple(methods),
         source_file=source_file,

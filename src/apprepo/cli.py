@@ -19,6 +19,7 @@ import os
 import shutil
 import sys
 from datetime import date
+from itertools import takewhile
 from pathlib import Path
 from stat import S_IFDIR, S_IFREG
 from typing import NamedTuple, NoReturn
@@ -195,7 +196,8 @@ def cmd_build(config: PipelineConfig) -> int:
 
     All artifacts are produced in a temporary directory that is renamed
     into place only after the verify step passes, so a failed build
-    leaves nothing behind. Verify compares what is on disk with what the
+    leaves nothing behind: neither that directory nor the parents of
+    ``--out`` that the build created for it. Verify compares what is on disk with what the
     build holds (see :func:`_verify`) instead of loading the bundle again:
     the build has already parsed every class it copied, checked the GUI
     model it persisted and written each document from its model.
@@ -205,6 +207,7 @@ def cmd_build(config: PipelineConfig) -> int:
     tmp = out.parent / (out.name + ".building")
     if exists_as(tmp):
         shutil.rmtree(tmp)
+    created = list(takewhile(lambda parent: not exists_as(parent), tmp.parents))
     try:
         _verify(tmp, _build_into(config, tmp))
         if exists_as(out):
@@ -214,6 +217,11 @@ def cmd_build(config: PipelineConfig) -> int:
     except BaseException:
         if exists_as(tmp):
             shutil.rmtree(tmp, ignore_errors=True)
+        for parent in created:  # innermost first; one that is not empty stays
+            try:
+                parent.rmdir()
+            except OSError:
+                break
         raise
     log.info("project written to %s", out)
     return 0

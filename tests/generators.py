@@ -15,7 +15,7 @@ DESCRIPTORS = ["()V", "(I)I", "()Ljava/lang/String;"]
 
 
 def _empty_pool() -> ConstantPool:
-    return ConstantPool([None])
+    return ConstantPool([0], [None])
 
 
 def make_class(name: str, super_name: str | None, interfaces=(),

@@ -14,7 +14,7 @@ from apprepo.classfile import (
     parse_descriptor,
     render_method,
 )
-from apprepo.classfile.constant_pool import ByteReader, parse_constant_pool
+from apprepo.classfile.constant_pool import ConstantEntry, ConstantPool, parse_constant_pool
 from apprepo.classfile import parser
 from apprepo.classfile.opcodes import MNEMONICS, OPCODES, WIDE_TARGETS
 from apprepo.classfile.parser import (
@@ -147,6 +147,18 @@ def test_method_handle_must_reference_a_member(entries, reason):
     assert err.value.offset == len(head + pool) - len(entries[-1])  # the handle's tag byte
 
 
+def read_pool(data: bytes) -> ConstantPool:
+    """The pool of the table that ``data`` holds, its count first."""
+    pool, end = parse_constant_pool(data, 0)
+    assert end == len(data)
+    return pool
+
+
+def slots(pool: ConstantPool) -> list[ConstantEntry | None]:
+    """Each slot of ``pool`` as its entry, None where it holds none."""
+    return [pool.entry(index) if tag else None for index, tag in enumerate(pool.tags)]
+
+
 # #1-#6 end in #6, a Methodref p/A.m()V
 HANDLE_POOL = [struct.pack(">BH", 1, 3) + b"p/A", struct.pack(">BH", 7, 1),
                struct.pack(">BH", 1, 1) + b"m", struct.pack(">BH", 1, 3) + b"()V",
@@ -165,10 +177,10 @@ def test_method_handle_kind_must_match_the_entry_it_names(kind, reason):
         return (struct.pack(">H", len(HANDLE_POOL) + 2) + b"".join(HANDLE_POOL)
                 + struct.pack(">BBH", 15, kind, 6))
 
-    assert parse_constant_pool(ByteReader(pool(6))).entries[7] == (15, (6, 6))
+    assert read_pool(pool(6)).entry(7) == (15, (6, 6))
     data = pool(kind)
     with pytest.raises(MalformedClassFile) as err:
-        parse_constant_pool(ByteReader(data))
+        parse_constant_pool(data, 0)
     assert err.value.reason == reason
     assert err.value.offset == len(data) - 4  # the handle's tag byte
 
@@ -190,11 +202,11 @@ def handle_pool(kind: int, name: str, tag: int = 10) -> bytes:
 ])
 def test_method_handle_names_no_special_method_unless_kind_8_names_init(kind, tag, name):
     allowed = "<init>" if kind == 8 else "m"
-    assert parse_constant_pool(ByteReader(handle_pool(kind, allowed, tag))).entries[7] == (
+    assert read_pool(handle_pool(kind, allowed, tag)).entry(7) == (
         15, (kind, 6))
     data = handle_pool(kind, name, tag)
     with pytest.raises(MalformedClassFile) as err:
-        parse_constant_pool(ByteReader(data))
+        parse_constant_pool(data, 0)
     rule = "must name <init>" if kind == 8 else "may not name <init> or <clinit>"
     assert err.value.reason == f"MethodHandle of kind {kind} {rule}, got {name}"
     assert err.value.offset == len(data) - 4  # the handle's tag byte
@@ -208,7 +220,7 @@ def test_method_handle_names_an_interface_method_only_from_major_52(kind):
         spec = AsmClass("P", methods=[AsmMethod("m", "()V", ACC_PUBLIC, [("return",)])],
                         bootstrap_methods=(("p/B", "bsm", "()V"),), major=major)
         data = assemble_class(spec)
-        entries = parse_class(data).constant_pool.entries
+        entries = slots(parse_class(data).constant_pool)
         index = next(i for i, e in enumerate(entries) if e is not None and e.tag == 10)
         cls, name, desc = entries[index].value
         methodref = struct.pack(">BHH", 10, entries.index((7, cls)),
@@ -219,7 +231,7 @@ def test_method_handle_names_an_interface_method_only_from_major_52(kind):
         return data.replace(handle, struct.pack(">BBH", 15, kind, index)), data.index(handle)
 
     data, _ = assembled(52)
-    handles = [e.value for e in parse_class(data).constant_pool.entries
+    handles = [e.value for e in slots(parse_class(data).constant_pool)
                if e is not None and e.tag == 15]
     assert [kind for kind, _ in handles] == [kind]
     data, offset = assembled(51)
@@ -232,12 +244,42 @@ def test_method_handle_names_an_interface_method_only_from_major_52(kind):
 
 @pytest.mark.parametrize("tag,name", [(5, "Long"), (6, "Double")])
 def test_long_or_double_in_the_last_pool_slot_is_malformed(tag, name):
-    assert parse_constant_pool(ByteReader(struct.pack(">HBq", 3, tag, 0))).entries[2] is None
+    assert slots(read_pool(struct.pack(">HBq", 3, tag, 0)))[2] is None
     with pytest.raises(MalformedClassFile) as err:
-        parse_constant_pool(ByteReader(struct.pack(">HBq", 2, tag, 0)))
+        parse_constant_pool(struct.pack(">HBq", 2, tag, 0), 0)
     assert err.value.reason == (f"constant pool entry 1 is a {name} in the last slot,"
                                 " which leaves no room for its second slot")
     assert err.value.offset == 2  # the entry's tag byte, after the pool count
+
+
+# #1 Utf8 "a", #2 a Long whose second slot is #3, #4 a Class naming #1
+SMALL_POOL = (struct.pack(">HBH", 5, 1, 1) + b"a" + struct.pack(">Bq", 5, 7)
+              + struct.pack(">BH", 7, 1))
+
+
+def test_pool_is_two_lists_and_makes_entries_on_demand():
+    pool, end = parse_constant_pool(SMALL_POOL, 0, "P.class")
+    assert end == len(SMALL_POOL)
+    assert (pool.tags, pool.values) == ([0, 1, 5, 0, 7], [None, "a", 7, None, "a"])
+    assert not hasattr(pool, "entries") and not hasattr(pool, "texts")
+    got = pool.entry(4, 7)
+    assert type(got) is ConstantEntry and got == (7, "a")
+    assert pool.entry(2) == ConstantEntry(5, 7) and pool.utf8(1) == "a"
+
+
+@pytest.mark.parametrize("index,tag,reason", [
+    (0, None, "invalid constant pool index 0"),  # slot 0
+    (3, None, "invalid constant pool index 3"),  # the Long's second slot
+    (5, None, "invalid constant pool index 5"),  # the count
+    (65535, 7, "invalid constant pool index 65535"),
+    (4, 1, "constant pool index 4 holds Class, expected Utf8"),
+    (2, 7, "constant pool index 2 holds Long, expected Class"),
+], ids=["slot-0", "after-long", "count", "past-count", "class-for-utf8", "long-for-class"])
+def test_pool_entry_rejects_a_slot_without_an_entry_of_the_kind(index, tag, reason):
+    pool, _ = parse_constant_pool(SMALL_POOL, 0, "P.class")
+    with pytest.raises(MalformedClassFile) as err:
+        pool.entry(index, tag)
+    assert (err.value.reason, err.value.offset, err.value.source) == (reason, 0, "P.class")
 
 
 def test_parsed_pool_holds_resolved_values():
@@ -247,7 +289,7 @@ def test_parsed_pool_holds_resolved_values():
         ("invokedynamic", "run", "()Ljava/lang/Runnable;", 0), ("pop",),
         ("new", "p/Q"), ("pop",), ("return",)])],
         bootstrap_methods=(("p/B", "bsm", "()V"),))
-    entries = parse_class(assemble_class(spec)).constant_pool.entries
+    entries = slots(parse_class(assemble_class(spec)).constant_pool)
     assert {(8, "hi"), (5, 7), (7, "p/R"), (7, "p/Q"), (12, ("f", "I")),
             (9, ("p/R", "f", "I")), (10, ("p/R", "g", "()V")),
             (18, (0, "run", "()Ljava/lang/Runnable;"))} <= set(filter(None, entries))
@@ -349,7 +391,7 @@ def test_bootstrap_handle_naming_a_field_reported_at_its_file_offset():
     spec = AsmClass("P", methods=[AsmMethod("m", "()V", ACC_PUBLIC, [("return",)])],
                     bootstrap_methods=(("p/B", "bsm", "()V"),))
     data = assemble_class(spec)
-    entries = parse_class(data).constant_pool.entries
+    entries = slots(parse_class(data).constant_pool)
     # the bootstrap handle's Methodref, turned into a Fieldref
     cls, name, desc = next(e.value for e in entries if e is not None and e.tag == 10)
     methodref = struct.pack(">BHH", 10, entries.index((7, cls)),
@@ -377,7 +419,7 @@ def wrong_kind_class(real_op: tuple, opcode: int) -> tuple[bytes, bytes, int]:
 
     pool = parse_class(assemble([])).constant_pool
     # the Fieldref (tag 9) or Methodref (tag 10) that real_op names
-    index = next(i for i, e in enumerate(pool.entries) if e is not None and e.tag in (9, 10))
+    index = next(i for i, e in enumerate(slots(pool)) if e is not None and e.tag in (9, 10))
     bad = struct.pack(">BH", opcode, index)
     return assemble([("raw", bad)]), bad, index
 
@@ -403,6 +445,12 @@ def test_member_instruction_rejects_the_wrong_reference_kind(real_op, opcode, re
     (b"\xc4\x00", [("return",)], "opcode 0x00 cannot be widened"),
     (b"\xaa\x00\x00\x01", [("return",)], "nonzero switch padding"),
     (b"\x11\x00", [], "truncated class file"),
+    # cut off in its padding: a nonzero byte before the end is found first
+    (b"\xaa\x00\x01", [], "nonzero switch padding"),
+    (b"\xaa\x00\x00", [], "truncated class file"),
+    (b"\xab\x00\x00\x00" + struct.pack(">ii", 0, -1), [("return",)],
+     "lookupswitch negative pair count"),
+    (b"\xc4\x84\x00\x01\x00", [], "truncated class file"),  # a wide iinc cut off
 ])
 def test_code_error_reported_at_instruction_file_offset(nops, bad, tail, reason):
     # a code array longer than its own file offset once let an operand
@@ -536,10 +584,7 @@ FIXTURE_CODE = [(data, m.body.file_base, m.body.file_base + len(m.body.code))
 
 
 def pool_entries_end(data: bytes) -> int:
-    reader = ByteReader(data)
-    reader.pos = 8  # magic and version
-    parse_constant_pool(reader)
-    return reader.pos
+    return parse_constant_pool(data, 8)[1]  # after magic and version
 
 
 # (class bytes, start, end) of the constant pool entries of the fixture classes
@@ -598,7 +643,7 @@ SCAN_CLASS = AsmClass("p/S", bootstrap_methods=(("p/B", "bsm", "()V"),), methods
         ("invokeinterface", "p/I", "i", "()V", 1), ("invokedynamic", "run", "()V", 0),
         ("new", "p/S"), ("multianewarray", "[[I", 2), ("return",)])])
 SCAN_BODY = parse_class(assemble_class(SCAN_CLASS)).methods[0].body
-SCAN_POOL_SIZE = len(SCAN_BODY.pool.entries)
+SCAN_POOL_SIZE = len(SCAN_BODY.pool.tags)
 
 
 def scan_outcome(check, code: bytes) -> tuple:

@@ -345,6 +345,17 @@ def test_build_missing_binaries_no_output(corpus, tmp_path, capsys):
     assert '"stage"' in capsys.readouterr().err
 
 
+def test_failed_build_removes_only_the_parents_it_created(corpus, tmp_path, capsys):
+    config = write_config(tmp_path / "c.json", corpus,
+                          entry_points=["fix/Nowhere.main([Ljava/lang/String;)V"])
+    keep = tmp_path / "keep"
+    keep.mkdir()
+    (keep / "file").write_bytes(b"x")
+    assert main(["build", "--config", str(config), "--out", str(keep / "a" / "b" / "proj")]) == 1
+    assert stage_failure(capsys.readouterr().err)["stage"] == "callgraph"
+    assert [p.name for p in keep.iterdir()] == ["file"]
+
+
 def test_build_reports_unencodable_method_name_as_stage_failure(tmp_path, capsys):
     app = tmp_path / "app"
     (app / "p").mkdir(parents=True)
@@ -586,7 +597,7 @@ def test_build_out_too_long_for_its_temporary_name_is_a_stage_failure(corpus, tm
     assert main(["build", "--config", str(config), "--out", str(out)]) == 1
     failure = stage_failure(capsys.readouterr().err)
     assert (failure["stage"], failure["error"]) == ("copy", "IoFailure")
-    assert not any((tmp_path / "out").iterdir())
+    assert not os.path.lexists(tmp_path / "out")  # the build made it, and took it away
 
 
 def test_build_entry_override(corpus, tmp_path):

@@ -91,7 +91,7 @@ def test_class_equality_ignores_the_constant_pool():
     first, second = parsed(), parsed()
     assert first.constant_pool is not second.constant_pool
     assert first == second and hash(first) == hash(second)
-    emptied = first._replace(constant_pool=ConstantPool([None]))
+    emptied = first._replace(constant_pool=ConstantPool([0], [None]))
     assert emptied == first and hash(emptied) == hash(first)
     assert first._replace(source_file="C.java") != first
     assert "constant_pool" not in repr(first) and "body" not in repr(first.methods[0])
