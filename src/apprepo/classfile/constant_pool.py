@@ -301,16 +301,15 @@ def parse_constant_pool(data: bytes, pos: int, source: str | None = None,
             raise MalformedClassFile(exc.reason, entry_offset(data, first, index),
                                      source) from exc
 
-    utf8 = CONST_UTF8
     for index in steps[0]:
         value = values[index]
         if tags[index] == CONST_NAME_AND_TYPE:
             name, desc = value
-            if name < count and desc < count and tags[name] == tags[desc] == utf8:
+            if name < count and desc < count and tags[name] == tags[desc] == CONST_UTF8:
                 values[index] = values[name], values[desc]
             else:
                 values[index] = resolved(index)
-        elif value < count and tags[value] == utf8:
+        elif value < count and tags[value] == CONST_UTF8:
             values[index] = values[value]
         else:
             values[index] = resolved(index)

@@ -197,10 +197,11 @@ def cmd_build(config: PipelineConfig) -> int:
     All artifacts are produced in a temporary directory that is renamed
     into place only after the verify step passes, so a failed build
     leaves nothing behind: neither that directory nor the parents of
-    ``--out`` that the build created for it. Verify compares what is on disk with what the
-    build holds (see :func:`_verify`) instead of loading the bundle again:
-    the build has already parsed every class it copied, checked the GUI
-    model it persisted and written each document from its model.
+    ``--out`` that the build created for it. Verify compares what is on
+    disk with what the build holds (see :func:`_verify`) instead of
+    loading the bundle again: the build has already parsed every class it
+    copied, checked the GUI model it persisted and written each document
+    from its model.
     """
     _check_config(config)
     out = config.output_project_dir

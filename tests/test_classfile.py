@@ -28,7 +28,7 @@ from apprepo.classfile.parser import (
 from apprepo.errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
 
 from classasm import ACC_ABSTRACT, ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
-from fixtures import all_classes
+from damage import fixture_classes
 from oracle_cha import invoke_sites
 
 
@@ -202,8 +202,7 @@ def handle_pool(kind: int, name: str, tag: int = 10) -> bytes:
 ])
 def test_method_handle_names_no_special_method_unless_kind_8_names_init(kind, tag, name):
     allowed = "<init>" if kind == 8 else "m"
-    assert read_pool(handle_pool(kind, allowed, tag)).entry(7) == (
-        15, (kind, 6))
+    assert read_pool(handle_pool(kind, allowed, tag)).entry(7) == (15, (kind, 6))
     data = handle_pool(kind, name, tag)
     with pytest.raises(MalformedClassFile) as err:
         parse_constant_pool(data, 0)
@@ -577,7 +576,7 @@ def test_source_file_attribute():
 
 # --- contract fuzzing: any bytes give a ClassFile or MalformedClassFile ------
 
-FIXTURE_CLASSES = [assemble_class(spec) for group in all_classes().values() for spec in group]
+FIXTURE_CLASSES = fixture_classes()
 # (class bytes, start, end) of every code array of the fixture classes
 FIXTURE_CODE = [(data, m.body.file_base, m.body.file_base + len(m.body.code))
                 for data in FIXTURE_CLASSES for m in parse_class(data).methods if m.body]
