@@ -65,6 +65,56 @@ def test_init_rejects_overlapping_dirs(tmp_path):
                      binaries="bin", libraries="bin")
 
 
+# every artifact a project file declares: its path, its Project field and
+# whether it is a directory; all but binaries are optional
+ARTIFACT_PATHS = {
+    "binaries": ("b/in", "binaries_dir", True),
+    "libraries": ("l/ib", "libraries_dir", True),
+    "sources": ("s", "sources_dir", True),
+    "gui": ("g/model.xml", "gui_model_path", False),
+    "external_gui": ("g/rip.xml", "external_gui_path", False),
+    "callgraph": ("c/g.xml", "callgraph_path", False),
+    "screenshots": ('shots & <"q">', "screenshots_dir", True),
+    "startup": ("sh/start.sh", "startup_script_path", False),
+}
+OPTIONAL_ARTIFACTS = tuple(ARTIFACT_PATHS)[1:]
+
+
+@pytest.mark.parametrize("declared", [
+    tuple(a for i, a in enumerate(OPTIONAL_ARTIFACTS) if mask >> i & 1)
+    for mask in range(1 << len(OPTIONAL_ARTIFACTS))], ids=lambda d: "+".join(d) or "none")
+def test_project_file_round_trips_each_set_of_artifacts(tmp_path, declared):
+    root = tmp_path / "p"
+    paths = {a: ARTIFACT_PATHS[a][0] for a in ("binaries", *declared)}
+    project = read_project_file(init_project(root, "every", "1.0", TS, **paths))
+    if "gui" not in declared:
+        paths.pop("external_gui", None)  # <gui> carries it: without one it is dropped
+    assert {field: getattr(project, field) for _, field, _ in ARTIFACT_PATHS.values()
+            if getattr(project, field) is not None} == {
+        ARTIFACT_PATHS[a][1]: (root / rel).resolve() for a, rel in paths.items()}
+    for artifact, rel in paths.items():
+        is_dir = ARTIFACT_PATHS[artifact][2]
+        assert (root / rel if is_dir else (root / rel).parent).is_dir()
+        assert is_dir or not (root / rel).exists()
+
+
+def test_project_file_with_every_artifact_is_pinned(tmp_path):
+    paths = {a: rel for a, (rel, _, _) in ARTIFACT_PATHS.items()}
+    target = init_project(tmp_path / "p", "every & <1>", '1.0 "beta"', TS, **paths)
+    assert target.read_bytes() == (
+        b'<?xml version="1.0" encoding="UTF-8"?>\n'
+        b'<project name="every &amp; &lt;1&gt;" version="1.0 &quot;beta&quot;"'
+        b' timestamp="2001-06-01">\n'
+        b'  <binaries path="b/in"/>\n'
+        b'  <libraries path="l/ib"/>\n'
+        b'  <sources path="s"/>\n'
+        b'  <gui path="g/model.xml" external="g/rip.xml"/>\n'
+        b'  <callgraph path="c/g.xml"/>\n'
+        b'  <screenshots path="shots &amp; &lt;&quot;q&quot;&gt;"/>\n'
+        b'  <startup path="sh/start.sh"/>\n'
+        b'</project>\n')
+
+
 # --- loading ------------------------------------------------------------------
 
 def test_load_complete_bundle(bundle):
