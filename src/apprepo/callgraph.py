@@ -21,8 +21,8 @@ from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
 from .errors import (EntryPointMissing, MalformedClassFile, SchemaViolation,
                      TargetClassMissing)
-from .xmlio import (ESCAPED_VALUE, XML_DECLARATION, escape_attr, non_xml_char,
-                    read_document, unescape_attr)
+from .xmlio import (ESCAPED_VALUE, XML_DECLARATION, check_xml_text, escape_attr,
+                    non_xml_char, read_document, unescape_attr)
 
 ALGORITHM = "CHA"
 CLINIT_NAME = "<clinit>"
@@ -45,13 +45,15 @@ _HEAD = XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}">\n'
 _TAIL = "</callgraph>\n"
 # a run of <calls> lines is the targets joined by what ends one line and starts the next
 _CALLS_OPEN, _CALLS_CLOSE = '    <calls target="', '"/>\n'
+_CALLS_SEPARATOR = _CALLS_CLOSE + _CALLS_OPEN
+_METHOD_CLOSE = "  </method>\n"
 # one <method> element, as serialize_callgraph writes it: the raw id and
 # inClass, the flag attributes, entry, and the run of <calls> lines if any.
 # A target's characters need no check here: it counts only if it is an id.
 _FLAG_VALUES = " ".join(f'{name}="(?:true|false)"' for name in _FLAGS)
 _METHOD = (f'  <method id="({ESCAPED_VALUE})" inClass="({ESCAPED_VALUE})"'
            f' ({_FLAG_VALUES})( entry="true")?'
-           f'(?:/>\n|>\n((?:{_CALLS_OPEN}[^"]*+{_CALLS_CLOSE})++)  </method>\n)')
+           f'(?:/>\n|>\n((?:{_CALLS_OPEN}[^"]*+{_CALLS_CLOSE})++){_METHOD_CLOSE})')
 
 
 class _PartitionFields(NamedTuple):
@@ -397,7 +399,8 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     reachable, each ``true`` or ``false``, and ``entry="true"`` on an entry
     point only. Each method's text is computed
     and escaped once; the lines, in :class:`~apprepo.xmlio.XmlWriter`'s
-    layout, are written directly from the graph's table.
+    layout, are written directly from the graph's table, out of the same
+    pieces (``_HEAD``, ``_CALLS_OPEN`` ...) that the scan reader matches.
     A caller, call target or entry point outside ``nodes`` raises
     :class:`SchemaViolation`, for the document would not read back.
     A method text holding a character that XML 1.0 cannot carry, such as
@@ -417,10 +420,7 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     text = {ref: ref.text for ref in g.nodes}
     bad = min((t for t in text.values() if non_xml_char(t) is not None), default=None)
     if bad is not None:
-        ch = non_xml_char(bad)
-        what = ("an unpaired surrogate" if "\ud800" <= ch <= "\udfff"
-                else f"character U+{ord(ch):04X}")
-        raise SchemaViolation(f"method {bad!r} holds {what}, which XML 1.0 cannot carry")
+        check_xml_text(bad, "method")
     misread = min(((t, ref) for ref, t in text.items() if _read_back(t) != ref), default=None)
     if misread is not None:
         t, ref = misread
@@ -429,18 +429,18 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     escaped = {ref: escape_attr(t) for ref, t in text.items()}
     if not text:
         return _EMPTY_DOCUMENT.encode("utf-8")
-    lines = [XML_DECLARATION + f'<callgraph algorithm="{ALGORITHM}">']
+    parts = [_HEAD]
     for ref in sorted(text, key=text.__getitem__):
         calls = sorted(g.calls.get(ref, ()), key=text.__getitem__)
         entry = ' entry="true"' if ref in g.entry_points else ""
-        lines.append(
+        parts.append(
             f'  <method id="{escaped[ref]}" inClass="{escape_attr(ref.in_class)}"'
-            f' {_FLAG_ATTRS[g.nodes[ref]]}{entry}{">" if calls else "/>"}')
+            f' {_FLAG_ATTRS[g.nodes[ref]]}{entry}{">" if calls else "/>"}\n')
         if calls:
-            lines.extend(f'    <calls target="{escaped[callee]}"/>' for callee in calls)
-            lines.append("  </method>")
-    lines.append("</callgraph>\n")
-    return "\n".join(lines).encode("utf-8")
+            parts.append(_CALLS_OPEN + _CALLS_SEPARATOR.join(map(escaped.__getitem__, calls))
+                         + _CALLS_CLOSE + _METHOD_CLOSE)
+    parts.append(_TAIL)
+    return "".join(parts).encode("utf-8")
 
 
 def _read_back(text: str) -> MethodRef | None:
@@ -515,9 +515,8 @@ def _scan_callgraph(doc: bytes | str) -> CallGraph | None:
     if not nodes or pos + len(_TAIL) != len(doc) or not doc.endswith(_TAIL):
         return None
     calls: dict[MethodRef, frozenset[MethodRef]] = {}
-    separator = _CALLS_CLOSE + _CALLS_OPEN
     for caller, start, end in listed:
-        targets = doc[start:end].split(separator)
+        targets = doc[start:end].split(_CALLS_SEPARATOR)
         callees = calls[caller] = frozenset(map(refs.get, targets))
         if None in callees or len(callees) < len(targets):
             return None  # a dangling or repeated target

@@ -258,15 +258,19 @@ def _build_into(config: PipelineConfig, root: Path) -> dict[Path, bytes | Path]:
     every class file and archive copied and the bytes of every document
     written.
     """
+    declared: dict[str, str] = {}  # the artifacts written, at their LAYOUT paths
+
+    def declare(artifact: str) -> Path:
+        declared[artifact] = LAYOUT[artifact]
+        return root / LAYOUT[artifact]
+
     try:
         root.mkdir(parents=True)
-        copies = _copy_containers(config.partition.application, root / LAYOUT["binaries"])
-        has_libraries = bool(config.partition.library)
-        if has_libraries:
-            copies.update(_copy_containers(config.partition.library,
-                                           root / LAYOUT["libraries"]))
+        copies = _copy_containers(config.partition.application, declare("binaries"))
+        if config.partition.library:
+            copies.update(_copy_containers(config.partition.library, declare("libraries")))
         if config.sources_dir is not None:
-            shutil.copytree(config.sources_dir, root / LAYOUT["sources"])
+            shutil.copytree(config.sources_dir, declare("sources"))
     except OSError as exc:
         raise StageFailure("copy", IoFailure(str(exc))) from exc
 
@@ -277,7 +281,7 @@ def _build_into(config: PipelineConfig, root: Path) -> dict[Path, bytes | Path]:
     try:
         entries = (cg.find_main_entries(hierarchy) if config.entry_points == "auto"
                    else config.entry_points)
-        documents = {root / LAYOUT["callgraph"]:
+        documents = {declare("callgraph"):
                      cg.serialize_callgraph(cg.build_callgraph(hierarchy, entries))}
     except ApprepoError as exc:
         raise StageFailure("callgraph", exc) from exc
@@ -289,28 +293,21 @@ def _build_into(config: PipelineConfig, root: Path) -> dict[Path, bytes | Path]:
             model = transform_external(external_bytes)
         except ApprepoError as exc:
             raise StageFailure("gui", exc) from exc
-        documents[root / LAYOUT["gui"]] = persist_gui(model)
-        documents[root / LAYOUT["external_gui"]] = external_bytes
+        documents[declare("gui")] = persist_gui(model)
+        documents[declare("external_gui")] = external_bytes
     else:
         log.warning("no external GUI model provided; project has no GUI artifacts")
 
     try:
         row = version_metrics(
             config.version_label, config.timestamp, hierarchy,
-            root / LAYOUT["sources"] if config.sources_dir is not None else None, model)
+            root / declared["sources"] if "sources" in declared else None, model)
     except ApprepoError as exc:
         raise StageFailure("metrics", exc) from exc
     documents[root / LAYOUT["metrics"]] = version_csv([row]).encode("utf-8")
 
     documents[root / PROJECT_FILE_NAME] = render_project_file(
-        config.name, config.version_label, config.timestamp,
-        binaries=LAYOUT["binaries"],
-        libraries=LAYOUT["libraries"] if has_libraries else None,
-        sources=LAYOUT["sources"] if config.sources_dir is not None else None,
-        gui=LAYOUT["gui"] if model is not None else None,
-        external_gui=LAYOUT["external_gui"] if model is not None else None,
-        callgraph=LAYOUT["callgraph"],
-    )
+        config.name, config.version_label, config.timestamp, declared)
     for path, data in documents.items():
         try:
             path.parent.mkdir(parents=True, exist_ok=True)

@@ -40,18 +40,30 @@ log = logging.getLogger(__name__)
 
 PROJECT_FILE_NAME = "project.xml"
 
-# conventional layout under a project root
-LAYOUT = {
-    "binaries": "bin",
-    "libraries": "lib",
-    "sources": "src",
-    "gui": "gui/model.xml",
-    "external_gui": "gui/ripper.xml",
-    "callgraph": "callgraph/callgraph.xml",
-    "metrics": "metrics.csv",
-    "screenshots": "screenshots",
-    "startup": "scripts/start.sh",
+class Artifact(NamedTuple):
+    """How a project file declares one artifact of the bundle."""
+
+    field: str  # the Project field holding its resolved path
+    kind: int  # S_IFDIR or S_IFREG
+    required: bool  # absent: a violation if required, else a warning
+    layout: str  # its conventional path under a project root
+
+
+# every artifact a project file can declare, in the order it writes them.
+# external_gui is no element of its own: it is the ``external`` attribute
+# of <gui>, so it is declared only along with gui.
+ARTIFACTS = {
+    "binaries": Artifact("binaries_dir", S_IFDIR, True, "bin"),
+    "libraries": Artifact("libraries_dir", S_IFDIR, True, "lib"),
+    "sources": Artifact("sources_dir", S_IFDIR, True, "src"),
+    "gui": Artifact("gui_model_path", S_IFREG, True, "gui/model.xml"),
+    "external_gui": Artifact("external_gui_path", S_IFREG, True, "gui/ripper.xml"),
+    "callgraph": Artifact("callgraph_path", S_IFREG, True, "callgraph/callgraph.xml"),
+    "screenshots": Artifact("screenshots_dir", S_IFDIR, False, "screenshots"),
+    "startup": Artifact("startup_script_path", S_IFREG, False, "scripts/start.sh"),
 }
+# conventional layout under a project root: the artifacts', and the stored metrics
+LAYOUT = {artifact: a.layout for artifact, a in ARTIFACTS.items()} | {"metrics": "metrics.csv"}
 
 
 class Project(NamedTuple):
@@ -145,33 +157,23 @@ def exists_as(path: Path, kind: int | None = None) -> bool:
     return kind is None or S_IFMT(mode) == kind
 
 
-def _relative_to_project(root: Path, raw: str) -> Path:
-    return (root / raw).resolve()  # an absolute raw path replaces root
-
-
 def init_project(root: Path | str, name: str, version_label: str, timestamp: date,
-                 binaries: str = LAYOUT["binaries"],
-                 libraries: str | None = None,
-                 sources: str | None = None,
-                 gui: str | None = None,
-                 external_gui: str | None = None,
-                 callgraph: str | None = None,
-                 screenshots: str | None = None,
-                 startup: str | None = None) -> Path:
+                 **paths: str | None) -> Path:
     """Write a project file and create the declared directory layout.
 
-    Re-initializing with identical arguments is a no-op; a project file
-    with different content already in place raises AlreadyExists.
+    ``paths`` maps artifacts of :data:`ARTIFACTS` to paths under ``root``;
+    binaries default to ``bin``, and an artifact left out or None is not
+    declared. Re-initializing with identical arguments is a no-op; a
+    project file with different content already in place raises
+    AlreadyExists.
     """
-    if not name:
-        raise ValueError("project name must be non-empty")
+    unknown = paths.keys() - ARTIFACTS.keys()
+    if unknown:
+        raise TypeError(f"init_project() got an unexpected keyword argument {min(unknown)!r}")
+    paths = {artifact: rel for artifact, rel in {"binaries": LAYOUT["binaries"], **paths}.items()
+             if rel is not None}
     root = Path(root)
-    if libraries is not None and Path(binaries) == Path(libraries):
-        raise ValueError("binaries and libraries directories must be disjoint")
-    content = render_project_file(name, version_label, timestamp, binaries=binaries,
-                                  libraries=libraries, sources=sources, gui=gui,
-                                  external_gui=external_gui, callgraph=callgraph,
-                                  screenshots=screenshots, startup=startup)
+    content = render_project_file(name, version_label, timestamp, paths)
     target = root / PROJECT_FILE_NAME
     try:
         if target.exists():
@@ -179,12 +181,10 @@ def init_project(root: Path | str, name: str, version_label: str, timestamp: dat
                 return target
             raise AlreadyExists(f"{target} exists with different content")
         root.mkdir(parents=True, exist_ok=True)
-        for rel in (binaries, libraries, sources, screenshots):
-            if rel is not None:
-                (root / rel).mkdir(parents=True, exist_ok=True)
-        for rel in (gui, external_gui, callgraph, startup):
-            if rel is not None:
-                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        for artifact, rel in paths.items():
+            path = root / rel
+            (path if ARTIFACTS[artifact].kind == S_IFDIR else path.parent).mkdir(
+                parents=True, exist_ok=True)
         target.write_bytes(content)
     except OSError as exc:
         raise IoFailure(f"cannot initialize project at {root}: {exc}") from exc
@@ -192,34 +192,31 @@ def init_project(root: Path | str, name: str, version_label: str, timestamp: dat
 
 
 def render_project_file(name: str, version_label: str, timestamp: date,
-                        binaries: str = LAYOUT["binaries"],
-                        libraries: str | None = None,
-                        sources: str | None = None,
-                        gui: str | None = None,
-                        external_gui: str | None = None,
-                        callgraph: str | None = None,
-                        screenshots: str | None = None,
-                        startup: str | None = None) -> bytes:
-    """The project file bytes :func:`init_project` writes for these arguments."""
+                        paths: dict[str, str]) -> bytes:
+    """The project file bytes :func:`init_project` writes for these arguments.
+
+    ``paths`` maps each declared artifact of :data:`ARTIFACTS` to its
+    path. A name that is empty, binaries and libraries at one path, and
+    external_gui without gui raise ValueError.
+    """
+    if not name:
+        raise ValueError("project name must be non-empty")
+    if "binaries" not in paths:
+        raise ValueError("a project must declare its binaries directory")
+    if "libraries" in paths and Path(paths["binaries"]) == Path(paths["libraries"]):
+        raise ValueError("binaries and libraries directories must be disjoint")
+    if "external_gui" in paths and "gui" not in paths:
+        raise ValueError("external_gui without gui: a project file holds it as an attribute"
+                         " of <gui>")
     writer = XmlWriter()
     writer.open("project", [("name", name), ("version", version_label),
                             ("timestamp", timestamp.isoformat())])
-    writer.leaf("binaries", [("path", binaries)])
-    if libraries is not None:
-        writer.leaf("libraries", [("path", libraries)])
-    if sources is not None:
-        writer.leaf("sources", [("path", sources)])
-    if gui is not None:
-        attrs = [("path", gui)]
-        if external_gui is not None:
-            attrs.append(("external", external_gui))
-        writer.leaf("gui", attrs)
-    if callgraph is not None:
-        writer.leaf("callgraph", [("path", callgraph)])
-    if screenshots is not None:
-        writer.leaf("screenshots", [("path", screenshots)])
-    if startup is not None:
-        writer.leaf("startup", [("path", startup)])
+    for artifact in ARTIFACTS:
+        if artifact in paths and artifact != "external_gui":
+            attrs = [("path", paths[artifact])]
+            if artifact == "gui" and "external_gui" in paths:
+                attrs.append(("external", paths["external_gui"]))
+            writer.leaf(artifact, attrs)
     writer.close()
     return writer.tobytes()
 
@@ -242,57 +239,37 @@ def read_project_file(path: Path | str) -> Project:
     except ValueError as exc:
         raise SchemaViolation(f"invalid project timestamp: {exc}") from exc
 
-    paths: dict[str, str] = {}
-    gui_external: str | None = None
+    paths: dict[str, str | None] = {}
     for elem in root:
-        if elem.tag not in ("binaries", "libraries", "sources", "gui", "callgraph",
-                            "screenshots", "startup"):
-            # unknown elements from other producers are ignored on load
-            continue
+        if elem.tag not in ARTIFACTS or elem.tag == "external_gui":
+            continue  # unknown elements from other producers are ignored on load
         if "path" not in elem.attrib:
             raise SchemaViolation(f"<{elem.tag}> missing required attribute 'path'")
         paths[elem.tag] = elem.attrib["path"]
         if elem.tag == "gui":
-            gui_external = elem.attrib.get("external")
+            paths["external_gui"] = elem.attrib.get("external")
     if "binaries" not in paths:
         raise SchemaViolation("project declares no binaries directory")
 
     project_dir = path.parent.resolve()
-
-    def resolve(tag: str) -> Path | None:
-        raw = paths.get(tag)
-        return _relative_to_project(project_dir, raw) if raw is not None else None
-
-    binaries_dir, libraries_dir = resolve("binaries"), resolve("libraries")
-    if binaries_dir == libraries_dir:
+    # an absolute path replaces project_dir
+    fields = {ARTIFACTS[artifact].field: (project_dir / raw).resolve()
+              for artifact, raw in paths.items() if raw is not None}
+    if fields["binaries_dir"] == fields.get("libraries_dir"):
         raise SchemaViolation("binaries and libraries directories must be disjoint")
-    return Project(
-        name=root.attrib["name"],
-        version_label=root.attrib["version"],
-        timestamp=timestamp,
-        project_dir=project_dir,
-        binaries_dir=binaries_dir,
-        libraries_dir=libraries_dir,
-        sources_dir=resolve("sources"),
-        gui_model_path=resolve("gui"),
-        external_gui_path=(_relative_to_project(project_dir, gui_external)
-                           if gui_external is not None else None),
-        callgraph_path=resolve("callgraph"),
-        screenshots_dir=resolve("screenshots"),
-        startup_script_path=resolve("startup"),
-    )
+    return Project(root.attrib["name"], root.attrib["version"], timestamp, project_dir,
+                   **fields)
+
+
+def _absent(p: Project) -> list[tuple[str, Path, bool]]:
+    """(artifact, path, required) of every declared artifact that is absent."""
+    return [(artifact, path, a.required) for artifact, a in ARTIFACTS.items()
+            if (path := getattr(p, a.field)) is not None and not exists_as(path, a.kind)]
 
 
 def missing_artifacts(p: Project) -> list[tuple[str, Path]]:
     """(artifact, path) of every declared required artifact that is absent."""
-    return [(artifact, path) for artifact, path, kind in (
-        ("binaries", p.binaries_dir, S_IFDIR),
-        ("libraries", p.libraries_dir, S_IFDIR),
-        ("sources", p.sources_dir, S_IFDIR),
-        ("gui", p.gui_model_path, S_IFREG),
-        ("external_gui", p.external_gui_path, S_IFREG),
-        ("callgraph", p.callgraph_path, S_IFREG),
-    ) if path is not None and not exists_as(path, kind)]
+    return [(artifact, path) for artifact, path, required in _absent(p) if required]
 
 
 def validate_project(p: Project) -> ProjectReport:
@@ -313,11 +290,10 @@ def validate_project(p: Project) -> ProjectReport:
     def warning(code: str, detail: str) -> None:
         report.items.append(ReportItem("warning", code, detail))
 
-    for artifact, path in missing_artifacts(p):
-        violation("MissingArtifact", f"{artifact}: {path}")
-    for artifact, path in (("screenshots", p.screenshots_dir),
-                           ("startup", p.startup_script_path)):
-        if path is not None and not exists_as(path):
+    for artifact, path, required in _absent(p):
+        if required:
+            violation("MissingArtifact", f"{artifact}: {path}")
+        else:
             warning("MissingOptionalArtifact", f"{artifact}: {path}")
 
     gui_model: GuiModel | None = None

@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 
+from .errors import SchemaViolation
+
 XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 
 # the characters outside XML 1.0's Char production: C0 controls other than
@@ -60,6 +62,16 @@ def non_xml_char(text: str) -> str | None:
     return found.group() if found else None
 
 
+def check_xml_text(text: str, what: str) -> None:
+    """Raise :class:`SchemaViolation` if ``text``, the value of ``what``,
+    holds a character that XML 1.0 cannot carry, naming the first one."""
+    ch = non_xml_char(text)
+    if ch is not None:
+        held = ("an unpaired surrogate" if "\ud800" <= ch <= "\udfff"
+                else f"character U+{ord(ch):04X}")
+        raise SchemaViolation(f"{what} {text!r} holds {held}, which XML 1.0 cannot carry")
+
+
 def read_document(doc: bytes | str, root_tag: str,
                   error: type[Exception]) -> ET.Element:
     """Parse an XML document whose root element must be ``<root_tag>``.
@@ -78,7 +90,11 @@ def read_document(doc: bytes | str, root_tag: str,
 
 
 class XmlWriter:
-    """Accumulates an indented XML document and renders it as UTF-8 bytes."""
+    """Accumulates an indented XML document and renders it as UTF-8 bytes.
+
+    An attribute value holding a character that XML 1.0 cannot carry
+    raises :class:`SchemaViolation`, for the document would not read back.
+    """
 
     def __init__(self):
         self._lines = [XML_DECLARATION.rstrip("\n")]
@@ -87,6 +103,7 @@ class XmlWriter:
     def _fmt(self, tag: str, attrs: list[tuple[str, str]] | None) -> str:
         parts = [tag]
         for name, value in attrs or []:
+            check_xml_text(value, f"<{tag}> attribute {name}")
             parts.append(f'{name}="{escape_attr(value)}"')
         return " ".join(parts)
 

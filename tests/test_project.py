@@ -65,6 +65,19 @@ def test_init_rejects_overlapping_dirs(tmp_path):
                      binaries="bin", libraries="bin")
 
 
+def test_init_rejects_external_gui_without_gui(tmp_path):
+    # a project file holds external_gui only as an attribute of <gui>
+    with pytest.raises(ValueError, match="external_gui without gui"):
+        init_project(tmp_path / "p", "mini", "0.1", TS, external_gui="gui/r.xml")
+    assert not (tmp_path / "p").exists()
+
+
+def test_init_rejects_unknown_artifacts(tmp_path):
+    with pytest.raises(TypeError, match="'binary'"):
+        init_project(tmp_path / "p", "mini", "0.1", TS, binary="bin")
+    assert not (tmp_path / "p").exists()
+
+
 # every artifact a project file declares: its path, its Project field and
 # whether it is a directory; all but binaries are optional
 ARTIFACT_PATHS = {
@@ -86,9 +99,12 @@ OPTIONAL_ARTIFACTS = tuple(ARTIFACT_PATHS)[1:]
 def test_project_file_round_trips_each_set_of_artifacts(tmp_path, declared):
     root = tmp_path / "p"
     paths = {a: ARTIFACT_PATHS[a][0] for a in ("binaries", *declared)}
+    if "external_gui" in paths and "gui" not in paths:
+        with pytest.raises(ValueError, match="external_gui without gui"):
+            init_project(root, "every", "1.0", TS, **paths)
+        assert not root.exists()
+        return
     project = read_project_file(init_project(root, "every", "1.0", TS, **paths))
-    if "gui" not in declared:
-        paths.pop("external_gui", None)  # <gui> carries it: without one it is dropped
     assert {field: getattr(project, field) for _, field, _ in ARTIFACT_PATHS.values()
             if getattr(project, field) is not None} == {
         ARTIFACT_PATHS[a][1]: (root / rel).resolve() for a, rel in paths.items()}
@@ -176,6 +192,16 @@ def test_unknown_project_elements_ignored(bundle):
     load_project(bundle)  # still loads
 
 
+def test_external_gui_element_ignored(bundle):
+    # external_gui is the external attribute of <gui>, never an element
+    text = bundle.read_text().replace(' external="gui/ripper.xml"', "")
+    bundle.write_text(text.replace("</project>",
+                                   '  <external_gui path="gui/ripper.xml"/>\n</project>'))
+    project = read_project_file(bundle)
+    assert project.gui_model_path is not None
+    assert project.external_gui_path is None
+
+
 def test_projects_are_isolated(corpus, hierarchy, tmp_path):
     first = build_bundle(corpus, hierarchy, tmp_path / "v1", version="1",
                          timestamp=date(2001, 1, 1))
@@ -202,6 +228,21 @@ def test_missing_screenshots_is_warning(corpus, hierarchy, tmp_path):
     assert report.violations == []
     assert any(i.code == "MissingOptionalArtifact" for i in report.warnings)
     load_project(bundle)  # warnings do not block loading
+
+
+def test_optional_artifact_of_the_wrong_kind_is_a_warning(corpus, hierarchy, tmp_path):
+    bundle = build_bundle(corpus, hierarchy, tmp_path / "p", screenshots=True)
+    text = bundle.read_text().replace("</project>",
+                                      '  <startup path="bin"/>\n</project>')
+    bundle.write_text(text)
+    project = read_project_file(bundle)
+    project.screenshots_dir.rmdir()
+    project.screenshots_dir.write_text("a file, not a directory")
+    report = validate_project(project)
+    assert report.violations == []
+    assert [(i.code, i.detail) for i in report.warnings] == [
+        ("MissingOptionalArtifact", f"screenshots: {project.screenshots_dir}"),
+        ("MissingOptionalArtifact", f"startup: {project.binaries_dir}")]
 
 
 def test_dangling_callgraph_edge_is_violation(bundle):

@@ -1,8 +1,10 @@
 """The XML loaders' contract: any document bytes give a value or the loader's
-typed error, never another exception."""
+typed error, never another exception. And the writers' contract: what they
+write reads back, or they raise SchemaViolation."""
 
 import re
 import tempfile
+from datetime import date
 from pathlib import Path
 from xml.sax.saxutils import escape
 
@@ -13,8 +15,8 @@ from hypothesis import strategies as st
 from apprepo.callgraph import build_callgraph, parse_callgraph, serialize_callgraph
 from apprepo.classfile import MethodRef
 from apprepo.errors import SchemaViolation, TransformFailure
-from apprepo.guimodel import load_gui, persist_gui, transform_external
-from apprepo.project import read_project_file
+from apprepo.guimodel import GuiModel, load_gui, persist_gui, transform_external
+from apprepo.project import init_project, read_project_file
 
 from bundles import MAIN_DESC, bundle_gui_model, ripper_document
 
@@ -134,3 +136,33 @@ def test_damaged_document_loads_or_raises_the_loaders_error(documents, data):
         load(doc)
     except error:
         pass
+
+
+# text that XML 1.0 cannot carry, not even as a character reference, and
+# how the writers name its first such character
+UNCARRIED = pytest.mark.parametrize("text,held", [
+    ("a\x01b", "character U+0001"),
+    ("a\x02b", "character U+0002"),
+    ("a\ud800b", "an unpaired surrogate"),
+], ids=["U+0001", "U+0002", "surrogate"])
+
+
+@UNCARRIED
+def test_project_writer_refuses_text_xml_cannot_carry(tmp_path, text, held):
+    with pytest.raises(SchemaViolation) as info:
+        init_project(tmp_path / "p", text, "1.0", date(2001, 6, 1))
+    assert str(info.value) == (f"<project> attribute name {text!r} holds {held},"
+                               " which XML 1.0 cannot carry")
+    assert not (tmp_path / "p").exists()
+    with pytest.raises(SchemaViolation, match="<sources> attribute path"):
+        init_project(tmp_path / "p", "demo", "1.0", date(2001, 6, 1), sources=text)
+
+
+@UNCARRIED
+def test_gui_writer_refuses_text_xml_cannot_carry(text, held):
+    base = bundle_gui_model()
+    window = base.root.children[0]._replace(title=text)
+    with pytest.raises(SchemaViolation) as info:
+        persist_gui(GuiModel(base.root._replace(children=(window,)), base.source_format))
+    assert str(info.value) == (f"<window> attribute title {text!r} holds {held},"
+                               " which XML 1.0 cannot carry")
