@@ -72,6 +72,13 @@ def test_init_rejects_external_gui_without_gui(tmp_path):
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("libraries", [None, "lib"])
+def test_init_rejects_undeclared_binaries(tmp_path, libraries):
+    with pytest.raises(ValueError, match="must declare its binaries"):
+        init_project(tmp_path / "p", "mini", "0.1", TS, binaries=None, libraries=libraries)
+    assert not (tmp_path / "p").exists()
+
+
 def test_init_rejects_unknown_artifacts(tmp_path):
     with pytest.raises(TypeError, match="'binary'"):
         init_project(tmp_path / "p", "mini", "0.1", TS, binary="bin")
