@@ -1,7 +1,16 @@
-"""Metrics: comment-aware LOC, class counting, GUI counts, history tables."""
+"""Metrics: comment-aware LOC, class counting, GUI counts, history tables.
 
+The LOC counts of seeded random texts are pinned in ``loc_outcomes.json``.
+That file is written by running this module as a script, with the counter
+whose counts it should hold::
+
+    PYTHONPATH=src python tests/test_metrics.py
+"""
+
+import json
 import random
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +142,25 @@ def test_loc_bounds_random_text():
         assert 0 <= counted <= len(text.splitlines())
 
 
+LOC_GOLDEN = Path(__file__).with_name("loc_outcomes.json")
+LOC_SEED = 1
+LOC_COUNT = 400
+# every line break of str.splitlines, the comment and literal markers, a
+# space and a letter
+LOC_ALPHABET = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029/*\"'\\ a"
+
+
+def loc_texts(seed: int, count: int) -> list[str]:
+    rng = random.Random(seed)
+    return ["".join(rng.choices(LOC_ALPHABET, k=rng.randint(0, 200))) for _ in range(count)]
+
+
+def test_loc_random_texts_match_golden():
+    golden = json.loads(LOC_GOLDEN.read_text(encoding="ascii"))
+    assert (golden["seed"], golden["count"]) == (LOC_SEED, LOC_COUNT)
+    assert [count_loc_text(text) for text in loc_texts(LOC_SEED, LOC_COUNT)] == golden["loc"]
+
+
 # --- class counting -----------------------------------------------------------
 
 def _write_class(path, name):
@@ -260,3 +288,10 @@ def test_csv_quotes_commas():
 def test_negative_counts_rejected():
     with pytest.raises(ValueError):
         VersionMetrics("v", date(2000, 1, 1), -1, 0, 0, 0)
+
+
+if __name__ == "__main__":
+    LOC_GOLDEN.write_text(json.dumps({
+        "seed": LOC_SEED, "count": LOC_COUNT,
+        "loc": [count_loc_text(text) for text in loc_texts(LOC_SEED, LOC_COUNT)]}) + "\n",
+        encoding="ascii")
