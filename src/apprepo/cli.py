@@ -26,7 +26,7 @@ from typing import NamedTuple, NoReturn
 
 from . import callgraph as cg
 from .classfile import MethodRef
-from .containers import is_archive
+from .containers import exists_as, is_archive
 from .errors import ApprepoError, IoFailure, SchemaViolation
 from .guimodel import persist_gui, transform_external
 from .metrics import VersionMetrics, version_csv, version_metrics, version_table
@@ -35,7 +35,6 @@ from .project import (
     PROJECT_FILE_NAME,
     Project,
     ProjectReport,
-    exists_as,
     missing_artifacts,
     read_project_file,
     render_project_file,

@@ -8,9 +8,11 @@ A "container" is anywhere class files live: a directory tree holding
 from __future__ import annotations
 
 import lzma
+import os
 import zipfile
 import zlib
 from pathlib import Path
+from stat import S_IFDIR, S_IFMT
 from typing import Iterator
 
 from .errors import ContainerUnreadable
@@ -24,6 +26,21 @@ _DAMAGED = (zipfile.BadZipFile, OSError, zlib.error, lzma.LZMAError, EOFError,
             NotImplementedError, RuntimeError, ValueError)
 
 
+def exists_as(path: Path, kind: int | None = None) -> bool:
+    """Whether ``path`` exists, as a ``kind`` of file if one is given.
+
+    ``kind`` is ``S_IFDIR`` or ``S_IFREG``. A path that cannot be looked up
+    is absent, whatever the error, as for ``os.path.exists``: pathlib's
+    ``exists``, ``is_dir`` and ``is_file`` raise on some errors, a name
+    longer than the file system allows among them.
+    """
+    try:
+        mode = os.stat(path).st_mode
+    except (OSError, ValueError):
+        return False
+    return kind is None or S_IFMT(mode) == kind
+
+
 def is_archive(path: Path) -> bool:
     return path.suffix.lower() in ARCHIVE_SUFFIXES
 
@@ -35,9 +52,9 @@ def iter_class_entries(container: Path) -> Iterator[tuple[str, bytes]]:
     inside a directory are descended into. Archive entries come back in
     the archive's stored order.
     """
-    if not container.exists():
+    if not exists_as(container):
         raise ContainerUnreadable(f"container does not exist: {container}")
-    if container.is_dir():
+    if exists_as(container, S_IFDIR):
         for path in sorted(container.rglob("*")):
             if not path.is_file():
                 continue

@@ -3,18 +3,24 @@
 LOC counts every line that is neither blank nor comment-only; a line
 carrying both code and a comment counts as code. The comment syntax is
 ``//`` line comments and ``/* */`` block comments, with comment markers
-inside string or character literals left alone.
+inside string or character literals left alone. A literal ends at its
+closing quote or at the end of its line, a line being what
+``str.splitlines`` splits at; a block comment never closed runs to the
+end of the text.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 from datetime import date
 from pathlib import Path
+from stat import S_IFDIR
 from typing import NamedTuple
 
 from .callgraph import ClassHierarchy
+from .containers import exists_as
 from .errors import IoFailure, UnsortedInput
 from .guimodel import GuiModel
 
@@ -40,7 +46,7 @@ class VersionMetrics(_MetricsFields):
     __slots__ = ()
 
     def __init__(self, *fields, **named):
-        for name in ("classes", "loc", "widgets", "windows"):
+        for name in self._fields[2:]:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
 
@@ -49,66 +55,33 @@ class VersionMetrics(_MetricsFields):
         return cls(*values)  # so that _replace checks as the constructor does
 
 
+# the line breaks of str.splitlines
+_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+# a block comment, to the end of the text if never closed; a line comment;
+# or a string or char literal with its escapes, to the end of its line if
+# never closed. Compiled on the first count (re caches it), so commands
+# that count no LOC never pay for it.
+_COMMENT_OR_LITERAL = (rf"(/\*(?s:.*?)(?:\*/|\Z)|//[^{_BREAK}]*)"
+                       rf'|"(?:[^"\\{_BREAK}]|\\[^{_BREAK}])*"?'
+                       rf"|'(?:[^'\\{_BREAK}]|\\[^{_BREAK}])*'?")
+
+
+def _code_only(match: re.Match) -> str:
+    """A comment's line breaks, or one code character for a literal."""
+    comment = match[1]
+    return "x" if comment is None else "\n" * (len(comment.splitlines()) - 1)
+
+
 def count_loc_text(text: str) -> int:
     """Count the non-blank, non-comment-only lines of one source text."""
-    count = 0
-    in_block = False
-    for line in text.splitlines():
-        has_code = False
-        in_string = False
-        in_char = False
-        escaped = False
-        i = 0
-        while i < len(line):
-            ch = line[i]
-            if in_block:
-                if ch == "*" and line.startswith("*/", i):
-                    in_block = False
-                    i += 2
-                    continue
-                i += 1
-                continue
-            if in_string or in_char:
-                has_code = True
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif in_string and ch == '"':
-                    in_string = False
-                elif in_char and ch == "'":
-                    in_char = False
-                i += 1
-                continue
-            if ch == "/" and line.startswith("//", i):
-                break
-            if ch == "/" and line.startswith("/*", i):
-                in_block = True
-                i += 2
-                continue
-            if ch == '"':
-                in_string = True
-                has_code = True
-                i += 1
-                continue
-            if ch == "'":
-                in_char = True
-                has_code = True
-                i += 1
-                continue
-            if not ch.isspace():
-                has_code = True
-            i += 1
-        # strings do not span lines; an unterminated literal ends with its line
-        if has_code:
-            count += 1
-    return count
+    code = re.sub(_COMMENT_OR_LITERAL, _code_only, text)
+    return sum(1 for line in code.splitlines() if line and not line.isspace())
 
 
 def count_loc(sources_dir: Path | str) -> int:
     """Sum of per-file LOC over all ``.java`` sources under a directory."""
     root = Path(sources_dir)
-    if not root.is_dir():
+    if not exists_as(root, S_IFDIR):
         raise IoFailure(f"not a readable directory: {root}")
     total = 0
     for path in sorted(root.rglob("*")):
@@ -162,30 +135,14 @@ def version_table(rows: list[VersionMetrics]) -> str:
     for a fixed input.
     """
     _check_sorted(rows)
-    cells = [TABLE_COLUMNS]
-    for row in rows:
-        cells.append([
-            row.version_label,
-            _table_timestamp(row.timestamp),
-            str(row.classes),
-            str(row.loc),
-            str(row.widgets),
-            str(row.windows),
-        ])
-    widths = [max(len(line[i]) for line in cells) for i in range(len(TABLE_COLUMNS))]
-    lines = []
-    for index, line in enumerate(cells):
-        # text columns left-aligned, counts right-aligned
-        rendered = [
-            line[0].ljust(widths[0]),
-            line[1].ljust(widths[1]),
-        ] + [
-            line[i].rjust(widths[i]) if index > 0 else line[i].ljust(widths[i])
-            for i in range(2, len(TABLE_COLUMNS))
-        ]
-        lines.append(" | ".join(rendered).rstrip())
-        if index == 0:
-            lines.append("-+-".join("-" * w for w in widths))
+    cells = [TABLE_COLUMNS] + [[row.version_label, _table_timestamp(row.timestamp),
+                                *map(str, row[2:])] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    # text columns left-aligned, counts right-aligned, headers left-aligned
+    lines = [" | ".join(cell.rjust(width) if index and column > 1 else cell.ljust(width)
+                        for column, (cell, width) in enumerate(zip(line, widths))).rstrip()
+             for index, line in enumerate(cells)]
+    lines.insert(1, "-+-".join("-" * width for width in widths))
     return "\n".join(lines) + "\n"
 
 
@@ -195,15 +152,7 @@ def version_csv(rows: list[VersionMetrics]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\r\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([
-            row.version_label,
-            row.timestamp.isoformat(),
-            row.classes,
-            row.loc,
-            row.widgets,
-            row.windows,
-        ])
+    writer.writerows((row.version_label, row.timestamp.isoformat(), *row[2:]) for row in rows)
     return out.getvalue()
 
 
@@ -223,9 +172,7 @@ def parse_version_csv(text: str) -> list[VersionMetrics]:
         if len(row) != len(CSV_HEADER):
             raise IoFailure(f"malformed metrics CSV row: {row!r}")
         try:
-            out.append(VersionMetrics(
-                row[0], date.fromisoformat(row[1]),
-                int(row[2]), int(row[3]), int(row[4]), int(row[5])))
+            out.append(VersionMetrics(row[0], date.fromisoformat(row[1]), *map(int, row[2:])))
         except ValueError as exc:
             raise IoFailure(f"malformed metrics CSV row {row!r}: {exc}") from None
     return out

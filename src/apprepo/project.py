@@ -12,10 +12,10 @@ must every class of the binaries and libraries, and a stored
 from __future__ import annotations
 
 import logging
-import os
 from datetime import date
+from itertools import permutations
 from pathlib import Path
-from stat import S_IFDIR, S_IFMT, S_IFREG
+from stat import S_IFDIR, S_IFREG
 from typing import NamedTuple
 
 from .callgraph import (
@@ -24,6 +24,7 @@ from .callgraph import (
     build_hierarchy,
     parse_callgraph,
 )
+from .containers import exists_as
 from .errors import (
     AlreadyExists,
     ContainerUnreadable,
@@ -142,21 +143,6 @@ class ProjectReport:
         return f"{self.handlers_resolved} resolved / {self.handlers_unresolved} unresolved"
 
 
-def exists_as(path: Path, kind: int | None = None) -> bool:
-    """Whether ``path`` exists, as a ``kind`` of file if one is given.
-
-    ``kind`` is ``S_IFDIR`` or ``S_IFREG``. A path that cannot be looked up
-    is absent, whatever the error, as for ``os.path.exists``: pathlib's
-    ``exists``, ``is_dir`` and ``is_file`` raise on some errors, a name
-    longer than the file system allows among them.
-    """
-    try:
-        mode = os.stat(path).st_mode
-    except (OSError, ValueError):
-        return False
-    return kind is None or S_IFMT(mode) == kind
-
-
 def init_project(root: Path | str, name: str, version_label: str, timestamp: date,
                  **paths: str | None) -> Path:
     """Write a project file and create the declared directory layout.
@@ -196,8 +182,9 @@ def render_project_file(name: str, version_label: str, timestamp: date,
     """The project file bytes :func:`init_project` writes for these arguments.
 
     ``paths`` maps each declared artifact of :data:`ARTIFACTS` to its
-    path. A name that is empty, binaries and libraries at one path, and
-    external_gui without gui raise ValueError.
+    path. A name that is empty, binaries and libraries at one path, a
+    file artifact at the path of another artifact, and external_gui
+    without gui raise ValueError.
     """
     if not name:
         raise ValueError("project name must be non-empty")
@@ -205,6 +192,10 @@ def render_project_file(name: str, version_label: str, timestamp: date,
         raise ValueError("a project must declare its binaries directory")
     if "libraries" in paths and Path(paths["binaries"]) == Path(paths["libraries"]):
         raise ValueError("binaries and libraries directories must be disjoint")
+    for artifact, other in permutations(paths, 2):
+        if ARTIFACTS[artifact].kind == S_IFREG and Path(paths[artifact]) == Path(paths[other]):
+            raise ValueError(f"{artifact} and {other} are declared at one path:"
+                             f" {paths[artifact]}")
     if "external_gui" in paths and "gui" not in paths:
         raise ValueError("external_gui without gui: a project file holds it as an attribute"
                          " of <gui>")

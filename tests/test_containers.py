@@ -52,6 +52,12 @@ def test_missing_container(tmp_path):
         list(iter_class_entries(tmp_path / "ghost"))
 
 
+def test_container_name_too_long(tmp_path):
+    # the file system refuses the name (ENAMETOOLONG): absent, not an OSError
+    with pytest.raises(ContainerUnreadable, match="container does not exist"):
+        list(iter_class_entries(tmp_path / ("x" * 300)))
+
+
 def test_non_container_file(tmp_path):
     other = tmp_path / "file.txt"
     other.write_text("nope")

@@ -133,6 +133,12 @@ def test_loc_missing_directory(tmp_path):
         count_loc(tmp_path / "nope")
 
 
+def test_loc_directory_name_too_long(tmp_path):
+    # the file system refuses the name (ENAMETOOLONG): absent, not an OSError
+    with pytest.raises(IoFailure, match="not a readable directory"):
+        count_loc(tmp_path / ("x" * 300))
+
+
 def test_loc_bounds_random_text():
     alphabet = 'ab /*"\'\\\n'
     for seed in range(40):
@@ -276,6 +282,14 @@ def test_csv_output_and_round_trip():
     assert lines[0] == "version,timestamp,classes,loc,widgets,windows"
     assert lines[1] == "2.3pre2,2000-01-29,332,23709,482,12"
     assert parse_version_csv(text) == rows
+
+
+def test_year_before_1000_is_zero_padded():
+    row = VersionMetrics("0.1", date(999, 1, 1), 1, 2, 3, 4)
+    assert version_table([row]).splitlines()[2].split(" | ")[1].rstrip() == "01.01.0999"
+    text = version_csv([row])
+    assert text.split("\r\n")[1] == "0.1,0999-01-01,1,2,3,4"
+    assert parse_version_csv(text) == [row]
 
 
 def test_csv_quotes_commas():

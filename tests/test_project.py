@@ -72,6 +72,17 @@ def test_init_rejects_external_gui_without_gui(tmp_path):
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("paths,pair", [
+    ({"callgraph": "bin"}, "callgraph and binaries"),
+    ({"gui": "g/model.xml", "startup": "./g/model.xml"}, "gui and startup"),
+])
+def test_init_rejects_a_file_artifact_at_another_artifacts_path(tmp_path, paths, pair):
+    # the one path cannot be both, so the project would fail its own validation
+    with pytest.raises(ValueError, match=f"{pair} are declared at one path"):
+        init_project(tmp_path / "p", "mini", "0.1", TS, **paths)
+    assert not (tmp_path / "p").exists()
+
+
 @pytest.mark.parametrize("libraries", [None, "lib"])
 def test_init_rejects_undeclared_binaries(tmp_path, libraries):
     with pytest.raises(ValueError, match="must declare its binaries"):
