@@ -4,9 +4,8 @@ LOC counts every line that is neither blank nor comment-only; a line
 carrying both code and a comment counts as code. The comment syntax is
 ``//`` line comments and ``/* */`` block comments, with comment markers
 inside string or character literals left alone. A literal ends at its
-closing quote or at the end of its line, a line being what
-``str.splitlines`` splits at; a block comment never closed runs to the
-end of the text.
+closing quote or at any line break of ``str.splitlines``; a block
+comment never closed runs to the end of the text.
 """
 
 from __future__ import annotations
@@ -55,12 +54,10 @@ class VersionMetrics(_MetricsFields):
         return cls(*values)  # so that _replace checks as the constructor does
 
 
-# the line breaks of str.splitlines
-_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
 # a block comment, to the end of the text if never closed; a line comment;
 # or a string or char literal with its escapes, to the end of its line if
-# never closed. Compiled on the first count (re caches it), so commands
-# that count no LOC never pay for it.
+# never closed. re compiles it on the first count, not on import.
 _COMMENT_OR_LITERAL = (rf"(/\*(?s:.*?)(?:\*/|\Z)|//[^{_BREAK}]*)"
                        rf'|"(?:[^"\\{_BREAK}]|\\[^{_BREAK}])*"?'
                        rf"|'(?:[^'\\{_BREAK}]|\\[^{_BREAK}])*'?")

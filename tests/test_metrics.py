@@ -156,15 +156,16 @@ LOC_COUNT = 400
 LOC_ALPHABET = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029/*\"'\\ a"
 
 
-def loc_texts(seed: int, count: int) -> list[str]:
-    rng = random.Random(seed)
-    return ["".join(rng.choices(LOC_ALPHABET, k=rng.randint(0, 200))) for _ in range(count)]
+def random_text_locs() -> list[int]:
+    rng = random.Random(LOC_SEED)
+    return [count_loc_text("".join(rng.choices(LOC_ALPHABET, k=rng.randint(0, 200))))
+            for _ in range(LOC_COUNT)]
 
 
 def test_loc_random_texts_match_golden():
     golden = json.loads(LOC_GOLDEN.read_text(encoding="ascii"))
     assert (golden["seed"], golden["count"]) == (LOC_SEED, LOC_COUNT)
-    assert [count_loc_text(text) for text in loc_texts(LOC_SEED, LOC_COUNT)] == golden["loc"]
+    assert random_text_locs() == golden["loc"]
 
 
 # --- class counting -----------------------------------------------------------
@@ -305,7 +306,5 @@ def test_negative_counts_rejected():
 
 
 if __name__ == "__main__":
-    LOC_GOLDEN.write_text(json.dumps({
-        "seed": LOC_SEED, "count": LOC_COUNT,
-        "loc": [count_loc_text(text) for text in loc_texts(LOC_SEED, LOC_COUNT)]}) + "\n",
-        encoding="ascii")
+    LOC_GOLDEN.write_text(json.dumps({"seed": LOC_SEED, "count": LOC_COUNT,
+                                      "loc": random_text_locs()}) + "\n", encoding="ascii")
