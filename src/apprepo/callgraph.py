@@ -324,19 +324,19 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
     entry points, superclass initializers included.
 
     Each reachable method is queued once on a first-in-first-out worklist
-    and its body is read once, in one pass that finds both its call sites
-    and the classes it initializes. The pass reads the operands that
-    :func:`~apprepo.classfile.parse_class` resolved, through
-    :func:`~apprepo.classfile.resolved_operands`; it decodes no
-    instructions. Targets are resolved once
-    per distinct ``(kind, declared target)``. A class, with its superclass
-    chain, is marked initialized when the closure first touches it; once
-    the worklist drains, the ``<clinit>`` of each newly marked class that
-    the closure has not reached becomes an entry point, in class name order.
+    and visited once. Its call sites and the classes it initializes come
+    from :func:`~apprepo.classfile.resolved_operands`, the operands that
+    :func:`~apprepo.classfile.parse_class` resolved; no code array is read
+    again. Targets are resolved once per distinct ``(kind, declared
+    target)``, and a method's callees are built once, as their union.
+    A class, with its superclass chain, is marked initialized when the
+    closure first touches it; once the worklist drains, the ``<clinit>`` of
+    each newly marked class that the closure has not reached becomes an
+    entry point, in class name order.
     """
     entry_refs = {_resolve_entry(e, h) for e in entries}
     reached: set[MethodRef] = set(entry_refs)
-    callees_of: dict[MethodRef, set[MethodRef]] = {}
+    calls: dict[MethodRef, frozenset[MethodRef]] = {}
     initialized: set[str] = set()
     triggered_clinits: list[MethodRef] = []
     # resolved targets by invoke mnemonic, then declared target
@@ -357,7 +357,7 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
         if method is None or not method.has_body:
             return
         initialize(ref.in_class)
-        callees: set[MethodRef] = set()
+        sites: list[set[MethodRef]] = []
         for mnemonic, (_, target, member, type_name, _) in resolved_operands(method.body):
             if mnemonic in _INITIALIZING:
                 initialize(type_name if mnemonic == "new" else member[0])
@@ -369,11 +369,13 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
                 if targets is None:
                     targets = resolved[target] = resolve_targets(
                         INVOKE_KINDS[mnemonic], target, h)
-                callees |= targets
-        callees_of[ref] = callees
-        fresh = callees - reached
-        reached.update(fresh)
-        work.extend(fresh)
+                sites.append(targets)
+        callees = frozenset().union(*sites)
+        if callees:
+            calls[ref] = callees
+            fresh = callees - reached
+            reached.update(fresh)
+            work.extend(fresh)
 
     while work:
         while work:
@@ -386,8 +388,7 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
         work.extend(pending)
 
     return CallGraph({ref: (*h.origins.get(ref.in_class, _NO_ORIGIN), True) for ref in reached},
-                     {ref: frozenset(callees) for ref, callees in callees_of.items() if callees},
-                     frozenset(entry_refs))
+                     calls, frozenset(entry_refs))
 
 
 def serialize_callgraph(g: CallGraph) -> bytes:

@@ -106,10 +106,12 @@ class Instruction(NamedTuple):
 class MethodBody(NamedTuple):
     """A validated code array and what decoding it needs.
 
-    ``file_base`` is the code array's offset in the class file. The other
-    fields are shared by all bodies of one class: ``resolved`` maps the bytes
-    of each pool-indexed or ``newarray`` instruction to the instruction's
-    fields after its mnemonic, so each is checked and resolved once.
+    ``file_base`` is the code array's offset in the class file, and
+    ``keys`` the distinct pool-indexed or ``newarray`` instructions that
+    the body check's scan found in it (None if it failed). The other fields
+    are shared by all bodies of one class: ``resolved`` maps the bytes of
+    each such instruction to its fields after its mnemonic, so each is
+    checked and resolved once.
     """
 
     code: bytes
@@ -118,6 +120,7 @@ class MethodBody(NamedTuple):
     bootstrap_methods: list[tuple[str, str, str]]
     source: str | None
     resolved: dict[bytes, tuple]
+    keys: tuple[bytes, ...] | None
 
 
 # MethodInfo and ClassFile are named tuples with an instance dict for their
@@ -527,11 +530,11 @@ _WINDOW = 1024
 _WIDEST = 6
 
 
-def _scan(code: bytes) -> list[bytes] | None:
-    """The _KEYS matches of a code array, window by window and switch by
-    switch, with their rests removed; None if it holds a bad instruction or
-    switch."""
-    keys: list[bytes] = []
+def _scan(code: bytes) -> tuple[bytes, ...] | None:
+    """The distinct _KEYS matches of a code array, matched window by window
+    and switch by switch, without their rests; None if it holds a bad
+    instruction or switch."""
+    keys: set[bytes] = set()
     end = len(code)
     pos = 0
     while pos < end:
@@ -541,43 +544,42 @@ def _scan(code: bytes) -> list[bytes] | None:
         found = _KEYS(code, pos, stop)
         rest = found[-2] if len(found) > 1 else b""
         if not rest or _KEY_WIDTHS[rest[0]] == len(rest):
-            keys += found
+            keys.update(found)
             pos = stop
             continue
         del found[-2]
-        keys += found
+        keys.update(found)
         at = stop - len(rest)
         pos = _switch_end(code, at)
         if pos is None:
             if stop == end or at <= stop - _WIDEST:
                 return None
             pos = at  # an instruction the window cut off
-    return keys
+    keys.discard(b"")
+    return tuple(keys)
 
 
 def _check_body(body: MethodBody) -> None:
-    """Check a method's code array as :func:`disassemble` does, by scanning it.
+    """Check a method's code array as :func:`disassemble` does, from its scan.
 
-    The instructions between switches are matched by one pattern, each
-    switch is checked without rendering it, and each pool-indexed
-    instruction not yet in the class's ``resolved`` map is checked once and
-    added to it. On any failure the body goes to :func:`disassemble`, which
-    reports the reason at the file offset of the first bad instruction and
-    resolves, as the scan would have, only the instructions before it.
+    Each of the body's ``keys`` not yet in the class's ``resolved`` map is
+    checked once and added to it. On any failure the body goes to
+    :func:`disassemble`, which reports the reason at the file offset of the
+    first bad instruction and resolves, as the scan would have, only the
+    instructions before it.
     """
-    found = _scan(body.code)
-    if found is None:
+    keys, resolved = body.keys, body.resolved
+    if keys is None:
         return disassemble(body, None)
-    keys = set(found)
-    keys.discard(b"")
     fresh = {}
     try:
-        for key in keys.difference(body.resolved):
-            mnemonic, _, _, operands, check = _FORMS[key[0]]
-            fresh[key] = check(body, mnemonic, *operands(key, 0))
+        for key in keys:
+            if key not in resolved:
+                mnemonic, _, _, operands, check = _FORMS[key[0]]
+                fresh[key] = check(body, mnemonic, *operands(key, 0))
     except MalformedClassFile:
         return disassemble(body, None)
-    body.resolved.update(fresh)
+    resolved.update(fresh)
 
 
 def disassemble(body: MethodBody, out: list[Instruction] | None) -> None:
@@ -628,22 +630,17 @@ def disassemble(body: MethodBody, out: list[Instruction] | None) -> None:
 
 
 def resolved_operands(body: MethodBody | None) -> Iterator[tuple[str, tuple]]:
-    """The ``(mnemonic, fields)`` of each pool-indexed or ``newarray``
-    instruction of an accepted body, in code order.
+    """The ``(mnemonic, fields)`` of each distinct pool-indexed or
+    ``newarray`` instruction of an accepted body, once each, in no fixed order.
 
     ``fields`` are the instruction's fields after its mnemonic, as the
     body check resolved them at parse time: ``(operands, target, member,
-    type_name, literal)``. Nothing is decoded or checked again: the body is
-    scanned with the pattern of that check, and switches are stepped over.
+    type_name, literal)``. They are read from the class's ``resolved`` map
+    for the body's ``keys``; nothing is scanned, decoded or checked again.
     A method without a body has none.
     """
-    if body is None:
-        return
-    fields_of = body.resolved.get
-    for key in _scan(body.code):
-        fields = fields_of(key)
-        if fields is not None:
-            yield _FORMS[key[0]][0], fields
+    for key in () if body is None else body.keys:
+        yield _FORMS[key[0]][0], body.resolved[key]
 
 
 _MAGIC = b"\xca\xfe\xba\xbe"
@@ -937,7 +934,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         if code_info is not None:
             code, code_base, lines = code_info
             body = _new(MethodBody, (code, code_base, pool, bootstrap_methods, source,
-                                     resolved))
+                                     resolved, _scan(code)))
             _check_body(body)
         methods.append(_new(MethodInfo, (m_name, m_desc, m_flags, lines, names, body)))
 

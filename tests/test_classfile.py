@@ -646,7 +646,8 @@ SCAN_POOL_SIZE = len(SCAN_BODY.pool.tags)
 
 
 def scan_outcome(check, code: bytes) -> tuple:
-    body = MethodBody(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, "s.class", {})
+    body = MethodBody(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, "s.class", {},
+                      parser._scan(code))
     try:
         check(body)
     except MalformedClassFile as exc:
@@ -729,9 +730,15 @@ def test_body_scan_agrees_with_the_reference_decoder(code, window):
         if scanned is None:
             instructions: list = []
             disassemble(body, instructions)
-            assert list(resolved_operands(body)) == [
-                (ins.mnemonic, tuple(ins)[2:]) for ins in instructions
-                if _FORMS[MNEMONICS[ins.mnemonic]][1] == _RESOLVED]
+            pooled = [ins for ins in instructions
+                      if _FORMS[MNEMONICS[ins.mnemonic]][1] == _RESOLVED]
+            # the body carries each distinct pool-indexed instruction once,
+            # and resolved_operands gives its fields once
+            assert sorted(body.keys) == sorted(
+                {code[ins.offset:ins.offset + _FORMS[code[ins.offset]][2]] for ins in pooled})
+            operands = list(resolved_operands(body))
+            assert len(operands) == len(body.keys)
+            assert set(operands) == {(ins.mnemonic, tuple(ins)[2:]) for ins in pooled}
 
 
 # --- corpus fidelity: the acceptance-grade ground truth check ---------------

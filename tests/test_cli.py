@@ -147,8 +147,9 @@ def test_each_command_loads_the_class_path_once(tmp_path, monkeypatch):
 def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatch):
     config = make_demo(tmp_path / "demo")
     repo = tmp_path / "demo" / "repo"
-    checked, decoded, read, closures = [], [], [], []
+    checked, decoded, read, scanned, closures = [], [], [], [], []
     check_body = apprepo.classfile.parser._check_body
+    scan = apprepo.classfile.parser._scan
     disassemble = apprepo.classfile.parser.disassemble
     resolved_operands = apprepo.classfile.parser.resolved_operands
     build_callgraph = apprepo.callgraph.build_callgraph
@@ -160,6 +161,10 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
     def counted_disassemble(body, out):
         decoded.append(body)
         return disassemble(body, out)
+
+    def counted_scan(code):
+        scanned.append(code)
+        return scan(code)
 
     def counted_resolved_operands(body):
         read.append(body)
@@ -173,6 +178,7 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
     patch_everywhere(monkeypatch, check_body, counted_check_body)
     patch_everywhere(monkeypatch, disassemble, counted_disassemble)
     patch_everywhere(monkeypatch, resolved_operands, counted_resolved_operands)
+    patch_everywhere(monkeypatch, scan, counted_scan)
     patch_everywhere(monkeypatch, build_callgraph, recorded_build_callgraph)
     for command, argv in (
             ("build", ["build", "--config", str(config), "--out", str(repo / "v1")]),
@@ -181,9 +187,12 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
         checked.clear()
         decoded.clear()
         read.clear()
+        scanned.clear()
         assert main(argv) == 0, command
         assert checked, command
         assert len({id(body) for body in checked}) == len(checked), command
+        # each checked body's code array is scanned once, and nothing else is
+        assert sorted(map(id, scanned)) == sorted(id(body.code) for body in checked), command
         assert decoded == [], command
         if command == "build":
             (h, graph), = closures
