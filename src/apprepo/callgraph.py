@@ -234,7 +234,10 @@ def build_hierarchy(partition: ClasspathPartition) -> ClassHierarchy:
     containers: the first occurrence of a class name wins for parsing,
     while ``duplicates`` records every provider of a name seen more than
     once. Origin flags say which components provide a class, keyed by the
-    name the class file declares, whatever its entry path.
+    name the class file declares, whatever its entry path. A
+    ``module-info`` class (``ACC_MODULE``) is parsed, so a damaged one
+    fails the build, and left out: it declares no type, so it gets no
+    class, origin or provider.
     """
     ordered = ([(p, "application") for p in partition.application]
                + [(p, "library") for p in partition.library]
@@ -245,6 +248,8 @@ def build_hierarchy(partition: ClasspathPartition) -> ClassHierarchy:
     for container, component in ordered:
         for entry, data in iter_class_entries(container):
             cf = parse_class(data, source=f"{container}!{entry}")
+            if cf.is_module:
+                continue
             provider_list = providers.setdefault(cf.class_name, [])
             if str(container) not in provider_list:
                 provider_list.append(str(container))

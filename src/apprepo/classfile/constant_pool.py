@@ -22,7 +22,10 @@ CONST_INTERFACE_METHODREF = 11
 CONST_NAME_AND_TYPE = 12
 CONST_METHOD_HANDLE = 15
 CONST_METHOD_TYPE = 16
+CONST_DYNAMIC = 17
 CONST_INVOKE_DYNAMIC = 18
+CONST_MODULE = 19
+CONST_PACKAGE = 20
 
 TAG_NAMES = {
     CONST_UTF8: "Utf8",
@@ -38,7 +41,10 @@ TAG_NAMES = {
     CONST_NAME_AND_TYPE: "NameAndType",
     CONST_METHOD_HANDLE: "MethodHandle",
     CONST_METHOD_TYPE: "MethodType",
+    CONST_DYNAMIC: "Dynamic",
     CONST_INVOKE_DYNAMIC: "InvokeDynamic",
+    CONST_MODULE: "Module",
+    CONST_PACKAGE: "Package",
 }
 
 # what a member reference operand must name -> the entry kinds that qualify
@@ -55,12 +61,16 @@ _HANDLE_KINDS = {**dict.fromkeys((1, 2, 3, 4), "Fieldref"), 5: "Methodref",
                  6: "a method reference", 7: "a method reference", 8: "Methodref",
                  9: "InterfaceMethodref"}
 
+# the entries that name one Utf8 entry, and those that name a bootstrap method
+_NAMES_UTF8 = (CONST_CLASS, CONST_STRING, CONST_METHOD_TYPE, CONST_MODULE, CONST_PACKAGE)
+_DYNAMIC = (CONST_DYNAMIC, CONST_INVOKE_DYNAMIC)
+
 # tag -> listing text of an entry's resolved value (a tuple fills the fields)
 _RENDERINGS = {
     CONST_INTEGER: "{}", CONST_LONG: "{}L", CONST_FLOAT: "{!r}f", CONST_DOUBLE: "{!r}d",
     CONST_FIELDREF: "{}.{}:{}", CONST_METHODREF: "{}.{}{}",
     CONST_INTERFACE_METHODREF: "{}.{}{}", CONST_NAME_AND_TYPE: "{}:{}",
-    CONST_INVOKE_DYNAMIC: "indy[{}] {}{}",
+    CONST_DYNAMIC: "condy[{}] {}:{}", CONST_INVOKE_DYNAMIC: "indy[{}] {}{}",
 }
 
 
@@ -68,10 +78,11 @@ class ConstantEntry(NamedTuple):
     """One constant pool slot: a tag plus its resolved value, made by
     :meth:`ConstantPool.entry` when it is asked for.
 
-    Utf8, Integer, Float, Long and Double hold their value; Class, String
-    and MethodType the text they name; NameAndType ``(name, descriptor)``;
-    Fieldref, Methodref and InterfaceMethodref ``(class, name,
-    descriptor)``; InvokeDynamic ``(bootstrap index, name, descriptor)``.
+    Utf8, Integer, Float, Long and Double hold their value; Class, String,
+    MethodType, Module and Package the text they name; NameAndType
+    ``(name, descriptor)``; Fieldref, Methodref and InterfaceMethodref
+    ``(class, name, descriptor)``; Dynamic and InvokeDynamic ``(bootstrap
+    index, name, descriptor)``.
     MethodHandle keeps ``(kind, index)``, its index naming a member
     reference of a kind that its reference kind allows.
     """
@@ -148,10 +159,10 @@ class ConstantPool:
         """The final value of an entry read as ``value`` (see ConstantEntry).
 
         The entries it names must be resolved already: Class and
-        NameAndType before the member references and InvokeDynamic entries
-        that name them. A MethodHandle needs only the kind of its entry.
+        NameAndType before the member references, Dynamic and InvokeDynamic
+        entries that name them. A MethodHandle needs only the kind of its entry.
         """
-        if tag in (CONST_CLASS, CONST_STRING, CONST_METHOD_TYPE):
+        if tag in _NAMES_UTF8:
             return self.utf8(value)
         if tag == CONST_NAME_AND_TYPE:
             return self.utf8(value[0]), self.utf8(value[1])
@@ -163,7 +174,7 @@ class ConstantPool:
             self.member_ref(index, _HANDLE_KINDS[kind])
             return value
         name, desc = self.name_and_type(value[1])
-        if tag == CONST_INVOKE_DYNAMIC:
+        if tag in _DYNAMIC:
             return value[0], name, desc
         return self.class_name(value[0]), name, desc
 
@@ -207,7 +218,8 @@ _LAYOUTS = {tag: (struct.Struct(fmt).unpack_from, struct.calcsize(fmt), len(fmt)
     (CONST_METHOD_TYPE, ">H", 1), (CONST_NAME_AND_TYPE, ">HH", 1),
     (CONST_FIELDREF, ">HH", 2), (CONST_METHODREF, ">HH", 2),
     (CONST_INTERFACE_METHODREF, ">HH", 2), (CONST_METHOD_HANDLE, ">BH", 2),
-    (CONST_INVOKE_DYNAMIC, ">HH", 2),
+    (CONST_DYNAMIC, ">HH", 2), (CONST_INVOKE_DYNAMIC, ">HH", 2),
+    (CONST_MODULE, ">H", 1), (CONST_PACKAGE, ">H", 1),
 ]}
 
 _TRUNCATED = "truncated class file"
@@ -326,7 +338,7 @@ def parse_constant_pool(data: bytes, pos: int, source: str | None = None,
             continue  # a handle keeps its kind and index
         if nat_index >= count or tags[nat_index] != CONST_NAME_AND_TYPE:
             values[index] = resolved(index)
-        elif tag == CONST_INVOKE_DYNAMIC:
+        elif tag in _DYNAMIC:
             values[index] = (named,) + values[nat_index]
         elif named >= count or tags[named] != CONST_CLASS:
             values[index] = resolved(index)

@@ -39,7 +39,7 @@ _new = tuple.__new__
 
 # class file major versions this parser accepts
 MIN_MAJOR_VERSION = 45
-MAX_MAJOR_VERSION = 52
+MAX_MAJOR_VERSION = 61
 
 ACC_PUBLIC = 0x0001
 ACC_STATIC = 0x0008
@@ -47,6 +47,7 @@ ACC_FINAL = 0x0010
 ACC_NATIVE = 0x0100
 ACC_INTERFACE = 0x0200
 ACC_ABSTRACT = 0x0400
+ACC_MODULE = 0x8000
 
 MAIN_NAME = "main"
 MAIN_DESCRIPTOR = "([Ljava/lang/String;)V"
@@ -209,6 +210,12 @@ class MethodInfo(_MethodFields):
         return MethodRef(class_name, self.name, self.descriptor)
 
 
+def _is_module(access_flags: int, major: int) -> bool:
+    """Whether a class declares a module: ACC_MODULE is defined from major
+    version 53 on, and an older class file's reserved bit is ignored."""
+    return major >= 53 and bool(access_flags & ACC_MODULE)
+
+
 class _ClassFields(NamedTuple):
     class_name: str
     super_name: str | None
@@ -251,6 +258,12 @@ class ClassFile(_ClassFields):
     def is_interface(self) -> bool:
         return bool(self.access_flags & ACC_INTERFACE)
 
+    @property
+    def is_module(self) -> bool:
+        """Whether this is a ``module-info`` class, which declares a module
+        and no type (JVMS §4.1)."""
+        return _is_module(self.access_flags, self.version[0])
+
     @cached_property
     def _methods_by_key(self) -> dict[tuple[str, str], MethodInfo]:
         return {(m.name, m.descriptor): m for m in self.methods}
@@ -286,9 +299,11 @@ def _bootstrap_methods(data: bytes, pos: int, limit: int, pool: ConstantPool,
 
 
 # the pool entries that load a symbolic reference, not a literal
-_SYMBOLIC = frozenset((cp.CONST_CLASS, cp.CONST_METHOD_TYPE, cp.CONST_METHOD_HANDLE))
-# ldc mnemonic -> the kinds of entry it loads
-_LOADABLE = {"ldc2_w": frozenset((cp.CONST_LONG, cp.CONST_DOUBLE)),
+_SYMBOLIC = frozenset((cp.CONST_CLASS, cp.CONST_METHOD_TYPE, cp.CONST_METHOD_HANDLE,
+                       cp.CONST_DYNAMIC))
+# ldc mnemonic -> the kinds of entry it loads; ldc2_w loads a Dynamic of
+# type long or double, ldc and ldc_w one of any other type (JVMS §6.5)
+_LOADABLE = {"ldc2_w": frozenset((cp.CONST_LONG, cp.CONST_DOUBLE, cp.CONST_DYNAMIC)),
              **dict.fromkeys(("ldc", "ldc_w"), _SYMBOLIC | frozenset(
                  (cp.CONST_INTEGER, cp.CONST_FLOAT, cp.CONST_STRING)))}
 
@@ -298,6 +313,12 @@ def _loadable(body: MethodBody, mnemonic: str, index: int) -> tuple:
     got = pool.entry(index)
     if got.tag not in _LOADABLE[mnemonic]:
         raise MalformedClassFile(f"{mnemonic} operand has unloadable tag {got.tag}")
+    if got.tag == cp.CONST_DYNAMIC:
+        bsm_idx, _, desc = got.value
+        if (desc in ("J", "D")) != (mnemonic == "ldc2_w"):
+            raise MalformedClassFile(f"{mnemonic} cannot load a Dynamic of type {desc}")
+        if bsm_idx >= len(body.bootstrap_methods):
+            raise MalformedClassFile(f"invalid bootstrap method index {bsm_idx}")
     literal = None if got.tag in _SYMBOLIC else got.value
     return (pool.render(index),), None, None, None, literal
 
@@ -846,21 +867,41 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
             f"unsupported major version {major}"
             f" (supported: {MIN_MAJOR_VERSION}..{MAX_MAJOR_VERSION})", 6, source)
     pool, pos = parse_constant_pool(data, 8, source)
+    tags, values = pool.tags, pool.values
+
+    def bad_entry(index: int, reason: str) -> MalformedClassFile:
+        return MalformedClassFile(reason, cp.entry_offset(data, 10, index), source)
+
     if major < 52:  # before 52, kinds 6 and 7 name only a Methodref (JVMS §4.4.8)
-        tags, values = pool.tags, pool.values
         for index, tag in enumerate(tags):
             if tag == cp.CONST_METHOD_HANDLE:
                 kind, member = values[index]
                 if kind in (6, 7) and tags[member] == cp.CONST_INTERFACE_METHODREF:
-                    raise MalformedClassFile(
-                        f"MethodHandle of kind {kind} names an InterfaceMethodref,"
-                        f" which needs major version 52, got {major}",
-                        cp.entry_offset(data, 10, index), source)
+                    raise bad_entry(index, f"MethodHandle of kind {kind} names an"
+                                    f" InterfaceMethodref, which needs major version 52,"
+                                    f" got {major}")
+    if cp.CONST_DYNAMIC in tags:  # a Dynamic names a field type (JVMS §4.4.10)
+        for index, tag in enumerate(tags):
+            if tag == cp.CONST_DYNAMIC:
+                if major < 55:
+                    raise bad_entry(index, f"Dynamic needs major version 55, got {major}")
+                error = _descriptor_error(values[index][2], False)
+                if error is not None:
+                    raise bad_entry(index, f"Dynamic has an {error}")
     access_flags, pos = _u2(data, pos, end, source)
+    module = _is_module(access_flags, major)
+    if not module:  # Module and Package entries belong to a module-info (JVMS §4.4.11-12)
+        stray = min((tags.index(tag) for tag in (cp.CONST_MODULE, cp.CONST_PACKAGE)
+                     if tag in tags), default=0)
+        if stray:
+            raise bad_entry(stray, f"{cp.TAG_NAMES[tags[stray]]} outside an ACC_MODULE class")
     class_name, pos = _class_ref(data, pos, end, pool, source, "class name")
     if data[pos:pos + 2] != b"\0\0":
         super_name, pos = _class_ref(data, pos, end, pool, source, "superclass name")
-    elif class_name == ROOT_OBJECT_CLASS:
+        if module:
+            raise MalformedClassFile(f"ACC_MODULE class {class_name} names a superclass",
+                                     pos - 2, source)
+    elif module or class_name == ROOT_OBJECT_CLASS:
         super_name, pos = None, pos + 2
     else:
         raise MalformedClassFile(f"class {class_name} lacks a superclass", pos + 2, source)

@@ -1,8 +1,10 @@
 """Class container discovery: directories and zip-format archives.
 
 A "container" is anywhere class files live: a directory tree holding
-``.class`` files (possibly with nested jars) or a jar/zip archive with
-``.class`` entries.
+``.class`` files (possibly with nested jars) or a jar, zip or jmod archive
+with ``.class`` entries. A jmod (JEP 261) is a zip archive behind a short
+header, which ``zipfile`` reads as it is; its classes sit under
+``classes/``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Iterator
 
 from .errors import ContainerUnreadable
 
-ARCHIVE_SUFFIXES = (".jar", ".zip")
+ARCHIVE_SUFFIXES = (".jar", ".zip", ".jmod")
 # what zipfile raises on damaged archive bytes: besides BadZipFile and
 # OSError, a bad deflate or LZMA stream, a stream that ends early, an
 # unknown compression method or zip version, an encrypted entry, a negative

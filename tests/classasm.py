@@ -20,6 +20,7 @@ ACC_SUPER = 0x0020
 ACC_NATIVE = 0x0100
 ACC_INTERFACE = 0x0200
 ACC_ABSTRACT = 0x0400
+ACC_MODULE = 0x8000
 
 _BARE = {
     "nop": 0x00, "aconst_null": 0x01,
@@ -141,6 +142,17 @@ class Pool:
         return self._add(("y", bsm_index, name, desc),
                          b"\x12" + struct.pack(">HH", bsm_index, nat))
 
+    def dynamic(self, bsm_index: int, name: str, desc: str) -> int:
+        nat = self.nat(name, desc)
+        return self._add(("k", bsm_index, name, desc),
+                         b"\x11" + struct.pack(">HH", bsm_index, nat))
+
+    def module(self, name: str) -> int:
+        return self._add(("m", name), b"\x13" + struct.pack(">H", self.utf8(name)))
+
+    def package(self, name: str) -> int:
+        return self._add(("p", name), b"\x14" + struct.pack(">H", self.utf8(name)))
+
     def build(self) -> bytes:
         parts = [struct.pack(">H", len(self._slots) + 1)]
         parts += [s for s in self._slots if s is not None]
@@ -159,11 +171,11 @@ def _op_size(op: tuple, offset: int) -> int:
         return 2
     if name in _LOCAL_OPS:
         return 2
-    if name in ("ldc_int", "ldc_float", "ldc_str", "ldc_class"):
+    if name in ("ldc_int", "ldc_float", "ldc_str", "ldc_class", "ldc_dynamic"):
         return 2
     if name in ("sipush", "iinc"):
         return 3
-    if name in ("ldc_w_str", "ldc2_long", "ldc2_double"):
+    if name in ("ldc_w_str", "ldc2_long", "ldc2_double", "ldc_w_dynamic", "ldc2_dynamic"):
         return 3
     if name in _MEMBER_OPS or name in _TYPE_OPS:
         return 3
@@ -230,6 +242,12 @@ def assemble_code(ops: list[tuple], pool: Pool) -> bytes:
             out += struct.pack(">BH", 0x14, pool.long_(op[1]))
         elif name == "ldc2_double":
             out += struct.pack(">BH", 0x14, pool.double(op[1]))
+        elif name == "ldc_dynamic":  # (name, bootstrap index, constant name, descriptor)
+            out += struct.pack(">BB", 0x12, pool.dynamic(*op[1:]))
+        elif name == "ldc_w_dynamic":
+            out += struct.pack(">BH", 0x13, pool.dynamic(*op[1:]))
+        elif name == "ldc2_dynamic":
+            out += struct.pack(">BH", 0x14, pool.dynamic(*op[1:]))
         elif name in _MEMBER_OPS:
             _, cls, member, desc = op
             if name.startswith("invoke"):
@@ -304,11 +322,11 @@ class AsmMethod:
             name = op[0]
             if name == "label":
                 continue
-            if name in ("ldc_int", "ldc_float", "ldc_str", "ldc_class"):
+            if name in ("ldc_int", "ldc_float", "ldc_str", "ldc_class", "ldc_dynamic"):
                 out.append("ldc")
-            elif name == "ldc_w_str":
+            elif name in ("ldc_w_str", "ldc_w_dynamic"):
                 out.append("ldc_w")
-            elif name in ("ldc2_long", "ldc2_double"):
+            elif name in ("ldc2_long", "ldc2_double", "ldc2_dynamic"):
                 out.append("ldc2_w")
             elif name in ("wide_iload", "wide_iinc"):
                 out.append("wide")
@@ -327,12 +345,17 @@ class AsmClass:
     methods: list[AsmMethod] = field(default_factory=list)
     source_file: str | int | None = None  # an int is written as a raw pool index
     # static bootstrap methods as (class, name, descriptor), or a raw pool
-    # index written as the handle; each takes the raw pool indices of
-    # bootstrap_arguments as its arguments
+    # index written as the handle; each takes bootstrap_arguments as its
+    # arguments: raw pool indices, or (bootstrap index, name, descriptor)
+    # of a Dynamic entry
     bootstrap_methods: tuple[tuple[str, str, str] | int, ...] = ()
-    bootstrap_arguments: tuple[int, ...] = ()
+    bootstrap_arguments: tuple[int | tuple[int, str, str], ...] = ()
     inner_class: tuple[str, str, str] | None = None  # (inner, outer, simple name)
     extra_attribute: str | None = None  # unknown attribute, skipped by parsers
+    # a Module attribute naming a Module entry of this name, and a
+    # ModulePackages attribute naming a Package entry for each of packages
+    module: str | None = None
+    packages: tuple[str, ...] = ()
     major: int = 50
     # attribute name -> bytes appended to the payload of every attribute of
     # that name, after its contents: an attribute longer than its contents
@@ -405,13 +428,23 @@ def assemble_class(spec: AsmClass) -> bytes:
             else:
                 handle = pool.method_handle(6, pool.methodref(*method))  # REF_invokeStatic
             payload += struct.pack(">HH", handle, len(spec.bootstrap_arguments))
-            payload += b"".join(struct.pack(">H", arg) for arg in spec.bootstrap_arguments)
+            payload += b"".join(
+                struct.pack(">H", arg if isinstance(arg, int) else pool.dynamic(*arg))
+                for arg in spec.bootstrap_arguments)
         class_attrs.append(_attribute(pool, "BootstrapMethods", payload, spec.padding))
     if spec.inner_class is not None:
         inner, outer, simple = spec.inner_class
         payload = struct.pack(">HHHHH", 1, pool.klass(inner), pool.klass(outer),
                               pool.utf8(simple), ACC_PUBLIC | ACC_STATIC)
         class_attrs.append(_attribute(pool, "InnerClasses", payload))
+    if spec.module is not None:
+        # module name, flags, version, and no requires, exports, opens, uses or provides
+        payload = struct.pack(">HHH5H", pool.module(spec.module), 0, 0, 0, 0, 0, 0, 0)
+        class_attrs.append(_attribute(pool, "Module", payload))
+    if spec.packages:
+        payload = struct.pack(f">H{len(spec.packages)}H", len(spec.packages),
+                              *map(pool.package, spec.packages))
+        class_attrs.append(_attribute(pool, "ModulePackages", payload))
     if spec.extra_attribute is not None:
         class_attrs.append(_attribute(pool, spec.extra_attribute, b"\xde\xad\xbe\xef"))
 

@@ -1,7 +1,9 @@
 """Class file parsing against the independent assembler's ground truth."""
 
 import re
+import shutil
 import struct
+import subprocess
 from unittest import mock
 
 import pytest
@@ -27,7 +29,8 @@ from apprepo.classfile.parser import (
 )
 from apprepo.errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
 
-from classasm import ACC_ABSTRACT, ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
+from classasm import (ACC_ABSTRACT, ACC_MODULE, ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod,
+                      assemble_class)
 from damage import fixture_classes
 from oracle_cha import invoke_sites
 
@@ -70,7 +73,7 @@ def test_trailing_bytes_rejected():
 
 
 @pytest.mark.parametrize("major,ok", [(44, False), (45, True), (50, True),
-                                      (52, True), (53, False), (61, False)])
+                                      (52, True), (53, True), (61, True), (62, False)])
 def test_major_version_window(major, ok):
     data = simple_class(major=major)
     if ok:
@@ -977,3 +980,156 @@ def test_goto_w_and_multianewarray():
     listing = render_method(cf, MethodRef("W", "m", "()V"))
     assert "0: goto_w 5" in listing
     assert "5: multianewarray [[I, 2" in listing
+
+
+# --- Java 9-17 class files: Dynamic, Module and Package entries -------------
+
+BSM = ("p/B", "bsm", "()V")
+
+
+def dynamic_class(*ops: tuple, major: int = 55, **kwargs) -> bytes:
+    """Class bytes with one static method running ``ops`` and one bootstrap method."""
+    return simple_class("K", methods=[AsmMethod("m", "()V", ACC_PUBLIC | ACC_STATIC,
+                                                [*ops, ("return",)])],
+                        bootstrap_methods=(BSM,), major=major, **kwargs)
+
+
+def module_class(flags: int = ACC_MODULE, major: int = 61, **kwargs) -> bytes:
+    return assemble_class(AsmClass("module-info", super_name=None, flags=flags, major=major,
+                                   module="m.one", packages=("p/one", "p/two"), **kwargs))
+
+
+def test_ldc_loads_a_dynamic_constant_of_its_width():
+    data = dynamic_class(("ldc_dynamic", 0, "i", "I"), ("pop",),
+                         ("ldc_w_dynamic", 0, "s", "Ljava/lang/String;"), ("pop",),
+                         ("ldc2_dynamic", 0, "j", "J"), ("pop2",),
+                         ("ldc2_dynamic", 0, "d", "D"), ("pop2",))
+    cf = parse_class(data)
+    assert cf.version == (55, 0)
+    method = cf.find_method("m", "()V")
+    loads = [(i.mnemonic, i.operands, i.literal) for i in method.instructions
+             if i.mnemonic.startswith("ldc")]
+    assert loads == [("ldc", ("condy[0] i:I",), None),
+                     ("ldc_w", ("condy[0] s:Ljava/lang/String;",), None),
+                     ("ldc2_w", ("condy[0] j:J",), None), ("ldc2_w", ("condy[0] d:D",), None)]
+    dynamic = [e.value for e in slots(cf.constant_pool) if e is not None and e.tag == 17]
+    assert sorted(dynamic) == [(0, "d", "D"), (0, "i", "I"), (0, "j", "J"),
+                               (0, "s", "Ljava/lang/String;")]
+    assert sorted(m for m, _ in resolved_operands(method.body)) == ["ldc", "ldc2_w", "ldc2_w",
+                                                                    "ldc_w"]
+
+
+@pytest.mark.parametrize("op,desc", [("ldc_dynamic", "J"), ("ldc_w_dynamic", "D"),
+                                     ("ldc2_dynamic", "I"), ("ldc2_dynamic", "[J")])
+def test_ldc_of_a_dynamic_constant_of_the_other_width_is_malformed(op, desc):
+    data = dynamic_class(("nop",), (op, 0, "c", desc))
+    mnemonic = {"ldc_dynamic": "ldc", "ldc_w_dynamic": "ldc_w"}.get(op, "ldc2_w")
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data, "K.class")
+    assert err.value.reason == f"{mnemonic} cannot load a Dynamic of type {desc}"
+    assert data[err.value.offset - 1:err.value.offset + 1] == b"\x00" + bytes(
+        [MNEMONICS[mnemonic]])  # the ldc, after the nop
+
+
+def test_dynamic_constant_needs_a_bootstrap_method():
+    with pytest.raises(MalformedClassFile, match="invalid bootstrap method index 1"):
+        parse_class(dynamic_class(("ldc_dynamic", 1, "c", "I")))
+
+
+def test_dynamic_entry_needs_major_version_55():
+    assert parse_class(dynamic_class(("ldc_dynamic", 0, "c", "I"), major=55))
+    data = dynamic_class(("ldc_dynamic", 0, "c", "I"), major=54)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data, "K.class")
+    assert err.value.reason == "Dynamic needs major version 55, got 54"
+    assert data[err.value.offset] == 17  # the entry's tag byte
+    assert data.count(data[err.value.offset:err.value.offset + 5]) == 1
+
+
+def test_dynamic_entry_names_a_field_type():
+    data = dynamic_class(("ldc_dynamic", 0, "c", "(I)V"))
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data)
+    assert err.value.reason.startswith("Dynamic has an invalid field descriptor '(I)V'")
+    assert data[err.value.offset] == 17
+
+
+def test_bootstrap_argument_may_name_a_dynamic_constant():
+    data = dynamic_class(("invokedynamic", "run", "()V", 0),
+                         bootstrap_arguments=((0, "arg", "Ljava/lang/Object;"),))
+    cf = parse_class(data)
+    assert [e.value for e in slots(cf.constant_pool) if e is not None and e.tag == 17] == [
+        (0, "arg", "Ljava/lang/Object;")]
+    assert cf.find_method("m", "()V").instructions[0].target == MethodRef(*BSM)
+
+
+def test_module_info_class_parses_without_a_superclass():
+    cf = parse_class(module_class())
+    assert (cf.class_name, cf.super_name, cf.methods) == ("module-info", None, ())
+    assert cf.is_module
+    assert cf.attribute_names == ("Module", "ModulePackages")
+    assert sorted(e for e in slots(cf.constant_pool) if e is not None and e.tag in (19, 20)
+                  ) == [(19, "m.one"), (20, "p/one"), (20, "p/two")]
+    assert not parse_class(simple_class(major=61)).is_module
+
+
+def test_module_info_class_names_no_superclass():
+    data = assemble_class(AsmClass("module-info", flags=ACC_MODULE, major=61))
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data)
+    assert err.value.reason == "ACC_MODULE class module-info names a superclass"
+    assert data[err.value.offset:err.value.offset + 2] != b"\0\0"  # the superclass index
+
+
+@pytest.mark.parametrize("tag,name", [(19, "Module"), (20, "Package")])
+def test_module_and_package_entries_belong_to_a_module_class(tag, name):
+    spec = AsmClass("C", major=61, module="m.one" if tag == 19 else None,
+                    packages=() if tag == 19 else ("p/one",))
+    data = assemble_class(spec)
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data, "C.class")
+    assert err.value.reason == f"{name} outside an ACC_MODULE class"
+    assert data[err.value.offset] == tag
+    spec.flags, spec.super_name = ACC_MODULE, None
+    assert parse_class(assemble_class(spec)).is_module
+
+
+@pytest.mark.parametrize("major", [45, 52])
+def test_acc_module_bit_is_reserved_before_major_53(major):
+    """Before major version 53 the ACC_MODULE bit means nothing (JVMS §4.1):
+    the class is an ordinary one, which needs a superclass, and may hold
+    no Module or Package entry."""
+    cf = parse_class(simple_class(major=major, flags=ACC_PUBLIC | ACC_MODULE))
+    assert (cf.super_name, cf.is_module) == ("java/lang/Object", False)
+    with pytest.raises(MalformedClassFile, match="lacks a superclass"):
+        parse_class(assemble_class(AsmClass("module-info", super_name=None, flags=ACC_MODULE,
+                                            major=major)))
+    with pytest.raises(MalformedClassFile, match="Module outside an ACC_MODULE class"):
+        parse_class(module_class(major=major))
+
+
+def test_javac_release_17_record_and_string_concatenation(tmp_path):
+    javac = shutil.which("javac")
+    if javac is None:
+        pytest.skip("javac is not installed")
+    source = tmp_path / "Point.java"
+    source.write_text("public record Point(int x, String label) {\n"
+                      "    public String show() { return label + \"@\" + x; }\n}\n",
+                      encoding="ascii")
+    subprocess.run([javac, "--release", "17", "-d", str(tmp_path / "out"), str(source)],
+                   check=True, capture_output=True)
+    cf = parse_class((tmp_path / "out" / "Point.class").read_bytes(), "Point.class")
+    assert (cf.class_name, cf.super_name, cf.version[0]) == ("Point", "java/lang/Record", 61)
+    assert "Record" in cf.attribute_names
+    bootstraps = {m.name: {i.target for i in m.instructions if i.mnemonic == "invokedynamic"}
+                  for m in cf.methods}
+    objects = MethodRef("java/lang/runtime/ObjectMethods", "bootstrap",
+                        "(Ljava/lang/invoke/MethodHandles$Lookup;Ljava/lang/String;"
+                        "Ljava/lang/invoke/TypeDescriptor;Ljava/lang/Class;Ljava/lang/String;"
+                        "[Ljava/lang/invoke/MethodHandle;)Ljava/lang/Object;")
+    assert bootstraps["toString"] == bootstraps["hashCode"] == bootstraps["equals"] == {objects}
+    concat, = bootstraps["show"]
+    assert (concat.in_class, concat.name) == ("java/lang/invoke/StringConcatFactory",
+                                              "makeConcatWithConstants")
+    assert "invokedynamic makeConcatWithConstants(Ljava/lang/String;I)Ljava/lang/String;" in (
+        render_method(cf, MethodRef("Point", "show", "()Ljava/lang/String;")))

@@ -14,9 +14,9 @@ from apprepo.callgraph import (
 )
 from apprepo.classfile import MethodRef, parse_class
 from apprepo.containers import iter_class_entries
-from apprepo.errors import ContainerUnreadable
+from apprepo.errors import ContainerUnreadable, MalformedClassFile
 
-from classasm import ACC_PUBLIC, AsmClass, AsmMethod, assemble_class
+from classasm import ACC_MODULE, ACC_PUBLIC, AsmClass, AsmMethod, assemble_class
 
 
 def class_names(container):
@@ -131,3 +131,49 @@ def test_unresolved_external_nodes_have_no_flags_and_no_edges(corpus):
     flags = graph.nodes.get(object_init)
     assert flags is not None and not any(flags[:3])
     assert not any(caller == object_init for caller, _ in graph.edges)
+
+
+def jmod(path: Path, entries: dict[str, bytes]) -> Path:
+    """A jmod file (JEP 261): the magic ``JM``, version 1.0, then a zip
+    archive whose classes sit under ``classes/``."""
+    with zipfile.ZipFile(path.with_suffix(".zip"), "w") as zf:
+        for name, data in entries.items():
+            zf.writestr(name, data)
+    path.write_bytes(b"JM\x01\x00" + path.with_suffix(".zip").read_bytes())
+    return path
+
+
+def module_info() -> bytes:
+    return assemble_class(AsmClass("module-info", super_name=None, flags=ACC_MODULE, major=53,
+                                   module="m.one"))
+
+
+def test_jmod_is_an_archive_container(tmp_path):
+    container = jmod(tmp_path / "m.jmod", {"classes/p/A.class": klass("p/A"),
+                                           "classes/module-info.class": module_info(),
+                                           "lib/libm.so": b"\x7fELF"})
+    assert [name for name, _ in iter_class_entries(container)] == [
+        "classes/p/A.class", "classes/module-info.class"]
+    (tmp_path / "dir").mkdir()
+    jmod(tmp_path / "dir" / "n.jmod", {"classes/q/B.class": klass("q/B")})
+    assert class_names(tmp_path / "dir") == {"q/B"}
+
+
+def test_module_info_classes_are_left_out_of_the_hierarchy(tmp_path):
+    """A module-info class is parsed, but declares no type: it gets no class,
+    origin or provider, so two modules do not duplicate it, and the class
+    count leaves it out."""
+    from apprepo.metrics import count_classes
+
+    first = jmod(tmp_path / "one.jmod", {"classes/p/A.class": klass("p/A"),
+                                         "classes/module-info.class": module_info()})
+    second = jmod(tmp_path / "two.jmod", {"classes/module-info.class": module_info()})
+    h = build_hierarchy(ClasspathPartition.of(framework=[second], application=[first]))
+    assert set(h.classes) == {"p/A"}
+    assert set(h.origins) == {"p/A"}
+    assert h.duplicates == {}
+    assert "module-info" not in h.externals
+    assert count_classes(h) == 1
+    broken = jmod(tmp_path / "three.jmod", {"classes/module-info.class": module_info()[:-1]})
+    with pytest.raises(MalformedClassFile):
+        build_hierarchy(ClasspathPartition.of(application=[broken]))

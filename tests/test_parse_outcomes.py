@@ -6,17 +6,29 @@ an accepted class, or the reason and offset of a rejection) must equal
 the one in ``parse_outcomes.json``. A change to the parser that moves any
 reason or offset, or accepts or rejects a different class, fails here.
 
-The golden file is written by running this module as a script, with the
-parser whose outcomes it should hold::
+``jdk_outcomes.json`` pins, in the same form, the outcomes of real JDK 17
+bytes: a seeded sample of ``JDK_COUNT`` classes of each of the
+``java.base`` and ``java.desktop`` jmods, with the module-info class of
+each (kind ``intact``), and ``COUNT`` of each kind of damage drawn from
+them. Those tests are skipped when the local JDK has no such jmods, or
+when their sampled bytes are not the ones the golden file was written
+from (another JDK build).
+
+Both golden files are written by running this module as a script, with
+the parser whose outcomes they should hold::
 
     PYTHONPATH=src python tests/test_parse_outcomes.py
 
-Rewrite it only for a change meant to alter outcomes, and say which ones.
+Rewrite them only for a change meant to alter outcomes, and say which ones.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
+import shutil
+import zipfile
 from pathlib import Path
 
 import pytest
@@ -26,12 +38,72 @@ from apprepo.classfile.parser import parse_class
 from damage import KINDS, damaged, fixture_classes, outcome
 
 GOLDEN = Path(__file__).with_name("parse_outcomes.json")
+JDK_GOLDEN = Path(__file__).with_name("jdk_outcomes.json")
 SEED = 1
 COUNT = 100
+JDK_MODULES = ("java.base", "java.desktop")
+JDK_COUNT = 150  # sampled classes per jmod, besides its module-info
 
 
-def outcomes(kind: str) -> list[str]:
-    return [outcome(parse_class, data) for data in damaged(fixture_classes(), kind, SEED, COUNT)]
+def outcomes(kind: str, classes: list[bytes] | None = None) -> list[str]:
+    classes = fixture_classes() if classes is None else classes
+    if kind == "intact":
+        return [outcome(parse_class, data) for data in classes]
+    return [outcome(parse_class, data) for data in damaged(classes, kind, SEED, COUNT)]
+
+
+def jdk_sample() -> list[bytes] | None:
+    """The sampled class files of the local JDK's jmods, module by module;
+    None if a jmod is missing."""
+    javac = shutil.which("javac")
+    if javac is None:
+        return None
+    jmods = Path(javac).resolve().parent.parent / "jmods"
+    sample = []
+    for module in JDK_MODULES:
+        path = jmods / f"{module}.jmod"
+        if not path.is_file():
+            return None
+        with zipfile.ZipFile(path) as jmod:
+            names = sorted(n for n in jmod.namelist()
+                           if n.endswith(".class") and n != "classes/module-info.class")
+            chosen = random.Random(f"{SEED}/{module}").sample(names, JDK_COUNT)
+            sample += [jmod.read(name) for name in ["classes/module-info.class", *chosen]]
+    return sample
+
+
+def jdk_outcomes(sample: list[bytes]) -> dict:
+    return {"seed": SEED, "count": COUNT, "sample": JDK_COUNT,
+            "inputs": hashlib.sha256(b"".join(sample)).hexdigest(),
+            "outcomes": {kind: outcomes(kind, sample) for kind in ("intact", *KINDS)}}
+
+
+@pytest.fixture(scope="module")
+def jdk_golden() -> tuple[list[bytes], dict]:
+    sample = jdk_sample()
+    if sample is None:
+        pytest.skip("no java.base and java.desktop jmods beside javac")
+    golden = json.loads(JDK_GOLDEN.read_text(encoding="ascii"))
+    if golden["inputs"] != hashlib.sha256(b"".join(sample)).hexdigest():
+        pytest.skip("the local jmods are not the JDK build the golden file was written from")
+    return sample, golden
+
+
+@pytest.mark.parametrize("kind", ("intact", *KINDS))
+def test_jdk_class_outcomes_match_golden(jdk_golden, kind):
+    sample, golden = jdk_golden
+    assert (golden["seed"], golden["count"], golden["sample"]) == (SEED, COUNT, JDK_COUNT)
+    got = outcomes(kind, sample)
+    assert not [line for line in got if line.startswith("raised ")]
+    assert got == golden["outcomes"][kind]
+
+
+def test_jdk_classes_all_parse(jdk_golden):
+    """Every sampled JDK class, the module-info classes among them, is accepted."""
+    _, golden = jdk_golden
+    intact = golden["outcomes"]["intact"]
+    assert len(intact) == len(JDK_MODULES) * (JDK_COUNT + 1)
+    assert all(line.startswith("ok ") for line in intact)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -57,3 +129,6 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({"seed": SEED, "count": COUNT,
                                   "outcomes": {kind: outcomes(kind) for kind in KINDS}},
                                  indent=1) + "\n", encoding="ascii")
+    jdk = jdk_sample()
+    if jdk is not None:
+        JDK_GOLDEN.write_text(json.dumps(jdk_outcomes(jdk), indent=1) + "\n", encoding="ascii")
