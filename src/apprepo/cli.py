@@ -29,7 +29,8 @@ from .classfile import MethodRef
 from .containers import exists_as, is_archive
 from .errors import ApprepoError, IoFailure, SchemaViolation
 from .guimodel import persist_gui, transform_external
-from .metrics import VersionMetrics, version_csv, version_metrics, version_table
+from .metrics import (VersionMetrics, holds_line_break, version_csv, version_metrics,
+                      version_table)
 from .project import (
     LAYOUT,
     PROJECT_FILE_NAME,
@@ -102,6 +103,8 @@ def load_config(path: Path, out: Path) -> PipelineConfig:
         if not isinstance(value, str) or non_xml_char(value) is not None:
             raise IoFailure(f"config {path} key {key!r} must be text that XML 1.0"
                             f" can carry, got {value!r}")
+    if holds_line_break(version_label):
+        raise IoFailure(f"config {path} key 'version' must be one line, got {version_label!r}")
     if not name:
         raise IoFailure(f"config {path} key 'name' must be non-empty")
     entry_points = raw.get("entry_points", "auto")

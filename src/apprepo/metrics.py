@@ -55,12 +55,19 @@ class VersionMetrics(_MetricsFields):
 
 
 _BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
+_BREAKS = frozenset(_BREAK)
 # a block comment, to the end of the text if never closed; a line comment;
 # or a string or char literal with its escapes, to the end of its line if
 # never closed. re compiles it on the first count, not on import.
 _COMMENT_OR_LITERAL = (rf"(/\*(?s:.*?)(?:\*/|\Z)|//[^{_BREAK}]*)"
                        rf'|"(?:[^"\\{_BREAK}]|\\[^{_BREAK}])*"?'
                        rf"|'(?:[^'\\{_BREAK}]|\\[^{_BREAK}])*'?")
+
+
+def holds_line_break(text: str) -> bool:
+    """Whether ``text`` holds a line break of ``str.splitlines``. A version
+    label must not: :func:`version_table` prints each row on one line."""
+    return not _BREAKS.isdisjoint(text)
 
 
 def _code_only(match: re.Match) -> str:

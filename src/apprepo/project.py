@@ -34,7 +34,7 @@ from .errors import (
     SchemaViolation,
 )
 from .guimodel import GuiModel, link_event_handlers, load_gui
-from .metrics import JAVA_SUFFIX, VersionMetrics, parse_version_csv
+from .metrics import JAVA_SUFFIX, VersionMetrics, holds_line_break, parse_version_csv
 from .xmlio import XmlWriter, read_document
 
 log = logging.getLogger(__name__)
@@ -182,12 +182,14 @@ def render_project_file(name: str, version_label: str, timestamp: date,
     """The project file bytes :func:`init_project` writes for these arguments.
 
     ``paths`` maps each declared artifact of :data:`ARTIFACTS` to its
-    path. A name that is empty, binaries and libraries at one path, a
-    file artifact at the path of another artifact, and external_gui
-    without gui raise ValueError.
+    path. A name that is empty, a version label that holds a line break,
+    binaries and libraries at one path, a file artifact at the path of
+    another artifact, and external_gui without gui raise ValueError.
     """
     if not name:
         raise ValueError("project name must be non-empty")
+    if holds_line_break(version_label):
+        raise ValueError(f"version label must be one line, got {version_label!r}")
     if "binaries" not in paths:
         raise ValueError("a project must declare its binaries directory")
     if "libraries" in paths and Path(paths["binaries"]) == Path(paths["libraries"]):
@@ -225,6 +227,8 @@ def read_project_file(path: Path | str) -> Project:
             raise SchemaViolation(f"<project> missing required attribute {required!r}")
     if not root.attrib["name"]:
         raise SchemaViolation("project name must be non-empty")
+    if holds_line_break(root.attrib["version"]):
+        raise SchemaViolation(f"version label must be one line, got {root.attrib['version']!r}")
     try:
         timestamp = date.fromisoformat(root.attrib["timestamp"])
     except ValueError as exc:

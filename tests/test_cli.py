@@ -686,6 +686,37 @@ def test_build_rejects_config_text_utf8_cannot_encode(corpus, tmp_path, caplog, 
     assert not (tmp_path / "proj.building").exists()
 
 
+@pytest.mark.parametrize("label", ["1\n2 | 3", "1\r", "\u20281"])
+def test_build_rejects_a_version_label_with_a_line_break(corpus, tmp_path, caplog, label):
+    config = write_config(tmp_path / "c.json", corpus, version=label)
+    out = tmp_path / "proj"
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 2
+    assert f"key 'version' must be one line, got {label!r}" in caplog.text
+    assert not out.exists()
+    assert not (tmp_path / "proj.building").exists()
+
+
+@pytest.mark.parametrize("label", ["1&#10;2 | 3", "1&#13;", "\u20281"])
+def test_report_skips_a_bundle_whose_version_label_breaks_its_line(corpus, hierarchy,
+                                                                   tmp_path, capsys, caplog,
+                                                                   label):
+    """A hand-edited label with a line break would split its table row."""
+    from datetime import date
+    repo = tmp_path / "repo"
+    build_bundle(corpus, hierarchy, repo / "good", version="1.0", timestamp=date(2001, 1, 1))
+    edited = build_bundle(corpus, hierarchy, repo / "edited", version="2.0",
+                          timestamp=date(2002, 2, 2))
+    edited.write_text(edited.read_text(encoding="utf-8").replace('version="2.0"',
+                                                                 f'version="{label}"'),
+                      encoding="utf-8")
+    with caplog.at_level(logging.WARNING):
+        assert main(["report", str(repo)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3  # header, separator, one row
+    skipped = [r.message for r in caplog.records if r.message.startswith("skipping edited")]
+    assert len(skipped) == 1 and "version label must be one line" in skipped[0]
+    assert main(["validate", str(edited)]) == 2
+
+
 def test_build_bad_external_gui_fails_atomically(corpus, tmp_path):
     bad_gui = tmp_path / "bad.xml"
     bad_gui.write_text("<GUIStructure><GUI></GUI></GUIStructure>")

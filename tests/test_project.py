@@ -83,6 +83,15 @@ def test_init_rejects_a_file_artifact_at_another_artifacts_path(tmp_path, paths,
     assert not (tmp_path / "p").exists()
 
 
+@pytest.mark.parametrize("label", ["1\n2 | 3", "1\r", "\u20281"])
+def test_init_rejects_a_version_label_with_a_line_break(tmp_path, label):
+    # the report table would print the label over two lines
+    with pytest.raises(ValueError) as err:
+        init_project(tmp_path / "p", "mini", label, TS)
+    assert str(err.value) == f"version label must be one line, got {label!r}"
+    assert not (tmp_path / "p").exists()
+
+
 @pytest.mark.parametrize("libraries", [None, "lib"])
 def test_init_rejects_undeclared_binaries(tmp_path, libraries):
     with pytest.raises(ValueError, match="must declare its binaries"):
@@ -186,6 +195,19 @@ def test_read_rejects_binaries_aliasing_libraries(bundle, alias):
     bundle.write_text(text)
     with pytest.raises(SchemaViolation, match="disjoint"):
         read_project_file(bundle)
+
+
+@pytest.mark.parametrize("label,text", [("1&#10;2 | 3", "1\n2 | 3"), ("1&#13;", "1\r"),
+                                        ("\u20281", "\u20281")])
+def test_read_rejects_a_version_label_with_a_line_break(bundle, label, text):
+    edited = bundle.read_text(encoding="utf-8")
+    version = f'version="{read_project_file(bundle).version_label}" timestamp='
+    assert edited.count(version) == 1
+    bundle.write_text(edited.replace(version, f'version="{label}" timestamp='),
+                      encoding="utf-8")
+    with pytest.raises(SchemaViolation) as err:
+        read_project_file(bundle)
+    assert str(err.value) == f"version label must be one line, got {text!r}"
 
 
 def test_load_rejects_duplicate_gui_ids(bundle):
