@@ -99,12 +99,17 @@ class ConstantPool:
     Slot 0 and the slot after a Long or Double keep tag 0. Lookups validate
     the index and the expected entry kind, and a bad reference raises
     :class:`MalformedClassFile`; :meth:`entry` makes the entry it returns.
+    ``gated`` holds the indices of the Dynamic, Module and Package entries
+    in pool order: whether a class may hold them depends on its version
+    and access flags, which the class file's reader checks.
     """
 
-    def __init__(self, tags: list[int], values: list, source: str | None = None):
+    def __init__(self, tags: list[int], values: list, source: str | None = None,
+                 gated: tuple[int, ...] = ()):
         self.tags = tags
         self.values = values
         self.source = source
+        self.gated = gated
 
     def entry(self, index: int, tag: int | None = None) -> ConstantEntry:
         tags = self.tags
@@ -209,8 +214,9 @@ def _decode_modified_utf8(raw: bytes) -> str | None:
 
 # tag -> (unpack_from of the entry after its tag byte, its size, whether it
 # holds one value, resolution step: 0 for a literal, 1 for an entry that
-# names Utf8 entries, 2 for one that names entries of step 1); Utf8, whose
-# length comes first, is read apart
+# names Utf8 entries, 2 for one that names entries of step 1, 3 and 4 for
+# the gated entries resolved as in steps 1 and 2); Utf8, whose length
+# comes first, is read apart
 _LAYOUTS = {tag: (struct.Struct(fmt).unpack_from, struct.calcsize(fmt), len(fmt) == 2, step)
             for tag, fmt, step in [
     (CONST_INTEGER, ">i", 0), (CONST_FLOAT, ">f", 0), (CONST_LONG, ">q", 0),
@@ -218,8 +224,8 @@ _LAYOUTS = {tag: (struct.Struct(fmt).unpack_from, struct.calcsize(fmt), len(fmt)
     (CONST_METHOD_TYPE, ">H", 1), (CONST_NAME_AND_TYPE, ">HH", 1),
     (CONST_FIELDREF, ">HH", 2), (CONST_METHODREF, ">HH", 2),
     (CONST_INTERFACE_METHODREF, ">HH", 2), (CONST_METHOD_HANDLE, ">BH", 2),
-    (CONST_DYNAMIC, ">HH", 2), (CONST_INVOKE_DYNAMIC, ">HH", 2),
-    (CONST_MODULE, ">H", 1), (CONST_PACKAGE, ">H", 1),
+    (CONST_INVOKE_DYNAMIC, ">HH", 2), (CONST_MODULE, ">H", 3), (CONST_PACKAGE, ">H", 3),
+    (CONST_DYNAMIC, ">HH", 4),
 ]}
 
 _TRUNCATED = "truncated class file"
@@ -260,7 +266,7 @@ def parse_constant_pool(data: bytes, pos: int, source: str | None = None,
     pos = first = pos + 2
     tags = [0] * max(count, 1)
     values: list = [None] * len(tags)
-    steps: tuple[list[int], list[int]] = ([], [])  # the entries each step resolves
+    steps: tuple[list[int], ...] = ([], [], [], [])  # the entries each step resolves
     layouts = _LAYOUTS
     index = 1
     try:
@@ -302,7 +308,9 @@ def parse_constant_pool(data: bytes, pos: int, source: str | None = None,
         raise MalformedClassFile(_TRUNCATED, pos if pos >= end else pos + 1, source) from None
     except KeyError:
         raise MalformedClassFile(f"unknown constant pool tag {data[pos]}", pos, source) from None
-    pool = ConstantPool(tags, values, source)
+    pool = ConstantPool(tags, values, source, tuple(sorted(steps[2] + steps[3])))
+    steps[0].extend(steps[2])
+    steps[1].extend(steps[3])
 
     def resolved(index: int) -> object:
         """The final value of entry ``index`` that the direct reads missed:

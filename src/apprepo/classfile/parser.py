@@ -12,10 +12,11 @@ needs. Branch and switch targets are not checked: one may point outside
 the code array or into the middle of an instruction, and a listing shows
 it as it is (JVMS §4.9.1 forbids both).
 
-Checking a body resolves each distinct pool-indexed instruction once and
-keeps its fields in the body's ``resolved`` map, where
-:func:`resolved_operands` reads them without decoding anything else; the
-call graph closure reads bodies that way. A method's code array is decoded
+Checking a body scans its code array once: the body keeps the distinct
+pool-indexed instructions the scan finds as its ``keys``, and each is
+resolved once into the class's ``resolved`` map, where
+:func:`resolved_operands` reads them; the call graph closure reads bodies
+that way, and no code array is read again. A method's code array is decoded
 into :class:`Instruction` records only the first time its ``instructions``
 are read, by :func:`disassemble`, the one reference decoder, which also
 reports the reason and offset of any failure the body check finds.
@@ -159,7 +160,7 @@ class MethodInfo(_MethodFields):
     paired into :attr:`line_numbers` on the first read. ``body`` holds the
     code array that :func:`parse_class` validated, with its pool operands
     already resolved; :func:`resolved_operands` reads those without
-    decoding. The body is decoded into :attr:`instructions` on the first
+    reading the code array. The body is decoded into :attr:`instructions` on the first
     read, and the tuple is kept. Equality compares the decoded
     instructions, not the body bytes, and the hash leaves both out.
 
@@ -880,21 +881,21 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
                     raise bad_entry(index, f"MethodHandle of kind {kind} names an"
                                     f" InterfaceMethodref, which needs major version 52,"
                                     f" got {major}")
-    if cp.CONST_DYNAMIC in tags:  # a Dynamic names a field type (JVMS §4.4.10)
-        for index, tag in enumerate(tags):
-            if tag == cp.CONST_DYNAMIC:
-                if major < 55:
-                    raise bad_entry(index, f"Dynamic needs major version 55, got {major}")
-                error = _descriptor_error(values[index][2], False)
-                if error is not None:
-                    raise bad_entry(index, f"Dynamic has an {error}")
     access_flags, pos = _u2(data, pos, end, source)
     module = _is_module(access_flags, major)
-    if not module:  # Module and Package entries belong to a module-info (JVMS §4.4.11-12)
-        stray = min((tags.index(tag) for tag in (cp.CONST_MODULE, cp.CONST_PACKAGE)
-                     if tag in tags), default=0)
-        if stray:
-            raise bad_entry(stray, f"{cp.TAG_NAMES[tags[stray]]} outside an ACC_MODULE class")
+    # a Dynamic names a field type from major version 55 on (JVMS §4.4.10);
+    # Module and Package entries belong to a module-info (§4.4.11-12)
+    for index in pool.gated:
+        tag = tags[index]
+        if tag != cp.CONST_DYNAMIC:
+            if not module:
+                raise bad_entry(index, f"{cp.TAG_NAMES[tag]} outside an ACC_MODULE class")
+        elif major < 55:
+            raise bad_entry(index, f"Dynamic needs major version 55, got {major}")
+        else:
+            error = _descriptor_error(values[index][2], False)
+            if error is not None:
+                raise bad_entry(index, f"Dynamic has an {error}")
     class_name, pos = _class_ref(data, pos, end, pool, source, "class name")
     if data[pos:pos + 2] != b"\0\0":
         super_name, pos = _class_ref(data, pos, end, pool, source, "superclass name")
