@@ -160,8 +160,8 @@ class MethodInfo(_MethodFields):
     paired into :attr:`line_numbers` on the first read. ``body`` holds the
     code array that :func:`parse_class` validated, with its pool operands
     already resolved; :func:`resolved_operands` reads those without
-    reading the code array. The body is decoded into :attr:`instructions` on the first
-    read, and the tuple is kept. Equality compares the decoded
+    reading the code array. The body is decoded into :attr:`instructions`
+    on the first read, and the tuple is kept. Equality compares the decoded
     instructions, not the body bytes, and the hash leaves both out.
 
     A named tuple underneath, so it is built without a Python-level
