@@ -6,7 +6,7 @@
 archive``. Each parser then runs in its own child process over the same
 damaged inputs: ``--count`` of each kind of damage in ``damage.py``, drawn
 from the assembled fixture classes and from the class files in each
-``PATH``, a jar or a directory. Every input must get the same outcome from
+``PATH``, a jar, a jmod or a directory. Every input must get the same outcome from
 both: an equal class, or the same reason and offset. The script prints the
 counts per kind and the first few differences, and exits 1 if any outcome
 differs or either parser raised anything but ``MalformedClassFile``.

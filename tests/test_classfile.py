@@ -1078,7 +1078,8 @@ def test_module_info_class_names_no_superclass():
     with pytest.raises(MalformedClassFile) as err:
         parse_class(data)
     assert err.value.reason == "ACC_MODULE class module-info names a superclass"
-    assert data[err.value.offset:err.value.offset + 2] != b"\0\0"  # the superclass index
+    # the superclass index, after the access flags and the class index
+    assert data[err.value.offset - 4:err.value.offset - 2] == struct.pack(">H", ACC_MODULE)
 
 
 @pytest.mark.parametrize("tag,name", [(19, "Module"), (20, "Package")])

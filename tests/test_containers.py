@@ -1,5 +1,6 @@
 """Class container discovery: directories, jars, nested archives."""
 
+import io
 import struct
 import zipfile
 from pathlib import Path
@@ -136,10 +137,11 @@ def test_unresolved_external_nodes_have_no_flags_and_no_edges(corpus):
 def jmod(path: Path, entries: dict[str, bytes]) -> Path:
     """A jmod file (JEP 261): the magic ``JM``, version 1.0, then a zip
     archive whose classes sit under ``classes/``."""
-    with zipfile.ZipFile(path.with_suffix(".zip"), "w") as zf:
+    archive = io.BytesIO()
+    with zipfile.ZipFile(archive, "w") as zf:
         for name, data in entries.items():
             zf.writestr(name, data)
-    path.write_bytes(b"JM\x01\x00" + path.with_suffix(".zip").read_bytes())
+    path.write_bytes(b"JM\x01\x00" + archive.getvalue())
     return path
 
 
