@@ -177,10 +177,7 @@ class MethodInfo(_MethodFields):
 
     @cached_property
     def instructions(self) -> tuple[Instruction, ...]:
-        out: list[Instruction] = []
-        if self.body is not None:
-            disassemble(self.body, out)
-        return tuple(out)
+        return () if self.body is None else disassemble(self.body)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -508,75 +505,41 @@ _WIDE = b"\\x%02x(?:%s)" % (MNEMONICS["wide"], b"|".join(_alternatives(
 # Each alternative starts with its own opcode class, so a code array splits
 # into instructions in one way only. From an instruction's start, _KEYS
 # matches the bytes of each pool-indexed (or newarray) instruction in turn,
-# stepping over the others, until the end of the span it scans, where it
-# matches empty, or until an instruction it cannot step over: a switch, the
-# only kind of variable width, a bad one or one cut off by the span's end.
+# stepping over the others, until the code array's end, where it matches
+# empty, or until an instruction it cannot step over: a switch, the only
+# kind of variable width, a bad wide, or a bad or cut-off instruction.
 # Then its last nonempty match is the rest, from that instruction to the
-# span's end, which no complete pool-indexed instruction equals.
+# end, which no complete pool-indexed instruction equals.
 _KEYS = re.compile(b"%s(%s|\\Z|.+)" % (
     _run(_form_alternatives({_PLAIN, _IMMEDIATE, _BRANCH}) + [_WIDE]),
     b"|".join(_form_alternatives({_RESOLVED}))), re.DOTALL).findall
 # opcode -> width of a pool-indexed instruction, 0 for other opcodes
 _KEY_WIDTHS = [form[2] if form is not None and form[1] == _RESOLVED else 0 for form in _FORMS]
-_TABLESWITCH, _LOOKUPSWITCH = MNEMONICS["tableswitch"], MNEMONICS["lookupswitch"]
-_TABLE_HEAD = struct.Struct(">xxxxii").unpack_from  # default, then low and high
-_LOOKUP_HEAD = struct.Struct(">xxxxi").unpack_from  # default, then npairs
-
-
-def _switch_end(code: bytes, start: int) -> int | None:
-    """The end of the switch instruction at ``start``; None if there is
-    none, or if its padding, bounds, pair count or length is bad."""
-    pos = start + 4 - start % 4  # past the opcode and padding
-    if code.count(0, start + 1, pos) != pos - start - 1:
-        return None
-    opcode, end = code[start], len(code)
-    if opcode == _TABLESWITCH and pos + 12 <= end:
-        low, high = _TABLE_HEAD(code, pos)
-        if high < low:
-            return None
-        pos += 12 + 4 * (high - low + 1)
-    elif opcode == _LOOKUPSWITCH and pos + 8 <= end:
-        npairs, = _LOOKUP_HEAD(code, pos)
-        if npairs < 0:
-            return None
-        pos += 8 + 8 * npairs
-    else:
-        return None
-    return pos if pos <= end else None
-
-
-# bytes matched per _KEYS call: it bounds the rest each call copies
-_WINDOW = 1024
-# the widest instruction of fixed width (a wide iinc): one that starts
-# nearer a window's end than this may have been cut off by it
-_WIDEST = 6
 
 
 def _scan(code: bytes) -> tuple[bytes, ...] | None:
-    """The distinct _KEYS matches of a code array, matched window by window
-    and switch by switch, without their rests; None if it holds a bad
-    instruction or switch."""
+    """The distinct _KEYS matches of a code array without their rests,
+    stepping over each switch with the decoder's own reader; None if it
+    holds a bad instruction or switch."""
     keys: set[bytes] = set()
     end = len(code)
     pos = 0
-    while pos < end:
-        stop = pos + _WINDOW
-        if stop > end:
-            stop = end
-        found = _KEYS(code, pos, stop)
+    while True:
+        found = _KEYS(code, pos)
         rest = found[-2] if len(found) > 1 else b""
         if not rest or _KEY_WIDTHS[rest[0]] == len(rest):
             keys.update(found)
-            pos = stop
-            continue
+            break
         del found[-2]
         keys.update(found)
-        at = stop - len(rest)
-        pos = _switch_end(code, at)
-        if pos is None:
-            if stop == end or at <= stop - _WIDEST:
-                return None
-            pos = at  # an instruction the window cut off
+        at = end - len(rest)
+        form = _FORMS[rest[0]]
+        if form is None or form[1] != _SEQUENTIAL:
+            return None
+        try:
+            pos = form[3](code, at + 1, at)[1]
+        except MalformedClassFile:
+            return None
     keys.discard(b"")
     return tuple(keys)
 
@@ -586,13 +549,14 @@ def _check_body(body: MethodBody) -> None:
 
     Each of the body's ``keys`` not yet in the class's ``resolved`` map is
     checked once and added to it. On any failure the body goes to
-    :func:`disassemble`, which reports the reason at the file offset of the
-    first bad instruction and resolves, as the scan would have, only the
-    instructions before it.
+    :func:`disassemble`, only to raise: it reports the reason at the file
+    offset of the first bad instruction and resolves, as the scan would
+    have, only the instructions before it.
     """
     keys, resolved = body.keys, body.resolved
     if keys is None:
-        return disassemble(body, None)
+        disassemble(body)
+        return
     fresh = {}
     try:
         for key in keys:
@@ -600,21 +564,22 @@ def _check_body(body: MethodBody) -> None:
                 mnemonic, _, _, operands, check = _FORMS[key[0]]
                 fresh[key] = check(body, mnemonic, *operands(key, 0))
     except MalformedClassFile:
-        return disassemble(body, None)
+        disassemble(body)
+        return
     resolved.update(fresh)
 
 
-def disassemble(body: MethodBody, out: list[Instruction] | None) -> None:
-    """Check a method's code array, appending its instructions to ``out`` if given.
+def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
+    """The instructions of a method's code array, checked one at a time.
 
-    The reference decoder, one instruction at a time. When the body check
-    of :func:`parse_class` finds a bad opcode, operand, padding or pool
-    reference, it calls this with ``out=None``, which reports the first
-    one at the file offset of the instruction that holds it. Reading
-    ``MethodInfo.instructions`` calls it on an accepted body, which cannot
-    fail, and finds every pool operand already resolved.
+    The reference decoder. When the body check of :func:`parse_class`
+    finds a bad opcode, operand, padding or pool reference, it calls this
+    to report the first one at the file offset of the instruction that
+    holds it. Reading ``MethodInfo.instructions`` calls it on an accepted
+    body, which cannot fail, and finds every pool operand already resolved.
     """
     code, resolved = body.code, body.resolved
+    out: list[Instruction] = []
     end = len(code)
     pos = start = 0
     try:
@@ -628,10 +593,8 @@ def disassemble(body: MethodBody, out: list[Instruction] | None) -> None:
             if pos > end:
                 raise MalformedClassFile("truncated class file")
             if kind == _PLAIN:
-                if out is not None:
-                    out.append(_new(Instruction, (start, mnemonic) + _PLAIN_FIELDS))
-                continue
-            if kind == _RESOLVED:
+                fields = _PLAIN_FIELDS
+            elif kind == _RESOLVED:
                 key = code[start:pos]
                 fields = resolved.get(key)
                 if fields is None:
@@ -639,19 +602,17 @@ def disassemble(body: MethodBody, out: list[Instruction] | None) -> None:
             elif kind == _SEQUENTIAL:
                 read, pos = operands(code, pos, start)
                 fields = (read,) + _NO_REFS
-            elif out is None:
-                continue
             elif kind == _IMMEDIATE:
                 fields = (operands(code, start),) + _NO_REFS
             else:
                 fields = ((start + operands(code, start)[0],),) + _NO_REFS
-            if out is not None:
-                out.append(_new(Instruction, (start, mnemonic) + fields))
+            out.append(_new(Instruction, (start, mnemonic) + fields))
     except MalformedClassFile as exc:
         raise MalformedClassFile(exc.reason, body.file_base + start, body.source) from exc
+    return tuple(out)
 
 
-def resolved_operands(body: MethodBody | None) -> Iterator[tuple[str, tuple]]:
+def resolved_operands(body: MethodBody) -> Iterator[tuple[str, tuple]]:
     """The ``(mnemonic, fields)`` of each distinct pool-indexed or
     ``newarray`` instruction of an accepted body, once each, in no fixed order.
 
@@ -659,9 +620,8 @@ def resolved_operands(body: MethodBody | None) -> Iterator[tuple[str, tuple]]:
     body check resolved them at parse time: ``(operands, target, member,
     type_name, literal)``. They are read from the class's ``resolved`` map
     for the body's ``keys``; nothing is scanned, decoded or checked again.
-    A method without a body has none.
     """
-    for key in () if body is None else body.keys:
+    for key in body.keys:
         yield _FORMS[key[0]][0], body.resolved[key]
 
 

@@ -4,7 +4,6 @@ import re
 import shutil
 import struct
 import subprocess
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -664,7 +663,7 @@ def _names_a_valid_entry(opcode: int, index: int) -> bool:
     code = bytes([opcode]) + operands + bytes(_FORMS[opcode][2] - 1 - len(operands))
     if fmt == "iface":
         code = code[:3] + b"\x01\x00"
-    return scan_outcome(lambda b: disassemble(b, None), code)[0] is None
+    return scan_outcome(disassemble, code)[0] is None
 
 
 # pool-indexed opcode -> the pool indices it may name in SCAN_BODY's pool
@@ -722,26 +721,63 @@ def scanned_code(draw) -> bytes:
     return bytes(code[:cut])
 
 
+def assert_scan_agrees(code: bytes) -> None:
+    decoded, decoded_resolved, _ = scan_outcome(disassemble, code)
+    scanned, resolved, body = scan_outcome(_check_body, code)
+    assert scanned == decoded
+    assert resolved == decoded_resolved
+    if scanned is None:
+        pooled = [ins for ins in disassemble(body)
+                  if _FORMS[MNEMONICS[ins.mnemonic]][1] == _RESOLVED]
+        # the body carries each distinct pool-indexed instruction once,
+        # and resolved_operands gives its fields once
+        assert sorted(body.keys) == sorted(
+            {code[ins.offset:ins.offset + _FORMS[code[ins.offset]][2]] for ins in pooled})
+        operands = list(resolved_operands(body))
+        assert len(operands) == len(body.keys)
+        assert set(operands) == {(ins.mnemonic, tuple(ins)[2:]) for ins in pooled}
+
+
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
-@given(scanned_code(), st.sampled_from([parser._WINDOW, 6, 7, 11]))
-def test_body_scan_agrees_with_the_reference_decoder(code, window):
-    decoded, decoded_resolved, _ = scan_outcome(lambda b: disassemble(b, None), code)
-    with mock.patch.object(parser, "_WINDOW", window):  # small windows cut instructions
-        scanned, resolved, body = scan_outcome(_check_body, code)
-        assert scanned == decoded
-        assert resolved == decoded_resolved
-        if scanned is None:
-            instructions: list = []
-            disassemble(body, instructions)
-            pooled = [ins for ins in instructions
-                      if _FORMS[MNEMONICS[ins.mnemonic]][1] == _RESOLVED]
-            # the body carries each distinct pool-indexed instruction once,
-            # and resolved_operands gives its fields once
-            assert sorted(body.keys) == sorted(
-                {code[ins.offset:ins.offset + _FORMS[code[ins.offset]][2]] for ins in pooled})
-            operands = list(resolved_operands(body))
-            assert len(operands) == len(body.keys)
-            assert set(operands) == {(ins.mnemonic, tuple(ins)[2:]) for ins in pooled}
+@given(scanned_code())
+def test_body_scan_agrees_with_the_reference_decoder(code):
+    assert_scan_agrees(code)
+
+
+def _switch(code: bytearray, mnemonic: str, *operands: int) -> bytearray:
+    """``code`` with a switch appended: zero padding, then the s4 ``operands``."""
+    code.append(MNEMONICS[mnemonic])
+    code += bytes(-len(code) % 4) + struct.pack(f">{len(operands)}i", *operands)
+    return code
+
+
+def _keys_between_switches() -> bytearray:
+    """Pool-indexed instructions before, between and after six rounds of a
+    tableswitch and a lookupswitch: a body longer than 1,024 bytes."""
+    code = bytearray()
+    for i in range(6):
+        for name in ("ldc", "getstatic", "invokevirtual"):
+            opcode = MNEMONICS[name]
+            indices = SCAN_INDICES[opcode]
+            code += bytes([opcode]) + indices[i % len(indices)].to_bytes(
+                _FORMS[opcode][2] - 1, "big")
+            if name == "ldc":
+                _switch(code, "tableswitch", 0, 0, 39, *range(40))
+            elif name == "getstatic":
+                _switch(code, "lookupswitch", 0, 10, *range(20))
+    return code + bytes([MNEMONICS["return"]])
+
+
+@pytest.mark.parametrize("code", [
+    _keys_between_switches(),
+    # the scan's worst case: 5,461 empty lookupswitches of 12 bytes each and a
+    # return, 65,533 bytes, near the 65,535 a code array may hold (JVMS §4.7.3)
+    (bytes([MNEMONICS["lookupswitch"]]) + bytes(11)) * 5461 + bytes([MNEMONICS["return"]]),
+    _switch(_keys_between_switches(), "tableswitch", 0, 0, 2, 7, 8, 9)[:-1],
+], ids=["keys-between-switches", "65533-byte-lookupswitches", "switch-cut-off"])
+def test_body_scan_agrees_with_the_reference_decoder_on_long_bodies(code):
+    assert len(code) > 1024
+    assert_scan_agrees(bytes(code))
 
 
 # --- corpus fidelity: the acceptance-grade ground truth check ---------------

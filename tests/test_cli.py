@@ -158,9 +158,9 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
         checked.append(body)
         return check_body(body)
 
-    def counted_disassemble(body, out):
+    def counted_disassemble(body):
         decoded.append(body)
-        return disassemble(body, out)
+        return disassemble(body)
 
     def counted_scan(code):
         scanned.append(code)

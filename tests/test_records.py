@@ -101,7 +101,7 @@ def test_cached_reads_are_computed_once(monkeypatch):
     calls = []
     disassemble = parser.disassemble
     monkeypatch.setattr(parser, "disassemble",
-                        lambda body, out: calls.append(body) or disassemble(body, out))
+                        lambda body: calls.append(body) or disassemble(body))
     cf = parsed()
     method = cf.methods[0]
     assert [i.mnemonic for i in method.instructions] == ["ldc", "pop", "invokestatic",
