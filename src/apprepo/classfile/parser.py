@@ -284,6 +284,11 @@ def _bootstrap_methods(data: bytes, pos: int, limit: int, pool: ConstantPool,
             raise MalformedClassFile("bootstrap method handle does not reference a method")
         return member.value
 
+    def argument(index: int) -> None:
+        tag = pool.entry(index).tag
+        if tag not in _BOOTSTRAP_ARGUMENTS:
+            raise MalformedClassFile(f"bootstrap argument has unloadable tag {tag}")
+
     methods = []
     count, pos = _u2(data, pos, limit, source)
     for _ in range(count):
@@ -292,7 +297,7 @@ def _bootstrap_methods(data: bytes, pos: int, limit: int, pool: ConstantPool,
         arguments, pos = _u2(data, pos, limit, source)
         for _ in range(arguments):
             index, pos = _u2(data, pos, limit, source)
-            _ref(pool.entry, index, pos - 2, source)
+            _ref(argument, index, pos - 2, source)
     return methods, pos
 
 
@@ -304,6 +309,8 @@ _SYMBOLIC = frozenset((cp.CONST_CLASS, cp.CONST_METHOD_TYPE, cp.CONST_METHOD_HAN
 _LOADABLE = {"ldc2_w": frozenset((cp.CONST_LONG, cp.CONST_DOUBLE, cp.CONST_DYNAMIC)),
              **dict.fromkeys(("ldc", "ldc_w"), _SYMBOLIC | frozenset(
                  (cp.CONST_INTEGER, cp.CONST_FLOAT, cp.CONST_STRING)))}
+# a bootstrap argument names a loadable entry of either width (JVMS §4.7.23)
+_BOOTSTRAP_ARGUMENTS = _LOADABLE["ldc"] | _LOADABLE["ldc2_w"]
 
 
 def _loadable(body: MethodBody, mnemonic: str, index: int) -> tuple:
@@ -833,6 +840,11 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     def bad_entry(index: int, reason: str) -> MalformedClassFile:
         return MalformedClassFile(reason, cp.entry_offset(data, 10, index), source)
 
+    def module_rule(broken: bool, reason: str) -> None:
+        """A module class (JVMS §4.1) that breaks a rule in the field just read."""
+        if module and broken:
+            raise MalformedClassFile(f"ACC_MODULE class {reason}", pos - 2, source)
+
     if major < 52:  # before 52, kinds 6 and 7 name only a Methodref (JVMS §4.4.8)
         for index, tag in enumerate(tags):
             if tag == cp.CONST_METHOD_HANDLE:
@@ -856,17 +868,18 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
             error = _descriptor_error(values[index][2], False)
             if error is not None:
                 raise bad_entry(index, f"Dynamic has an {error}")
+    module_rule(access_flags != ACC_MODULE, f"sets other access flags: 0x{access_flags:04x}")
     class_name, pos = _class_ref(data, pos, end, pool, source, "class name")
+    module_rule(class_name != "module-info", f"is named {class_name}, not module-info")
     if data[pos:pos + 2] != b"\0\0":
         super_name, pos = _class_ref(data, pos, end, pool, source, "superclass name")
-        if module:
-            raise MalformedClassFile(f"ACC_MODULE class {class_name} names a superclass",
-                                     pos - 2, source)
+        module_rule(True, f"{class_name} names a superclass")
     elif module or class_name == ROOT_OBJECT_CLASS:
         super_name, pos = None, pos + 2
     else:
         raise MalformedClassFile(f"class {class_name} lacks a superclass", pos + 2, source)
     count, pos = _u2(data, pos, end, source)
+    module_rule(count, f"declares interfaces: {count}")
     interfaces = []
     for _ in range(count):
         name, pos = _class_ref(data, pos, end, pool, source, "interface name")
@@ -874,6 +887,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
 
     # fields: validated and skipped, the code model does not retain them
     count, pos = _u2(data, pos, end, source)
+    module_rule(count, f"declares fields: {count}")
     for _ in range(count):
         _, _, _, attributes, pos = _member(data, pos, end, pool, source, False)
         for _ in range(attributes):
@@ -883,6 +897,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     # read, since invokedynamic operands need BootstrapMethods
     raw_methods = []
     count, pos = _u2(data, pos, end, source)
+    module_rule(count, f"declares methods: {count}")
     for _ in range(count):
         m_flags, m_name, m_desc, attributes, pos = _member(data, pos, end, pool, source, True)
         code_info = None

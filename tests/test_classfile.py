@@ -1,5 +1,6 @@
 """Class file parsing against the independent assembler's ground truth."""
 
+import dataclasses
 import re
 import shutil
 import struct
@@ -386,6 +387,31 @@ def test_bad_pool_index_in_attribute_payload_reported_at_its_file_offset(where, 
     assert err.value.reason == f"invalid constant pool index {bad}"
     assert (err.value.offset, err.value.source) == (len(data) - from_end, "P.class")
     assert data[err.value.offset:err.value.offset + 2] == struct.pack(">H", bad)
+
+
+def test_bootstrap_argument_names_a_loadable_entry():
+    """Each pool entry of the class is tried as the one bootstrap argument:
+    only the loadable kinds are accepted (JVMS §4.7.23), and any other is
+    reported at the file offset of the argument's index."""
+    spec = AsmClass("P", major=52, bootstrap_methods=(("p/B", "bsm", "()V"),),
+                    methods=[AsmMethod("m", "()V", ACC_PUBLIC, [
+                        ("ldc_int", 7), ("ldc_float", 1.5), ("ldc_str", "s"),
+                        ("ldc_class", "p/C"), ("ldc2_long", 5), ("ldc2_double", 2.5),
+                        ("return",)])])
+    entries = slots(parse_class(assemble_class(spec)).constant_pool)
+    loadable = {3, 4, 5, 6, 7, 8, 15}  # Integer to String, MethodHandle
+    assert loadable <= {entry.tag for entry in entries if entry is not None}
+    for index, entry in enumerate(entries):
+        if entry is None:
+            continue
+        data = assemble_class(dataclasses.replace(spec, bootstrap_arguments=(index,)))
+        if entry.tag in loadable:
+            assert parse_class(data).methods
+            continue
+        with pytest.raises(MalformedClassFile) as err:
+            parse_class(data, "P.class")
+        assert err.value.reason == f"bootstrap argument has unloadable tag {entry.tag}"
+        assert (err.value.offset, err.value.source) == (len(data) - 2, "P.class")
 
 
 def test_bootstrap_handle_naming_a_field_reported_at_its_file_offset():
@@ -1120,15 +1146,34 @@ def test_module_info_class_names_no_superclass():
 
 @pytest.mark.parametrize("tag,name", [(19, "Module"), (20, "Package")])
 def test_module_and_package_entries_belong_to_a_module_class(tag, name):
-    spec = AsmClass("C", major=61, module="m.one" if tag == 19 else None,
+    spec = AsmClass("module-info", major=61, module="m.one" if tag == 19 else None,
                     packages=() if tag == 19 else ("p/one",))
     data = assemble_class(spec)
     with pytest.raises(MalformedClassFile) as err:
-        parse_class(data, "C.class")
+        parse_class(data, "module-info.class")
     assert err.value.reason == f"{name} outside an ACC_MODULE class"
     assert data[err.value.offset] == tag
     spec.flags, spec.super_name = ACC_MODULE, None
     assert parse_class(assemble_class(spec)).is_module
+
+
+# a module class breaking one rule of JVMS §4.1, and the offset of the
+# field that breaks it, counted from the end of the class
+@pytest.mark.parametrize("changes,reason,from_end", [
+    ({"name": "p/NotModuleInfo"}, "is named p/NotModuleInfo, not module-info", 12),
+    ({"flags": ACC_MODULE | ACC_PUBLIC}, "sets other access flags: 0x8001", 14),
+    ({"interfaces": ("p/I",)}, "declares interfaces: 1", 10),
+    ({"fields": (("f", "I", 0),)}, "declares fields: 1", 14),
+    ({"methods": [AsmMethod("m", "()V", ACC_PUBLIC | ACC_ABSTRACT)]}, "declares methods: 1", 12),
+], ids=["name", "flags", "interface", "field", "method"])
+def test_module_class_is_named_module_info_and_declares_nothing(changes, reason, from_end):
+    spec = AsmClass("module-info", super_name=None, flags=ACC_MODULE, major=53)
+    assert parse_class(assemble_class(spec)).is_module
+    data = assemble_class(dataclasses.replace(spec, **changes))
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(data, "module-info.class")
+    assert err.value.reason == f"ACC_MODULE class {reason}"
+    assert (err.value.offset, err.value.source) == (len(data) - from_end, "module-info.class")
 
 
 @pytest.mark.parametrize("major", [45, 52])
