@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from apprepo.classfile.parser import parse_class
+from apprepo.classfile.parser import _FORMS, _RESOLVED, parse_class
 
 from damage import KINDS, damaged, fixture_classes, outcome
 
@@ -104,6 +104,28 @@ def test_jdk_classes_all_parse(jdk_golden):
     intact = golden["outcomes"]["intact"]
     assert len(intact) == len(JDK_MODULES) * (JDK_COUNT + 1)
     assert all(line.startswith("ok ") for line in intact)
+
+
+def assert_keys_are_decoded(classes: list[bytes]) -> None:
+    """Each body's ``keys``, found by the parse-time scan, are the distinct
+    bytes of the pool-indexed instructions that the reference decoder
+    decodes in it."""
+    for data in classes:
+        for method in parse_class(data).methods:
+            if method.body is not None:
+                code = method.body.code
+                decoded = {code[ins.offset:ins.offset + _FORMS[code[ins.offset]][2]]
+                           for ins in method.instructions
+                           if _FORMS[code[ins.offset]][1] == _RESOLVED}
+                assert sorted(method.body.keys) == sorted(decoded), method.name
+
+
+def test_jdk_body_keys_are_the_decoded_pool_instructions(jdk_golden):
+    assert_keys_are_decoded(jdk_golden[0])
+
+
+def test_fixture_body_keys_are_the_decoded_pool_instructions():
+    assert_keys_are_decoded(fixture_classes())
 
 
 @pytest.mark.parametrize("kind", KINDS)
