@@ -58,23 +58,36 @@ def damaged(classes: list[bytes], kind: str, seed: int, count: int) -> Iterator[
         yield damage(rng, kind, classes)
 
 
-def outcome(parse_class: Callable, data: bytes) -> str:
+def _digest(value: object) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def outcome(parse_class: Callable, data: bytes,
+            resolved_operands: Callable | None = None) -> str:
     """What ``parse_class`` makes of ``data``: ``ok`` and a digest of the
     accepted class, or the offset and reason of its ``MalformedClassFile``
     (a reason may hold any character a pool text can); any other exception
-    is ``raised`` with its type.
+    is ``raised`` with its type. Decoding an accepted class's bodies is
+    part of the outcome: an error there is recorded as if parsing raised it.
 
     The digest covers every compared field of the class and of each method,
     decoded instructions included, so two revisions agree on it exactly
-    when they give equal classes.
+    when they give equal classes. Given ``resolved_operands``, an accepted
+    class's line also carries a digest of each method's resolved operands,
+    sorted: the call graph closure reads those, not the instructions.
     """
     try:
         cf = parse_class(data, "damaged.class")
+        form = (cf.class_name, cf.super_name, cf.interfaces, cf.access_flags, cf.source_file,
+                cf.version, cf.attribute_names,
+                tuple((tuple(m[:5]), m.instructions) for m in cf.methods))
+        line = "ok " + _digest(form)
+        if resolved_operands is not None:
+            line += " " + _digest(tuple(() if m.body is None else
+                                        sorted(map(repr, resolved_operands(m.body)))
+                                        for m in cf.methods))
     except Exception as exc:  # noqa: BLE001 - the outcome records it
         if type(exc).__name__ == "MalformedClassFile":
             return f"{exc.offset} {exc.reason}"
         return f"raised {type(exc).__name__}: {exc}"
-    form = (cf.class_name, cf.super_name, cf.interfaces, cf.access_flags, cf.source_file,
-            cf.version, cf.attribute_names,
-            tuple((tuple(m[:5]), m.instructions) for m in cf.methods))
-    return "ok " + hashlib.sha256(repr(form).encode()).hexdigest()[:16]
+    return line
