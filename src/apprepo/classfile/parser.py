@@ -5,21 +5,26 @@ whole structure, method bodies included, so a returned :class:`ClassFile`
 is validated: every constant pool reference it reads resolves to an entry
 of the kind its use requires, every field and method descriptor is well
 formed, every attribute it reads (Code, LineNumberTable, SourceFile,
-BootstrapMethods) is exactly as long as its contents, and every code
-array is 1 to 65535 bytes of known opcodes with complete operands, zero
-switch padding and the loadable, member or type operands each instruction
-needs. Branch and switch targets are not checked: one may point outside
-the code array or into the middle of an instruction, and a listing shows
-it as it is (JVMS §4.9.1 forbids both).
+BootstrapMethods) is exactly as long as its contents, every bootstrap
+argument names a loadable constant, an ``ACC_MODULE`` class is a
+``module-info`` that declares no superclass, interface, field or method
+(JVMS §4.1), and every code array is 1 to 65535 bytes of known opcodes
+with complete operands, zero switch padding and the loadable, member or
+type operands each instruction needs. Branch and switch targets are not
+checked: one may point outside the code array or into the middle of an
+instruction, and a listing shows it as it is (JVMS §4.9.1 forbids both).
 
-Checking a body scans its code array once: the body keeps the distinct
-pool-indexed instructions the scan finds as its ``keys``, and each is
-resolved once into the class's ``resolved`` map, where
-:func:`resolved_operands` reads them; the call graph closure reads bodies
-that way, and no code array is read again. A method's code array is decoded
-into :class:`Instruction` records only the first time its ``instructions``
-are read, by :func:`disassemble`, the one reference decoder, which also
-reports the reason and offset of any failure the body check finds.
+Checking a body scans its code array once, with one byte pattern that
+steps over the instructions between switches; at a switch the scan calls
+the reader that :func:`disassemble` uses for it, and resumes where that
+reader ends. The body keeps the distinct pool-indexed instructions the
+scan finds as its ``keys``, and each is resolved once into the class's
+``resolved`` map, where :func:`resolved_operands` reads them; the call
+graph closure reads bodies that way, and no code array is read again. A
+method's code array is decoded into :class:`Instruction` records only the
+first time its ``instructions`` are read, by :func:`disassemble`, the one
+reference decoder, which also raises the reason and offset of any failure
+the body check finds.
 """
 
 from __future__ import annotations
@@ -161,8 +166,9 @@ class MethodInfo(_MethodFields):
     code array that :func:`parse_class` validated, with its pool operands
     already resolved; :func:`resolved_operands` reads those without
     reading the code array. The body is decoded into :attr:`instructions`
-    on the first read, and the tuple is kept. Equality compares the decoded
-    instructions, not the body bytes, and the hash leaves both out.
+    by :func:`disassemble` on the first read, and the tuple is kept.
+    Equality compares the decoded instructions, not the body bytes, and
+    the hash leaves both out.
 
     A named tuple underneath, so it is built without a Python-level
     ``__init__``; its own ``__dict__`` only keeps the two cached reads.
@@ -841,7 +847,8 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         return MalformedClassFile(reason, cp.entry_offset(data, 10, index), source)
 
     def module_rule(broken: bool, reason: str) -> None:
-        """A module class (JVMS §4.1) that breaks a rule in the field just read."""
+        """Refuse a module class whose field just read, the u2 before
+        ``pos``, is ``broken`` under JVMS §4.1."""
         if module and broken:
             raise MalformedClassFile(f"ACC_MODULE class {reason}", pos - 2, source)
 
