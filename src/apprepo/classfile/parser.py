@@ -382,8 +382,9 @@ def _newarray(body: MethodBody, mnemonic: str, type_code: int) -> tuple:
 # The readers of variable-width operands (_tableswitch, _lookupswitch and
 # _wide) take the code array, the position after the opcode and the
 # instruction's start, and return the operands and the position after
-# them. Their failures carry no offset: disassemble reports them at the
-# instruction's start.
+# them; a switch's operands are its values, which disassemble renders as
+# text and the body scan does not. Their failures carry no offset:
+# disassemble reports them at the instruction's start.
 def _unpack(fmt: str, code: bytes, pos: int) -> tuple[tuple, int]:
     end = pos + struct.calcsize(fmt)
     if end > len(code):
@@ -405,8 +406,12 @@ def _tableswitch(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
     if high < low:
         raise MalformedClassFile("tableswitch high < low")
     targets, pos = _unpack(f">{high - low + 1}i", code, pos)
+    return (default, low, high, targets), pos
+
+
+def _table_text(start: int, default: int, low: int, high: int, targets: tuple) -> tuple:
     return (f"default={start + default}", f"low={low}", f"high={high}",
-            "targets=" + ",".join(str(start + t) for t in targets)), pos
+            "targets=" + ",".join(str(start + t) for t in targets))
 
 
 def _lookupswitch(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
@@ -414,9 +419,12 @@ def _lookupswitch(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
     if npairs < 0:
         raise MalformedClassFile("lookupswitch negative pair count")
     pairs, pos = _unpack(f">{2 * npairs}i", code, pos)
+    return (default, pairs), pos
+
+
+def _lookup_text(start: int, default: int, pairs: tuple) -> tuple:
     return (f"default={start + default}",
-            "matches=" + ",".join(f"{m}:{start + t}" for m, t in zip(pairs[::2], pairs[1::2]))
-            ), pos
+            "matches=" + ",".join(f"{m}:{start + t}" for m, t in zip(pairs[::2], pairs[1::2])))
 
 
 def _wide(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
@@ -437,7 +445,7 @@ def _wide(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
 #   _RESOLVED    read by a struct and passed to a checker that returns the
 #                instruction's fields after its mnemonic
 #   _SEQUENTIAL  read by a function that returns them and their end
-#                (variable width)
+#                (variable width), then rendered by a switch's renderer
 _PLAIN, _IMMEDIATE, _BRANCH, _RESOLVED, _SEQUENTIAL = range(5)
 
 # operand format (see opcodes.py) -> (kind, width with the opcode byte,
@@ -461,8 +469,10 @@ _FORMATS = {
     "wide": (_SEQUENTIAL, 1, _wide),
 }
 
-# mnemonic -> checker of a _RESOLVED instruction's operands
+# mnemonic -> checker of a _RESOLVED instruction's operands, or renderer
+# of a switch's
 _CHECKERS = {
+    "tableswitch": _table_text, "lookupswitch": _lookup_text,
     "ldc": _loadable, "ldc_w": _loadable, "ldc2_w": _loadable,
     "getstatic": _field_access, "putstatic": _field_access,
     "getfield": _field_access, "putfield": _field_access,
@@ -472,7 +482,8 @@ _CHECKERS = {
     "multianewarray": _multianewarray, "newarray": _newarray,
 }
 
-# opcode -> (mnemonic, kind, width, operand reader, checker); None if unknown
+# opcode -> (mnemonic, kind, width, operand reader, checker or renderer);
+# None if unknown
 _FORMS = [None] * 256
 for _opcode, (_mnemonic, _fmt) in OPCODES.items():
     _kind, _width, _operands = _FORMATS[_fmt]
@@ -614,7 +625,7 @@ def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
                     fields = resolved[key] = check(body, mnemonic, *operands(code, start))
             elif kind == _SEQUENTIAL:
                 read, pos = operands(code, pos, start)
-                fields = (read,) + _NO_REFS
+                fields = (read if check is None else check(start, *read),) + _NO_REFS
             elif kind == _IMMEDIATE:
                 fields = (operands(code, start),) + _NO_REFS
             else:
