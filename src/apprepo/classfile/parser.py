@@ -857,11 +857,10 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     def bad_entry(index: int, reason: str) -> MalformedClassFile:
         return MalformedClassFile(reason, cp.entry_offset(data, 10, index), source)
 
-    def module_rule(broken: bool, reason: str) -> None:
-        """Refuse a module class whose field just read, the u2 before
-        ``pos``, is ``broken`` under JVMS §4.1."""
-        if module and broken:
-            raise MalformedClassFile(f"ACC_MODULE class {reason}", pos - 2, source)
+    def module_error(reason: str) -> MalformedClassFile:
+        """The error of a module class whose field just read, the u2 before
+        ``pos``, breaks a rule of JVMS §4.1."""
+        return MalformedClassFile(f"ACC_MODULE class {reason}", pos - 2, source)
 
     if major < 52:  # before 52, kinds 6 and 7 name only a Methodref (JVMS §4.4.8)
         for index, tag in enumerate(tags):
@@ -886,18 +885,22 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
             error = _descriptor_error(values[index][2], False)
             if error is not None:
                 raise bad_entry(index, f"Dynamic has an {error}")
-    module_rule(access_flags != ACC_MODULE, f"sets other access flags: 0x{access_flags:04x}")
+    if module and access_flags != ACC_MODULE:
+        raise module_error(f"sets other access flags: 0x{access_flags:04x}")
     class_name, pos = _class_ref(data, pos, end, pool, source, "class name")
-    module_rule(class_name != "module-info", f"is named {class_name}, not module-info")
+    if module and class_name != "module-info":
+        raise module_error(f"is named {class_name}, not module-info")
     if data[pos:pos + 2] != b"\0\0":
         super_name, pos = _class_ref(data, pos, end, pool, source, "superclass name")
-        module_rule(True, f"{class_name} names a superclass")
+        if module:
+            raise module_error(f"{class_name} names a superclass")
     elif module or class_name == ROOT_OBJECT_CLASS:
         super_name, pos = None, pos + 2
     else:
         raise MalformedClassFile(f"class {class_name} lacks a superclass", pos + 2, source)
     count, pos = _u2(data, pos, end, source)
-    module_rule(count, f"declares interfaces: {count}")
+    if module and count:
+        raise module_error(f"declares interfaces: {count}")
     interfaces = []
     for _ in range(count):
         name, pos = _class_ref(data, pos, end, pool, source, "interface name")
@@ -905,7 +908,8 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
 
     # fields: validated and skipped, the code model does not retain them
     count, pos = _u2(data, pos, end, source)
-    module_rule(count, f"declares fields: {count}")
+    if module and count:
+        raise module_error(f"declares fields: {count}")
     for _ in range(count):
         _, _, _, attributes, pos = _member(data, pos, end, pool, source, False)
         for _ in range(attributes):
@@ -915,7 +919,8 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     # read, since invokedynamic operands need BootstrapMethods
     raw_methods = []
     count, pos = _u2(data, pos, end, source)
-    module_rule(count, f"declares methods: {count}")
+    if module and count:
+        raise module_error(f"declares methods: {count}")
     for _ in range(count):
         m_flags, m_name, m_desc, attributes, pos = _member(data, pos, end, pool, source, True)
         code_info = None
