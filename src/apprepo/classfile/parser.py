@@ -445,7 +445,7 @@ def _wide(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
 #   _RESOLVED    read by a struct and passed to a checker that returns the
 #                instruction's fields after its mnemonic
 #   _SEQUENTIAL  read by a function that returns them and their end
-#                (variable width), then rendered by a switch's renderer
+#                (variable width); a switch's are then rendered as text
 _PLAIN, _IMMEDIATE, _BRANCH, _RESOLVED, _SEQUENTIAL = range(5)
 
 # operand format (see opcodes.py) -> (kind, width with the opcode byte,
