@@ -14,17 +14,17 @@ type operands each instruction needs. Branch and switch targets are not
 checked: one may point outside the code array or into the middle of an
 instruction, and a listing shows it as it is (JVMS §4.9.1 forbids both).
 
-Checking a body scans its code array once, with one byte pattern that
-steps over the instructions between switches; at a switch the scan calls
-the reader that :func:`disassemble` uses for it, and resumes where that
-reader ends. The body keeps the distinct pool-indexed instructions the
-scan finds as its ``keys``, and each is resolved once into the class's
-``resolved`` map, where :func:`resolved_operands` reads them; the call
-graph closure reads bodies that way, and no code array is read again. A
-method's code array is decoded into :class:`Instruction` records only the
-first time its ``instructions`` are read, by :func:`disassemble`, the one
-reference decoder, which also raises the reason and offset of any failure
-the body check finds.
+Checking a body moves through its code array once, copying nothing it
+does not keep: one byte pattern steps over the instructions of fixed width
+to the next switch, a second collects the pool-indexed instructions before
+it, and the reader that :func:`disassemble` uses steps over the switch by
+its header. The body keeps those instructions as its ``keys``, the class's
+own objects, each resolved once into the class's ``resolved`` map, where
+:func:`resolved_operands` reads them for the call graph closure; no code
+array is read again. A method's code array is decoded into
+:class:`Instruction` records only the first time its ``instructions`` are
+read, by :func:`disassemble`, the one reference decoder, which also raises
+the reason and offset of any failure the body check finds.
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ class MethodBody(NamedTuple):
     the body check's scan found in it (None if it failed). The other fields
     are shared by all bodies of one class: ``resolved`` maps the bytes of
     each such instruction to its fields after its mnemonic, so each is
-    checked and resolved once.
+    checked and resolved once, and the ``keys`` are the objects it is
+    keyed by.
     """
 
     code: bytes
@@ -379,50 +380,52 @@ def _newarray(body: MethodBody, mnemonic: str, type_code: int) -> tuple:
     return (ARRAY_TYPES[type_code],), None, None, None, None
 
 
-# The readers of variable-width operands (_tableswitch, _lookupswitch and
-# _wide) take the code array, the position after the opcode and the
-# instruction's start, and return the operands and the position after
-# them; a switch's operands are its values, which disassemble renders as
-# text and the body scan does not. Their failures carry no offset:
-# disassemble reports them at the instruction's start.
-def _unpack(fmt: str, code: bytes, pos: int) -> tuple[tuple, int]:
-    end = pos + struct.calcsize(fmt)
-    if end > len(code):
-        raise MalformedClassFile(_TRUNCATED)
-    return struct.unpack_from(fmt, code, pos), end
+# The readers of variable-width operands (_switch and _wide) take the code
+# array, the position after the opcode and the instruction's start, and
+# return the operands and the position after them; a switch's are its
+# header and the position of its table, which only its renderer unpacks.
+# Failures carry no offset: disassemble reports them at the start.
+_TABLESWITCH, _LOOKUPSWITCH = MNEMONICS["tableswitch"], MNEMONICS["lookupswitch"]
+_TABLE = struct.Struct(">3i").unpack_from  # tableswitch default, low, high
+_LOOKUP = struct.Struct(">2i").unpack_from  # lookupswitch default, npairs
+_WIDE_LOCAL = struct.Struct(">xH")  # widened opcode, local index
+_WIDE_IINC = struct.Struct(">xHh")  # iinc, local index, increment
 
 
-def _switch_padding(code: bytes, pos: int, start: int) -> int:
-    end = pos + 3 - start % 4
-    if any(code[pos:end]):
+def _switch(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
+    """A tableswitch's ``(default, low, high, table)`` or a lookupswitch's
+    ``(default, npairs, table)``, ``table`` being where its s4 values start."""
+    table = pos + 3 - start % 4
+    if any(code[pos:table]):
         raise MalformedClassFile("nonzero switch padding")
+    tableswitch = code[start] == _TABLESWITCH
+    table += 12 if tableswitch else 8
+    if table > len(code):
+        raise MalformedClassFile(_TRUNCATED)
+    if tableswitch:
+        default, low, high = _TABLE(code, table - 12)
+        if high < low:
+            raise MalformedClassFile("tableswitch high < low")
+        read, values = (default, low, high, table), high - low + 1
+    else:
+        default, npairs = _LOOKUP(code, table - 8)
+        if npairs < 0:
+            raise MalformedClassFile("lookupswitch negative pair count")
+        read, values = (default, npairs, table), 2 * npairs
+    end = table + 4 * values
     if end > len(code):
         raise MalformedClassFile(_TRUNCATED)
-    return end
+    return read, end
 
 
-def _tableswitch(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
-    (default, low, high), pos = _unpack(">3i", code, _switch_padding(code, pos, start))
-    if high < low:
-        raise MalformedClassFile("tableswitch high < low")
-    targets, pos = _unpack(f">{high - low + 1}i", code, pos)
-    return (default, low, high, targets), pos
-
-
-def _table_text(start: int, default: int, low: int, high: int, targets: tuple) -> tuple:
+def _table_text(code: bytes, start: int, default: int, low: int, high: int, table: int) -> tuple:
+    targets = struct.unpack_from(f">{high - low + 1}i", code, table)
     return (f"default={start + default}", f"low={low}", f"high={high}",
             "targets=" + ",".join(str(start + t) for t in targets))
 
 
-def _lookupswitch(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
-    (default, npairs), pos = _unpack(">2i", code, _switch_padding(code, pos, start))
-    if npairs < 0:
-        raise MalformedClassFile("lookupswitch negative pair count")
-    pairs, pos = _unpack(f">{2 * npairs}i", code, pos)
-    return (default, pairs), pos
-
-
-def _lookup_text(start: int, default: int, pairs: tuple) -> tuple:
+def _lookup_text(code: bytes, start: int, default: int, npairs: int, table: int) -> tuple:
+    pairs = struct.unpack_from(f">{2 * npairs}i", code, table)
     return (f"default={start + default}",
             "matches=" + ",".join(f"{m}:{start + t}" for m, t in zip(pairs[::2], pairs[1::2])))
 
@@ -434,8 +437,10 @@ def _wide(code: bytes, pos: int, start: int) -> tuple[tuple, int]:
     if sub not in WIDE_TARGETS:
         raise MalformedClassFile(f"opcode 0x{sub:02x} cannot be widened")
     sub_name = OPCODES[sub][0]
-    values, pos = _unpack(">xHh" if sub_name == "iinc" else ">xH", code, pos)
-    return (sub_name, *values), pos
+    operands = _WIDE_IINC if sub_name == "iinc" else _WIDE_LOCAL
+    if pos + operands.size > len(code):
+        raise MalformedClassFile(_TRUNCATED)
+    return (sub_name, *operands.unpack_from(code, pos)), pos + operands.size
 
 
 # How the decoder handles an opcode's operands:
@@ -464,8 +469,8 @@ _FORMATS = {
     "indy": (_RESOLVED, 5, ">xHH"),
     "multi": (_RESOLVED, 4, ">xHB"),
     "atype": (_RESOLVED, 2, ">xB"),
-    "table": (_SEQUENTIAL, 1, _tableswitch),
-    "lookup": (_SEQUENTIAL, 1, _lookupswitch),
+    "table": (_SEQUENTIAL, 1, _switch),
+    "lookup": (_SEQUENTIAL, 1, _switch),
     "wide": (_SEQUENTIAL, 1, _wide),
 }
 
@@ -495,17 +500,15 @@ _NO_REFS = (None, None, None, None)
 _PLAIN_FIELDS = ((),) + _NO_REFS
 
 
-def _opcode_class(opcodes: list[int]) -> bytes:
-    return b"[" + b"".join(b"\\x%02x" % op for op in opcodes) + b"]"
-
-
 def _alternatives(opcodes: Iterator[int], width_of: Callable[[int], int]) -> list[bytes]:
     """Patterns of one instruction among ``opcodes``, one per width: its
-    opcode class followed by as many operand bytes, widest last."""
+    opcode class followed by as many operand bytes. A pattern tries them in
+    turn, so the width of the most opcodes comes first."""
     by_width: dict[int, list[int]] = {}
     for opcode in opcodes:
         by_width.setdefault(width_of(opcode), []).append(opcode)
-    return [_opcode_class(ops) + b"." * (width - 1) for width, ops in sorted(by_width.items())]
+    return [b"[%s]" % b"".join(b"\\x%02x" % op for op in ops) + b"." * (width - 1)
+            for width, ops in sorted(by_width.items(), key=lambda item: -len(item[1]))]
 
 
 def _form_alternatives(kinds: set[int]) -> list[bytes]:
@@ -527,43 +530,34 @@ def _run(alternatives: list[bytes]) -> bytes:
 _WIDE = b"\\x%02x(?:%s)" % (MNEMONICS["wide"], b"|".join(_alternatives(
     sorted(WIDE_TARGETS), lambda op: 2 * _FORMS[op][2] - 1)))
 # Each alternative starts with its own opcode class, so a code array splits
-# into instructions in one way only. From an instruction's start, _KEYS
-# matches the bytes of each pool-indexed (or newarray) instruction in turn,
-# stepping over the others, until the code array's end, where it matches
-# empty, or until an instruction it cannot step over: a switch, the only
-# kind of variable width, a bad wide, or a bad or cut-off instruction.
-# Then its last nonempty match is the rest, from that instruction to the
-# end, which no complete pool-indexed instruction equals.
-_KEYS = re.compile(b"%s(%s|\\Z|.+)" % (
+# into instructions in one way only. From an instruction's start, _STOP
+# steps over every instruction of fixed width to the next stop: the end, or
+# a switch (the only kind of variable width), a bad wide, or a bad or
+# cut-off instruction. _KEYS(code, pos, stop) matches each pool-indexed (or
+# newarray) instruction before that stop in turn, stepping over the others,
+# and matches empty by ``\Z`` at the stop, where its search ends.
+_STOP = re.compile(_run(_form_alternatives({_PLAIN, _IMMEDIATE, _BRANCH, _RESOLVED})
+                        + [_WIDE]), re.DOTALL).match
+_KEYS = re.compile(b"%s(%s|\\Z)" % (
     _run(_form_alternatives({_PLAIN, _IMMEDIATE, _BRANCH}) + [_WIDE]),
     b"|".join(_form_alternatives({_RESOLVED}))), re.DOTALL).findall
-# opcode -> width of a pool-indexed instruction, 0 for other opcodes
-_KEY_WIDTHS = [form[2] if form is not None and form[1] == _RESOLVED else 0 for form in _FORMS]
 
 
 def _scan(code: bytes) -> tuple[bytes, ...] | None:
-    """The distinct _KEYS matches of a code array without their rests,
-    stepping over each switch with the decoder's own reader; None if it
-    holds a bad instruction or switch."""
-    keys: set[bytes] = set()
-    end = len(code)
-    pos = 0
-    while True:
-        found = _KEYS(code, pos)
-        rest = found[-2] if len(found) > 1 else b""
-        if not rest or _KEY_WIDTHS[rest[0]] == len(rest):
-            keys.update(found)
-            break
-        del found[-2]
-        keys.update(found)
-        at = end - len(rest)
-        form = _FORMS[rest[0]]
-        if form is None or form[1] != _SEQUENTIAL:
+    """The distinct _KEYS matches of a code array, read from start to end,
+    each switch stepped over by its header with the decoder's own reader;
+    None if the array holds a bad instruction or switch."""
+    stop = _STOP(code).end()
+    keys = set(_KEYS(code, 0, stop))
+    while stop != len(code):
+        if code[stop] not in (_TABLESWITCH, _LOOKUPSWITCH):  # a bad wide or instruction
             return None
         try:
-            pos = form[3](code, at + 1, at)[1]
+            pos = _switch(code, stop + 1, stop)[1]
         except MalformedClassFile:
             return None
+        stop = _STOP(code, pos).end()
+        keys.update(_KEYS(code, pos, stop))
     keys.discard(b"")
     return tuple(keys)
 
@@ -625,7 +619,7 @@ def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
                     fields = resolved[key] = check(body, mnemonic, *operands(code, start))
             elif kind == _SEQUENTIAL:
                 read, pos = operands(code, pos, start)
-                fields = (read if check is None else check(start, *read),) + _NO_REFS
+                fields = (read if check is None else check(code, start, *read),) + _NO_REFS
             elif kind == _IMMEDIATE:
                 fields = (operands(code, start),) + _NO_REFS
             else:
@@ -963,6 +957,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         raise MalformedClassFile("trailing bytes after class structure", pos, source)
 
     resolved: dict[bytes, tuple] = {}
+    shared: dict[bytes, bytes] = {}  # the class's one object of each key
     methods = []
     seen: set[tuple[str, str]] = set()
     for m_name, m_desc, m_flags, code_info, names in raw_methods:
@@ -973,8 +968,9 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         lines: tuple[int, ...] = ()
         if code_info is not None:
             code, code_base, lines = code_info
-            body = _new(MethodBody, (code, code_base, pool, bootstrap_methods, source,
-                                     resolved, _scan(code)))
+            keys = _scan(code)
+            body = _new(MethodBody, (code, code_base, pool, bootstrap_methods, source, resolved,
+                                     keys and tuple(map(shared.setdefault, keys, keys))))
             _check_body(body)
         methods.append(_new(MethodInfo, (m_name, m_desc, m_flags, lines, names, body)))
 

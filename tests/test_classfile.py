@@ -777,16 +777,21 @@ def _switch(code: bytearray, mnemonic: str, *operands: int) -> bytearray:
     return code
 
 
+def _pooled(name: str, i: int = 0) -> bytes:
+    """A ``name`` instruction naming the ``i``-th entry (cyclically) that it
+    may name in SCAN_BODY's pool."""
+    opcode = MNEMONICS[name]
+    indices = SCAN_INDICES[opcode]
+    return bytes([opcode]) + indices[i % len(indices)].to_bytes(_FORMS[opcode][2] - 1, "big")
+
+
 def _keys_between_switches() -> bytearray:
     """Pool-indexed instructions before, between and after six rounds of a
     tableswitch and a lookupswitch: a body longer than 1,024 bytes."""
     code = bytearray()
     for i in range(6):
         for name in ("ldc", "getstatic", "invokevirtual"):
-            opcode = MNEMONICS[name]
-            indices = SCAN_INDICES[opcode]
-            code += bytes([opcode]) + indices[i % len(indices)].to_bytes(
-                _FORMS[opcode][2] - 1, "big")
+            code += _pooled(name, i)
             if name == "ldc":
                 _switch(code, "tableswitch", 0, 0, 39, *range(40))
             elif name == "getstatic":
@@ -804,6 +809,38 @@ def _keys_between_switches() -> bytearray:
 def test_body_scan_agrees_with_the_reference_decoder_on_long_bodies(code):
     assert len(code) > 1024
     assert_scan_agrees(bytes(code))
+
+
+_WIDE_ILOAD = bytes([MNEMONICS["wide"], MNEMONICS["iload"], 1, 2])
+_WIDE_IINC = bytes([MNEMONICS["wide"], MNEMONICS["iinc"], 1, 2, 0xff, 0xfe])
+
+
+@pytest.mark.parametrize("code", [
+    _pooled("getstatic"),
+    _pooled("ldc"),
+    bytes(_switch(bytearray(), "lookupswitch", 0, 0)) + _pooled("getstatic"),
+    bytes(_switch(bytearray([MNEMONICS["nop"]]), "tableswitch", 0, 0, 0, 5)) + _pooled("ldc"),
+    _pooled("ldc") + _WIDE_ILOAD,
+    _pooled("ldc") + _WIDE_ILOAD[:-1],
+    _WIDE_IINC,
+    _WIDE_IINC[:-1],
+], ids=["key-alone", "ldc-alone", "key-after-lookupswitch", "ldc-after-tableswitch",
+        "wide-last", "wide-cut-off", "wide-iinc-last", "wide-iinc-cut-off"])
+def test_body_scan_agrees_with_the_reference_decoder_at_the_code_end(code):
+    # a code array may end with any instruction, no return needed: a final
+    # pool-indexed one is a key, a final wide is stepped over or refused
+    assert_scan_agrees(code)
+
+
+def test_bodies_share_their_class_key_objects():
+    call = ("invokestatic", "p/S", "v", "()V")
+    cf = parse_class(simple_class("p/S", methods=[
+        AsmMethod(name, "()V", ACC_PUBLIC | ACC_STATIC, [call, ("return",)])
+        for name in ("a", "b")]))
+    (first,), (second,) = (method.body.keys for method in cf.methods)
+    # one object for both bodies, the one that the class's resolved map holds
+    assert first is second
+    assert any(key is first for key in cf.methods[0].body.resolved)
 
 
 # --- corpus fidelity: the acceptance-grade ground truth check ---------------
