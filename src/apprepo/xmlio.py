@@ -21,11 +21,6 @@ XML_DECLARATION = '<?xml version="1.0" encoding="UTF-8"?>\n'
 _NON_XML = "\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff"
 _NON_XML_CHAR = re.compile(f"[{_NON_XML}]")
 
-_ATTR_ESCAPES = str.maketrans({
-    "&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
-    "\n": "&#10;", "\r": "&#13;", "\t": "&#9;",
-})
-
 # a run of characters that escape_attr writes as they are
 _LITERAL = f'[^"&<>\t\n\r{_NON_XML}]*+'
 # an attribute value (without its quotes) exactly as escape_attr spells it:
@@ -38,11 +33,15 @@ ESCAPED_VALUE = f"{_LITERAL}(?:&(?:amp|lt|gt|quot|#10|#13|#9);{_LITERAL})*+"
 def escape_attr(value: str) -> str:
     """Escape an attribute value, preserving tabs/newlines as char refs.
 
-    One ``str.translate`` pass over a fixed table: ``& < > "`` become
-    entity references, ``\\n \\r \\t`` numeric character references, and
-    every other character is kept as it is.
+    ``& < > "`` become entity references, ``\\n \\r \\t`` numeric character
+    references, and every other character is kept as it is. Each
+    ``str.replace`` is one pass in C that returns the text itself when it
+    holds no such character. ``&`` goes first, so the references the
+    later passes write are not escaped again.
     """
-    return value.translate(_ATTR_ESCAPES)
+    return (value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+            .replace('"', "&quot;").replace("\n", "&#10;").replace("\r", "&#13;")
+            .replace("\t", "&#9;"))
 
 
 def unescape_attr(value: str) -> str:

@@ -4,6 +4,8 @@ import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from apprepo.callgraph import (
     build_callgraph,
@@ -61,6 +63,17 @@ def test_golden_document_sorts_by_raw_text():
 ])
 def test_escape_attr(raw, escaped):
     assert escape_attr(raw) == escaped
+
+
+# the reference: the seven escapes as one translation table
+ATTR_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;",
+                              "\n": "&#10;", "\r": "&#13;", "\t": "&#9;"})
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(st.text(st.sampled_from('<>&"\t\r\n\x00\u00e9\ud800a;#')) | st.text())
+def test_escape_attr_agrees_with_the_escape_table(text):
+    assert escape_attr(text) == text.translate(ATTR_ESCAPES)
 
 
 def test_unpaired_surrogate_in_method_name_is_a_schema_violation():
