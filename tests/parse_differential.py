@@ -50,6 +50,16 @@ def class_files(paths: list[str]) -> list[bytes]:
     return out
 
 
+def unpack_src(rev: str, into: str) -> Path:
+    """Unpack ``rev``'s ``src/`` into the directory ``into`` with ``git
+    archive``, and return its path there."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev, "src"],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into, filter="data")
+    return Path(into) / "src"
+
+
 def child(src: str, args: argparse.Namespace) -> None:
     """Print, as JSON, the outcome of each input under the parser in ``src``."""
     sys.path[:0] = [src, str(TESTS)]
@@ -82,11 +92,7 @@ def main(argv: list[str]) -> int:
     shared = [args.rev, *(str(Path(path).resolve()) for path in args.paths),
               "--count", str(args.count), "--seed", str(args.seed)]
     with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", args.rev, "src"],
-                                 capture_output=True, check=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        reference = outcomes(Path(tmp) / "src", shared)
+        reference = outcomes(unpack_src(args.rev, tmp), shared)
     current = outcomes(ROOT / "src", shared)
     failed = False
     for kind, expected in reference.items():
