@@ -15,7 +15,7 @@ from itertools import product
 from pathlib import Path
 from typing import NamedTuple
 
-from .classfile import ClassFile, MethodRef, parse_class, resolved_operands
+from .classfile import ClassFile, MethodRef, parse_class
 from .classfile.constant_pool import CONST_CLASS
 from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
@@ -330,7 +330,7 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
 
     Each reachable method is queued once on a first-in-first-out worklist
     and visited once. Its call sites and the classes it initializes come
-    from :func:`~apprepo.classfile.resolved_operands`, the operands that
+    from its body's ``operands``, which
     :func:`~apprepo.classfile.parse_class` resolved; no code array is read
     again. Targets are resolved once per distinct ``(kind, declared
     target)``, and a method's callees are built once, as their union.
@@ -363,7 +363,7 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
             return
         initialize(ref.in_class)
         sites: list[set[MethodRef]] = []
-        for mnemonic, (_, target, member, type_name, _) in resolved_operands(method.body):
+        for mnemonic, target, member, type_name in method.body.operands:
             if mnemonic in _INITIALIZING:
                 initialize(type_name if mnemonic == "new" else member[0])
             elif mnemonic in targets_of:

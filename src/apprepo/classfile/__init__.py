@@ -20,14 +20,13 @@ from .parser import (
     MethodRef,
     parse_class,
     render_method,
-    resolved_operands,
 )
 
 __all__ = [
     "ClassFile", "MethodInfo", "Instruction", "MethodRef",
     "ConstantPool", "ConstantEntry",
     "parse_class", "parse_descriptor",
-    "render_method", "resolved_operands", "quote_string",
+    "render_method", "quote_string",
     "ROOT_OBJECT_CLASS", "MAIN_NAME", "MAIN_DESCRIPTOR",
     "MIN_MAJOR_VERSION", "MAX_MAJOR_VERSION",
     "ACC_PUBLIC", "ACC_STATIC", "ACC_FINAL", "ACC_NATIVE",

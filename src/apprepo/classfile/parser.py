@@ -18,13 +18,14 @@ Checking a body moves through its code array once, copying nothing it
 does not keep: one byte pattern steps over the instructions of fixed width
 to the next switch, a second collects the pool-indexed instructions before
 it, and the reader that :func:`disassemble` uses steps over the switch by
-its header. The body keeps those instructions as its ``keys``, the class's
-own objects, each resolved once into the class's ``resolved`` map, where
-:func:`resolved_operands` reads them for the call graph closure; no code
-array is read again. A method's code array is decoded into
-:class:`Instruction` records only the first time its ``instructions`` are
-read, by :func:`disassemble`, the one reference decoder, which also raises
-the reason and offset of any failure the body check finds.
+its header. Each distinct such instruction of a class is checked once, and
+the body keeps, as its ``operands``, the ``(mnemonic, target, member,
+type_name)`` of each of its own, which the call graph closure reads; no
+code array is read again, and no listing text is kept. A method's code
+array is decoded into :class:`Instruction` records only the first time its
+``instructions`` are read, by :func:`disassemble`, the one reference
+decoder, which also raises the reason and offset of any failure the body
+check finds.
 """
 
 from __future__ import annotations
@@ -111,24 +112,21 @@ class Instruction(NamedTuple):
 
 
 class MethodBody(NamedTuple):
-    """A validated code array and what decoding it needs.
+    """A validated code array, what decoding it needs, and its operands.
 
-    ``file_base`` is the code array's offset in the class file, and
-    ``keys`` the distinct pool-indexed or ``newarray`` instructions that
-    the body check's scan found in it (None if it failed). The other fields
-    are shared by all bodies of one class: ``resolved`` maps the bytes of
-    each such instruction to its fields after its mnemonic, so each is
-    checked and resolved once, and the ``keys`` are the objects it is
-    keyed by.
+    ``file_base`` is the code array's offset in the class file; ``pool``
+    and ``bootstrap_methods`` are the class's. ``operands`` holds one
+    ``(mnemonic, target, member, type_name)`` tuple, the fields of
+    :class:`Instruction` that the call graph closure reads, per distinct
+    pool-indexed or ``newarray`` instruction of the code array, in no
+    fixed order; equal instructions of one class share one tuple object.
     """
 
     code: bytes
     file_base: int
     pool: ConstantPool
     bootstrap_methods: list[tuple[str, str, str]]
-    source: str | None
-    resolved: dict[bytes, tuple]
-    keys: tuple[bytes, ...] | None
+    operands: tuple[tuple, ...]
 
 
 # MethodInfo and ClassFile are named tuples with an instance dict for their
@@ -164,10 +162,11 @@ class MethodInfo(_MethodFields):
     ``line_table`` holds the checked LineNumberTable entries as they are
     stored, ``start_pc`` and ``line_number`` of each in turn; they are
     paired into :attr:`line_numbers` on the first read. ``body`` holds the
-    code array that :func:`parse_class` validated, with its pool operands
-    already resolved; :func:`resolved_operands` reads those without
-    reading the code array. The body is decoded into :attr:`instructions`
-    by :func:`disassemble` on the first read, and the tuple is kept.
+    code array that :func:`parse_class` validated, with the operands of
+    its pool-indexed instructions, which the call graph closure reads
+    without reading the code array. The body is decoded into
+    :attr:`instructions` by :func:`disassemble` on the first read, and the
+    tuple is kept.
     Equality compares the decoded instructions, not the body bytes, and
     the hash leaves both out.
 
@@ -320,8 +319,10 @@ _LOADABLE = {"ldc2_w": frozenset((cp.CONST_LONG, cp.CONST_DOUBLE, cp.CONST_DYNAM
 _BOOTSTRAP_ARGUMENTS = _LOADABLE["ldc"] | _LOADABLE["ldc2_w"]
 
 
-def _loadable(body: MethodBody, mnemonic: str, index: int) -> tuple:
-    pool = body.pool
+# Each checker takes the class's pool and bootstrap methods, the mnemonic
+# and the operands that the struct of its format reads, and returns the
+# instruction's fields after its mnemonic.
+def _loadable(pool: ConstantPool, bootstrap_methods: list, mnemonic: str, index: int) -> tuple:
     got = pool.entry(index)
     if got.tag not in _LOADABLE[mnemonic]:
         raise MalformedClassFile(f"{mnemonic} operand has unloadable tag {got.tag}")
@@ -329,52 +330,56 @@ def _loadable(body: MethodBody, mnemonic: str, index: int) -> tuple:
         bsm_idx, _, desc = got.value
         if (desc in ("J", "D")) != (mnemonic == "ldc2_w"):
             raise MalformedClassFile(f"{mnemonic} cannot load a Dynamic of type {desc}")
-        if bsm_idx >= len(body.bootstrap_methods):
+        if bsm_idx >= len(bootstrap_methods):
             raise MalformedClassFile(f"invalid bootstrap method index {bsm_idx}")
     literal = None if got.tag in _SYMBOLIC else got.value
     return (pool.render(index),), None, None, None, literal
 
 
-def _field_access(body: MethodBody, mnemonic: str, index: int) -> tuple:
-    member = body.pool.member_ref(index, "Fieldref")
+def _field_access(pool: ConstantPool, bootstrap_methods: list, mnemonic: str,
+                  index: int) -> tuple:
+    member = pool.member_ref(index, "Fieldref")
     cls, name, desc = member
     return (f"{cls}.{name}:{desc}",), None, member, None, None
 
 
-def _invoke(body: MethodBody, mnemonic: str, index: int) -> tuple:
-    ref = _new(MethodRef, body.pool.member_ref(index, "a method reference"))
+def _invoke(pool: ConstantPool, bootstrap_methods: list, mnemonic: str, index: int) -> tuple:
+    ref = _new(MethodRef, pool.member_ref(index, "a method reference"))
     return (ref.text,), ref, None, None, None
 
 
-def _invokeinterface(body: MethodBody, mnemonic: str, index: int, count: int,
-                     zero: int) -> tuple:
+def _invokeinterface(pool: ConstantPool, bootstrap_methods: list, mnemonic: str, index: int,
+                     count: int, zero: int) -> tuple:
     if zero != 0:
         raise MalformedClassFile("invokeinterface fourth byte must be zero")
-    ref = _new(MethodRef, body.pool.member_ref(index, "a method reference"))
+    ref = _new(MethodRef, pool.member_ref(index, "a method reference"))
     return (ref.text, count), ref, None, None, None
 
 
-def _invokedynamic(body: MethodBody, mnemonic: str, index: int, zero: int) -> tuple:
+def _invokedynamic(pool: ConstantPool, bootstrap_methods: list, mnemonic: str, index: int,
+                   zero: int) -> tuple:
     if zero != 0:
         raise MalformedClassFile("invokedynamic trailing bytes must be zero")
-    bsm_idx, name, desc = body.pool.invoke_dynamic(index)
-    if bsm_idx >= len(body.bootstrap_methods):
+    bsm_idx, name, desc = pool.invoke_dynamic(index)
+    if bsm_idx >= len(bootstrap_methods):
         raise MalformedClassFile(f"invalid bootstrap method index {bsm_idx}")
-    ref = MethodRef(*body.bootstrap_methods[bsm_idx])
+    ref = MethodRef(*bootstrap_methods[bsm_idx])
     return (f"{name}{desc}", f"bootstrap={ref.text}"), ref, None, None, None
 
 
-def _type(body: MethodBody, mnemonic: str, index: int) -> tuple:
-    name = body.pool.class_name(index)
+def _type(pool: ConstantPool, bootstrap_methods: list, mnemonic: str, index: int) -> tuple:
+    name = pool.class_name(index)
     return (name,), None, None, name, None
 
 
-def _multianewarray(body: MethodBody, mnemonic: str, index: int, dims: int) -> tuple:
-    name = body.pool.class_name(index)
+def _multianewarray(pool: ConstantPool, bootstrap_methods: list, mnemonic: str, index: int,
+                    dims: int) -> tuple:
+    name = pool.class_name(index)
     return (name, dims), None, None, name, None
 
 
-def _newarray(body: MethodBody, mnemonic: str, type_code: int) -> tuple:
+def _newarray(pool: ConstantPool, bootstrap_methods: list, mnemonic: str,
+              type_code: int) -> tuple:
     if type_code not in ARRAY_TYPES:
         raise MalformedClassFile(f"invalid array type code {type_code}")
     return (ARRAY_TYPES[type_code],), None, None, None, None
@@ -543,7 +548,7 @@ _KEYS = re.compile(b"%s(%s|\\Z)" % (
     b"|".join(_form_alternatives({_RESOLVED}))), re.DOTALL).findall
 
 
-def _scan(code: bytes) -> tuple[bytes, ...] | None:
+def _scan(code: bytes) -> set[bytes] | None:
     """The distinct _KEYS matches of a code array, read from start to end,
     each switch stepped over by its header with the decoder's own reader;
     None if the array holds a bad instruction or switch."""
@@ -559,32 +564,33 @@ def _scan(code: bytes) -> tuple[bytes, ...] | None:
         stop = _STOP(code, pos).end()
         keys.update(_KEYS(code, pos, stop))
     keys.discard(b"")
-    return tuple(keys)
+    return keys
 
 
-def _check_body(body: MethodBody) -> None:
-    """Check a method's code array as :func:`disassemble` does, from its scan.
+def _check_body(code: bytes, file_base: int, pool: ConstantPool, bootstrap_methods: list,
+                checked: dict[bytes, tuple]) -> tuple:
+    """The ``operands`` of a method's code array (see :class:`MethodBody`),
+    checked as :func:`disassemble` checks them, from its scan.
 
-    Each of the body's ``keys`` not yet in the class's ``resolved`` map is
-    checked once and added to it. On any failure the body goes to
-    :func:`disassemble`, only to raise: it reports the reason at the file
-    offset of the first bad instruction and resolves, as the scan would
-    have, only the instructions before it.
+    ``checked`` maps each pool-indexed or ``newarray`` instruction of the
+    class checked so far to its operand tuple, so each is checked once. On
+    any failure the body goes to :func:`disassemble`, only to raise: it
+    reports the reason at the file offset of the first bad instruction.
     """
-    keys, resolved = body.keys, body.resolved
-    if keys is None:
-        disassemble(body)
-        return
-    fresh = {}
-    try:
-        for key in keys:
-            if key not in resolved:
-                mnemonic, _, _, operands, check = _FORMS[key[0]]
-                fresh[key] = check(body, mnemonic, *operands(key, 0))
-    except MalformedClassFile:
-        disassemble(body)
-        return
-    resolved.update(fresh)
+    keys = _scan(code)
+    if keys is not None:
+        try:
+            for key in keys:
+                if key not in checked:
+                    mnemonic, _, _, operands, check = _FORMS[key[0]]
+                    _, target, member, type_name, _ = check(pool, bootstrap_methods, mnemonic,
+                                                            *operands(key, 0))
+                    checked[key] = (mnemonic, target, member, type_name)
+            return tuple(map(checked.__getitem__, keys))
+        except MalformedClassFile:
+            pass
+    disassemble(MethodBody(code, file_base, pool, bootstrap_methods, ()))
+    raise AssertionError("the reference decoder accepts a body that its check refuses")
 
 
 def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
@@ -594,9 +600,10 @@ def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
     finds a bad opcode, operand, padding or pool reference, it calls this
     to report the first one at the file offset of the instruction that
     holds it. Reading ``MethodInfo.instructions`` calls it on an accepted
-    body, which cannot fail, and finds every pool operand already resolved.
+    body, which cannot fail; it checks and renders each pool-indexed
+    instruction again, and keeps none of it.
     """
-    code, resolved = body.code, body.resolved
+    code, pool, bootstrap_methods = body.code, body.pool, body.bootstrap_methods
     out: list[Instruction] = []
     end = len(code)
     pos = start = 0
@@ -613,10 +620,7 @@ def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
             if kind == _PLAIN:
                 fields = _PLAIN_FIELDS
             elif kind == _RESOLVED:
-                key = code[start:pos]
-                fields = resolved.get(key)
-                if fields is None:
-                    fields = resolved[key] = check(body, mnemonic, *operands(code, start))
+                fields = check(pool, bootstrap_methods, mnemonic, *operands(code, start))
             elif kind == _SEQUENTIAL:
                 read, pos = operands(code, pos, start)
                 fields = (read if check is None else check(code, start, *read),) + _NO_REFS
@@ -626,21 +630,8 @@ def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
                 fields = ((start + operands(code, start)[0],),) + _NO_REFS
             out.append(_new(Instruction, (start, mnemonic) + fields))
     except MalformedClassFile as exc:
-        raise MalformedClassFile(exc.reason, body.file_base + start, body.source) from exc
+        raise MalformedClassFile(exc.reason, body.file_base + start, pool.source) from exc
     return tuple(out)
-
-
-def resolved_operands(body: MethodBody) -> Iterator[tuple[str, tuple]]:
-    """The ``(mnemonic, fields)`` of each distinct pool-indexed or
-    ``newarray`` instruction of an accepted body, once each, in no fixed order.
-
-    ``fields`` are the instruction's fields after its mnemonic, as the
-    body check resolved them at parse time: ``(operands, target, member,
-    type_name, literal)``. They are read from the class's ``resolved`` map
-    for the body's ``keys``; nothing is scanned, decoded or checked again.
-    """
-    for key in body.keys:
-        yield _FORMS[key[0]][0], body.resolved[key]
 
 
 _MAGIC = b"\xca\xfe\xba\xbe"
@@ -956,8 +947,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     if pos != end:
         raise MalformedClassFile("trailing bytes after class structure", pos, source)
 
-    resolved: dict[bytes, tuple] = {}
-    shared: dict[bytes, bytes] = {}  # the class's one object of each key
+    checked: dict[bytes, tuple] = {}  # see _check_body
     methods = []
     seen: set[tuple[str, str]] = set()
     for m_name, m_desc, m_flags, code_info, names in raw_methods:
@@ -968,10 +958,9 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         lines: tuple[int, ...] = ()
         if code_info is not None:
             code, code_base, lines = code_info
-            keys = _scan(code)
-            body = _new(MethodBody, (code, code_base, pool, bootstrap_methods, source, resolved,
-                                     keys and tuple(map(shared.setdefault, keys, keys))))
-            _check_body(body)
+            body = _new(MethodBody, (code, code_base, pool, bootstrap_methods,
+                                     _check_body(code, code_base, pool, bootstrap_methods,
+                                                 checked)))
         methods.append(_new(MethodInfo, (m_name, m_desc, m_flags, lines, names, body)))
 
     return ClassFile(

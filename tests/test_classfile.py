@@ -5,6 +5,7 @@ import re
 import shutil
 import struct
 import subprocess
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +23,10 @@ from apprepo.classfile.opcodes import MNEMONICS, OPCODES, WIDE_TARGETS
 from apprepo.classfile.parser import (
     _FORMS,
     _RESOLVED,
+    Instruction,
     MethodBody,
     _check_body,
     disassemble,
-    resolved_operands,
 )
 from apprepo.errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
 
@@ -669,18 +670,38 @@ SCAN_CLASS = AsmClass("p/S", bootstrap_methods=(("p/B", "bsm", "()V"),), methods
         ("getstatic", "p/S", "f", "I"), ("invokevirtual", "p/S", "v", "()V"),
         ("invokeinterface", "p/I", "i", "()V", 1), ("invokedynamic", "run", "()V", 0),
         ("new", "p/S"), ("multianewarray", "[[I", 2), ("return",)])])
-SCAN_BODY = parse_class(assemble_class(SCAN_CLASS)).methods[0].body
+SCAN_BODY = parse_class(assemble_class(SCAN_CLASS), "s.class").methods[0].body
 SCAN_POOL_SIZE = len(SCAN_BODY.pool.tags)
 
 
-def scan_outcome(check, code: bytes) -> tuple:
-    body = MethodBody(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, "s.class", {},
-                      parser._scan(code))
+def decode(code: bytes) -> tuple[Instruction, ...]:
+    """The reference decoder's instructions of ``code`` at file offset 100
+    in SCAN_CLASS."""
+    return disassemble(MethodBody(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, ()))
+
+
+def check(code: bytes) -> tuple:
+    """The body check's operands of ``code`` at file offset 100 in SCAN_CLASS."""
+    return _check_body(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, {})
+
+
+def scan_outcome(read, code: bytes) -> tuple:
+    """The reason, offset and source of the error that ``read(code)``
+    raises and None, or None and what it returns."""
     try:
-        check(body)
+        return None, read(code)
     except MalformedClassFile as exc:
-        return (exc.reason, exc.offset, exc.source), body.resolved, body
-    return None, body.resolved, body
+        return (exc.reason, exc.offset, exc.source), None
+
+
+def decoded_operands(code: bytes, instructions: tuple[Instruction, ...]) -> Counter:
+    """The ``(mnemonic, target, member, type_name)`` of each distinct
+    pool-indexed or ``newarray`` instruction among the decoded
+    ``instructions`` of ``code``, counted."""
+    fields = {code[ins.offset:ins.offset + _FORMS[code[ins.offset]][2]]:
+              (ins.mnemonic, ins.target, ins.member, ins.type_name)
+              for ins in instructions if _FORMS[code[ins.offset]][1] == _RESOLVED}
+    return Counter(fields.values())
 
 
 def _names_a_valid_entry(opcode: int, index: int) -> bool:
@@ -689,7 +710,7 @@ def _names_a_valid_entry(opcode: int, index: int) -> bool:
     code = bytes([opcode]) + operands + bytes(_FORMS[opcode][2] - 1 - len(operands))
     if fmt == "iface":
         code = code[:3] + b"\x01\x00"
-    return scan_outcome(disassemble, code)[0] is None
+    return scan_outcome(decode, code)[0] is None
 
 
 # pool-indexed opcode -> the pool indices it may name in SCAN_BODY's pool
@@ -748,20 +769,13 @@ def scanned_code(draw) -> bytes:
 
 
 def assert_scan_agrees(code: bytes) -> None:
-    decoded, decoded_resolved, _ = scan_outcome(disassemble, code)
-    scanned, resolved, body = scan_outcome(_check_body, code)
+    decoded, instructions = scan_outcome(decode, code)
+    scanned, operands = scan_outcome(check, code)
     assert scanned == decoded
-    assert resolved == decoded_resolved
     if scanned is None:
-        pooled = [ins for ins in disassemble(body)
-                  if _FORMS[MNEMONICS[ins.mnemonic]][1] == _RESOLVED]
-        # the body carries each distinct pool-indexed instruction once,
-        # and resolved_operands gives its fields once
-        assert sorted(body.keys) == sorted(
-            {code[ins.offset:ins.offset + _FORMS[code[ins.offset]][2]] for ins in pooled})
-        operands = list(resolved_operands(body))
-        assert len(operands) == len(body.keys)
-        assert set(operands) == {(ins.mnemonic, tuple(ins)[2:]) for ins in pooled}
+        # the body carries the operands of each distinct pool-indexed
+        # instruction once
+        assert Counter(operands) == decoded_operands(code, instructions)
 
 
 @settings(max_examples=400, derandomize=True, deadline=None, database=None)
@@ -837,10 +851,10 @@ def test_bodies_share_their_class_key_objects():
     cf = parse_class(simple_class("p/S", methods=[
         AsmMethod(name, "()V", ACC_PUBLIC | ACC_STATIC, [call, ("return",)])
         for name in ("a", "b")]))
-    (first,), (second,) = (method.body.keys for method in cf.methods)
-    # one object for both bodies, the one that the class's resolved map holds
+    (first,), (second,) = (method.body.operands for method in cf.methods)
+    # one object for both bodies
+    assert first == ("invokestatic", ("p/S", "v", "()V"), None, None)
     assert first is second
-    assert any(key is first for key in cf.methods[0].body.resolved)
 
 
 # --- corpus fidelity: the acceptance-grade ground truth check ---------------
@@ -1114,8 +1128,7 @@ def test_ldc_loads_a_dynamic_constant_of_its_width():
     dynamic = [e.value for e in slots(cf.constant_pool) if e is not None and e.tag == 17]
     assert sorted(dynamic) == [(0, "d", "D"), (0, "i", "I"), (0, "j", "J"),
                                (0, "s", "Ljava/lang/String;")]
-    assert sorted(m for m, _ in resolved_operands(method.body)) == ["ldc", "ldc2_w", "ldc2_w",
-                                                                    "ldc_w"]
+    assert sorted(op[0] for op in method.body.operands) == ["ldc", "ldc2_w", "ldc2_w", "ldc_w"]
 
 
 @pytest.mark.parametrize("op,desc", [("ldc_dynamic", "J"), ("ldc_w_dynamic", "D"),

