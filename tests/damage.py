@@ -62,8 +62,7 @@ def _digest(value: object) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
-def outcome(parse_class: Callable, data: bytes,
-            resolved_operands: Callable | None = None) -> str:
+def outcome(parse_class: Callable, data: bytes, operands: Callable | None = None) -> str:
     """What ``parse_class`` makes of ``data``: ``ok`` and a digest of the
     accepted class, or the offset and reason of its ``MalformedClassFile``
     (a reason may hold any character a pool text can); any other exception
@@ -72,9 +71,10 @@ def outcome(parse_class: Callable, data: bytes,
 
     The digest covers every compared field of the class and of each method,
     decoded instructions included, so two revisions agree on it exactly
-    when they give equal classes. Given ``resolved_operands``, an accepted
-    class's line also carries a digest of each method's resolved operands,
-    sorted: the call graph closure reads those, not the instructions.
+    when they give equal classes. Given ``operands``, which maps a body to
+    its ``(mnemonic, target, member, type_name)`` tuples, an accepted
+    class's line also carries a digest of each method's, sorted: the call
+    graph closure reads those, not the instructions.
     """
     try:
         cf = parse_class(data, "damaged.class")
@@ -82,9 +82,9 @@ def outcome(parse_class: Callable, data: bytes,
                 cf.version, cf.attribute_names,
                 tuple((tuple(m[:5]), m.instructions) for m in cf.methods))
         line = "ok " + _digest(form)
-        if resolved_operands is not None:
+        if operands is not None:
             line += " " + _digest(tuple(() if m.body is None else
-                                        sorted(map(repr, resolved_operands(m.body)))
+                                        sorted(map(repr, operands(m.body)))
                                         for m in cf.methods))
     except Exception as exc:  # noqa: BLE001 - the outcome records it
         if type(exc).__name__ == "MalformedClassFile":

@@ -7,8 +7,8 @@ archive``. Each parser then runs in its own child process over the same
 damaged inputs: ``--count`` of each kind of damage in ``damage.py``, drawn
 from the assembled fixture classes and from the class files in each
 ``PATH``, a jar, a jmod or a directory. Every input must get the same outcome from
-both: an equal class with the same resolved operands in each method, or
-the same reason and offset. The script prints the
+both: an equal class with the same operands in each method (see
+``damage.outcome``), or the same reason and offset. The script prints the
 counts per kind and the first few differences, and exits 1 if any outcome
 differs or either parser raised anything but ``MalformedClassFile``.
 
@@ -63,11 +63,19 @@ def unpack_src(rev: str, into: str) -> Path:
 def child(src: str, args: argparse.Namespace) -> None:
     """Print, as JSON, the outcome of each input under the parser in ``src``."""
     sys.path[:0] = [src, str(TESTS)]
-    from apprepo.classfile.parser import parse_class, resolved_operands
+    from apprepo.classfile import parser
     from damage import KINDS, damaged, outcome
 
+    if hasattr(parser, "resolved_operands"):  # a revision whose bodies keep no operands
+        def operands(body) -> list[tuple]:
+            return [(mnemonic, *fields[1:4])  # target, member, type_name
+                    for mnemonic, fields in parser.resolved_operands(body)]
+    else:
+        def operands(body) -> tuple:
+            return body.operands
+
     classes = class_files(args.paths)
-    json.dump({kind: [outcome(parse_class, data, resolved_operands)
+    json.dump({kind: [outcome(parser.parse_class, data, operands)
                       for data in damaged(classes, kind, args.seed, args.count)]
                for kind in KINDS}, sys.stdout)
 
