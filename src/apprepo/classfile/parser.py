@@ -43,6 +43,10 @@ from .opcodes import ARRAY_TYPES, MNEMONICS, OPCODES, WIDE_TARGETS
 
 ROOT_OBJECT_CLASS = "java/lang/Object"
 _new = tuple.__new__
+# the literal of every NaN constant, so that two parses of a class compare
+# equal: as for Java's Float.equals and Double.equals, all NaNs are equal,
+# while 0.0 and -0.0 differ (by their operand text)
+_NAN = float("nan")
 
 # class file major versions this parser accepts
 MIN_MAJOR_VERSION = 45
@@ -333,6 +337,8 @@ def _loadable(pool: ConstantPool, bootstrap_methods: list, mnemonic: str, index:
         if bsm_idx >= len(bootstrap_methods):
             raise MalformedClassFile(f"invalid bootstrap method index {bsm_idx}")
     literal = None if got.tag in _SYMBOLIC else got.value
+    if literal != literal:
+        literal = _NAN
     return (pool.render(index),), None, None, None, literal
 
 

@@ -5,7 +5,9 @@ import re
 import shutil
 import struct
 import subprocess
+import zipfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -876,10 +878,41 @@ def test_corpus_matches_assembled_ground_truth(corpus):
             assert parsed.is_abstract == (want.code is None and not want.flags & 0x0100)
 
 
+def constant_loader(name: str, *loads: tuple) -> AsmClass:
+    """A class whose one method loads each constant of ``loads`` and pops it."""
+    ops = [op for load in loads for op in (load, ("pop2" if "2" in load[0] else "pop",))]
+    return AsmClass(name, methods=[AsmMethod("m", "()V", ACC_PUBLIC | ACC_STATIC,
+                                             [*ops, ("return",)])])
+
+
+# a float NaN loaded by ldc and a double NaN by ldc2_w: a NaN is unequal to
+# itself, but the classes of two parses of the same bytes are equal
+NAN_CLASS = constant_loader("p/NaN", ("ldc_float", float("nan")),
+                            ("ldc2_double", float("nan")))
+
+
 def test_parse_determinism(corpus):
-    for spec in corpus.all_specs():
+    for spec in [*corpus.all_specs(), NAN_CLASS]:
         data = assemble_class(spec)
         assert parse_class(data) == parse_class(data)
+
+
+@pytest.mark.parametrize("load", ["ldc_float", "ldc2_double"])
+def test_zero_and_negative_zero_constants_differ(load):
+    zero, negative = (parse_class(assemble_class(constant_loader("p/Z", (load, value))))
+                      for value in (0.0, -0.0))
+    assert zero != negative
+
+
+def test_jdk_math_parses_to_equal_classes():
+    """``java/lang/Math`` loads NaNs of both widths (in ``fma`` and ``scalb``)."""
+    javac = shutil.which("javac")
+    jmod = javac and Path(javac).resolve().parent.parent / "jmods" / "java.base.jmod"
+    if not jmod or not jmod.is_file():
+        pytest.skip("no java.base jmod beside javac")
+    with zipfile.ZipFile(jmod) as archive:
+        data = archive.read("classes/java/lang/Math.class")
+    assert parse_class(data) == parse_class(data)
 
 
 def test_offsets_strictly_increasing_from_zero(corpus):
