@@ -580,8 +580,8 @@ def _check_body(code: bytes, file_base: int, pool: ConstantPool, bootstrap_metho
 
     ``checked`` maps each pool-indexed or ``newarray`` instruction of the
     class checked so far to its operand tuple, so each is checked once. On
-    any failure the body goes to :func:`disassemble`, only to raise: it
-    reports the reason at the file offset of the first bad instruction.
+    any failure the code array goes to :func:`disassemble`, only to raise:
+    it reports the reason at the file offset of the first bad instruction.
     """
     keys = _scan(code)
     if keys is not None:

@@ -5,9 +5,7 @@ import re
 import shutil
 import struct
 import subprocess
-import zipfile
 from collections import Counter
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -902,17 +900,6 @@ def test_zero_and_negative_zero_constants_differ(load):
     zero, negative = (parse_class(assemble_class(constant_loader("p/Z", (load, value))))
                       for value in (0.0, -0.0))
     assert zero != negative
-
-
-def test_jdk_math_parses_to_equal_classes():
-    """``java/lang/Math`` loads NaNs of both widths (in ``fma`` and ``scalb``)."""
-    javac = shutil.which("javac")
-    jmod = javac and Path(javac).resolve().parent.parent / "jmods" / "java.base.jmod"
-    if not jmod or not jmod.is_file():
-        pytest.skip("no java.base jmod beside javac")
-    with zipfile.ZipFile(jmod) as archive:
-        data = archive.read("classes/java/lang/Math.class")
-    assert parse_class(data) == parse_class(data)
 
 
 def test_offsets_strictly_increasing_from_zero(corpus):

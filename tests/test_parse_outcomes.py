@@ -54,18 +54,24 @@ def outcomes(kind: str, classes: list[bytes] | None = None) -> list[str]:
     return [outcome(parse_class, data) for data in damaged(classes, kind, SEED, COUNT)]
 
 
-def jdk_sample() -> list[bytes] | None:
-    """The sampled class files of the local JDK's jmods, module by module;
-    None if a jmod is missing."""
+def jdk_jmods() -> list[Path] | None:
+    """The local JDK's jmods of JDK_MODULES; None if one is missing."""
     javac = shutil.which("javac")
     if javac is None:
         return None
-    jmods = Path(javac).resolve().parent.parent / "jmods"
+    jmods = [Path(javac).resolve().parent.parent / "jmods" / f"{module}.jmod"
+             for module in JDK_MODULES]
+    return jmods if all(path.is_file() for path in jmods) else None
+
+
+def jdk_sample() -> list[bytes] | None:
+    """The sampled class files of the local JDK's jmods, module by module;
+    None if a jmod is missing."""
+    jmods = jdk_jmods()
+    if jmods is None:
+        return None
     sample = []
-    for module in JDK_MODULES:
-        path = jmods / f"{module}.jmod"
-        if not path.is_file():
-            return None
+    for module, path in zip(JDK_MODULES, jmods):
         with zipfile.ZipFile(path) as jmod:
             names = sorted(n for n in jmod.namelist()
                            if n.endswith(".class") and n != "classes/module-info.class")
@@ -106,6 +112,17 @@ def test_jdk_classes_all_parse(jdk_golden):
     intact = golden["outcomes"]["intact"]
     assert len(intact) == len(JDK_MODULES) * (JDK_COUNT + 1)
     assert all(line.startswith("ok ") for line in intact)
+
+
+def test_jdk_math_parses_to_equal_classes():
+    """``java/lang/Math`` loads NaNs of both widths (in ``fma`` and
+    ``scalb``), and two parses of it give equal classes."""
+    jmods = jdk_jmods()
+    if jmods is None:
+        pytest.skip("no java.base and java.desktop jmods beside javac")
+    with zipfile.ZipFile(jmods[0]) as jmod:
+        data = jmod.read("classes/java/lang/Math.class")
+    assert parse_class(data) == parse_class(data)
 
 
 def assert_operands_are_decoded(classes: list[bytes]) -> None:
