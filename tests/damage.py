@@ -1,9 +1,9 @@
 """Seeded damage of class file bytes, and the outcome of parsing them.
 
 Shared by ``test_parse_outcomes.py``, which pins the outcomes of a few
-hundred damaged fixture classes in a golden file, and by
-``parse_differential.py``, which compares two revisions of the parser on
-many more. Four kinds of damage:
+hundred damaged fixture classes in a golden file, and by the ``outcomes``
+measure of ``ab.py``, which compares two revisions of the parser on many
+more. Four kinds of damage:
 
 - ``overwrite``: 1 to 4 bytes anywhere are set to random values;
 - ``overwrite_tail``: the same, in the second half of the file, past the
@@ -16,17 +16,30 @@ from __future__ import annotations
 
 import hashlib
 import random
+import shutil
+from pathlib import Path
 from typing import Callable, Iterator
 
 from classasm import assemble_class
 from fixtures import all_classes
 
 KINDS = ("overwrite", "overwrite_tail", "truncate", "splice")
+JDK_MODULES = ("java.base", "java.desktop")
 
 
 def fixture_classes() -> list[bytes]:
     """The assembled fixture corpus, one class file per spec, in a fixed order."""
     return [assemble_class(spec) for group in all_classes().values() for spec in group]
+
+
+def jdk_jmods() -> list[Path] | None:
+    """The local JDK's jmods of JDK_MODULES; None if one is missing."""
+    javac = shutil.which("javac")
+    if javac is None:
+        return None
+    jmods = [Path(javac).resolve().parent.parent / "jmods" / f"{module}.jmod"
+             for module in JDK_MODULES]
+    return jmods if all(path.is_file() for path in jmods) else None
 
 
 def _overwrite(rng: random.Random, data: bytes, low: int) -> bytes:

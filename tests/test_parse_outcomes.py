@@ -27,7 +27,6 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import shutil
 import zipfile
 from collections import Counter
 from pathlib import Path
@@ -36,14 +35,13 @@ import pytest
 
 from apprepo.classfile.parser import parse_class
 
-from damage import KINDS, damaged, fixture_classes, outcome
+from damage import JDK_MODULES, KINDS, damaged, fixture_classes, jdk_jmods, outcome
 from test_classfile import decoded_operands
 
 GOLDEN = Path(__file__).with_name("parse_outcomes.json")
 JDK_GOLDEN = Path(__file__).with_name("jdk_outcomes.json")
 SEED = 1
 COUNT = 100
-JDK_MODULES = ("java.base", "java.desktop")
 JDK_COUNT = 150  # sampled classes per jmod, besides its module-info
 
 
@@ -52,16 +50,6 @@ def outcomes(kind: str, classes: list[bytes] | None = None) -> list[str]:
     if kind == "intact":
         return [outcome(parse_class, data) for data in classes]
     return [outcome(parse_class, data) for data in damaged(classes, kind, SEED, COUNT)]
-
-
-def jdk_jmods() -> list[Path] | None:
-    """The local JDK's jmods of JDK_MODULES; None if one is missing."""
-    javac = shutil.which("javac")
-    if javac is None:
-        return None
-    jmods = [Path(javac).resolve().parent.parent / "jmods" / f"{module}.jmod"
-             for module in JDK_MODULES]
-    return jmods if all(path.is_file() for path in jmods) else None
 
 
 def jdk_sample() -> list[bytes] | None:
