@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter, deque
+from collections.abc import Mapping
+from functools import cache
 from itertools import product
 from pathlib import Path
+from types import MappingProxyType
 from typing import NamedTuple
 
-from .classfile import ClassFile, MethodRef, parse_class
+from .classfile import MAIN_DESCRIPTOR, MAIN_NAME, ClassFile, MethodRef, parse_class
 from .classfile.constant_pool import CONST_CLASS
 from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
@@ -30,6 +33,7 @@ CLINIT_DESCRIPTOR = "()V"
 # instructions that initialize the class they name (JVMS §5.5), besides invokestatic
 _INITIALIZING = frozenset(("new", "getstatic", "putstatic"))
 _NO_ORIGIN = (False, False, False)  # the origin flags of an external class
+_NO_ORIGINS = MappingProxyType({})  # the origins of a hierarchy built without them
 # the attributes of a <method> that hold its flags, in CallGraph.nodes order
 _FLAGS = ("inFramework", "inLibrary", "inApplication", "reachable")
 # each possible tuple of method flags -> the text of its attributes
@@ -95,7 +99,7 @@ class ClasspathPartition(_PartitionFields):
         )
 
 
-class ClassHierarchy:
+class ClassHierarchy(NamedTuple):
     """All parsed classes plus the inverted subtype relation.
 
     ``externals`` holds every class name referenced by parsed classes
@@ -103,64 +107,40 @@ class ClassHierarchy:
     container provided; call resolution treats those as known-but-opaque.
     ``origins`` maps a provided class name to its (framework, library,
     application) flags; a name it lacks is external. :meth:`lookup` and
-    :meth:`transitive_subtypes` memoize their answers, so the classes must
-    not change once either is used. Equality compares the five fields,
-    not the memos.
+    :meth:`transitive_subtypes` keep no answer: :func:`build_callgraph`
+    keeps them for its own run.
     """
 
-    __slots__ = ("classes", "subtypes", "duplicates", "externals", "origins",
-                 "_declarations", "_subtype_closures")
-
-    def __init__(self, classes: dict[str, ClassFile], subtypes: dict[str, set[str]],
-                 duplicates: dict[str, list[str]], externals: set[str],
-                 origins: dict[str, tuple[bool, bool, bool]] | None = None):
-        self.classes = classes
-        self.subtypes = subtypes
-        self.duplicates = duplicates
-        self.externals = externals
-        self.origins = {} if origins is None else origins
-        self._declarations: dict[tuple[str, str, str], MethodRef | None] = {}
-        self._subtype_closures: dict[str, frozenset[str]] = {}
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name)
-                   for name in self.__slots__[:5])
+    classes: dict[str, ClassFile]
+    subtypes: dict[str, set[str]]
+    duplicates: dict[str, list[str]]
+    externals: set[str]
+    origins: Mapping[str, tuple[bool, bool, bool]] = _NO_ORIGINS
 
     def transitive_subtypes(self, class_name: str) -> frozenset[str]:
-        """Every direct or indirect subtype of a class, computed once per class."""
-        closure = self._subtype_closures.get(class_name)
-        if closure is None:
-            seen: set[str] = set()
-            work = list(self.subtypes.get(class_name, ()))
-            while work:
-                name = work.pop()
-                if name in seen:
-                    continue
-                seen.add(name)
-                work.extend(self.subtypes.get(name, ()))
-            closure = self._subtype_closures[class_name] = frozenset(seen)
-        return closure
+        """Every direct or indirect subtype of a class."""
+        subtypes = self.subtypes  # a named tuple's field reads slower than a local
+        seen: set[str] = set()
+        work = list(subtypes.get(class_name, ()))
+        while work:
+            name = work.pop()
+            if name in seen:
+                continue
+            seen.add(name)
+            work.extend(subtypes.get(name, ()))
+        return frozenset(seen)
 
     def lookup(self, class_name: str, name: str, descriptor: str) -> MethodRef | None:
         """Nearest declaration of (name, descriptor) at or above a class.
 
         Walks the superclass chain first, then the transitive super-interface
-        set. Returns None when no parsed class declares the method. Each
-        distinct question is answered once; a repeat returns the same object.
+        set. Returns None when no parsed class declares the method.
         """
-        key = (class_name, name, descriptor)
-        if key not in self._declarations:
-            self._declarations[key] = self._nearest_declaration(class_name, name, descriptor)
-        return self._declarations[key]
-
-    def _nearest_declaration(self, class_name: str, name: str,
-                             descriptor: str) -> MethodRef | None:
+        classes = self.classes
         current = class_name
         interfaces: list[str] = []
-        while current is not None and current in self.classes:
-            cf = self.classes[current]
+        while current is not None and current in classes:
+            cf = classes[current]
             if cf.find_method(name, descriptor) is not None:
                 return MethodRef(current, name, descriptor)
             interfaces.extend(cf.interfaces)
@@ -168,10 +148,10 @@ class ClassHierarchy:
         seen: set[str] = set()
         while interfaces:
             iface = interfaces.pop(0)
-            if iface in seen or iface not in self.classes:
+            if iface in seen or iface not in classes:
                 continue
             seen.add(iface)
-            cf = self.classes[iface]
+            cf = classes[iface]
             if cf.find_method(name, descriptor) is not None:
                 return MethodRef(iface, name, descriptor)
             interfaces.extend(cf.interfaces)
@@ -223,7 +203,7 @@ def hierarchy_from_classes(classes: list[ClassFile],
         for parent in ([cf.super_name] if cf.super_name else []) + list(cf.interfaces):
             subtypes.setdefault(parent, set()).add(cf.class_name)
     externals = referenced - set(by_name)
-    return ClassHierarchy(by_name, subtypes, {}, externals, origins or {})
+    return ClassHierarchy(by_name, subtypes, {}, externals, origins or _NO_ORIGINS)
 
 
 def build_hierarchy(partition: ClasspathPartition) -> ClassHierarchy:
@@ -258,9 +238,8 @@ def build_hierarchy(partition: ClasspathPartition) -> ClassHierarchy:
 
     origins = {name: ("framework" in c, "library" in c, "application" in c)
                for name, c in provided_by.items()}
-    hierarchy = hierarchy_from_classes(list(by_name.values()), origins)
-    hierarchy.duplicates = {n: ps for n, ps in providers.items() if len(ps) > 1}
-    return hierarchy
+    return hierarchy_from_classes(list(by_name.values()), origins)._replace(
+        duplicates={n: ps for n, ps in providers.items() if len(ps) > 1})
 
 
 def resolve_targets(kind: str, declared: MethodRef, h: ClassHierarchy) -> set[MethodRef]:
@@ -271,19 +250,28 @@ def resolve_targets(kind: str, declared: MethodRef, h: ClassHierarchy) -> set[Me
     override in transitive subtypes of the declared class; dynamic sites
     resolve to nothing.
     """
+    return _resolve_targets(kind, declared, h, h.lookup, h.transitive_subtypes)
+
+
+def _resolve_targets(kind: str, declared: MethodRef, h: ClassHierarchy,
+                     lookup, transitive_subtypes) -> set[MethodRef]:
+    """:func:`resolve_targets`, asking ``lookup`` and ``transitive_subtypes``
+    in place of the hierarchy's own, so that the closure can keep their answers."""
     if kind == "dynamic":
         return set()
-    if not h.knows(declared.in_class):
+    in_class, name, descriptor = declared
+    if not h.knows(in_class):
         raise TargetClassMissing(
-            f"class {declared.in_class} of call target {declared.text} is not on"
+            f"class {in_class} of call target {declared.text} is not on"
             " the partition and is not a known external")
-    base = h.lookup(declared.in_class, declared.name, declared.descriptor)
+    base = lookup(in_class, name, descriptor)
     targets = {base if base is not None else declared}
     if kind in ("virtual", "interface"):
-        for sub in h.transitive_subtypes(declared.in_class):
-            if sub not in h.classes:
+        classes = h.classes
+        for sub in transitive_subtypes(in_class):
+            if sub not in classes:
                 continue
-            found = h.lookup(sub, declared.name, declared.descriptor)
+            found = lookup(sub, name, descriptor)
             if found is not None:
                 targets.add(found)
     return targets
@@ -312,10 +300,10 @@ class CallGraph(NamedTuple):
                          for caller, callees in self.calls.items() for callee in callees)
 
 
-def _resolve_entry(entry: MethodRef, h: ClassHierarchy) -> MethodRef:
+def _resolve_entry(entry: MethodRef, h: ClassHierarchy, lookup) -> MethodRef:
     if entry.in_class not in h.classes:
         raise EntryPointMissing(f"entry point class not on partition: {entry.text}")
-    resolved = h.lookup(entry.in_class, entry.name, entry.descriptor)
+    resolved = lookup(entry.in_class, entry.name, entry.descriptor)
     if resolved is None:
         raise EntryPointMissing(f"entry point method not found: {entry.text}")
     return resolved
@@ -334,12 +322,18 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
     :func:`~apprepo.classfile.parse_class` resolved; no code array is read
     again. Targets are resolved once per distinct ``(kind, declared
     target)``, and a method's callees are built once, as their union.
+    The closure keeps the answer to each distinct method lookup and each
+    class's transitive subtypes for its own run, so each is walked once;
+    the hierarchy keeps none of them.
     A class, with its superclass chain, is marked initialized when the
     closure first touches it; once the worklist drains, the ``<clinit>`` of
     each newly marked class that the closure has not reached becomes an
     entry point, in class name order.
     """
-    entry_refs = {_resolve_entry(e, h) for e in entries}
+    lookup = cache(h.lookup)
+    transitive_subtypes = cache(h.transitive_subtypes)
+    classes = h.classes
+    entry_refs = {_resolve_entry(e, h, lookup) for e in entries}
     reached: set[MethodRef] = set(entry_refs)
     calls: dict[MethodRef, frozenset[MethodRef]] = {}
     initialized: set[str] = set()
@@ -349,15 +343,15 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
     work = deque(sorted(entry_refs, key=lambda r: r.text))
 
     def initialize(class_name: str | None) -> None:
-        while class_name not in initialized and class_name in h.classes:
+        while class_name not in initialized and class_name in classes:
             initialized.add(class_name)
-            cf = h.classes[class_name]
+            cf = classes[class_name]
             if cf.find_method(CLINIT_NAME, CLINIT_DESCRIPTOR) is not None:
                 triggered_clinits.append(MethodRef(class_name, CLINIT_NAME, CLINIT_DESCRIPTOR))
             class_name = cf.super_name
 
     def visit(ref: MethodRef) -> None:
-        cf = h.classes.get(ref.in_class)
+        cf = classes.get(ref.in_class)
         method = cf.find_method(ref.name, ref.descriptor) if cf is not None else None
         if method is None or not method.has_body:
             return
@@ -372,8 +366,8 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
                 resolved = targets_of[mnemonic]
                 targets = resolved.get(target)
                 if targets is None:
-                    targets = resolved[target] = resolve_targets(
-                        INVOKE_KINDS[mnemonic], target, h)
+                    targets = resolved[target] = _resolve_targets(
+                        INVOKE_KINDS[mnemonic], target, h, lookup, transitive_subtypes)
                 sites.append(targets)
         callees = frozenset().union(*sites)
         if callees:
@@ -414,20 +408,24 @@ def serialize_callgraph(g: CallGraph) -> bytes:
     files can hold both), raises :class:`SchemaViolation` naming the method.
     So does a method whose text reads back as another method: a name
     holding ``.`` (JVMS §4.2.2 forbids it, the parser lets it through) or
-    ``(``, or a class name holding ``(``. Of two methods sharing one text
-    at least one is such a case, so every id in the document is unique.
+    ``(``, a class name holding ``(``, or a descriptor that does not start
+    with ``(``. Of two methods sharing one text at least one is such a
+    case, so every id in the document is unique.
     """
-    for what, refs in (("caller", g.calls),
-                       ("call target", (c for callees in g.calls.values() for c in callees)),
-                       ("entry point", g.entry_points)):
-        stray = min((ref.text for ref in refs if ref not in g.nodes), default=None)
-        if stray is not None:
+    for what, strays in (("caller", g.calls.keys() - g.nodes.keys()),
+                         ("call target", frozenset().union(*g.calls.values()) - g.nodes.keys()),
+                         ("entry point", g.entry_points - g.nodes.keys())):
+        if strays:
+            stray = min(ref.text for ref in strays)
             raise SchemaViolation(f"{what} {stray!r} is not among the graph's methods")
     text = {ref: ref.text for ref in g.nodes}
     bad = min((t for t in text.values() if non_xml_char(t) is not None), default=None)
     if bad is not None:
         check_xml_text(bad, "method")
-    misread = min(((t, ref) for ref, t in text.items() if _read_back(t) != ref), default=None)
+    # MethodRef.from_text splits at the first "(" and then the last "."
+    misread = min(((t, ref) for ref, t in text.items()
+                   if "(" in ref.in_class or "(" in ref.name or "." in ref.name
+                   or not ref.descriptor.startswith("(")), default=None)
     if misread is not None:
         t, ref = misread
         raise SchemaViolation(f"method {ref.name!r} of class {ref.in_class!r} is written as"
@@ -447,13 +445,6 @@ def serialize_callgraph(g: CallGraph) -> bytes:
                          + _CALLS_CLOSE + _METHOD_CLOSE)
     parts.append(_TAIL)
     return "".join(parts).encode("utf-8")
-
-
-def _read_back(text: str) -> MethodRef | None:
-    try:
-        return MethodRef.from_text(text)
-    except ValueError:
-        return None
 
 
 def _parse_bool(value: str, what: str) -> bool:
@@ -577,8 +568,6 @@ def _parse_tree(doc: bytes | str) -> CallGraph:
 
 def find_main_entries(h: ClassHierarchy) -> set[MethodRef]:
     """All application-partition main methods, the default entry points."""
-    from .classfile import MAIN_DESCRIPTOR, MAIN_NAME
-
     entries = set()
     for name, cf in h.classes.items():
         if not h.origins.get(name, _NO_ORIGIN)[2]:

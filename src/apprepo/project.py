@@ -101,31 +101,20 @@ class ReportItem(NamedTuple):
     detail: str
 
 
-class ProjectReport:
+class ProjectReport(NamedTuple):
     """Aggregated validation result of one project.
 
     ``repository``, ``gui_model`` and ``metrics`` are the code model, the
     GUI model and the stored metrics row that validation loaded, or None
-    where it loaded none. Equality compares every field.
+    where it loaded none.
     """
 
-    __slots__ = ("items", "handlers_resolved", "handlers_unresolved", "repository",
-                 "gui_model", "metrics")
-
-    def __init__(self, items: list[ReportItem] | None = None, handlers_resolved: int = 0,
-                 handlers_unresolved: int = 0, repository: ClassRepository | None = None,
-                 gui_model: GuiModel | None = None, metrics: VersionMetrics | None = None):
-        self.items = [] if items is None else items
-        self.handlers_resolved = handlers_resolved
-        self.handlers_unresolved = handlers_unresolved
-        self.repository = repository
-        self.gui_model = gui_model
-        self.metrics = metrics
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+    items: tuple[ReportItem, ...] = ()
+    handlers_resolved: int = 0
+    handlers_unresolved: int = 0
+    repository: ClassRepository | None = None
+    gui_model: GuiModel | None = None
+    metrics: VersionMetrics | None = None
 
     @property
     def violations(self) -> list[ReportItem]:
@@ -277,13 +266,13 @@ def validate_project(p: Project) -> ProjectReport:
     parse) and the handler-to-code cross check. This is the one load of a
     bundle: the report keeps the models and the metrics row it loaded.
     """
-    report = ProjectReport()
+    items: list[ReportItem] = []
 
     def violation(code: str, detail: str) -> None:
-        report.items.append(ReportItem("violation", code, detail))
+        items.append(ReportItem("violation", code, detail))
 
     def warning(code: str, detail: str) -> None:
-        report.items.append(ReportItem("warning", code, detail))
+        items.append(ReportItem("warning", code, detail))
 
     for artifact, path, required in _absent(p):
         if required:
@@ -294,7 +283,7 @@ def validate_project(p: Project) -> ProjectReport:
     gui_model: GuiModel | None = None
     if p.gui_model_path is not None and exists_as(p.gui_model_path, S_IFREG):
         try:
-            gui_model = report.gui_model = load_gui(p.gui_model_path.read_bytes())
+            gui_model = load_gui(p.gui_model_path.read_bytes())
         except SchemaViolation as exc:
             if exc.violations:
                 for v in exc.violations:
@@ -317,6 +306,7 @@ def validate_project(p: Project) -> ProjectReport:
         except SchemaViolation as exc:
             violation("CallgraphSchema", str(exc))
 
+    metrics: VersionMetrics | None = None
     metrics_path = p.project_dir / LAYOUT["metrics"]
     if exists_as(metrics_path, S_IFREG):
         try:
@@ -331,18 +321,20 @@ def validate_project(p: Project) -> ProjectReport:
                     violation("Metrics", f"{metrics_path}: row of version"
                               f" {row.version_label!r} at {row.timestamp} disagrees"
                               f" with the project's {p.version_label!r} at {p.timestamp}")
-            report.metrics = rows[0] if rows else None
+            metrics = rows[0] if rows else None
 
+    repository: ClassRepository | None = None
     if exists_as(p.binaries_dir, S_IFDIR):
         try:
-            report.repository = build_code_model(p)
+            repository = build_code_model(p)
         except (MalformedClassFile, ContainerUnreadable) as exc:
             violation("CodeModel", str(exc))
-    if gui_model is not None and report.repository is not None:
-        bindings = link_event_handlers(gui_model, report.repository.hierarchy)
-        report.handlers_resolved = sum(1 for b in bindings if b.status == "resolved")
-        report.handlers_unresolved = sum(1 for b in bindings if b.status == "unresolved")
-    return report
+    resolved = unresolved = 0
+    if gui_model is not None and repository is not None:
+        bindings = link_event_handlers(gui_model, repository.hierarchy)
+        resolved = sum(1 for b in bindings if b.status == "resolved")
+        unresolved = sum(1 for b in bindings if b.status == "unresolved")
+    return ProjectReport(tuple(items), resolved, unresolved, repository, gui_model, metrics)
 
 
 def load_project(path: Path | str) -> Project:

@@ -7,6 +7,7 @@ import pytest
 
 import apprepo.callgraph
 from apprepo.callgraph import (
+    ClassHierarchy,
     ClasspathPartition,
     build_callgraph,
     build_hierarchy,
@@ -67,13 +68,8 @@ def test_subtype_map_from_declarations(hierarchy):
     assert hierarchy.subtypes["fix/Shape"] == {"fix/Circle", "fix/Square"}
     assert hierarchy.subtypes["fix/Base"] == {"fix/Mid"}
     assert hierarchy.subtypes["fix/Mid"] == {"fix/Leaf"}
-    assert hierarchy.transitive_subtypes("fix/Base") == {"fix/Mid", "fix/Leaf"}
-
-
-def test_transitive_subtypes_computed_once_per_class_and_immutable(hierarchy):
     below_base = hierarchy.transitive_subtypes("fix/Base")
-    assert isinstance(below_base, frozenset)
-    assert hierarchy.transitive_subtypes("fix/Base") is below_base
+    assert below_base == {"fix/Mid", "fix/Leaf"} and isinstance(below_base, frozenset)
     assert hierarchy.transitive_subtypes("fix/Leaf") == frozenset()
 
 
@@ -317,11 +313,11 @@ def test_closure_matches_bruteforce_closure(hierarchy):
 def test_closure_resolves_each_distinct_site_once(hierarchy, monkeypatch):
     resolved: Counter = Counter()
 
-    def counted_resolve(kind, declared, h, _original=resolve_targets):
+    def counted_resolve(kind, declared, *rest, _original=apprepo.callgraph._resolve_targets):
         resolved[kind, declared] += 1
-        return _original(kind, declared, h)
+        return _original(kind, declared, *rest)
 
-    monkeypatch.setattr(apprepo.callgraph, "resolve_targets", counted_resolve)
+    monkeypatch.setattr(apprepo.callgraph, "_resolve_targets", counted_resolve)
     graph = build_callgraph(hierarchy, find_main_entries(hierarchy))
     monkeypatch.undo()
     visited_sites = [s for ref in graph.nodes if ref.in_class in hierarchy.classes
@@ -331,6 +327,38 @@ def test_closure_resolves_each_distinct_site_once(hierarchy, monkeypatch):
     assert len(visited_sites) > len(distinct)  # some target is called from two sites
     assert set(resolved) == distinct
     assert set(resolved.values()) == {1}
+
+
+def test_closure_walks_each_lookup_and_subtype_set_once(hierarchy, monkeypatch):
+    lookups: Counter = Counter()
+    walked_below: Counter = Counter()
+    lookup, transitive_subtypes = ClassHierarchy.lookup, ClassHierarchy.transitive_subtypes
+
+    def counted_lookup(h, *key):
+        lookups[key] += 1
+        return lookup(h, *key)
+
+    def counted_subtypes(h, class_name):
+        walked_below[class_name] += 1
+        return transitive_subtypes(h, class_name)
+
+    monkeypatch.setattr(ClassHierarchy, "lookup", counted_lookup)
+    monkeypatch.setattr(ClassHierarchy, "transitive_subtypes", counted_subtypes)
+    entries = find_main_entries(hierarchy)
+    graph = build_callgraph(hierarchy, entries)
+    assert lookups and walked_below
+    assert set(lookups.values()) == {1} and set(walked_below.values()) == {1}
+    # the answers die with the closure: a second one walks each again
+    assert build_callgraph(hierarchy, entries) == graph
+    assert set(lookups.values()) == {2} and set(walked_below.values()) == {2}
+    # without them, resolving each distinct site asks some lookup twice
+    lookups.clear()
+    for kind, declared in {(s.kind, s.declared_target) for ref in graph.nodes
+                           if ref.in_class in hierarchy.classes
+                           for s in invoke_sites(hierarchy.classes[ref.in_class])
+                           if s.caller == ref}:
+        resolve_targets(kind, declared, hierarchy)
+    assert max(lookups.values()) > 1
 
 
 def test_clinit_becomes_entry_point(hierarchy):

@@ -2,6 +2,7 @@
 
 import random
 import xml.etree.ElementTree as ET
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -91,7 +92,9 @@ def test_unpaired_surrogate_in_method_name_is_a_schema_violation():
     (MethodRef("p/A", "x(y", "()V"), None),
     # both written as p/A.b.c()V, which reads back as the second
     (MethodRef("p/A", "b.c", "()V"), MethodRef("p/A.b", "c", "()V")),
-], ids=["paren-in-name", "dot-in-name-collides"])
+    # written as p/A.mV, which holds no "(" and so reads back as no method
+    (MethodRef("p/A", "m", "V"), None),
+], ids=["paren-in-name", "dot-in-name-collides", "descriptor-without-paren"])
 def test_method_whose_text_reads_back_as_another_is_a_schema_violation(odd, twin):
     main = MethodRef("p/A", "main", MAIN_DESC)
     callees = {odd} if twin is None else {odd, twin}
@@ -101,6 +104,22 @@ def test_method_whose_text_reads_back_as_another_is_a_schema_violation(odd, twin
         serialize_callgraph(graph)
     assert str(info.value) == (f"method {odd.name!r} of class 'p/A' is written as"
                                f" {odd.text!r}, which reads back as another method")
+
+
+def test_writer_refuses_exactly_the_methods_that_do_not_read_back():
+    # every class, name and descriptor of up to 2 of the characters from_text splits at
+    fields = ["".join(chars) for n in range(3) for chars in product("a.(", repeat=n)]
+    for ref in map(MethodRef._make, product(fields, repeat=3)):
+        try:
+            reads_back = MethodRef.from_text(ref.text) == ref
+        except ValueError:
+            reads_back = False
+        try:
+            serialize_callgraph(callgraph_of({ref: EXTERNAL}))
+        except SchemaViolation:
+            assert not reads_back, ref
+        else:
+            assert reads_back, ref
 
 
 def test_single_node_attributes():

@@ -455,7 +455,7 @@ def test_code_model_over_long_source_file_name_pairs_by_class_name(tmp_path):
     (root / "src" / "q").mkdir(parents=True)
     (root / "src" / "q" / "X.java").write_text("class X {}\n")
     assert build_code_model(project).sources == {"q/X": root / "src" / "q" / "X.java"}
-    assert validate_project(project).items == []
+    assert validate_project(project).items == ()
 
 
 def test_code_model_empty_binaries(corpus, hierarchy, tmp_path):

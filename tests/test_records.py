@@ -35,7 +35,9 @@ def frozen_records():
         Violation("MissingId", ("/0",), "no id"),
         VersionMetrics("1.0", date(2001, 1, 1), 1, 2, 3, 4),
         Project("p", "1.0", date(2001, 1, 1), Path("."), Path("bin")),
+        ClassHierarchy({}, {}, {}, set()),
         ClassRepository(ClassHierarchy({}, {}, {}, set()), {}),
+        ProjectReport(),
     ]
 
 
@@ -114,12 +116,13 @@ def test_cached_reads_are_computed_once(monkeypatch):
     assert cf._methods_by_key is cf._methods_by_key
 
 
-def test_mutable_records_compare_by_fields():
-    assert ProjectReport() == ProjectReport()
-    assert ProjectReport().items is not ProjectReport().items
+def test_hierarchy_and_report_replace_and_compare_by_fields():
+    assert ProjectReport() == ProjectReport() and ProjectReport().items == ()
     assert ProjectReport(handlers_resolved=1) != ProjectReport()
     first, second = ClassHierarchy({}, {}, {}, {"x/E"}), ClassHierarchy({}, {}, {}, {"x/E"})
-    first.transitive_subtypes("x/E")  # fills a memo, which equality leaves out
     assert first == second and first.origins == {}
-    second.duplicates = {"p/C": ["a.jar", "b.jar"]}
-    assert first != second
+    with pytest.raises(TypeError):
+        first.origins["x/E"] = (False, False, True)  # the default is shared, so read-only
+    replaced = second._replace(duplicates={"p/C": ["a.jar", "b.jar"]})
+    assert replaced != second and second == first and second.duplicates == {}
+    assert replaced.externals is second.externals
