@@ -28,11 +28,11 @@ from .classfile import (
     parse_descriptor,
     render_method,
 )
+from .errors import ReportItem
 from .guimodel import (
     GuiElement,
     GuiModel,
     HandlerBinding,
-    Violation,
     link_event_handlers,
     load_gui,
     persist_gui,

@@ -22,10 +22,10 @@ its header. Each distinct such instruction of a class is checked once, and
 the body keeps, as its ``operands``, the ``(mnemonic, target, member,
 type_name)`` of each of its own, which the call graph closure reads; no
 code array is read again, and no listing text is kept. A method's code
-array is decoded into :class:`Instruction` records only the first time its
+array is decoded into :class:`Instruction` records each time its
 ``instructions`` are read, by :func:`disassemble`, the one reference
 decoder, which also raises the reason and offset of any failure the body
-check finds.
+check finds; nothing keeps the decoded listing.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ class MethodBody(NamedTuple):
     operands: tuple[tuple, ...]
 
 
-# MethodInfo and ClassFile are named tuples with an instance dict for their
-# cached reads; these keep them as read-only as their fields, and give the
-# inequality and repr that the tuple's own would get wrong
+# ClassFile is a named tuple with an instance dict for its cached method
+# index; these keep it as read-only as its fields, and give the inequality
+# and repr that a named tuple's own would get wrong for it and MethodInfo
 def _read_only(self, name: str, *value) -> None:
     raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is read-only")
 
@@ -151,7 +151,20 @@ def _repr(record: tuple, hidden: tuple[str, ...]) -> str:
     return f"{type(record).__name__}({shown})"
 
 
-class _MethodFields(NamedTuple):
+class MethodInfo(NamedTuple):
+    """A parsed method: flags, line number table and body.
+
+    ``line_table`` holds the checked LineNumberTable entries as they are
+    stored, ``start_pc`` and ``line_number`` of each in turn; each read of
+    :attr:`line_numbers` pairs them. ``body`` holds the code array that
+    :func:`parse_class` validated, with the operands of its pool-indexed
+    instructions, which the call graph closure reads without reading the
+    code array. Each read of :attr:`instructions` decodes the body with
+    :func:`disassemble`; nothing keeps the result.
+    Equality compares the decoded instructions, not the body bytes, and
+    the hash leaves both out.
+    """
+
     name: str
     descriptor: str
     access_flags: int
@@ -159,33 +172,12 @@ class _MethodFields(NamedTuple):
     attribute_names: tuple[str, ...] = ()
     body: MethodBody | None = None
 
-
-class MethodInfo(_MethodFields):
-    """A parsed method: flags, line number table and body.
-
-    ``line_table`` holds the checked LineNumberTable entries as they are
-    stored, ``start_pc`` and ``line_number`` of each in turn; they are
-    paired into :attr:`line_numbers` on the first read. ``body`` holds the
-    code array that :func:`parse_class` validated, with the operands of
-    its pool-indexed instructions, which the call graph closure reads
-    without reading the code array. The body is decoded into
-    :attr:`instructions` by :func:`disassemble` on the first read, and the
-    tuple is kept.
-    Equality compares the decoded instructions, not the body bytes, and
-    the hash leaves both out.
-
-    A named tuple underneath, so it is built without a Python-level
-    ``__init__``; its own ``__dict__`` only keeps the two cached reads.
-    """
-
-    __setattr__ = __delattr__ = _read_only
-
-    @cached_property
+    @property
     def line_numbers(self) -> tuple[tuple[int, int], ...]:
         """The ``(start_pc, line_number)`` pairs of the line table."""
         return tuple(zip(self.line_table[::2], self.line_table[1::2]))
 
-    @cached_property
+    @property
     def instructions(self) -> tuple[Instruction, ...]:
         return () if self.body is None else disassemble(self.body)
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the record of one finding."""
+
+from typing import NamedTuple
 
 
 class ApprepoError(Exception):
@@ -46,11 +48,23 @@ class EntryPointMissing(ApprepoError):
     """A requested entry point cannot be resolved in the hierarchy."""
 
 
+class ReportItem(NamedTuple):
+    """One finding of a validation check.
+
+    ``paths`` are the index paths of the GUI elements it names, if any.
+    """
+
+    level: str  # violation | warning
+    code: str
+    detail: str
+    paths: tuple[str, ...] = ()
+
+
 class SchemaViolation(ApprepoError):
     """A persisted document violates its schema or model invariants.
 
-    ``violations`` holds the individual findings when the check produced a
-    structured report (GUI model validation does).
+    ``violations`` holds the :class:`ReportItem` findings when the check
+    produced a structured report (GUI model and project validation do).
     """
 
     def __init__(self, message: str, violations: list | None = None):

@@ -13,7 +13,7 @@ import xml.etree.ElementTree as ET
 from pathlib import PureWindowsPath
 from typing import Iterator, NamedTuple
 
-from .errors import SchemaViolation, TransformFailure
+from .errors import ReportItem, SchemaViolation, TransformFailure
 from .xmlio import XmlWriter, read_document
 
 RIPPER_FORMAT = "ripper"
@@ -75,68 +75,52 @@ class GuiModel(NamedTuple):
         return widgets, windows
 
 
-class _BindingFields(NamedTuple):
+class HandlerBinding(NamedTuple):
+    """The link from one GUI element to one event handler class, and the
+    handler's methods when the class was parsed."""
+
     element_id: str
     handler_class: str
-    status: str  # resolved | unresolved
     methods: tuple = ()
 
-
-class HandlerBinding(_BindingFields):
-    """The link from one GUI element to one event handler class."""
-
-    __slots__ = ()
-
-    def __init__(self, *fields, **named):
-        if (self.status == "resolved") != bool(self.methods):
-            raise ValueError("resolved bindings carry methods; unresolved carry none")
-
-    @classmethod
-    def _make(cls, values) -> "HandlerBinding":
-        return cls(*values)  # so that _replace checks as the constructor does
+    @property
+    def status(self) -> str:
+        return "resolved" if self.methods else "unresolved"
 
 
-class Violation(NamedTuple):
-    """One finding of the model validator."""
-
-    code: str
-    paths: tuple[str, ...]
-    message: str
-
-
-def validate_gui(m: GuiModel) -> list[Violation]:
+def validate_gui(m: GuiModel) -> list[ReportItem]:
     """Check the structural invariants; violations are data, never raises.
 
-    An empty report means: ids unique and non-empty, windows exactly at
-    depth 1, no negative sizes, screenshot paths relative.
+    Each finding is a ``violation`` :class:`ReportItem` that names the
+    paths of its elements. An empty report means: ids unique and
+    non-empty, windows exactly at depth 1, no negative sizes, screenshot
+    paths relative.
     """
-    violations: list[Violation] = []
+    violations: list[ReportItem] = []
+
+    def violation(code: str, paths: tuple[str, ...], detail: str) -> None:
+        violations.append(ReportItem("violation", code, detail, paths))
+
     ids: dict[str, list[str]] = {}
     for element, depth, path in m.walk():
         if not element.id:
-            violations.append(Violation("MissingId", (path,),
-                                        f"element at {path} has no id"))
+            violation("MissingId", (path,), f"element at {path} has no id")
         else:
             ids.setdefault(element.id, []).append(path)
         if element.is_window != (depth == 1):
             expected = "window" if depth == 1 else "widget"
-            violations.append(Violation(
-                "WindowLevelViolation", (path,),
-                f"element {element.id or path!r} at depth {depth} must be a {expected}"))
+            violation("WindowLevelViolation", (path,),
+                      f"element {element.id or path!r} at depth {depth} must be a {expected}")
         _, _, w, h = element.bounds
         if w < 0 or h < 0:
-            violations.append(Violation(
-                "NegativeSize", (path,),
-                f"element {element.id or path!r} has negative size {w}x{h}"))
+            violation("NegativeSize", (path,),
+                      f"element {element.id or path!r} has negative size {w}x{h}")
         if element.screenshot is not None and _is_absolute(element.screenshot):
-            violations.append(Violation(
-                "AbsoluteScreenshot", (path,),
-                f"screenshot path must be relative: {element.screenshot}"))
+            violation("AbsoluteScreenshot", (path,),
+                      f"screenshot path must be relative: {element.screenshot}")
     for dup_id, paths in sorted(ids.items()):
         if len(paths) > 1:
-            violations.append(Violation(
-                "DuplicateId", tuple(paths),
-                f"id {dup_id!r} used at " + " and ".join(paths)))
+            violation("DuplicateId", tuple(paths), f"id {dup_id!r} used at " + " and ".join(paths))
     return violations
 
 
@@ -239,7 +223,7 @@ def transform_external(doc: bytes | str) -> GuiModel:
     if violations:
         raise TransformFailure(
             "transformed model violates invariants: "
-            + "; ".join(v.message for v in violations))
+            + "; ".join(v.detail for v in violations))
     return model
 
 
@@ -344,7 +328,7 @@ def load_gui(doc: bytes | str) -> GuiModel:
     violations = validate_gui(model)
     if violations:
         raise SchemaViolation(
-            "model violates invariants: " + "; ".join(v.message for v in violations),
+            "model violates invariants: " + "; ".join(v.detail for v in violations),
             violations)
     return model
 
@@ -362,6 +346,5 @@ def link_event_handlers(m: GuiModel, h) -> list[HandlerBinding]:
         for handler in element.event_handlers:
             cf = h.classes.get(handler)
             methods = tuple(meth.ref(cf.class_name) for meth in cf.methods) if cf else ()
-            status = "resolved" if methods else "unresolved"
-            bindings.append(HandlerBinding(element.id, handler, status, methods))
+            bindings.append(HandlerBinding(element.id, handler, methods))
     return bindings

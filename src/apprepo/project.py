@@ -31,6 +31,7 @@ from .errors import (
     IoFailure,
     MalformedClassFile,
     MissingArtifact,
+    ReportItem,
     SchemaViolation,
 )
 from .guimodel import GuiModel, link_event_handlers, load_gui
@@ -93,12 +94,6 @@ class ClassRepository(NamedTuple):
 
     hierarchy: ClassHierarchy
     sources: dict[str, Path]
-
-
-class ReportItem(NamedTuple):
-    level: str  # violation | warning
-    code: str
-    detail: str
 
 
 class ProjectReport(NamedTuple):
@@ -285,11 +280,7 @@ def validate_project(p: Project) -> ProjectReport:
         try:
             gui_model = load_gui(p.gui_model_path.read_bytes())
         except SchemaViolation as exc:
-            if exc.violations:
-                for v in exc.violations:
-                    violation(v.code, v.message)
-            else:
-                violation("GuiSchema", str(exc))
+            items += exc.violations or [ReportItem("violation", "GuiSchema", str(exc))]
 
     if gui_model is not None:
         # screenshots live outside version control; absent files warn only
@@ -338,7 +329,9 @@ def validate_project(p: Project) -> ProjectReport:
 
 
 def load_project(path: Path | str) -> Project:
-    """Load a project with all safeguard checks; raises on any violation."""
+    """Load a project with all safeguard checks; raises on any violation:
+    :class:`MissingArtifact` for a missing required artifact, or else a
+    :class:`SchemaViolation` whose ``violations`` are all the report's."""
     project = read_project_file(path)
     report = validate_project(project)
     for item in report.warnings:
@@ -347,11 +340,8 @@ def load_project(path: Path | str) -> Project:
         missing = missing_artifacts(project)
         if missing:
             raise MissingArtifact(*missing[0])
-        gui_items = [i for i in report.violations
-                     if i.code not in ("CallgraphSchema", "CodeModel", "Metrics")]
         summary = "; ".join(i.detail for i in report.violations)
-        raise SchemaViolation(f"project failed validation: {summary}",
-                              gui_items or None)
+        raise SchemaViolation(f"project failed validation: {summary}", report.violations)
     return project
 
 
@@ -360,10 +350,11 @@ def build_code_model(p: Project) -> ClassRepository:
 
     Source pairing matches the class file's recorded source file name, if
     it is a bare file name (or else the top-level class name plus
-    ``.java``), under the package path in the sources directory.
+    ``.java``), under the package path in the sources directory. A declared
+    binaries or libraries path is read only when it is a directory.
     """
     def present(container: Path | None) -> list[Path]:
-        return [container] if container is not None and exists_as(container) else []
+        return [container] if container is not None and exists_as(container, S_IFDIR) else []
 
     hierarchy = build_hierarchy(ClasspathPartition.of(
         library=present(p.libraries_dir), application=present(p.binaries_dir)))

@@ -26,6 +26,12 @@ jar, a jmod or a directory of class files. The measures:
   after it (``/proc/self/statm``), the peak MiB (``ru_maxrss``), and the
   graph's node and edge counts and XML SHA-256. Over both jmods a child
   peaks near 860 MiB.
+- ``listing``: with the collector off, ``parse_class`` over the class
+  files of the ``PATH``s (the local JDK's ``java.desktop`` jmod by
+  default), then ``render_method`` on every method of every class: the
+  CPU time of the renders (hashing each listing included), the resident
+  MiB after parsing and after rendering, the method count and the SHA-256
+  of all listings joined.
 - ``command``: the apprepo command line ``ARGV`` run as ``python -m
   apprepo`` in the current directory: its wall time and peak MiB
   (``ru_maxrss``), both taken by a small launcher process that starts it
@@ -74,7 +80,7 @@ from typing import Callable, NamedTuple
 # imported where they are used, so that a pipeline child's resident memory
 # holds none of them.
 ROOT = Path(__file__).resolve().parent.parent
-MEASURES = ("outcomes", "scan", "pipeline", "command")
+MEASURES = ("outcomes", "scan", "pipeline", "listing", "command")
 ENTRY = "javax/swing/JFrame.<init>()V"
 RUNS = 15  # scan runs per child, of which the best counts
 SHOWN = 10  # differing outcomes printed per kind
@@ -122,7 +128,12 @@ def class_files(paths: list[str]) -> list[bytes]:
     """The fixture class files, then those of each jar, jmod or directory."""
     from damage import fixture_classes
 
-    out = fixture_classes()
+    return fixture_classes() + read_classes(paths)
+
+
+def read_classes(paths: list[str]) -> list[bytes]:
+    """The class files of each jar, jmod or directory."""
+    out = []
     for path in map(Path, paths):
         if path.is_dir():
             out += [p.read_bytes() for p in sorted(path.rglob("*.class"))]
@@ -195,7 +206,25 @@ def pipeline(paths: list[str], count: int, seed: int) -> dict[str, float | int |
     return figures
 
 
-CHILDREN = {"outcomes": outcomes, "scan": scan, "pipeline": pipeline}
+def listing(paths: list[str], count: int, seed: int) -> dict[str, float | int | str]:
+    from apprepo.classfile import parse_class, render_method
+
+    gc.disable()
+    classes = [parse_class(data) for data in read_classes(paths)]
+    parsed_mib = resident_mib()
+    digest = hashlib.sha256()
+    start = time.process_time()
+    for cf in classes:
+        for method in cf.methods:
+            text = render_method(cf, method.ref(cf.class_name))
+            # a Java string may hold lone surrogates
+            digest.update(text.encode("utf-8", "surrogatepass"))
+    render_s = time.process_time() - start
+    return {"render_s": render_s, "parsed_mib": parsed_mib, "rendered_mib": resident_mib(),
+            "methods": sum(len(cf.methods) for cf in classes), "sha256": digest.hexdigest()}
+
+
+CHILDREN = {"outcomes": outcomes, "scan": scan, "pipeline": pipeline, "listing": listing}
 
 
 class Comparison(NamedTuple):
@@ -279,7 +308,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--seed", type=int, default=1, help="outcomes: seed of the damage")
     args = parser.parse_intermixed_args(argv)
     paths = args.paths
-    if args.measure == "pipeline" and not paths:
+    if args.measure in ("pipeline", "listing") and not paths:
         from damage import jdk_jmods
 
         paths = [str(path) for path in jdk_jmods() or []]
@@ -287,6 +316,8 @@ def main(argv: list[str]) -> int:
             print("ab.py: no PATH given, and no java.base and java.desktop jmods beside javac",
                   file=sys.stderr)
             return 2
+        if args.measure == "listing":
+            paths = [path for path in paths if Path(path).stem == "java.desktop"]
     if args.measure == "command" and not paths:
         parser.error("command needs an apprepo command line after --")
     if args.pairs < 1:

@@ -8,6 +8,7 @@ from apprepo.guimodel import (
     MAX_GUI_DEPTH,
     GuiElement,
     GuiModel,
+    HandlerBinding,
     link_event_handlers,
     load_gui,
     persist_gui,
@@ -145,7 +146,7 @@ def test_duplicate_id_names_both_paths():
     dups = [v for v in report if v.code == "DuplicateId"]
     assert len(dups) == 1
     assert dups[0].paths == ("/0/0", "/0/1")
-    assert "btn1" in dups[0].message
+    assert "btn1" in dups[0].detail
 
 
 def test_widget_at_window_level_violation():
@@ -290,6 +291,7 @@ def test_link_resolved_handler_lists_methods(hierarchy):
     assert len(bindings) == 1
     binding = bindings[0]
     assert binding.status == "resolved"
+    assert binding._replace(methods=()).status == "unresolved"
     assert binding.element_id == "w"
     assert len(binding.methods) == 3  # <init>, area, label
     assert {r.name for r in binding.methods} == {"<init>", "area", "label"}
@@ -298,8 +300,9 @@ def test_link_resolved_handler_lists_methods(hierarchy):
 def test_link_unresolved_handler(hierarchy):
     m = model(window("w", event_handlers=("no/Such",)))
     bindings = link_event_handlers(m, hierarchy)
+    assert bindings == [HandlerBinding("w", "no/Such")]
     assert bindings[0].status == "unresolved"
-    assert bindings[0].methods == ()
+    assert bindings[0]._replace(methods=(("x",),)).status == "resolved"
 
 
 def test_link_methodless_class_is_unresolved():
@@ -310,15 +313,6 @@ def test_link_methodless_class_is_unresolved():
     bindings = link_event_handlers(
         model(window("w", event_handlers=("app/Empty",))), h)
     assert bindings[0].status == "unresolved"
-
-
-def test_binding_invariant_enforced():
-    from apprepo.guimodel import HandlerBinding
-
-    with pytest.raises(ValueError):
-        HandlerBinding("w", "app/H", "resolved", ())
-    with pytest.raises(ValueError):
-        HandlerBinding("w", "app/H", "unresolved", (("x",),))
 
 
 def test_link_document_order(hierarchy):

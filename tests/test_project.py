@@ -218,6 +218,15 @@ def test_load_rejects_duplicate_gui_ids(bundle):
     assert any(v.code == "DuplicateId" for v in err.value.violations)
 
 
+def test_load_damaged_callgraph_raises_with_its_violation(bundle):
+    read_project_file(bundle).callgraph_path.write_text(
+        '<callgraph algorithm="CHA"><method/></callgraph>')
+    with pytest.raises(SchemaViolation) as err:
+        load_project(bundle)
+    assert [(v.level, v.code) for v in err.value.violations] == [
+        ("violation", "CallgraphSchema")]
+
+
 def test_load_is_side_effect_free(bundle):
     project_dir = bundle.parent
     before = sorted(str(p) for p in project_dir.rglob("*"))
@@ -456,6 +465,18 @@ def test_code_model_over_long_source_file_name_pairs_by_class_name(tmp_path):
     (root / "src" / "q" / "X.java").write_text("class X {}\n")
     assert build_code_model(project).sources == {"q/X": root / "src" / "q" / "X.java"}
     assert validate_project(project).items == ()
+
+
+def test_code_model_reads_no_library_path_that_is_not_a_directory(bundle):
+    bundle.write_text(bundle.read_text().replace('<libraries path="lib"/>',
+                                                 '<libraries path="lib/library.jar"/>'))
+    project = read_project_file(bundle)
+    report = validate_project(project)
+    assert [(i.code, i.detail) for i in report.violations] == [
+        ("MissingArtifact", f"libraries: {project.libraries_dir}")]
+    origins = report.repository.hierarchy.origins
+    assert "fix/LibThing" not in origins and origins["fix/Dup"] == (False, False, True)
+    assert not any(library for _, library, _ in origins.values())
 
 
 def test_code_model_empty_binaries(corpus, hierarchy, tmp_path):

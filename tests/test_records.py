@@ -9,7 +9,8 @@ import apprepo.classfile.parser as parser
 from apprepo.callgraph import ClassHierarchy, ClasspathPartition
 from apprepo.classfile import parse_class
 from apprepo.classfile.constant_pool import ConstantPool
-from apprepo.guimodel import GuiElement, GuiModel, HandlerBinding, Violation, synthetic_root
+from apprepo.errors import ReportItem
+from apprepo.guimodel import GuiElement, GuiModel, HandlerBinding, synthetic_root
 from apprepo.metrics import VersionMetrics
 from apprepo.project import ClassRepository, Project, ProjectReport
 
@@ -31,8 +32,8 @@ def frozen_records():
         cf, cf.methods[0],
         ClasspathPartition.of(application=["app"]),
         element, GuiModel(synthetic_root((element,)), "ripper"),
-        HandlerBinding("w", "p/H", "unresolved"),
-        Violation("MissingId", ("/0",), "no id"),
+        HandlerBinding("w", "p/H"),
+        ReportItem("violation", "MissingId", "no id", ("/0",)),
         VersionMetrics("1.0", date(2001, 1, 1), 1, 2, 3, 4),
         Project("p", "1.0", date(2001, 1, 1), Path("."), Path("bin")),
         ClassHierarchy({}, {}, {}, set()),
@@ -66,12 +67,9 @@ def test_cached_reads_refuse_assignment_and_deletion():
 @pytest.mark.parametrize("make", [
     lambda: ClasspathPartition.of(library=["x.jar"], application=["x.jar"]),
     lambda: ClasspathPartition.of(library=["x.jar"])._replace(application=(Path("x.jar"),)),
-    lambda: HandlerBinding("w", "p/H", "resolved"),
-    lambda: HandlerBinding("w", "p/H", "unresolved")._replace(status="resolved"),
     lambda: VersionMetrics("1.0", date(2001, 1, 1), 1, -2, 3, 4),
     lambda: VersionMetrics("1.0", date(2001, 1, 1), 1, 2, 3, 4)._replace(windows=-1),
-], ids=["partition", "partition-replaced", "binding", "binding-replaced",
-        "metrics", "metrics-replaced"])
+], ids=["partition", "partition-replaced", "metrics", "metrics-replaced"])
 def test_constructor_checks_hold_for_replace_too(make):
     with pytest.raises(ValueError):
         make()
@@ -99,21 +97,20 @@ def test_class_equality_ignores_the_constant_pool():
     assert "constant_pool" not in repr(first) and "body" not in repr(first.methods[0])
 
 
-def test_cached_reads_are_computed_once(monkeypatch):
-    calls = []
-    disassemble = parser.disassemble
-    monkeypatch.setattr(parser, "disassemble",
-                        lambda body: calls.append(body) or disassemble(body))
+def test_listing_views_decode_on_read_and_the_method_index_is_kept():
     cf = parsed()
     method = cf.methods[0]
     assert [i.mnemonic for i in method.instructions] == ["ldc", "pop", "invokestatic",
                                                          "return"]
-    assert method.instructions is method.instructions
-    assert len(calls) == 1
     assert method.line_numbers == ((0, 3), (3, 4))
-    assert method.line_numbers is method.line_numbers
     assert cf.find_method("run", "()V") is method
     assert cf._methods_by_key is cf._methods_by_key
+
+
+def test_a_method_keeps_no_decoded_listing():
+    method = parsed().methods[0]
+    assert method.instructions and method.line_numbers
+    assert not hasattr(method, "__dict__")
 
 
 def test_hierarchy_and_report_replace_and_compare_by_fields():
