@@ -60,43 +60,29 @@ _METHOD = (f'  <method id="({ESCAPED_VALUE})" inClass="({ESCAPED_VALUE})"'
            f'(?:/>\n|>\n((?:{_CALLS_OPEN}[^"]*+{_CALLS_CLOSE})++){_METHOD_CLOSE})')
 
 
-class _PartitionFields(NamedTuple):
+class ClasspathPartition(NamedTuple):
+    """The framework / library / application split of the class path.
+
+    Only :meth:`of` checks that no container is listed in two components;
+    the classes the containers provide may still overlap by name.
+    """
+
     framework: tuple[Path, ...] = ()
     library: tuple[Path, ...] = ()
     application: tuple[Path, ...] = ()
 
-
-class ClasspathPartition(_PartitionFields):
-    """The framework / library / application split of the class path.
-
-    The three container lists must be disjoint as paths; the classes they
-    provide may still overlap by name.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, *fields, **named):
-        seen: dict = {}
-        for component, containers in (("framework", self.framework),
-                                       ("library", self.library),
-                                       ("application", self.application)):
-            for path in containers:
-                if path in seen and seen[path] != component:
-                    raise ValueError(
-                        f"container {path} listed in both {seen[path]} and {component}")
-                seen[path] = component
-
-    @classmethod
-    def _make(cls, values) -> "ClasspathPartition":
-        return cls(*values)  # so that _replace checks as the constructor does
-
     @staticmethod
     def of(framework=(), library=(), application=()) -> "ClasspathPartition":
-        return ClasspathPartition(
-            tuple(Path(p) for p in framework),
-            tuple(Path(p) for p in library),
-            tuple(Path(p) for p in application),
-        )
+        """The partition of these paths; a path in two components is a ValueError."""
+        partition = ClasspathPartition(tuple(map(Path, framework)), tuple(map(Path, library)),
+                                       tuple(map(Path, application)))
+        seen: dict[Path, str] = {}
+        for component, containers in zip(partition._fields, partition):
+            for path in containers:
+                if seen.setdefault(path, component) != component:
+                    raise ValueError(
+                        f"container {path} listed in both {seen[path]} and {component}")
+        return partition
 
 
 class ClassHierarchy(NamedTuple):

@@ -185,7 +185,8 @@ class ConstantPool:
 
 
 def quote_string(text: str) -> str:
-    """Quote a string constant for listings, escaping the usual suspects."""
+    """Quote a string constant for listings, escaping the usual suspects
+    and each unpaired surrogate."""
     escaped = (
         text.replace("\\", "\\\\")
         .replace('"', '\\"')
@@ -193,7 +194,13 @@ def quote_string(text: str) -> str:
         .replace("\r", "\\r")
         .replace("\t", "\\t")
     )
-    return f'"{escaped}"'
+    return f'"{escape_surrogates(escaped)}"'
+
+
+def escape_surrogates(text: str) -> str:
+    """``text`` with each surrogate written as ``\\uXXXX``, so that it encodes as
+    UTF-8; the pool decoder joins each pair, so a surrogate left is unpaired."""
+    return text.encode("utf-8", "backslashreplace").decode("utf-8")
 
 
 def _decode_modified_utf8(raw: bytes) -> str | None:

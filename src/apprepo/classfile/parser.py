@@ -8,11 +8,14 @@ formed, every attribute it reads (Code, LineNumberTable, SourceFile,
 BootstrapMethods) is exactly as long as its contents, every bootstrap
 argument names a loadable constant, an ``ACC_MODULE`` class is a
 ``module-info`` that declares no superclass, interface, field or method
-(JVMS §4.1), and every code array is 1 to 65535 bytes of known opcodes
+(JVMS §4.1), every code array is 1 to 65535 bytes of known opcodes
 with complete operands, zero switch padding and the loadable, member or
-type operands each instruction needs. Branch and switch targets are not
-checked: one may point outside the code array or into the middle of an
-instruction, and a listing shows it as it is (JVMS §4.9.1 forbids both).
+type operands each instruction needs, and every exception table entry
+covers a non-empty range of its code array and names a handler inside it
+(JVMS §4.7.3). Branch and switch targets are not checked: one may point
+outside the code array or into the middle of an instruction, and a
+listing shows it as it is (JVMS §4.9.1 forbids both). Nor is it checked
+that an exception table pc starts an instruction.
 
 Checking a body moves through its code array once, copying nothing it
 does not keep: one byte pattern steps over the instructions of fixed width
@@ -797,9 +800,14 @@ def _parse_code_attribute(data: bytes, start: int, stop: int, pool: ConstantPool
     pos += 2
     if count:
         whole = min(count, (stop - pos) // 8)
-        for i, (_, _, _, catch_type) in enumerate(_HANDLERS(data[pos:pos + 8 * whole])):
+        for entry, (start_pc, end_pc, handler_pc, catch_type) in zip(
+                range(pos, stop, 8), _HANDLERS(data[pos:pos + 8 * whole])):
+            if not start_pc < end_pc <= code_length or handler_pc >= code_length:
+                raise MalformedClassFile(
+                    f"exception handler {start_pc}..{end_pc} -> {handler_pc}"
+                    f" does not fit code of length {code_length}", entry, source)
             if catch_type:
-                _ref(pool.class_name, catch_type, pos + 8 * i + 6, source)
+                _ref(pool.class_name, catch_type, entry + 6, source)
         if whole < count:
             raise _short(data, stop, pos + 8 * whole,
                          (None, None, None, _optional_class(pool)), source)
@@ -975,7 +983,9 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
 
 
 def render_method(cf: ClassFile, ref: MethodRef) -> str:
-    """Deterministic one-line-per-instruction listing of a method body."""
+    """Deterministic one-line-per-instruction listing of a method body. A
+    name or string holding an unpaired surrogate shows it as ``\\uXXXX``,
+    so the listing encodes as UTF-8."""
     if ref.in_class != cf.class_name:
         raise MethodNotFound(f"{ref.text} does not belong to {cf.class_name}")
     method = cf.find_method(ref.name, ref.descriptor)
@@ -994,4 +1004,4 @@ def render_method(cf: ClassFile, ref: MethodRef) -> str:
         if ins.offset in line_at:
             text += f"  // line {line_at[ins.offset]}"
         lines.append(text)
-    return "\n".join(lines) + "\n"
+    return cp.escape_surrogates("\n".join(lines) + "\n")

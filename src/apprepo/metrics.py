@@ -30,28 +30,15 @@ CSV_HEADER = ["version", "timestamp", "classes", "loc", "widgets", "windows"]
 TABLE_COLUMNS = ["Version", "CVS Timestamp", "Classes", "LOC", "Widgets", "Windows"]
 
 
-class _MetricsFields(NamedTuple):
+class VersionMetrics(NamedTuple):
+    """The four per-version counts plus identifying label and date."""
+
     version_label: str
     timestamp: date
     classes: int
     loc: int
     widgets: int
     windows: int
-
-
-class VersionMetrics(_MetricsFields):
-    """The four per-version counts plus identifying label and date."""
-
-    __slots__ = ()
-
-    def __init__(self, *fields, **named):
-        for name in self._fields[2:]:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-
-    @classmethod
-    def _make(cls, values) -> "VersionMetrics":
-        return cls(*values)  # so that _replace checks as the constructor does
 
 
 _BREAK = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # the line breaks of str.splitlines
@@ -163,7 +150,8 @@ def version_csv(rows: list[VersionMetrics]) -> str:
 def parse_version_csv(text: str) -> list[VersionMetrics]:
     """Read back rows written by version_csv.
 
-    A malformed document, row, date or count raises :class:`IoFailure`.
+    A malformed document, row, date or count raises :class:`IoFailure`,
+    a negative count too: a :class:`VersionMetrics` built directly is not checked.
     """
     try:
         rows = list(csv.reader(io.StringIO(text)))
@@ -176,7 +164,11 @@ def parse_version_csv(text: str) -> list[VersionMetrics]:
         if len(row) != len(CSV_HEADER):
             raise IoFailure(f"malformed metrics CSV row: {row!r}")
         try:
-            out.append(VersionMetrics(row[0], date.fromisoformat(row[1]), *map(int, row[2:])))
+            parsed = VersionMetrics(row[0], date.fromisoformat(row[1]), *map(int, row[2:]))
+            for field, count in zip(CSV_HEADER[2:], parsed[2:]):
+                if count < 0:
+                    raise ValueError(f"{field} must be non-negative")
         except ValueError as exc:
             raise IoFailure(f"malformed metrics CSV row {row!r}: {exc}") from None
+        out.append(parsed)
     return out

@@ -17,7 +17,10 @@ jar, a jmod or a directory of class files. The measures:
   not inflate) of ``_scan`` over a 65,533-byte code array of 5,461 empty
   ``lookupswitch``es and a ``return`` (the scan's worst case), of ``_scan``
   over every code array of the fixture classes and the ``PATH``s, and of
-  ``parse_class`` over every one of those classes.
+  ``parse_class`` over every one of those classes. ``scan_worst_ms``
+  moves by 2-4% with what the child imported before it built that array,
+  so a gap under about 4% from a change to ``apprepo.classfile``'s
+  imports may be heap layout, not the scan.
 - ``pipeline``: with the collector off, as the command line runs,
   ``build_hierarchy`` over the ``PATH``s as framework (the local JDK's
   ``java.base`` and ``java.desktop`` jmods by default), the call graph
@@ -31,7 +34,8 @@ jar, a jmod or a directory of class files. The measures:
   default), then ``render_method`` on every method of every class: the
   CPU time of the renders (hashing each listing included), the resident
   MiB after parsing and after rendering, the method count and the SHA-256
-  of all listings joined.
+  of all listings joined. Each listing is encoded as plain UTF-8, so a
+  listing that holds a lone surrogate fails the child.
 - ``command``: the apprepo command line ``ARGV`` run as ``python -m
   apprepo`` in the current directory: its wall time and peak MiB
   (``ru_maxrss``), both taken by a small launcher process that starts it
@@ -216,9 +220,7 @@ def listing(paths: list[str], count: int, seed: int) -> dict[str, float | int | 
     start = time.process_time()
     for cf in classes:
         for method in cf.methods:
-            text = render_method(cf, method.ref(cf.class_name))
-            # a Java string may hold lone surrogates
-            digest.update(text.encode("utf-8", "surrogatepass"))
+            digest.update(render_method(cf, method.ref(cf.class_name)).encode("utf-8"))
     render_s = time.process_time() - start
     return {"render_s": render_s, "parsed_mib": parsed_mib, "rendered_mib": resident_mib(),
             "methods": sum(len(cf.methods) for cf in classes), "sha256": digest.hexdigest()}

@@ -358,6 +358,26 @@ def test_exception_table_catch_types_parse():
     assert parse_class(data).find_method("m", "()V").instructions[0].mnemonic == "return"
 
 
+@pytest.mark.parametrize("catch_type", [0, 999])
+@pytest.mark.parametrize("pcs", [(0, 0, 0), (0, 9, 0), (0, 1, 50), (7, 9, 0)],
+                         ids=["empty-range", "end-past-code", "handler-past-code",
+                              "start-past-code"])
+def test_exception_table_entry_must_lie_within_the_code(pcs, catch_type):
+    """JVMS §4.7.3: start_pc < end_pc <= code_length and handler_pc <
+    code_length, reported at the entry's file offset before its catch type
+    (here a good one, or a bad pool index) is resolved."""
+    data = simple_class("P", methods=[
+        AsmMethod("m", "()V", ACC_PUBLIC, [("return",)], catch_types=(catch_type,))])
+    entry = struct.pack(">HHHH", 0, 1, 0, catch_type)
+    at = data.index(b"\xb1\x00\x01" + entry) + 3  # return, exception_table_length 1
+    damaged = data[:at] + struct.pack(">HHH", *pcs) + data[at + 6:]
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(damaged)
+    assert err.value.reason == (f"exception handler {pcs[0]}..{pcs[1]} -> {pcs[2]}"
+                                " does not fit code of length 1")
+    assert err.value.offset == at
+
+
 # where the fixture writes the bad index, and how far from the end of the
 # class it lands (what follows it is zero counts and an empty payload)
 @pytest.mark.parametrize("where,from_end", [
@@ -1029,6 +1049,23 @@ def test_render_string_operand_quoted(corpus):
     listing = render_method(cf, MethodRef("fix/Base", "speak", "()Ljava/lang/String;"))
     assert 'ldc "base"' in listing
     assert "ldc 1" not in listing  # no raw pool indices
+
+
+def test_render_escapes_lone_surrogates_so_the_listing_encodes():
+    """A Java string or name may hold an unpaired surrogate, which UTF-8
+    cannot encode: the listing writes it as ``\\uXXXX`` and keeps a pair,
+    which the pool decoder joins, as one character."""
+    cf = parse_class(simple_class("S", methods=[
+        AsmMethod("x\ud800", "()V", ACC_PUBLIC | ACC_STATIC, [
+            ("ldc_str", 'a\udc00b\U0001f600\\u'), ("pop",),
+            ("invokestatic", "S", "x\ud800", "()V"), ("return",)])]))
+    listing = render_method(cf, MethodRef("S", "x\ud800", "()V"))
+    assert listing.encode("utf-8").decode("utf-8") == (
+        "S.x\\ud800()V\n"
+        '0: ldc "a\\udc00b\U0001f600\\\\u"\n'
+        "2: pop\n"
+        "3: invokestatic S.x\\ud800()V\n"
+        "6: return\n")
 
 
 def test_render_line_annotations(corpus):

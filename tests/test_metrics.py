@@ -300,9 +300,14 @@ def test_csv_quotes_commas():
     assert parse_version_csv(text) == [row]
 
 
-def test_negative_counts_rejected():
-    with pytest.raises(ValueError):
-        VersionMetrics("v", date(2000, 1, 1), -1, 0, 0, 0)
+@pytest.mark.parametrize("field", ["classes", "loc", "widgets", "windows"])
+def test_parse_version_csv_rejects_a_negative_count_and_names_it(field):
+    counts = {"classes": 1, "loc": 2, "widgets": 3, "windows": 4, field: -1}
+    text = ("version,timestamp,classes,loc,widgets,windows\r\n"
+            f"v,2000-01-01,{','.join(map(str, counts.values()))}\r\n")
+    with pytest.raises(IoFailure, match=f"malformed metrics CSV row .*: {field} must be"
+                                        " non-negative"):
+        parse_version_csv(text)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""The record types: read-only where frozen, checked on construction, compared by value."""
+"""The record types: read-only where frozen, checked where outside input enters, compared
+by value."""
 
 from datetime import date
 from pathlib import Path
@@ -66,13 +67,17 @@ def test_cached_reads_refuse_assignment_and_deletion():
 
 @pytest.mark.parametrize("make", [
     lambda: ClasspathPartition.of(library=["x.jar"], application=["x.jar"]),
-    lambda: ClasspathPartition.of(library=["x.jar"])._replace(application=(Path("x.jar"),)),
-    lambda: VersionMetrics("1.0", date(2001, 1, 1), 1, -2, 3, 4),
-    lambda: VersionMetrics("1.0", date(2001, 1, 1), 1, 2, 3, 4)._replace(windows=-1),
-], ids=["partition", "partition-replaced", "metrics", "metrics-replaced"])
+], ids=["partition"])
 def test_constructor_checks_hold_for_replace_too(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_records_are_checked_where_input_enters_not_when_built():
+    metrics = VersionMetrics("v", date(2000, 1, 1), -1, 0, 0, 0)
+    assert metrics.classes == -1
+    partition = ClasspathPartition.of(library=["x.jar"])._replace(application=(Path("x.jar"),))
+    assert partition.library == partition.application == (Path("x.jar"),)
 
 
 def test_method_equality_compares_decoded_instructions_not_body_bytes():
