@@ -19,7 +19,6 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .classfile import MAIN_DESCRIPTOR, MAIN_NAME, ClassFile, MethodRef, parse_class
-from .classfile.constant_pool import CONST_CLASS
 from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
 from .errors import (EntryPointMissing, MalformedClassFile, SchemaViolation,
@@ -127,7 +126,7 @@ class ClassHierarchy(NamedTuple):
         interfaces: list[str] = []
         while current is not None and current in classes:
             cf = classes[current]
-            if cf.find_method(name, descriptor) is not None:
+            if (name, descriptor) in cf.methods:
                 return MethodRef(current, name, descriptor)
             interfaces.extend(cf.interfaces)
             current = cf.super_name
@@ -138,7 +137,7 @@ class ClassHierarchy(NamedTuple):
                 continue
             seen.add(iface)
             cf = classes[iface]
-            if cf.find_method(name, descriptor) is not None:
+            if (name, descriptor) in cf.methods:
                 return MethodRef(iface, name, descriptor)
             interfaces.extend(cf.interfaces)
         return None
@@ -152,8 +151,7 @@ def _referenced_class_names(cf: ClassFile) -> set[str]:
     if cf.super_name:
         names.add(cf.super_name)
     names.update(cf.interfaces)
-    pool = cf.constant_pool
-    names.update(value for tag, value in zip(pool.tags, pool.values) if tag == CONST_CLASS)
+    names.update(cf.pool_classes)
     return names
 
 
@@ -178,7 +176,7 @@ def hierarchy_from_classes(classes: list[ClassFile],
                 walked = list(chain)
                 cycle = " -> ".join(walked[walked.index(current):] + [current])
                 raise MalformedClassFile(f"class {current} is its own superclass: {cycle}",
-                                         0, by_name[current].constant_pool.source)
+                                         0, by_name[current].source)
             chain[current] = None
             current = by_name[current].super_name
         ending.update(chain)
@@ -304,7 +302,7 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
 
     Each reachable method is queued once on a first-in-first-out worklist
     and visited once. Its call sites and the classes it initializes come
-    from its body's ``operands``, which
+    from its ``operands``, which
     :func:`~apprepo.classfile.parse_class` resolved; no code array is read
     again. Targets are resolved once per distinct ``(kind, declared
     target)``, and a method's callees are built once, as their union.
@@ -332,18 +330,18 @@ def build_callgraph(h: ClassHierarchy, entries: set[MethodRef]) -> CallGraph:
         while class_name not in initialized and class_name in classes:
             initialized.add(class_name)
             cf = classes[class_name]
-            if cf.find_method(CLINIT_NAME, CLINIT_DESCRIPTOR) is not None:
+            if (CLINIT_NAME, CLINIT_DESCRIPTOR) in cf.methods:
                 triggered_clinits.append(MethodRef(class_name, CLINIT_NAME, CLINIT_DESCRIPTOR))
             class_name = cf.super_name
 
     def visit(ref: MethodRef) -> None:
         cf = classes.get(ref.in_class)
-        method = cf.find_method(ref.name, ref.descriptor) if cf is not None else None
+        method = cf.methods.get((ref.name, ref.descriptor)) if cf is not None else None
         if method is None or not method.has_body:
             return
         initialize(ref.in_class)
         sites: list[set[MethodRef]] = []
-        for mnemonic, target, member, type_name in method.body.operands:
+        for mnemonic, target, member, type_name in method.operands:
             if mnemonic in _INITIALIZING:
                 initialize(type_name if mnemonic == "new" else member[0])
             elif mnemonic in targets_of:
@@ -558,6 +556,6 @@ def find_main_entries(h: ClassHierarchy) -> set[MethodRef]:
     for name, cf in h.classes.items():
         if not h.origins.get(name, _NO_ORIGIN)[2]:
             continue
-        if cf.find_method(MAIN_NAME, MAIN_DESCRIPTOR) is not None:
+        if (MAIN_NAME, MAIN_DESCRIPTOR) in cf.methods:
             entries.add(MethodRef(name, MAIN_NAME, MAIN_DESCRIPTOR))
     return entries

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+from sys import intern
 from typing import NamedTuple
 
 from ..errors import MalformedClassFile
@@ -101,15 +102,17 @@ class ConstantPool:
     :class:`MalformedClassFile`; :meth:`entry` makes the entry it returns.
     ``gated`` holds the indices of the Dynamic, Module and Package entries
     in pool order: whether a class may hold them depends on its version
-    and access flags, which the class file's reader checks.
+    and access flags, which the class file's reader checks. ``classes``
+    holds the names of the Class entries in pool order.
     """
 
-    def __init__(self, tags: list[int], values: list, source: str | None = None,
-                 gated: tuple[int, ...] = ()):
+    def __init__(self, tags: list[int], values: list, source: str | None,
+                 gated: tuple[int, ...], classes: list[str]):
         self.tags = tags
         self.values = values
         self.source = source
         self.gated = gated
+        self.classes = classes
 
     def entry(self, index: int, tag: int | None = None) -> ConstantEntry:
         tags = self.tags
@@ -264,7 +267,9 @@ def parse_constant_pool(data: bytes, pos: int, source: str | None = None,
     the lists. Only a bad reference goes through
     :meth:`ConstantPool._resolve`, which raises it. A failure is reported
     at the file offset of the entry that holds it, or where a truncated
-    table ends.
+    table ends. The texts that Class and NameAndType entries name are
+    interned: a parsed class keeps them in its names and operands, and so
+    all classes share one copy of each.
     """
     end = len(data)
     if pos + 2 > end:
@@ -315,7 +320,8 @@ def parse_constant_pool(data: bytes, pos: int, source: str | None = None,
         raise MalformedClassFile(_TRUNCATED, pos if pos >= end else pos + 1, source) from None
     except KeyError:
         raise MalformedClassFile(f"unknown constant pool tag {data[pos]}", pos, source) from None
-    pool = ConstantPool(tags, values, source, tuple(sorted(steps[2] + steps[3])))
+    classes: list[str] = []
+    pool = ConstantPool(tags, values, source, tuple(sorted(steps[2] + steps[3])), classes)
     steps[0].extend(steps[2])
     steps[1].extend(steps[3])
 
@@ -329,15 +335,19 @@ def parse_constant_pool(data: bytes, pos: int, source: str | None = None,
                                      source) from exc
 
     for index in steps[0]:
-        value = values[index]
-        if tags[index] == CONST_NAME_AND_TYPE:
+        value, tag = values[index], tags[index]
+        if tag == CONST_NAME_AND_TYPE:
             name, desc = value
             if name < count and desc < count and tags[name] == tags[desc] == CONST_UTF8:
-                values[index] = values[name], values[desc]
+                values[index] = intern(values[name]), intern(values[desc])
             else:
                 values[index] = resolved(index)
         elif value < count and tags[value] == CONST_UTF8:
-            values[index] = values[value]
+            if tag == CONST_CLASS:
+                values[index] = name = intern(values[value])
+                classes.append(name)
+            else:
+                values[index] = values[value]
         else:
             values[index] = resolved(index)
     handles = []

@@ -1,4 +1,4 @@
-"""Class file parsing: binary format to an inspectable code model.
+"""Class file parsing: binary format to a code model of bytes.
 
 Validation is eager and decoding is lazy. :func:`parse_class` checks the
 whole structure, method bodies included, so a returned :class:`ClassFile`
@@ -17,25 +17,37 @@ outside the code array or into the middle of an instruction, and a
 listing shows it as it is (JVMS §4.9.1 forbids both). Nor is it checked
 that an exception table pc starts an instruction.
 
+A parsed class keeps its class file's bytes and only what the parse
+checked and commands read: its names, flags, version, attribute names,
+the names of its pool's Class entries, and each method's name,
+descriptor, flags, attribute names and ``operands``, with the offsets of
+its code array and line tables in the bytes. The rest is decoded from the
+bytes on each read, and nothing keeps it: ``ClassFile.constant_pool``,
+``MethodInfo.code``, ``instructions`` and ``line_numbers``, and
+:func:`render_method`, which decodes the pool once per call. So two
+parses of equal bytes from one source give equal classes, and the named
+tuples' own equality says so.
+
 Checking a body moves through its code array once, copying nothing it
 does not keep: one byte pattern steps over the instructions of fixed width
 to the next switch, a second collects the pool-indexed instructions before
 it, and the reader that :func:`disassemble` uses steps over the switch by
 its header. Each distinct such instruction of a class is checked once, and
-the body keeps, as its ``operands``, the ``(mnemonic, target, member,
+the method keeps, as its ``operands``, the ``(mnemonic, target, member,
 type_name)`` of each of its own, which the call graph closure reads; no
 code array is read again, and no listing text is kept. A method's code
 array is decoded into :class:`Instruction` records each time its
 ``instructions`` are read, by :func:`disassemble`, the one reference
 decoder, which also raises the reason and offset of any failure the body
-check finds; nothing keeps the decoded listing.
+check finds.
 """
 
 from __future__ import annotations
 
 import re
 import struct
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from sys import intern
 from typing import Callable, Iterator, NamedTuple
 
 from ..errors import MalformedClassFile, MalformedDescriptor, MethodNotFound
@@ -46,10 +58,6 @@ from .opcodes import ARRAY_TYPES, MNEMONICS, OPCODES, WIDE_TARGETS
 
 ROOT_OBJECT_CLASS = "java/lang/Object"
 _new = tuple.__new__
-# the literal of every NaN constant, so that two parses of a class compare
-# equal: as for Java's Float.equals and Double.equals, all NaNs are equal,
-# while 0.0 and -0.0 differ (by their operand text)
-_NAN = float("nan")
 
 # class file major versions this parser accepts
 MIN_MAJOR_VERSION = 45
@@ -118,84 +126,53 @@ class Instruction(NamedTuple):
     literal: object = None
 
 
-class MethodBody(NamedTuple):
-    """A validated code array, what decoding it needs, and its operands.
-
-    ``file_base`` is the code array's offset in the class file; ``pool``
-    and ``bootstrap_methods`` are the class's. ``operands`` holds one
-    ``(mnemonic, target, member, type_name)`` tuple, the fields of
-    :class:`Instruction` that the call graph closure reads, per distinct
-    pool-indexed or ``newarray`` instruction of the code array, in no
-    fixed order; equal instructions of one class share one tuple object.
-    """
-
-    code: bytes
-    file_base: int
-    pool: ConstantPool
-    bootstrap_methods: list[tuple[str, str, str]]
-    operands: tuple[tuple, ...]
-
-
-# ClassFile is a named tuple with an instance dict for its cached method
-# index; these keep it as read-only as its fields, and give the inequality
-# and repr that a named tuple's own would get wrong for it and MethodInfo
-def _read_only(self, name: str, *value) -> None:
-    raise AttributeError(f"cannot set or delete {name!r}: {type(self).__name__} is read-only")
-
-
-def _differs(self, other: object) -> bool:
-    equal = self.__eq__(other)
-    return equal if equal is NotImplemented else not equal
-
-
-def _repr(record: tuple, hidden: tuple[str, ...]) -> str:
-    shown = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, record)
-                      if name not in hidden)
-    return f"{type(record).__name__}({shown})"
-
-
 class MethodInfo(NamedTuple):
-    """A parsed method: flags, line number table and body.
+    """A parsed method: what :func:`parse_class` checked of it and what
+    commands read, and where its code lies in its class file.
 
-    ``line_table`` holds the checked LineNumberTable entries as they are
-    stored, ``start_pc`` and ``line_number`` of each in turn; each read of
-    :attr:`line_numbers` pairs them. ``body`` holds the code array that
-    :func:`parse_class` validated, with the operands of its pool-indexed
-    instructions, which the call graph closure reads without reading the
-    code array. Each read of :attr:`instructions` decodes the body with
-    :func:`disassemble`; nothing keeps the result.
-    Equality compares the decoded instructions, not the body bytes, and
-    the hash leaves both out.
+    ``operands`` holds one ``(mnemonic, target, member, type_name)`` tuple,
+    the fields of :class:`Instruction` that the call graph closure reads,
+    per distinct pool-indexed or ``newarray`` instruction of the code
+    array, in no fixed order; equal instructions of one class share one
+    tuple object. ``data`` is the class file's bytes, the one object that
+    every method of the class holds. In it, ``code_at`` is the offset of
+    the code array (0 for a method without one), ``line_tables`` that of
+    each LineNumberTable payload of the Code attribute, and
+    ``bootstrap_at`` that of the class's BootstrapMethods payload (0 for a
+    class without one). Each read of :attr:`code`, :attr:`instructions` and
+    :attr:`line_numbers` decodes them from ``data``, the instructions with
+    the class's constant pool, which it decodes too; nothing keeps the
+    result.
     """
 
     name: str
     descriptor: str
     access_flags: int
-    line_table: tuple[int, ...] = ()
     attribute_names: tuple[str, ...] = ()
-    body: MethodBody | None = None
+    operands: tuple[tuple, ...] = ()
+    data: bytes = b""
+    code_at: int = 0
+    line_tables: tuple[int, ...] = ()
+    bootstrap_at: int = 0
 
     @property
     def line_numbers(self) -> tuple[tuple[int, int], ...]:
-        """The ``(start_pc, line_number)`` pairs of the line table."""
-        return tuple(zip(self.line_table[::2], self.line_table[1::2]))
+        """The ``(start_pc, line_number)`` pairs of the line tables, in order."""
+        data, pairs = self.data, []
+        for at in self.line_tables:
+            fields = _u2s(2 * (data[at] << 8 | data[at + 1]))(data, at + 2)
+            pairs += zip(fields[::2], fields[1::2])
+        return tuple(pairs)
+
+    @property
+    def code(self) -> bytes:
+        """The code array, empty for a method without one."""
+        at = self.code_at
+        return self.data[at:at + _CODE(self.data, at - 8)[0]] if at else b""
 
     @property
     def instructions(self) -> tuple[Instruction, ...]:
-        return () if self.body is None else disassemble(self.body)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self[:5] == other[:5] and self.instructions == other.instructions
-
-    __ne__ = _differs
-
-    def __hash__(self) -> int:
-        return hash(self[:5])
-
-    def __repr__(self) -> str:
-        return _repr(self, ("line_table", "body"))
+        return _decode(self, parse_constant_pool(self.data, 8)[0]) if self.code_at else ()
 
     @property
     def is_abstract(self) -> bool:
@@ -219,43 +196,33 @@ def _is_module(access_flags: int, major: int) -> bool:
     return major >= 53 and bool(access_flags & ACC_MODULE)
 
 
-class _ClassFields(NamedTuple):
+class ClassFile(NamedTuple):
+    """A fully validated class file: its bytes, ``data``, and what
+    :func:`parse_class` checked of it and commands read.
+
+    ``methods`` maps the ``(name, descriptor)`` of each method to it, in
+    file order. ``pool_classes`` holds the names of the constant pool's
+    Class entries, in pool order, and ``source`` names where the bytes came
+    from, as an error about them does. Each read of :attr:`constant_pool`
+    decodes the pool from ``data``. Every field takes part in equality, so
+    two parses of equal bytes from one source compare equal.
+    """
+
     class_name: str
     super_name: str | None
     interfaces: tuple[str, ...]
     access_flags: int
-    methods: tuple[MethodInfo, ...]
+    methods: dict[tuple[str, str], MethodInfo]
     source_file: str | None
-    constant_pool: ConstantPool
     version: tuple[int, int] = (MIN_MAJOR_VERSION, 0)
     attribute_names: tuple[str, ...] = ()
+    pool_classes: tuple[str, ...] = ()
+    source: str | None = None
+    data: bytes = b""
 
-
-class ClassFile(_ClassFields):
-    """A fully validated class file.
-
-    Its methods are indexed by ``(name, descriptor)`` on the first
-    :meth:`find_method` call, which makes every call a dict lookup.
-    Equality and the hash leave out ``constant_pool``.
-    """
-
-    __setattr__ = __delattr__ = _read_only
-
-    def _compared(self) -> tuple:
-        return self[:6] + self[7:]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._compared() == other._compared()
-
-    __ne__ = _differs
-
-    def __hash__(self) -> int:
-        return hash(self._compared())
-
-    def __repr__(self) -> str:
-        return _repr(self, ("constant_pool",))
+    @property
+    def constant_pool(self) -> ConstantPool:
+        return parse_constant_pool(self.data, 8, self.source)[0]
 
     @property
     def is_interface(self) -> bool:
@@ -266,13 +233,6 @@ class ClassFile(_ClassFields):
         """Whether this is a ``module-info`` class, which declares a module
         and no type (JVMS §4.1)."""
         return _is_module(self.access_flags, self.version[0])
-
-    @cached_property
-    def _methods_by_key(self) -> dict[tuple[str, str], MethodInfo]:
-        return {(m.name, m.descriptor): m for m in self.methods}
-
-    def find_method(self, name: str, descriptor: str) -> MethodInfo | None:
-        return self._methods_by_key.get((name, descriptor))
 
 
 def _bootstrap_methods(data: bytes, pos: int, limit: int, pool: ConstantPool,
@@ -332,8 +292,6 @@ def _loadable(pool: ConstantPool, bootstrap_methods: list, mnemonic: str, index:
         if bsm_idx >= len(bootstrap_methods):
             raise MalformedClassFile(f"invalid bootstrap method index {bsm_idx}")
     literal = None if got.tag in _SYMBOLIC else got.value
-    if literal != literal:
-        literal = _NAN
     return (pool.render(index),), None, None, None, literal
 
 
@@ -570,8 +528,9 @@ def _scan(code: bytes) -> set[bytes] | None:
 
 def _check_body(code: bytes, file_base: int, pool: ConstantPool, bootstrap_methods: list,
                 checked: dict[bytes, tuple]) -> tuple:
-    """The ``operands`` of a method's code array (see :class:`MethodBody`),
-    checked as :func:`disassemble` checks them, from its scan.
+    """The ``operands`` of a method's code array (see :class:`MethodInfo`),
+    which starts at file offset ``file_base``, checked as
+    :func:`disassemble` checks them, from its scan.
 
     ``checked`` maps each pool-indexed or ``newarray`` instruction of the
     class checked so far to its operand tuple, so each is checked once. On
@@ -590,12 +549,14 @@ def _check_body(code: bytes, file_base: int, pool: ConstantPool, bootstrap_metho
             return tuple(map(checked.__getitem__, keys))
         except MalformedClassFile:
             pass
-    disassemble(MethodBody(code, file_base, pool, bootstrap_methods, ()))
+    disassemble(code, file_base, pool, bootstrap_methods)
     raise AssertionError("the reference decoder accepts a body that its check refuses")
 
 
-def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
-    """The instructions of a method's code array, checked one at a time.
+def disassemble(code: bytes, file_base: int, pool: ConstantPool,
+                bootstrap_methods: list[tuple[str, str, str]]) -> tuple[Instruction, ...]:
+    """The instructions of a code array at file offset ``file_base`` of a
+    class with this pool and these bootstrap methods, checked one at a time.
 
     The reference decoder. When the body check of :func:`parse_class`
     finds a bad opcode, operand, padding or pool reference, it calls this
@@ -604,7 +565,6 @@ def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
     body, which cannot fail; it checks and renders each pool-indexed
     instruction again, and keeps none of it.
     """
-    code, pool, bootstrap_methods = body.code, body.pool, body.bootstrap_methods
     out: list[Instruction] = []
     end = len(code)
     pos = start = 0
@@ -631,8 +591,16 @@ def disassemble(body: MethodBody) -> tuple[Instruction, ...]:
                 fields = ((start + operands(code, start)[0],),) + _NO_REFS
             out.append(_new(Instruction, (start, mnemonic) + fields))
     except MalformedClassFile as exc:
-        raise MalformedClassFile(exc.reason, body.file_base + start, pool.source) from exc
+        raise MalformedClassFile(exc.reason, file_base + start, pool.source) from exc
     return tuple(out)
+
+
+def _decode(method: MethodInfo, pool: ConstantPool) -> tuple[Instruction, ...]:
+    """The instructions of a method with code, whose class's pool is ``pool``."""
+    data = method.data
+    bootstrap_methods = (_bootstrap_methods(data, method.bootstrap_at, len(data), pool, None)[0]
+                         if method.bootstrap_at else [])
+    return disassemble(method.code, method.code_at, pool, bootstrap_methods)
 
 
 _MAGIC = b"\xca\xfe\xba\xbe"
@@ -640,14 +608,8 @@ _VERSION = struct.Struct(">HH").unpack_from  # minor_version, major_version
 _MEMBER = struct.Struct(">HHH").unpack_from  # access_flags, name_index, descriptor_index
 _ATTRIBUTE = struct.Struct(">HI").unpack_from  # attribute_name_index, attribute_length
 _CODE = struct.Struct(">xxxxI").unpack_from  # code_length, after max_stack and max_locals
-_HANDLERS = struct.Struct(">HHHH").iter_unpack  # start_pc, end_pc, handler_pc, catch_type
+_HANDLER_PCS = struct.Struct(">HHH").unpack_from  # start_pc, end_pc, handler_pc
 MAX_CODE_LENGTH = 65535  # JVMS §4.7.3
-
-
-def _optional_class(pool: ConstantPool):
-    """Resolver of a class index where 0 names no class (a root class's
-    superclass, a catch-all handler's catch type)."""
-    return lambda index: pool.class_name(index) if index else None
 
 
 def _ref(lookup: Callable[[int], object], index: int, offset: int, source: str | None):
@@ -758,11 +720,10 @@ def _member(data: bytes, pos: int, limit: int, pool: ConstantPool, source: str |
     return flags, name, desc, data[pos] << 8 | data[pos + 1], pos + 2
 
 
-def _line_numbers(data: bytes, start: int, stop: int, code_length: int, code_attr: int,
-                  source: str | None) -> tuple[int, ...]:
-    """The entries of the LineNumberTable payload ``data[start:stop]``, their
-    fields in a flat tuple; a bad entry is reported at the Code payload's
-    offset ``code_attr``."""
+def _check_line_table(data: bytes, start: int, stop: int, code_length: int, code_attr: int,
+                      source: str | None) -> None:
+    """Check the LineNumberTable payload ``data[start:stop]``; a bad entry
+    is reported at the Code payload's offset ``code_attr``."""
     if start + 2 > stop:
         raise MalformedClassFile(_TRUNCATED, start, source)
     count = data[start] << 8 | data[start + 1]
@@ -779,13 +740,12 @@ def _line_numbers(data: bytes, start: int, stop: int, code_length: int, code_att
         raise _short(data, stop, pos + 4 * whole, (None, None), source)
     if pos + 4 * count != stop:
         raise _unread("LineNumberTable", start, pos + 4 * count, stop, source)
-    return fields
 
 
 def _parse_code_attribute(data: bytes, start: int, stop: int, pool: ConstantPool,
-                          source: str | None) -> tuple[bytes, int, tuple]:
-    """Split the Code payload ``data[start:stop]`` into (code bytes, code file
-    offset, flat line table)."""
+                          source: str | None) -> tuple[bytes, int, tuple[int, ...]]:
+    """Check the Code payload ``data[start:stop]``; return its code array,
+    the array's offset and the offset of each LineNumberTable payload."""
     if start + 8 > stop:
         raise _short(data, stop, start, (None, None), source)
     code_length, = _CODE(data, start)
@@ -799,31 +759,32 @@ def _parse_code_attribute(data: bytes, start: int, stop: int, pool: ConstantPool
     count = data[pos] << 8 | data[pos + 1]  # exception_table_length
     pos += 2
     if count:
-        whole = min(count, (stop - pos) // 8)
-        for entry, (start_pc, end_pc, handler_pc, catch_type) in zip(
-                range(pos, stop, 8), _HANDLERS(data[pos:pos + 8 * whole])):
+        entries = range(pos, min(pos + 8 * count, stop - 5), 8)  # those whose pcs fit
+        for entry in entries:
+            start_pc, end_pc, handler_pc = _HANDLER_PCS(data, entry)
             if not start_pc < end_pc <= code_length or handler_pc >= code_length:
                 raise MalformedClassFile(
                     f"exception handler {start_pc}..{end_pc} -> {handler_pc}"
                     f" does not fit code of length {code_length}", entry, source)
+            catch_type, _ = _u2(data, entry + 6, stop, source)
             if catch_type:
                 _ref(pool.class_name, catch_type, entry + 6, source)
-        if whole < count:
-            raise _short(data, stop, pos + 8 * whole,
-                         (None, None, None, _optional_class(pool)), source)
         pos += 8 * count
+        if pos > stop:  # an entry whose pcs do not all fit
+            raise _short(data, stop, entries.start + 8 * len(entries), (None, None), source)
     if pos + 2 > stop:
         raise MalformedClassFile(_TRUNCATED, pos, source)
     count = data[pos] << 8 | data[pos + 1]  # attributes_count
     pos += 2
-    lines: tuple[int, ...] = ()
+    line_tables: tuple[int, ...] = ()
     for _ in range(count):
         name, at, pos = _attribute(data, pos, stop, pool, source)
         if name == "LineNumberTable":
-            lines += _line_numbers(data, at, pos, code_length, start, source)
+            _check_line_table(data, at, pos, code_length, start, source)
+            line_tables += (at,)
     if pos != stop:
         raise _unread("Code", start, pos, stop, source)
-    return data[code_start:code_start + code_length], code_start, lines
+    return data[code_start:code_start + code_length], code_start, line_tables
 
 
 def parse_class(data: bytes, source: str | None = None) -> ClassFile:
@@ -909,6 +870,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     # methods: structure first; bodies checked after class attributes are
     # read, since invokedynamic operands need BootstrapMethods
     raw_methods = []
+    attribute_names: dict[tuple[str, ...], tuple[str, ...]] = {}  # one tuple for equal names
     count, pos = _u2(data, pos, end, source)
     if module and count:
         raise module_error(f"declares methods: {count}")
@@ -931,9 +893,12 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         if not abstract_or_native and code_info is None:
             raise MalformedClassFile(f"method {m_name}{m_desc} lacks a Code attribute",
                                      pos, source)
-        raw_methods.append((m_name, m_desc, m_flags, code_info, tuple(names)))
+        shared = tuple(names)
+        raw_methods.append((intern(m_name), intern(m_desc), m_flags, code_info,
+                            attribute_names.setdefault(shared, shared)))
 
     bootstrap_methods: list[tuple[str, str, str]] = []
+    bootstrap_at = 0
     class_attr_names: list[str] = []
     source_file = None
     count, pos = _u2(data, pos, end, source)
@@ -945,6 +910,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
             source_file = _utf8(pool, index, start, source)
         elif a_name == "BootstrapMethods":
             bootstrap_methods, used = _bootstrap_methods(data, start, pos, pool, source)
+            bootstrap_at = start
         else:
             continue
         if used != pos:
@@ -954,48 +920,37 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         raise MalformedClassFile("trailing bytes after class structure", pos, source)
 
     checked: dict[bytes, tuple] = {}  # see _check_body
-    methods = []
-    seen: set[tuple[str, str]] = set()
+    methods: dict[tuple[str, str], MethodInfo] = {}
     for m_name, m_desc, m_flags, code_info, names in raw_methods:
-        if (m_name, m_desc) in seen:
+        if (m_name, m_desc) in methods:
             raise MalformedClassFile(f"duplicate method {m_name}{m_desc}", 0, source)
-        seen.add((m_name, m_desc))
-        body = None
-        lines: tuple[int, ...] = ()
+        operands, code_at, line_tables = (), 0, ()
         if code_info is not None:
-            code, code_base, lines = code_info
-            body = _new(MethodBody, (code, code_base, pool, bootstrap_methods,
-                                     _check_body(code, code_base, pool, bootstrap_methods,
-                                                 checked)))
-        methods.append(_new(MethodInfo, (m_name, m_desc, m_flags, lines, names, body)))
+            code, code_at, line_tables = code_info
+            operands = _check_body(code, code_at, pool, bootstrap_methods, checked)
+        methods[m_name, m_desc] = _new(MethodInfo, (m_name, m_desc, m_flags, names, operands, data,
+                                                    code_at, line_tables, bootstrap_at))
 
-    return ClassFile(
-        class_name=class_name,
-        super_name=super_name,
-        interfaces=tuple(interfaces),
-        access_flags=access_flags,
-        methods=tuple(methods),
-        source_file=source_file,
-        constant_pool=pool,
-        version=(major, minor),
-        attribute_names=tuple(class_attr_names),
-    )
+    return _new(ClassFile, (class_name, super_name, tuple(interfaces), access_flags, methods,
+                            source_file, (major, minor), tuple(class_attr_names),
+                            tuple(pool.classes), source, data))
 
 
 def render_method(cf: ClassFile, ref: MethodRef) -> str:
-    """Deterministic one-line-per-instruction listing of a method body. A
-    name or string holding an unpaired surrogate shows it as ``\\uXXXX``,
-    so the listing encodes as UTF-8."""
+    """Deterministic one-line-per-instruction listing of a method body,
+    decoded with the class's constant pool, which it decodes once. A name
+    or string holding an unpaired surrogate shows it as ``\\uXXXX``, so
+    the listing encodes as UTF-8."""
     if ref.in_class != cf.class_name:
         raise MethodNotFound(f"{ref.text} does not belong to {cf.class_name}")
-    method = cf.find_method(ref.name, ref.descriptor)
+    method = cf.methods.get((ref.name, ref.descriptor))
     if method is None:
         raise MethodNotFound(f"{cf.class_name} has no method {ref.name}{ref.descriptor}")
     lines = [ref.text]
     line_at = {}
     for start_pc, line in method.line_numbers:
         line_at.setdefault(start_pc, line)
-    for ins in method.instructions:
+    for ins in _decode(method, cf.constant_pool) if method.code_at else ():
         text = f"{ins.offset}: {ins.mnemonic}"
         if ins.operands:
             rendered = ", ".join(

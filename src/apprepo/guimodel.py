@@ -345,6 +345,6 @@ def link_event_handlers(m: GuiModel, h) -> list[HandlerBinding]:
     for element, _, _ in m.walk():
         for handler in element.event_handlers:
             cf = h.classes.get(handler)
-            methods = tuple(meth.ref(cf.class_name) for meth in cf.methods) if cf else ()
+            methods = tuple(meth.ref(cf.class_name) for meth in cf.methods.values()) if cf else ()
             bindings.append(HandlerBinding(element.id, handler, methods))
     return bindings

@@ -148,31 +148,36 @@ def read_classes(paths: list[str]) -> list[bytes]:
     return out
 
 
+def operands_of(method) -> tuple:
+    """The operands of a method with code: a revision keeps them in the
+    method, or in its ``body``."""
+    return method.operands if hasattr(method, "operands") else method.body.operands
+
+
+def code_of(method) -> bytes:
+    """The code array of a method with code: a revision decodes it from the
+    class's bytes, or keeps it in the method's ``body``."""
+    return method.code if hasattr(method, "code") else method.body.code
+
+
 def outcomes(paths: list[str], count: int, seed: int) -> dict[str, list[str]]:
     from apprepo.classfile import parser
     from damage import KINDS, damaged, outcome
 
-    if hasattr(parser, "resolved_operands"):  # a revision whose bodies keep no operands
-        def operands(body) -> list[tuple]:
-            return [(mnemonic, *fields[1:4])  # target, member, type_name
-                    for mnemonic, fields in parser.resolved_operands(body)]
-    else:
-        def operands(body) -> tuple:
-            return body.operands
-
     classes = class_files(paths)
-    return {kind: [outcome(parser.parse_class, data, operands)
+    return {kind: [outcome(parser.parse_class, data, operands_of)
                    for data in damaged(classes, kind, seed, count)] for kind in KINDS}
 
 
 def scan(paths: list[str], count: int, seed: int) -> dict[str, float]:
     from apprepo.classfile.opcodes import MNEMONICS
     from apprepo.classfile.parser import _scan, parse_class
+    from damage import methods_of
 
     worst = (bytes([MNEMONICS["lookupswitch"]]) + bytes(11)) * 5461 + bytes([MNEMONICS["return"]])
     classes = class_files(paths)
-    codes = [method.body.code for data in classes for method in parse_class(data).methods
-             if method.body is not None]
+    codes = [code_of(method) for data in classes for method in methods_of(parse_class(data))
+             if method.has_body]
     runs = {"scan_worst_ms": lambda: _scan(worst),
             "scan_all_ms": lambda: [_scan(code) for code in codes],
             "parse_all_ms": lambda: [parse_class(data) for data in classes]}
@@ -212,6 +217,7 @@ def pipeline(paths: list[str], count: int, seed: int) -> dict[str, float | int |
 
 def listing(paths: list[str], count: int, seed: int) -> dict[str, float | int | str]:
     from apprepo.classfile import parse_class, render_method
+    from damage import methods_of
 
     gc.disable()
     classes = [parse_class(data) for data in read_classes(paths)]
@@ -219,7 +225,7 @@ def listing(paths: list[str], count: int, seed: int) -> dict[str, float | int | 
     digest = hashlib.sha256()
     start = time.process_time()
     for cf in classes:
-        for method in cf.methods:
+        for method in methods_of(cf):
             digest.update(render_method(cf, method.ref(cf.class_name)).encode("utf-8"))
     render_s = time.process_time() - start
     return {"render_s": render_s, "parsed_mib": parsed_mib, "rendered_mib": resident_mib(),

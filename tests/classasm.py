@@ -308,6 +308,9 @@ class AsmMethod:
     # exception table entries over the whole code, handler at 0: a class
     # name, or a raw pool index written as it is (0 catches anything)
     catch_types: tuple[str | int, ...] = ()
+    # bytes cut from the end of the exception table; the Code payload then
+    # ends there, without its attribute count
+    exception_table_cut: int = 0
     # attributes inside Code after LineNumberTable: (name or raw pool index, payload)
     code_attributes: tuple[tuple[str | int, bytes], ...] = ()
     max_stack: int = 8
@@ -389,6 +392,9 @@ def _method_bytes(method: AsmMethod, pool: Pool, padding: dict[str, bytes]) -> b
         for catch in method.catch_types:
             catch_index = catch if isinstance(catch, int) else pool.klass(catch)
             body += struct.pack(">HHHH", 0, len(code), 0, catch_index)
+        if method.exception_table_cut:
+            body = body[:-method.exception_table_cut]
+            return out + struct.pack(">H", 1) + _attribute(pool, "Code", body, padding)
         code_attrs = []
         if method.lines:
             table = struct.pack(">H", len(method.lines))

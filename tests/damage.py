@@ -75,6 +75,20 @@ def _digest(value: object) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
+def methods_of(cf) -> list:
+    """The methods of a class, in file order: a revision keeps them in a
+    tuple, or in a dict keyed by name and descriptor."""
+    return list(cf.methods.values() if isinstance(cf.methods, dict) else cf.methods)
+
+
+def _method_form(method) -> tuple:
+    """A method's name, descriptor and flags, its line table flattened, its
+    attribute names, and its instructions."""
+    lines = tuple(field for pair in method.line_numbers for field in pair)
+    return ((method.name, method.descriptor, method.access_flags, lines,
+             method.attribute_names), method.instructions)
+
+
 def outcome(parse_class: Callable, data: bytes, operands: Callable | None = None) -> str:
     """What ``parse_class`` makes of ``data``: ``ok`` and a digest of the
     accepted class, or the offset and reason of its ``MalformedClassFile``
@@ -82,23 +96,24 @@ def outcome(parse_class: Callable, data: bytes, operands: Callable | None = None
     is ``raised`` with its type. Decoding an accepted class's bodies is
     part of the outcome: an error there is recorded as if parsing raised it.
 
-    The digest covers every compared field of the class and of each method,
-    decoded instructions included, so two revisions agree on it exactly
-    when they give equal classes. Given ``operands``, which maps a body to
-    its ``(mnemonic, target, member, type_name)`` tuples, an accepted
-    class's line also carries a digest of each method's, sorted: the call
-    graph closure reads those, not the instructions.
+    The digest covers the class's names, flags, source file, version and
+    attribute names, and each method's, with its decoded line table and
+    instructions. It reads only views that every revision of the class
+    model gives, so two revisions agree on it exactly when they decode
+    equal classes. Given ``operands``, which maps a method with code to its
+    ``(mnemonic, target, member, type_name)`` tuples, an accepted class's
+    line also carries a digest of each method's, sorted: the call graph
+    closure reads those, not the instructions.
     """
     try:
         cf = parse_class(data, "damaged.class")
+        methods = methods_of(cf)
         form = (cf.class_name, cf.super_name, cf.interfaces, cf.access_flags, cf.source_file,
-                cf.version, cf.attribute_names,
-                tuple((tuple(m[:5]), m.instructions) for m in cf.methods))
+                cf.version, cf.attribute_names, tuple(map(_method_form, methods)))
         line = "ok " + _digest(form)
         if operands is not None:
-            line += " " + _digest(tuple(() if m.body is None else
-                                        sorted(map(repr, operands(m.body)))
-                                        for m in cf.methods))
+            line += " " + _digest(tuple(sorted(map(repr, operands(m))) if m.has_body else ()
+                                        for m in methods))
     except Exception as exc:  # noqa: BLE001 - the outcome records it
         if type(exc).__name__ == "MalformedClassFile":
             return f"{exc.offset} {exc.reason}"

@@ -6,7 +6,6 @@ import random
 
 from apprepo.callgraph import CallGraph, ClassHierarchy, hierarchy_from_classes
 from apprepo.classfile import ClassFile, MethodInfo, MethodRef
-from apprepo.classfile.constant_pool import ConstantPool
 from apprepo.classfile.parser import ACC_ABSTRACT, ACC_INTERFACE, ACC_PUBLIC
 from apprepo.guimodel import GuiElement, GuiModel, synthetic_root
 
@@ -14,26 +13,21 @@ METHOD_NAMES = ["m", "run", "size", "close"]
 DESCRIPTORS = ["()V", "(I)I", "()Ljava/lang/String;"]
 
 
-def _empty_pool() -> ConstantPool:
-    return ConstantPool([0], [None])
-
-
 def make_class(name: str, super_name: str | None, interfaces=(),
                method_sigs=(), is_interface=False) -> ClassFile:
     """Construct an in-memory ClassFile carrying only hierarchy-relevant data."""
     flags = ACC_PUBLIC | (ACC_INTERFACE | ACC_ABSTRACT if is_interface else 0)
-    methods = []
+    methods = {}
     for m_name, m_desc, abstract in method_sigs:
         m_flags = ACC_PUBLIC | (ACC_ABSTRACT if abstract else 0)
-        methods.append(MethodInfo(m_name, m_desc, m_flags))
+        methods[m_name, m_desc] = MethodInfo(m_name, m_desc, m_flags)
     return ClassFile(
         class_name=name,
         super_name=super_name,
         interfaces=tuple(interfaces),
         access_flags=flags,
-        methods=tuple(methods),
+        methods=methods,
         source_file=None,
-        constant_pool=_empty_pool(),
     )
 
 

@@ -67,7 +67,7 @@ class TraceInterpreter:
             return
         if cf.super_name:
             self.ensure_initialized(cf.super_name)
-        if cf.find_method("<clinit>", "()V") is not None:
+        if ("<clinit>", "()V") in cf.methods:
             ref = MethodRef(class_name, "<clinit>", "()V")
             self.edges.append(("<vm>", ref.text, "clinit"))
             self.execute(ref, [])
@@ -77,7 +77,7 @@ class TraceInterpreter:
         current = runtime_class
         while current is not None and current in self.h.classes:
             cf = self.h.classes[current]
-            method = cf.find_method(name, desc)
+            method = cf.methods.get((name, desc))
             if method is not None and method.has_body:
                 return MethodRef(current, name, desc)
             current = cf.super_name
@@ -114,7 +114,7 @@ class TraceInterpreter:
 
     def execute(self, ref: MethodRef, args: list):
         cf = self.h.classes[ref.in_class]
-        method = cf.find_method(ref.name, ref.descriptor)
+        method = cf.methods.get((ref.name, ref.descriptor))
         assert method is not None and method.has_body, ref.text
         instructions = method.instructions
         index_of = {ins.offset: i for i, ins in enumerate(instructions)}

@@ -30,12 +30,12 @@ class Site(NamedTuple):
 def invoke_sites(cf: ClassFile) -> list[Site]:
     """All invoke-family sites of a class, in (method, offset) order."""
     return [Site(method.ref(cf.class_name), _SITE_KINDS[ins.mnemonic], ins.target, ins.offset)
-            for method in cf.methods for ins in method.instructions
+            for method in cf.methods.values() for ins in method.instructions
             if ins.mnemonic in _SITE_KINDS]
 
 
 def _declares(cf: ClassFile, name: str, desc: str) -> bool:
-    return any(m.name == name and m.descriptor == desc for m in cf.methods)
+    return (name, desc) in cf.methods
 
 
 def oracle_lookup(classes: dict[str, ClassFile], cls: str, name: str,

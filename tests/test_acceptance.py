@@ -58,7 +58,7 @@ def test_criterion_1_classfile_parsing_fidelity(corpus):
         for spec in specs:
             cf = parse_class(assemble_class(spec))
             assert len(cf.methods) == len(spec.methods), spec.name
-            for parsed, want in zip(cf.methods, spec.methods):
+            for parsed, want in zip(cf.methods.values(), spec.methods):
                 assert (parsed.name, parsed.descriptor) == (want.name, want.desc)
                 parse_descriptor(parsed.descriptor)
                 assert [i.mnemonic for i in parsed.instructions] == want.mnemonics()

@@ -89,7 +89,7 @@ def test_duplicates_recorded_application_first(corpus, hierarchy):
     assert providers == [str(corpus.paths["application"]), str(corpus.paths["library"])]
     # application version shadows the library one for parsing
     dup = hierarchy.classes["fix/Dup"]
-    tag = dup.find_method("tag", "()I")
+    tag = dup.methods.get(("tag", "()I"))
     assert [i.mnemonic for i in tag.instructions] == ["iconst_2", "ireturn"]
 
 

@@ -24,7 +24,6 @@ from apprepo.classfile.parser import (
     _FORMS,
     _RESOLVED,
     Instruction,
-    MethodBody,
     _check_body,
     disassemble,
 )
@@ -46,7 +45,7 @@ def test_minimal_class():
     cf = parse_class(simple_class())
     assert cf.class_name == "A"
     assert cf.super_name == "java/lang/Object"
-    assert cf.methods == ()
+    assert cf.methods == {}
     assert cf.interfaces == ()
 
 
@@ -94,7 +93,7 @@ def test_two_method_fixture_has_exactly_declared_methods():
         AsmMethod("a", "()V", ACC_PUBLIC, [("return",)]),
     ])
     cf = parse_class(data)
-    assert [(m.name, m.descriptor) for m in cf.methods] == [
+    assert [(m.name, m.descriptor) for m in cf.methods.values()] == [
         ("<init>", "()V"), ("main", "([Ljava/lang/String;)V"), ("a", "()V")]
 
 
@@ -355,7 +354,7 @@ def test_exception_table_catch_types_parse():
     data = simple_class("P", methods=[
         AsmMethod("m", "()V", ACC_PUBLIC, [("return",)],
                   catch_types=("java/lang/Exception", 0))])
-    assert parse_class(data).find_method("m", "()V").instructions[0].mnemonic == "return"
+    assert parse_class(data).methods["m", "()V"].instructions[0].mnemonic == "return"
 
 
 @pytest.mark.parametrize("catch_type", [0, 999])
@@ -376,6 +375,27 @@ def test_exception_table_entry_must_lie_within_the_code(pcs, catch_type):
     assert err.value.reason == (f"exception handler {pcs[0]}..{pcs[1]} -> {pcs[2]}"
                                 " does not fit code of length 1")
     assert err.value.offset == at
+
+
+@pytest.mark.parametrize("cut", [1, 2], ids=["one-catch-type-byte", "no-catch-type"])
+@pytest.mark.parametrize("pcs", [(0, 0, 0), (0, 9, 0), (0, 1, 50), (0, 1, 0)],
+                         ids=["empty-range", "end-past-code", "handler-past-code", "fits"])
+def test_exception_table_entry_cut_after_its_handler_pc(pcs, cut):
+    """The fields of a last entry that is cut short in its catch type are
+    checked as they are read: a bad range is reported at the entry's file
+    offset, and only a good one as the truncation at its catch type."""
+    data = simple_class("P", methods=[AsmMethod("m", "()V", ACC_PUBLIC, [("return",)],
+                                                catch_types=(0,), exception_table_cut=cut)])
+    at = data.index(b"\xb1\x00\x01" + struct.pack(">HHH", 0, 1, 0)) + 3
+    damaged = data[:at] + struct.pack(">HHH", *pcs) + data[at + 6:]
+    with pytest.raises(MalformedClassFile) as err:
+        parse_class(damaged)
+    if pcs == (0, 1, 0):
+        assert (err.value.reason, err.value.offset) == ("truncated class file", at + 6)
+    else:
+        assert err.value.reason == (f"exception handler {pcs[0]}..{pcs[1]} -> {pcs[2]}"
+                                    " does not fit code of length 1")
+        assert err.value.offset == at
 
 
 # where the fixture writes the bad index, and how far from the end of the
@@ -520,7 +540,7 @@ def test_modified_utf8_string_constant(text):
         AsmMethod("m", "()V", ACC_PUBLIC, [("ldc_str", text), ("pop",), ("return",)])])
     if text == "a\u0000b\U0001F600":
         assert b"a\xc0\x80b\xed\xa0\xbd\xed\xb8\x80" in data
-    (ldc, *_) = parse_class(data).find_method("m", "()V").instructions
+    (ldc, *_) = parse_class(data).methods["m", "()V"].instructions
     assert ldc.literal == text
 
 
@@ -543,7 +563,7 @@ def test_code_length_outside_1_to_65535_is_malformed(length):
     def assemble(code: list) -> bytes:
         return simple_class("p/A", methods=[AsmMethod("m", "()V", ACC_PUBLIC, code)])
 
-    code_at = parse_class(assemble([("return",)])).methods[0].body.file_base
+    code_at = parse_class(assemble([("return",)])).methods["m", "()V"].code_at
     data = assemble([("raw", bytes(length))])
     with pytest.raises(MalformedClassFile) as err:
         parse_class(data)
@@ -555,7 +575,7 @@ def test_code_length_outside_1_to_65535_is_malformed(length):
 def test_code_length_65535_parses():
     data = simple_class("p/A", methods=[
         AsmMethod("m", "()V", ACC_PUBLIC, [("raw", bytes(65534)), ("return",)])])
-    assert len(parse_class(data).methods[0].body.code) == 65535
+    assert len(parse_class(data).methods["m", "()V"].code) == 65535
 
 
 JUNK = b"\xde\xad\xbe"
@@ -627,8 +647,8 @@ def test_source_file_attribute():
 
 FIXTURE_CLASSES = fixture_classes()
 # (class bytes, start, end) of every code array of the fixture classes
-FIXTURE_CODE = [(data, m.body.file_base, m.body.file_base + len(m.body.code))
-                for data in FIXTURE_CLASSES for m in parse_class(data).methods if m.body]
+FIXTURE_CODE = [(data, m.code_at, m.code_at + len(m.code))
+                for data in FIXTURE_CLASSES for m in parse_class(data).methods.values() if m.code_at]
 
 
 def pool_entries_end(data: bytes) -> int:
@@ -676,7 +696,7 @@ def test_damaged_class_parses_or_raises_malformed(data):
         assert exc.source == "fuzz.class"
         assert 0 <= exc.offset <= len(data)
         return
-    for method in cf.methods:  # decoding a body that parse_class accepted cannot fail
+    for method in cf.methods.values():  # decoding a body that parse_class accepted cannot fail
         offsets = [ins.offset for ins in method.instructions]
         assert offsets == sorted(set(offsets)) and offsets[:1] in ([], [0])
 
@@ -690,19 +710,20 @@ SCAN_CLASS = AsmClass("p/S", bootstrap_methods=(("p/B", "bsm", "()V"),), methods
         ("getstatic", "p/S", "f", "I"), ("invokevirtual", "p/S", "v", "()V"),
         ("invokeinterface", "p/I", "i", "()V", 1), ("invokedynamic", "run", "()V", 0),
         ("new", "p/S"), ("multianewarray", "[[I", 2), ("return",)])])
-SCAN_BODY = parse_class(assemble_class(SCAN_CLASS), "s.class").methods[0].body
-SCAN_POOL_SIZE = len(SCAN_BODY.pool.tags)
+SCAN_POOL = parse_class(assemble_class(SCAN_CLASS), "s.class").constant_pool
+SCAN_BOOTSTRAPS = list(SCAN_CLASS.bootstrap_methods)
+SCAN_POOL_SIZE = len(SCAN_POOL.tags)
 
 
 def decode(code: bytes) -> tuple[Instruction, ...]:
     """The reference decoder's instructions of ``code`` at file offset 100
     in SCAN_CLASS."""
-    return disassemble(MethodBody(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, ()))
+    return disassemble(code, 100, SCAN_POOL, SCAN_BOOTSTRAPS)
 
 
 def check(code: bytes) -> tuple:
     """The body check's operands of ``code`` at file offset 100 in SCAN_CLASS."""
-    return _check_body(code, 100, SCAN_BODY.pool, SCAN_BODY.bootstrap_methods, {})
+    return _check_body(code, 100, SCAN_POOL, SCAN_BOOTSTRAPS, {})
 
 
 def scan_outcome(read, code: bytes) -> tuple:
@@ -733,7 +754,7 @@ def _names_a_valid_entry(opcode: int, index: int) -> bool:
     return scan_outcome(decode, code)[0] is None
 
 
-# pool-indexed opcode -> the pool indices it may name in SCAN_BODY's pool
+# pool-indexed opcode -> the pool indices it may name in SCAN_POOL
 SCAN_INDICES = {opcode: [index for index in range(SCAN_POOL_SIZE)
                          if _names_a_valid_entry(opcode, index)]
                 for opcode, (_, fmt) in OPCODES.items()
@@ -813,7 +834,7 @@ def _switch(code: bytearray, mnemonic: str, *operands: int) -> bytearray:
 
 def _pooled(name: str, i: int = 0) -> bytes:
     """A ``name`` instruction naming the ``i``-th entry (cyclically) that it
-    may name in SCAN_BODY's pool."""
+    may name in SCAN_POOL."""
     opcode = MNEMONICS[name]
     indices = SCAN_INDICES[opcode]
     return bytes([opcode]) + indices[i % len(indices)].to_bytes(_FORMS[opcode][2] - 1, "big")
@@ -871,7 +892,7 @@ def test_bodies_share_their_class_key_objects():
     cf = parse_class(simple_class("p/S", methods=[
         AsmMethod(name, "()V", ACC_PUBLIC | ACC_STATIC, [call, ("return",)])
         for name in ("a", "b")]))
-    (first,), (second,) = (method.body.operands for method in cf.methods)
+    (first,), (second,) = (method.operands for method in cf.methods.values())
     # one object for both bodies
     assert first == ("invokestatic", ("p/S", "v", "()V"), None, None)
     assert first is second
@@ -886,10 +907,10 @@ def test_corpus_matches_assembled_ground_truth(corpus):
         assert cf.class_name == spec.name
         assert cf.super_name == spec.super_name
         assert cf.interfaces == spec.interfaces
-        got_methods = [(m.name, m.descriptor) for m in cf.methods]
+        got_methods = [(m.name, m.descriptor) for m in cf.methods.values()]
         want_methods = [(m.name, m.desc) for m in spec.methods]
         assert got_methods == want_methods, spec.name
-        for parsed, want in zip(cf.methods, spec.methods):
+        for parsed, want in zip(cf.methods.values(), spec.methods):
             assert [i.mnemonic for i in parsed.instructions] == want.mnemonics(), \
                 f"{spec.name}.{want.name}"
             assert parsed.line_numbers == tuple(want.lines)
@@ -925,7 +946,7 @@ def test_zero_and_negative_zero_constants_differ(load):
 def test_offsets_strictly_increasing_from_zero(corpus):
     for spec in corpus.all_specs():
         cf = parse_class(assemble_class(spec))
-        for method in cf.methods:
+        for method in cf.methods.values():
             offsets = [i.offset for i in method.instructions]
             if offsets:
                 assert offsets[0] == 0
@@ -935,7 +956,7 @@ def test_offsets_strictly_increasing_from_zero(corpus):
 def test_abstract_methods_have_no_instructions(corpus):
     cf = parse_class(assemble_class(corpus.spec("fix/Shape")))
     assert cf.is_interface
-    for method in cf.methods:
+    for method in cf.methods.values():
         assert method.is_abstract
         assert method.instructions == ()
 
@@ -1022,7 +1043,7 @@ def test_site_count_matches_invoke_opcode_count(corpus):
 def test_sites_in_method_offset_order(corpus):
     cf = parse_class(assemble_class(corpus.spec("fix/App")))
     sites = invoke_sites(cf)
-    method_order = [(m.name, m.descriptor) for m in cf.methods]
+    method_order = [(m.name, m.descriptor) for m in cf.methods.values()]
     keys = [(method_order.index((s.caller.name, s.caller.descriptor)), s.offset)
             for s in sites]
     assert keys == sorted(keys)
@@ -1075,6 +1096,20 @@ def test_render_line_annotations(corpus):
     assert "invokestatic fix/Util.b()V" in listing
 
 
+def test_line_tables_are_read_in_order_among_the_code_attributes():
+    """A Code attribute may hold several LineNumberTable attributes among
+    others (JVMS §4.7.12): their entries are read in order, and an
+    attribute of another name is stepped over."""
+    cf = parse_class(simple_class("L", methods=[AsmMethod(
+        "m", "()V", ACC_PUBLIC, [("nop",), ("nop",), ("return",)], lines=((0, 3),),
+        catch_types=(0,), code_attributes=(("Vendor", b"\x00\x02\x00\x07"),
+                                           ("LineNumberTable", struct.pack(">HHH", 1, 2, 4))))]))
+    method = cf.methods["m", "()V"]
+    assert method.line_numbers == ((0, 3), (2, 4))
+    assert render_method(cf, MethodRef("L", "m", "()V")) == (
+        "L.m()V\n0: nop  // line 3\n1: nop\n2: return  // line 4\n")
+
+
 def test_render_unknown_method():
     cf = parse_class(simple_class())
     with pytest.raises(MethodNotFound):
@@ -1087,7 +1122,7 @@ def test_render_pool_closure(corpus):
     # every operand of every corpus method renders without dangling refs
     for spec in corpus.all_specs():
         cf = parse_class(assemble_class(spec))
-        for method in cf.methods:
+        for method in cf.methods.values():
             listing = render_method(cf, method.ref(cf.class_name))
             assert listing.startswith(f"{cf.class_name}.{method.name}")
 
@@ -1119,7 +1154,7 @@ def test_switch_payloads_decoded(corpus):
     #   56 bipush 10; 58 ireturn; 59 bipush 99; 61 ireturn;
     #   62 iconst_m1; 63 ireturn
     cf = parse_class(assemble_class(corpus.spec("fix/App")))
-    method = cf.find_method("pick", "(I)I")
+    method = cf.methods["pick", "(I)I"]
     table = next(i for i in method.instructions if i.mnemonic == "tableswitch")
     assert table.offset == 1
     assert table.operands == ("default=28", "low=0", "high=1", "targets=24,26")
@@ -1130,7 +1165,7 @@ def test_switch_payloads_decoded(corpus):
 
 def test_wide_constant_literals(corpus):
     cf = parse_class(assemble_class(corpus.spec("fix/App")))
-    method = cf.find_method("constants", "()V")
+    method = cf.methods["constants", "()V"]
     ldc2 = [i for i in method.instructions if i.mnemonic == "ldc2_w"]
     assert ldc2[0].literal == 1234567890123
     assert ldc2[1].literal == 2.5
@@ -1176,7 +1211,7 @@ def test_ldc_loads_a_dynamic_constant_of_its_width():
                          ("ldc2_dynamic", 0, "d", "D"), ("pop2",))
     cf = parse_class(data)
     assert cf.version == (55, 0)
-    method = cf.find_method("m", "()V")
+    method = cf.methods["m", "()V"]
     loads = [(i.mnemonic, i.operands, i.literal) for i in method.instructions
              if i.mnemonic.startswith("ldc")]
     assert loads == [("ldc", ("condy[0] i:I",), None),
@@ -1185,7 +1220,7 @@ def test_ldc_loads_a_dynamic_constant_of_its_width():
     dynamic = [e.value for e in slots(cf.constant_pool) if e is not None and e.tag == 17]
     assert sorted(dynamic) == [(0, "d", "D"), (0, "i", "I"), (0, "j", "J"),
                                (0, "s", "Ljava/lang/String;")]
-    assert sorted(op[0] for op in method.body.operands) == ["ldc", "ldc2_w", "ldc2_w", "ldc_w"]
+    assert sorted(op[0] for op in method.operands) == ["ldc", "ldc2_w", "ldc2_w", "ldc_w"]
 
 
 @pytest.mark.parametrize("op,desc", [("ldc_dynamic", "J"), ("ldc_w_dynamic", "D"),
@@ -1229,12 +1264,12 @@ def test_bootstrap_argument_may_name_a_dynamic_constant():
     cf = parse_class(data)
     assert [e.value for e in slots(cf.constant_pool) if e is not None and e.tag == 17] == [
         (0, "arg", "Ljava/lang/Object;")]
-    assert cf.find_method("m", "()V").instructions[0].target == MethodRef(*BSM)
+    assert cf.methods["m", "()V"].instructions[0].target == MethodRef(*BSM)
 
 
 def test_module_info_class_parses_without_a_superclass():
     cf = parse_class(module_class())
-    assert (cf.class_name, cf.super_name, cf.methods) == ("module-info", None, ())
+    assert (cf.class_name, cf.super_name, cf.methods) == ("module-info", None, {})
     assert cf.is_module
     assert cf.attribute_names == ("Module", "ModulePackages")
     assert sorted(e for e in slots(cf.constant_pool) if e is not None and e.tag in (19, 20)
@@ -1311,7 +1346,7 @@ def test_javac_release_17_record_and_string_concatenation(tmp_path):
     assert (cf.class_name, cf.super_name, cf.version[0]) == ("Point", "java/lang/Record", 61)
     assert "Record" in cf.attribute_names
     bootstraps = {m.name: {i.target for i in m.instructions if i.mnemonic == "invokedynamic"}
-                  for m in cf.methods}
+                  for m in cf.methods.values()}
     objects = MethodRef("java/lang/runtime/ObjectMethods", "bootstrap",
                         "(Ljava/lang/invoke/MethodHandles$Lookup;Ljava/lang/String;"
                         "Ljava/lang/invoke/TypeDescriptor;Ljava/lang/Class;Ljava/lang/String;"

@@ -154,12 +154,13 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
     build_callgraph = apprepo.callgraph.build_callgraph
 
     def counted_check_body(code, file_base, pool, *args):
-        checked.append((code, file_base, pool))
-        return check_body(code, file_base, pool, *args)
+        operands = check_body(code, file_base, pool, *args)
+        checked.append((code, file_base, pool, operands))
+        return operands
 
-    def counted_disassemble(body):
-        decoded.append(body)
-        return disassemble(body)
+    def counted_disassemble(*args):
+        decoded.append(args)
+        return disassemble(*args)
 
     def counted_scan(code):
         scanned.append(code)
@@ -184,17 +185,18 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
         assert main(argv) == 0, command
         assert checked, command
         # a body is its class's pool and its code array's place in the file
-        bodies_checked = {(id(pool), file_base) for _, file_base, pool in checked}
+        bodies_checked = {(id(pool), file_base) for _, file_base, pool, _ in checked}
         assert len(bodies_checked) == len(checked), command
         # each checked body's code array is scanned once, and nothing else is
-        assert sorted(map(id, scanned)) == sorted(id(code) for code, _, _ in checked), command
+        assert sorted(map(id, scanned)) == sorted(id(code) for code, *_ in checked), command
         assert decoded == [], command
         if command == "build":
-            # the closure reads the operands of bodies that this build checked
+            # the closure reads the operands that this build's body checks found
             (h, graph), = closures
             assert graph.calls
-            bodies = [m.body for cf in h.classes.values() for m in cf.methods if m.body]
-            assert {(id(body.pool), body.file_base) for body in bodies} <= bodies_checked
+            kept = [m.operands for cf in h.classes.values() for m in cf.methods.values()
+                    if m.code_at]
+            assert {id(operands) for operands in kept} <= {id(found) for *_, found in checked}
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])

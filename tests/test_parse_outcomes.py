@@ -118,10 +118,10 @@ def assert_operands_are_decoded(classes: list[bytes]) -> None:
     ``(mnemonic, target, member, type_name)`` of each distinct pool-indexed
     instruction that the reference decoder decodes in it."""
     for data in classes:
-        for method in parse_class(data).methods:
-            if method.body is not None:
-                assert Counter(method.body.operands) == decoded_operands(
-                    method.body.code, method.instructions), method.name
+        for method in parse_class(data).methods.values():
+            if method.code_at:
+                assert Counter(method.operands) == decoded_operands(
+                    method.code, method.instructions), method.name
 
 
 def test_jdk_body_keys_are_the_decoded_pool_instructions(jdk_golden):

@@ -1,6 +1,7 @@
 """The record types: read-only where frozen, checked where outside input enters, compared
 by value."""
 
+import dataclasses
 from datetime import date
 from pathlib import Path
 
@@ -9,7 +10,6 @@ import pytest
 import apprepo.classfile.parser as parser
 from apprepo.callgraph import ClassHierarchy, ClasspathPartition
 from apprepo.classfile import parse_class
-from apprepo.classfile.constant_pool import ConstantPool
 from apprepo.errors import ReportItem
 from apprepo.guimodel import GuiElement, GuiModel, HandlerBinding, synthetic_root
 from apprepo.metrics import VersionMetrics
@@ -22,15 +22,15 @@ RUN = AsmMethod("run", "()V", code=[("ldc_str", "hi"), ("pop",),
                 lines=((0, 3), (3, 4)))
 
 
-def parsed(fields=()) -> parser.ClassFile:
-    return parse_class(assemble_class(AsmClass("p/C", fields=fields, methods=[RUN])))
+def parsed(fields=(), method=RUN) -> parser.ClassFile:
+    return parse_class(assemble_class(AsmClass("p/C", fields=fields, methods=[method])))
 
 
 def frozen_records():
     cf = parsed()
     element = GuiElement("w", "JFrame", is_window=True)
     return [
-        cf, cf.methods[0],
+        cf, cf.methods["run", "()V"],
         ClasspathPartition.of(application=["app"]),
         element, GuiModel(synthetic_root((element,)), "ripper"),
         HandlerBinding("w", "p/H"),
@@ -53,11 +53,11 @@ def test_frozen_records_refuse_assignment(record):
         del record.unknown
 
 
-def test_cached_reads_refuse_assignment_and_deletion():
+def test_decoded_views_refuse_assignment_and_deletion():
     cf = parsed()
-    method = cf.methods[0]
+    method = cf.methods["run", "()V"]
     for record, name in ((method, "instructions"), (method, "line_numbers"),
-                         (cf, "_methods_by_key")):
+                         (method, "code"), (cf, "constant_pool")):
         getattr(record, name)
         with pytest.raises(AttributeError):
             setattr(record, name, ())
@@ -80,40 +80,80 @@ def test_records_are_checked_where_input_enters_not_when_built():
     assert partition.library == partition.application == (Path("x.jar"),)
 
 
-def test_method_equality_compares_decoded_instructions_not_body_bytes():
-    plain = parsed().methods[0]
-    shifted = parsed(fields=(("f", "I", 0),)).methods[0]  # every pool index moves
-    assert plain.body.code != shifted.body.code
-    assert plain == shifted and not plain != shifted
-    assert hash(plain) == hash(shifted)
+def test_methods_compare_by_their_class_bytes():
+    plain = parsed().methods["run", "()V"]
+    shifted = parsed(fields=(("f", "I", 0),)).methods["run", "()V"]  # every pool index moves
+    assert plain.code != shifted.code and plain.instructions == shifted.instructions
+    assert plain != shifted and not plain == shifted
+    again = parsed().methods["run", "()V"]
+    assert plain == again and not plain != again and hash(plain) == hash(again)
     other = plain._replace(access_flags=plain.access_flags | parser.ACC_FINAL)
     assert plain != other and not plain == other
-    assert plain != parser.MethodInfo("run", "()V", plain.access_flags, plain.line_table,
-                                      plain.attribute_names)  # no body: no instructions
 
 
-def test_class_equality_ignores_the_constant_pool():
+def test_equal_bytes_give_equal_classes():
     first, second = parsed(), parsed()
-    assert first.constant_pool is not second.constant_pool
-    assert first == second and hash(first) == hash(second)
-    emptied = first._replace(constant_pool=ConstantPool([0], [None]))
-    assert emptied == first and hash(emptied) == hash(first)
+    assert first == second and not first != second
+    assert first.data is not second.data
     assert first._replace(source_file="C.java") != first
-    assert "constant_pool" not in repr(first) and "body" not in repr(first.methods[0])
+    relined = parsed(method=dataclasses.replace(RUN, lines=((0, 3), (3, 5))))  # one line differs
+    assert relined.methods["run", "()V"].instructions == first.methods["run", "()V"].instructions
+    assert relined != first and not relined == first
 
 
-def test_listing_views_decode_on_read_and_the_method_index_is_kept():
+def test_model_fields_are_the_checked_and_read_facts():
+    assert parser.ClassFile._fields == (
+        "class_name", "super_name", "interfaces", "access_flags", "methods", "source_file",
+        "version", "attribute_names", "pool_classes", "source", "data")
+    assert parser.MethodInfo._fields == (
+        "name", "descriptor", "access_flags", "attribute_names", "operands", "data",
+        "code_at", "line_tables", "bootstrap_at")
+
+
+def reachable_bytes(value: object) -> list:
+    """Every bytes-like object inside ``value``, through its tuples, lists,
+    sets and dicts."""
+    found, work = [], [value]
+    while work:
+        value = work.pop()
+        if isinstance(value, (bytes, bytearray, memoryview)):
+            found.append(value)
+        elif isinstance(value, dict):
+            work += [*value.keys(), *value.values()]
+        elif isinstance(value, (tuple, list, set, frozenset)):
+            work += value
+    return found
+
+
+def test_a_method_holds_no_bytes_but_its_class_file():
+    cf = parse_class(assemble_class(AsmClass(
+        "p/C", bootstrap_methods=(("p/B", "bsm", "()V"),), methods=[
+            RUN, AsmMethod("dyn", "()V", code=[("invokedynamic", "run", "()V", 0), ("return",)],
+                           lines=((0, 1),)),
+            AsmMethod("abs", "()V", parser.ACC_ABSTRACT | parser.ACC_PUBLIC)])))
+    for method in cf.methods.values():
+        found = reachable_bytes(method)
+        assert found and all(value is cf.data for value in found), method.name
+    assert all(value is cf.data for value in reachable_bytes(cf))
+
+
+def test_views_decode_from_the_bytes_on_each_read_and_the_method_index_is_kept():
     cf = parsed()
-    method = cf.methods[0]
+    method = cf.methods["run", "()V"]
     assert [i.mnemonic for i in method.instructions] == ["ldc", "pop", "invokestatic",
                                                          "return"]
     assert method.line_numbers == ((0, 3), (3, 4))
-    assert cf.find_method("run", "()V") is method
-    assert cf._methods_by_key is cf._methods_by_key
+    assert method.code == cf.data[method.code_at:method.code_at + 7]
+    for view in ("instructions", "line_numbers", "code"):
+        assert getattr(method, view) is not getattr(method, view), view
+    assert cf.constant_pool is not cf.constant_pool
+    assert [name for tag, name in zip(cf.constant_pool.tags, cf.constant_pool.values)
+            if tag == 7] == list(cf.pool_classes)
+    assert list(cf.methods) == [("run", "()V")] and cf.methods["run", "()V"] is method
 
 
 def test_a_method_keeps_no_decoded_listing():
-    method = parsed().methods[0]
+    method = parsed().methods["run", "()V"]
     assert method.instructions and method.line_numbers
     assert not hasattr(method, "__dict__")
 
