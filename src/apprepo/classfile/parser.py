@@ -736,8 +736,11 @@ def _check_line_table(data: bytes, start: int, stop: int, code_length: int, code
                 raise MalformedClassFile("line number must be positive", code_attr, source)
             if start_pc > code_length:
                 raise MalformedClassFile("line table offset beyond code", code_attr, source)
-    if whole < count:
-        raise _short(data, stop, pos + 4 * whole, (None, None), source)
+    if whole < count:  # the last entry is cut short: check its start_pc if it fits
+        cut = pos + 4 * whole
+        if cut + 2 <= stop and (data[cut] << 8 | data[cut + 1]) > code_length:
+            raise MalformedClassFile("line table offset beyond code", code_attr, source)
+        raise _short(data, stop, cut, (None, None), source)
     if pos + 4 * count != stop:
         raise _unread("LineNumberTable", start, pos + 4 * count, stop, source)
 
@@ -770,8 +773,14 @@ def _parse_code_attribute(data: bytes, start: int, stop: int, pool: ConstantPool
             if catch_type:
                 _ref(pool.class_name, catch_type, entry + 6, source)
         pos += 8 * count
-        if pos > stop:  # an entry whose pcs do not all fit
-            raise _short(data, stop, entries.start + 8 * len(entries), (None, None), source)
+        if pos > stop:  # an entry whose pcs do not all fit: check those that do
+            cut = entries.start + 8 * len(entries)
+            pcs = _u2s((stop - cut) // 2)(data, cut)  # start_pc, and end_pc if it fits
+            if pcs and not pcs[0] < (pcs[1:] or (code_length,))[0] <= code_length:
+                raise MalformedClassFile(
+                    f"exception handler {pcs[0]}..{''.join(map(str, pcs[1:]))}"
+                    f" does not fit code of length {code_length}", cut, source)
+            raise _short(data, stop, cut, (None, None), source)
     if pos + 2 > stop:
         raise MalformedClassFile(_TRUNCATED, pos, source)
     count = data[pos] << 8 | data[pos + 1]  # attributes_count
@@ -870,7 +879,6 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
     # methods: structure first; bodies checked after class attributes are
     # read, since invokedynamic operands need BootstrapMethods
     raw_methods = []
-    attribute_names: dict[tuple[str, ...], tuple[str, ...]] = {}  # one tuple for equal names
     count, pos = _u2(data, pos, end, source)
     if module and count:
         raise module_error(f"declares methods: {count}")
@@ -893,9 +901,7 @@ def parse_class(data: bytes, source: str | None = None) -> ClassFile:
         if not abstract_or_native and code_info is None:
             raise MalformedClassFile(f"method {m_name}{m_desc} lacks a Code attribute",
                                      pos, source)
-        shared = tuple(names)
-        raw_methods.append((intern(m_name), intern(m_desc), m_flags, code_info,
-                            attribute_names.setdefault(shared, shared)))
+        raw_methods.append((intern(m_name), intern(m_desc), m_flags, code_info, tuple(names)))
 
     bootstrap_methods: list[tuple[str, str, str]] = []
     bootstrap_at = 0

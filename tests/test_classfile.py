@@ -377,25 +377,56 @@ def test_exception_table_entry_must_lie_within_the_code(pcs, catch_type):
     assert err.value.offset == at
 
 
-@pytest.mark.parametrize("cut", [1, 2], ids=["one-catch-type-byte", "no-catch-type"])
-@pytest.mark.parametrize("pcs", [(0, 0, 0), (0, 9, 0), (0, 1, 50), (0, 1, 0)],
-                         ids=["empty-range", "end-past-code", "handler-past-code", "fits"])
-def test_exception_table_entry_cut_after_its_handler_pc(pcs, cut):
-    """The fields of a last entry that is cut short in its catch type are
-    checked as they are read: a bad range is reported at the entry's file
-    offset, and only a good one as the truncation at its catch type."""
+@pytest.mark.parametrize("cut", range(1, 9))
+@pytest.mark.parametrize("pcs,bad_after", [((0, 0, 0), 2), ((0, 9, 0), 2), ((7, 9, 0), 1),
+                                           ((0, 1, 50), 3), ((0, 1, 0), None)],
+                         ids=["empty-range", "end-past-code", "start-past-code",
+                              "handler-past-code", "fits"])
+def test_exception_table_entry_cut_short(pcs, bad_after, cut):
+    """The fields of a last entry that is cut short are checked as they are
+    read: once the pcs that fit (``bad_after`` of them) already break
+    ``start_pc < end_pc <= code_length`` or ``handler_pc < code_length``,
+    that is reported at the entry's file offset, with the pcs it read;
+    otherwise the truncation at the first field that does not fit."""
     data = simple_class("P", methods=[AsmMethod("m", "()V", ACC_PUBLIC, [("return",)],
                                                 catch_types=(0,), exception_table_cut=cut)])
-    at = data.index(b"\xb1\x00\x01" + struct.pack(">HHH", 0, 1, 0)) + 3
-    damaged = data[:at] + struct.pack(">HHH", *pcs) + data[at + 6:]
+    kept = min(6, 8 - cut)  # bytes of the entry's pcs left in the file
+    at = data.index(b"\xb1\x00\x01" + struct.pack(">HHH", 0, 1, 0)[:kept]) + 3
+    damaged = data[:at] + struct.pack(">HHH", *pcs)[:kept] + data[at + kept:]
+    read = kept // 2  # the pcs that fit
     with pytest.raises(MalformedClassFile) as err:
         parse_class(damaged)
-    if pcs == (0, 1, 0):
-        assert (err.value.reason, err.value.offset) == ("truncated class file", at + 6)
+    if bad_after is None or read < bad_after:
+        assert (err.value.reason, err.value.offset) == ("truncated class file",
+                                                        at + 2 * read if read < 3 else at + 6)
     else:
-        assert err.value.reason == (f"exception handler {pcs[0]}..{pcs[1]} -> {pcs[2]}"
+        shown = (f"{pcs[0]}..", f"{pcs[0]}..{pcs[1]}", f"{pcs[0]}..{pcs[1]} -> {pcs[2]}")
+        assert err.value.reason == (f"exception handler {shown[read - 1]}"
                                     " does not fit code of length 1")
         assert err.value.offset == at
+
+
+def test_line_table_entry_cut_short():
+    """A last LineNumberTable entry cut short in its line_number has its
+    start_pc checked first: one past the code is reported as a whole entry
+    with it would be, and a good one as the truncation at its line_number."""
+    def failure(payload: bytes) -> tuple[str, int, bytes]:
+        data = simple_class("L", methods=[AsmMethod(
+            "m", "()V", ACC_PUBLIC, [("nop",), ("nop",), ("return",)],
+            code_attributes=(("LineNumberTable", payload),))])
+        with pytest.raises(MalformedClassFile) as err:
+            parse_class(data)
+        return err.value.reason, err.value.offset, data
+
+    whole = failure(struct.pack(">HHH", 1, 9, 4))
+    assert whole[0] == "line table offset beyond code"
+    assert failure(struct.pack(">HH", 1, 9))[:2] == whole[:2]
+    reason, offset, data = failure(struct.pack(">HH", 1, 2))
+    assert reason == "truncated class file"
+    assert data[offset - 4:offset] == struct.pack(">HH", 1, 2)
+    reason, offset, data = failure(struct.pack(">HB", 1, 0))
+    assert reason == "truncated class file"
+    assert data[offset - 2:offset] == struct.pack(">H", 1)
 
 
 # where the fixture writes the bad index, and how far from the end of the
@@ -648,7 +679,8 @@ def test_source_file_attribute():
 FIXTURE_CLASSES = fixture_classes()
 # (class bytes, start, end) of every code array of the fixture classes
 FIXTURE_CODE = [(data, m.code_at, m.code_at + len(m.code))
-                for data in FIXTURE_CLASSES for m in parse_class(data).methods.values() if m.code_at]
+                for data in FIXTURE_CLASSES for m in parse_class(data).methods.values()
+                if m.code_at]
 
 
 def pool_entries_end(data: bytes) -> int:

@@ -194,9 +194,10 @@ def test_bodies_are_checked_at_parse_time_and_never_decoded(tmp_path, monkeypatc
             # the closure reads the operands that this build's body checks found
             (h, graph), = closures
             assert graph.calls
-            kept = [m.operands for cf in h.classes.values() for m in cf.methods.values()
-                    if m.code_at]
-            assert {id(operands) for operands in kept} <= {id(found) for *_, found in checked}
+            kept = {(cf.source, m.code_at, id(m.operands)) for cf in h.classes.values()
+                    for m in cf.methods.values() if m.code_at}
+            assert kept <= {(pool.source, file_base, id(found))
+                            for _, file_base, pool, found in checked}
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])

@@ -89,6 +89,8 @@ def test_methods_compare_by_their_class_bytes():
     assert plain == again and not plain != again and hash(plain) == hash(again)
     other = plain._replace(access_flags=plain.access_flags | parser.ACC_FINAL)
     assert plain != other and not plain == other
+    assert plain != parser.MethodInfo(plain.name, plain.descriptor, plain.access_flags,
+                                      plain.attribute_names)  # no code
 
 
 def test_equal_bytes_give_equal_classes():
