@@ -18,7 +18,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .classfile import MAIN_DESCRIPTOR, MAIN_NAME, ClassFile, MethodRef, parse_class
+from .classfile import (ACC_PRIVATE, ACC_STATIC, MAIN_DESCRIPTOR, MAIN_NAME, ClassFile,
+                        MethodRef, parse_class)
 from .classfile.opcodes import INVOKE_KINDS
 from .containers import iter_class_entries
 from .errors import (EntryPointMissing, MalformedClassFile, SchemaViolation,
@@ -116,31 +117,53 @@ class ClassHierarchy(NamedTuple):
         return frozenset(seen)
 
     def lookup(self, class_name: str, name: str, descriptor: str) -> MethodRef | None:
-        """Nearest declaration of (name, descriptor) at or above a class.
+        """The declaration of (name, descriptor) that a call on a class selects.
 
-        Walks the superclass chain first, then the transitive super-interface
-        set. Returns None when no parsed class declares the method.
+        The nearest declaration on the superclass chain, if any. Past it, as
+        the JVM selects a method (JVMS §5.4.3.3, §5.4.6), the one
+        maximally-specific superinterface method that is not abstract: the
+        candidates are the superinterfaces' declarations that are neither
+        private nor static, less any declared in a superinterface of another
+        candidate's interface. Where none or several candidates are not
+        abstract, so that the JVM would throw ``AbstractMethodError`` or
+        ``IncompatibleClassChangeError``, the answer is the first
+        declaration in a breadth-first walk of the superinterfaces. Returns
+        None when no parsed class declares the method.
         """
         classes = self.classes
+        key = (name, descriptor)
         current = class_name
         interfaces: list[str] = []
         while current is not None and current in classes:
             cf = classes[current]
-            if (name, descriptor) in cf.methods:
+            if key in cf.methods:
                 return MethodRef(current, name, descriptor)
             interfaces.extend(cf.interfaces)
             current = cf.super_name
+        declaring: list[str] = []  # the superinterfaces that declare it, breadth first
         seen: set[str] = set()
-        while interfaces:
-            iface = interfaces.pop(0)
+        for iface in interfaces:  # the loop reaches what it appends
             if iface in seen or iface not in classes:
                 continue
             seen.add(iface)
             cf = classes[iface]
-            if (name, descriptor) in cf.methods:
-                return MethodRef(iface, name, descriptor)
+            if key in cf.methods:
+                declaring.append(iface)
             interfaces.extend(cf.interfaces)
-        return None
+        if not declaring:
+            return None
+        candidates = [i for i in declaring
+                      if not classes[i].methods[key].access_flags & (ACC_PRIVATE | ACC_STATIC)]
+        extended: set[str] = set()  # every interface that a candidate's interface extends
+        work = [s for i in candidates for s in classes[i].interfaces]
+        while work:
+            iface = work.pop()
+            if iface not in extended and iface in classes:
+                extended.add(iface)
+                work.extend(classes[iface].interfaces)
+        bodies = [i for i in candidates
+                  if i not in extended and not classes[i].methods[key].is_abstract]
+        return MethodRef(bodies[0] if len(bodies) == 1 else declaring[0], name, descriptor)
 
     def knows(self, class_name: str) -> bool:
         return class_name in self.classes or class_name in self.externals

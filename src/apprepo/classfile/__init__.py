@@ -7,6 +7,7 @@ from .parser import (
     ACC_FINAL,
     ACC_INTERFACE,
     ACC_NATIVE,
+    ACC_PRIVATE,
     ACC_PUBLIC,
     ACC_STATIC,
     MAIN_DESCRIPTOR,
@@ -29,6 +30,6 @@ __all__ = [
     "render_method", "quote_string",
     "ROOT_OBJECT_CLASS", "MAIN_NAME", "MAIN_DESCRIPTOR",
     "MIN_MAJOR_VERSION", "MAX_MAJOR_VERSION",
-    "ACC_PUBLIC", "ACC_STATIC", "ACC_FINAL", "ACC_NATIVE",
+    "ACC_PUBLIC", "ACC_PRIVATE", "ACC_STATIC", "ACC_FINAL", "ACC_NATIVE",
     "ACC_INTERFACE", "ACC_ABSTRACT",
 ]

@@ -64,6 +64,7 @@ MIN_MAJOR_VERSION = 45
 MAX_MAJOR_VERSION = 61
 
 ACC_PUBLIC = 0x0001
+ACC_PRIVATE = 0x0002
 ACC_STATIC = 0x0008
 ACC_FINAL = 0x0010
 ACC_NATIVE = 0x0100

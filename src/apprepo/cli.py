@@ -6,7 +6,7 @@
 
 Exit codes: 0 success, 1 validation or pipeline failure, 2 usage or I/O
 error, 120 when stdout or stderr cannot be flushed at the end.
-Diagnostics go to stderr; data goes to stdout.
+Diagnostics go to stderr as ``LEVEL text`` lines; data goes to stdout.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import logging
 import os
 import shutil
 import sys
@@ -43,7 +42,14 @@ from .project import (
 )
 from .xmlio import non_xml_char
 
-log = logging.getLogger(__name__)
+
+def _say(level: str, text: str) -> None:
+    """Write one diagnostic line to stderr, and drop it if the write fails."""
+    try:
+        sys.stderr.write(f"{level} {text}\n")
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        pass
 
 
 class PipelineConfig(NamedTuple):
@@ -226,7 +232,7 @@ def cmd_build(config: PipelineConfig) -> int:
             except OSError:
                 break
         raise
-    log.info("project written to %s", out)
+    _say("INFO", f"project written to {out}")
     return 0
 
 
@@ -298,7 +304,7 @@ def _build_into(config: PipelineConfig, root: Path) -> dict[Path, bytes | Path]:
         documents[declare("gui")] = persist_gui(model)
         documents[declare("external_gui")] = external_bytes
     else:
-        log.warning("no external GUI model provided; project has no GUI artifacts")
+        _say("WARNING", "no external GUI model provided; project has no GUI artifacts")
 
     try:
         row = version_metrics(
@@ -337,14 +343,14 @@ def cmd_validate(project_path: Path) -> int:
     try:
         project = read_project_file(project_path)
     except (IoFailure, SchemaViolation) as exc:
-        log.error("unreadable project file: %s", exc)
+        _say("ERROR", f"unreadable project file: {exc}")
         return 2
     report = validate_project(project)
     for item in report.items:
         print(json.dumps({"level": item.level, "code": item.code,
                           "detail": item.detail}, sort_keys=True))
-        log.log(logging.ERROR if item.level == "violation" else logging.WARNING,
-                "%s: %s", item.code, item.detail)
+        _say("ERROR" if item.level == "violation" else "WARNING",
+             f"{item.code}: {item.detail}")
     print(json.dumps({
         "level": "summary",
         "project": project.name,
@@ -352,16 +358,15 @@ def cmd_validate(project_path: Path) -> int:
         "warnings": len(report.warnings),
         "handlers": report.handler_summary(),
     }, sort_keys=True))
-    log.info("%s: %d violation(s), %d warning(s), handlers %s",
-             project.name, len(report.violations), len(report.warnings),
-             report.handler_summary())
+    _say("INFO", f"{project.name}: {len(report.violations)} violation(s),"
+         f" {len(report.warnings)} warning(s), handlers {report.handler_summary()}")
     return 0 if report.ok else 1
 
 
 def cmd_report(repo_root: Path, as_csv: bool = False) -> int:
     """Version history table over every project directly under a root."""
     if not exists_as(repo_root, S_IFDIR):
-        log.error("not a directory: %s", repo_root)
+        _say("ERROR", f"not a directory: {repo_root}")
         return 2
     rows = []
     for child in sorted(repo_root.iterdir()):
@@ -375,7 +380,7 @@ def cmd_report(repo_root: Path, as_csv: bool = False) -> int:
                 raise SchemaViolation("; ".join(i.detail for i in report.violations))
             rows.append(project_metrics(project, report))
         except ApprepoError as exc:
-            log.warning("skipping %s: %s", child.name, exc)
+            _say("WARNING", f"skipping {child.name}: {exc}")
     rows.sort(key=lambda r: (r.timestamp, r.version_label))
     sys.stdout.write(version_csv(rows) if as_csv else version_table(rows))
     return 0 if rows else 1
@@ -421,8 +426,6 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(argv: list[str] | None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO,
-                        format="%(levelname)s %(message)s")
     args = build_arg_parser().parse_args(argv)
     try:
         if args.command == "build":
@@ -433,15 +436,15 @@ def _run(argv: list[str] | None) -> int:
         if args.command == "report":
             return cmd_report(args.repo_root, args.csv)
     except StageFailure as exc:
-        log.error("build failed at stage '%s': %s", exc.stage, exc.cause)
+        _say("ERROR", f"build failed at stage '{exc.stage}': {exc.cause}")
         print(json.dumps({"stage": exc.stage, "error": type(exc.cause).__name__,
                           "detail": str(exc.cause)}, sort_keys=True), file=sys.stderr)
         return 1
     except IoFailure as exc:
-        log.error("%s", exc)
+        _say("ERROR", str(exc))
         return 2
     except ApprepoError as exc:
-        log.error("%s", exc)
+        _say("ERROR", str(exc))
         return 1
     return 2
 
@@ -449,14 +452,13 @@ def _run(argv: list[str] | None) -> int:
 def console_main() -> NoReturn:
     """The ``apprepo`` command: run :func:`main`, flush, and exit at once.
 
-    The logs and both standard streams are flushed, and the process then
-    ends with ``os._exit``, so the interpreter does not tear down the
-    modules and objects of the command: the exit returns their memory
-    anyway. A stream that cannot be flushed makes the exit code 120, as
-    it does for the interpreter's own exit.
+    Both standard streams are flushed, and the process then ends with
+    ``os._exit``, so the interpreter does not tear down the modules and
+    objects of the command: the exit returns their memory anyway. A
+    stream that cannot be flushed makes the exit code 120, as it does for
+    the interpreter's own exit.
     """
     code = main()
-    logging.shutdown()
     for stream in (sys.stdout, sys.stderr):
         try:
             stream.flush()

@@ -11,7 +11,6 @@ must every class of the binaries and libraries, and a stored
 
 from __future__ import annotations
 
-import logging
 from datetime import date
 from itertools import permutations
 from pathlib import Path
@@ -37,8 +36,6 @@ from .errors import (
 from .guimodel import GuiModel, link_event_handlers, load_gui
 from .metrics import JAVA_SUFFIX, VersionMetrics, holds_line_break, parse_version_csv
 from .xmlio import XmlWriter, read_document
-
-log = logging.getLogger(__name__)
 
 PROJECT_FILE_NAME = "project.xml"
 
@@ -331,11 +328,10 @@ def validate_project(p: Project) -> ProjectReport:
 def load_project(path: Path | str) -> Project:
     """Load a project with all safeguard checks; raises on any violation:
     :class:`MissingArtifact` for a missing required artifact, or else a
-    :class:`SchemaViolation` whose ``violations`` are all the report's."""
+    :class:`SchemaViolation` whose ``violations`` are all the report's.
+    Warnings pass silently: :func:`validate_project` reports them."""
     project = read_project_file(path)
     report = validate_project(project)
-    for item in report.warnings:
-        log.warning("%s: %s", item.code, item.detail)
     if not report.ok:
         missing = missing_artifacts(project)
         if missing:

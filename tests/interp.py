@@ -15,6 +15,8 @@ from __future__ import annotations
 from apprepo.callgraph import ClassHierarchy
 from apprepo.classfile import MethodRef
 
+from oracle_cha import oracle_default
+
 
 class Obj:
     """A heap object: runtime class plus instance fields."""
@@ -73,7 +75,8 @@ class TraceInterpreter:
             self.execute(ref, [])
 
     def dispatch(self, runtime_class: str, name: str, desc: str) -> MethodRef | None:
-        """Concrete method lookup from the receiver's runtime class upward."""
+        """Concrete method lookup from the receiver's runtime class upward,
+        then the default method the JVM selects from its superinterfaces."""
         current = runtime_class
         while current is not None and current in self.h.classes:
             cf = self.h.classes[current]
@@ -81,7 +84,7 @@ class TraceInterpreter:
             if method is not None and method.has_body:
                 return MethodRef(current, name, desc)
             current = cf.super_name
-        return None
+        return oracle_default(self.h.classes, runtime_class, name, desc)
 
     def _invoke(self, caller: MethodRef, kind: str, declared: MethodRef,
                 stack: list) -> None:

@@ -13,6 +13,8 @@ from typing import NamedTuple
 
 from apprepo.classfile import ClassFile, MethodRef
 
+from classasm import ACC_PRIVATE, ACC_STATIC
+
 _SITE_KINDS = {"invokestatic": "static", "invokespecial": "special",
                "invokevirtual": "virtual", "invokeinterface": "interface",
                "invokedynamic": "dynamic"}
@@ -38,9 +40,39 @@ def _declares(cf: ClassFile, name: str, desc: str) -> bool:
     return (name, desc) in cf.methods
 
 
+def oracle_default(classes: dict[str, ClassFile], cls: str, name: str,
+                   desc: str) -> MethodRef | None:
+    """The superinterface method the JVM selects for cls (JVMS §5.4.3.3,
+    §5.4.6): the one non-abstract method among the maximally-specific ones,
+    or None when there is not exactly one. Only the superclass chain's
+    declarations come before it."""
+    chain = []
+    current = cls
+    while current in classes:
+        chain.append(current)
+        current = classes[current].super_name
+    supers: set[str] = set()
+    frontier = {i for link in chain for i in classes[link].interfaces}
+    while frontier:
+        supers |= frontier
+        frontier = {i for iface in frontier if iface in classes
+                    for i in classes[iface].interfaces} - supers
+    candidates = {iface for iface in supers if iface in classes
+                  and _declares(classes[iface], name, desc)
+                  and not classes[iface].methods[name, desc].access_flags
+                  & (ACC_PRIVATE | ACC_STATIC)}
+    maximal = [iface for iface in sorted(candidates)
+               if not any(other != iface and oracle_is_subtype(classes, other, iface)
+                          for other in candidates)]
+    bodies = [iface for iface in maximal if not classes[iface].methods[name, desc].is_abstract]
+    return MethodRef(bodies[0], name, desc) if len(bodies) == 1 else None
+
+
 def oracle_lookup(classes: dict[str, ClassFile], cls: str, name: str,
                   desc: str) -> MethodRef | None:
-    """Nearest declaration at or above cls: superclasses, then interfaces."""
+    """Nearest declaration at or above cls on its superclass chain, then the
+    JVM's default method (:func:`oracle_default`), then the first interface
+    declaration breadth first."""
     chain = []
     current = cls
     while current in classes:
@@ -48,6 +80,9 @@ def oracle_lookup(classes: dict[str, ClassFile], cls: str, name: str,
         if _declares(classes[current], name, desc):
             return MethodRef(current, name, desc)
         current = classes[current].super_name
+    selected = oracle_default(classes, cls, name, desc)
+    if selected is not None:
+        return selected
     iface_queue = []
     for link in chain:
         iface_queue.extend(classes[link].interfaces)

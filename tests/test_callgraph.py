@@ -1,6 +1,8 @@
 """Hierarchy construction, CHA resolution and graph building."""
 
 import random
+import shutil
+import subprocess
 from collections import Counter
 
 import pytest
@@ -25,8 +27,10 @@ from apprepo.errors import (
     TargetClassMissing,
 )
 
-from classasm import ACC_PUBLIC, ACC_STATIC, AsmClass, AsmMethod, assemble_class
+from classasm import (ACC_ABSTRACT, ACC_INTERFACE, ACC_PRIVATE, ACC_PUBLIC, ACC_STATIC,
+                      AsmClass, AsmMethod, assemble_class)
 from generators import APP, callgraph_of, random_hierarchy, random_site_args
+from interp import TraceInterpreter
 from oracle_cha import invoke_sites, oracle_resolve
 
 MAIN_DESC = "([Ljava/lang/String;)V"
@@ -238,6 +242,85 @@ def test_cha_matches_bruteforce_oracle_randomized():
             assert got == want, f"seed={seed} {kind} {declared.text}"
             cases += 1
     assert cases >= 1000
+
+
+# --- default methods (JVMS §5.4.3.3, §5.4.6) ------------------------------------
+
+def default_method_hierarchy(interfaces: dict[str, tuple[tuple[str, ...], int]],
+                             implements: tuple[str, ...]) -> ClassHierarchy:
+    """Interfaces ``dflt/<name>`` of (superinterfaces, flags of their ``m()V``), with
+    code unless abstract; ``dflt/C`` implementing ``implements``; and ``dflt/D``,
+    whose main runs ``new C().m()``."""
+    specs = [AsmClass(f"dflt/{name}", interfaces=tuple(f"dflt/{i}" for i in extends),
+                      flags=ACC_PUBLIC | ACC_INTERFACE | ACC_ABSTRACT, major=52,
+                      methods=[AsmMethod("m", "()V", flags,
+                                         None if flags & ACC_ABSTRACT else [("return",)])])
+             for name, (extends, flags) in interfaces.items()]
+    init = AsmMethod("<init>", "()V", ACC_PUBLIC, [
+        ("aload_0",), ("invokespecial", "java/lang/Object", "<init>", "()V"), ("return",)])
+    main = AsmMethod("main", MAIN_DESC, ACC_PUBLIC | ACC_STATIC, [
+        ("new", "dflt/C"), ("dup",), ("invokespecial", "dflt/C", "<init>", "()V"),
+        ("invokevirtual", "dflt/C", "m", "()V"), ("return",)])
+    specs += [AsmClass("dflt/C", interfaces=tuple(f"dflt/{i}" for i in implements),
+                       methods=[init]),
+              AsmClass("dflt/D", methods=[main])]
+    return hierarchy_from_classes([parse_class(assemble_class(spec)) for spec in specs])
+
+
+DEFAULT = ACC_PUBLIC
+ABSTRACT = ACC_PUBLIC | ACC_ABSTRACT
+
+
+@pytest.mark.parametrize("interfaces,implements,selected,jvm_runs", [
+    # java D prints J: J's default is more specific than I's
+    ({"I": ((), DEFAULT), "J": (("I",), DEFAULT)}, ("I", "J"), "J", True),
+    # IncompatibleClassChangeError: the first declaration breadth first
+    ({"I": ((), DEFAULT), "K": ((), DEFAULT)}, ("I", "K"), "I", False),
+    # the one default beside an unrelated abstract declaration
+    ({"K": ((), ABSTRACT), "I": ((), DEFAULT)}, ("K", "I"), "I", True),
+    # AbstractMethodError: J's abstract m() hides I's default
+    ({"I": ((), DEFAULT), "J": (("I",), ABSTRACT)}, ("J", "I"), "J", False),
+    # static and private interface methods are no candidates
+    ({"I": ((), DEFAULT), "J": (("I",), ACC_PUBLIC | ACC_STATIC)}, ("J",), "I", True),
+    ({"I": ((), DEFAULT), "J": (("I",), ACC_PRIVATE)}, ("J",), "I", True),
+], ids=["more-specific", "unrelated-defaults", "abstract-beside-default",
+        "abstract-redeclaration", "static", "private"])
+def test_lookup_selects_default_methods_as_the_jvm_does(interfaces, implements, selected,
+                                                       jvm_runs):
+    h = default_method_hierarchy(interfaces, implements)
+    want = MethodRef(f"dflt/{selected}", "m", "()V")
+    assert h.lookup("dflt/C", "m", "()V") == want
+    assert oracle_resolve("virtual", MethodRef("dflt/C", "m", "()V"), h.classes) == {want}
+    main_ref = MethodRef("dflt/D", "main", MAIN_DESC)
+    graph = build_callgraph(h, {main_ref})
+    assert {ref for ref in graph.nodes if ref.name == "m"} == {want}
+    if jvm_runs:
+        trace = TraceInterpreter(h).run_main("dflt/D")
+        assert (main_ref.text, want.text, "virtual") in trace
+
+
+def test_the_jvm_runs_the_default_method_the_graph_holds(tmp_path):
+    javac, java = shutil.which("javac"), shutil.which("java")
+    if javac is None or java is None:
+        pytest.skip("javac or java is not installed")
+    source = tmp_path / "D.java"
+    source.write_text("""
+        interface I { default void m() { System.out.println("I"); } }
+        interface J extends I { default void m() { System.out.println("J"); } }
+        class C implements I, J {}
+        public class D { public static void main(String[] args) { new C().m(); } }
+        """, encoding="utf-8")
+    out = tmp_path / "out"
+    subprocess.run([javac, "--release", "8", "-d", str(out), str(source)],
+                   check=True, capture_output=True, timeout=120)
+    ran = subprocess.run([java, "-cp", str(out), "D"], check=True, capture_output=True,
+                         text=True, timeout=120)
+    assert ran.stdout == "J\n"
+    h = build_hierarchy(ClasspathPartition.of(application=[out]))
+    assert h.lookup("C", "m", "()V") == MethodRef("J", "m", "()V")
+    graph = build_callgraph(h, {MethodRef("D", "main", MAIN_DESC)})
+    assert MethodRef("J", "m", "()V") in graph.nodes
+    assert MethodRef("I", "m", "()V") not in graph.nodes
 
 
 def test_monotonicity_adding_override_never_removes_edges(corpus, hierarchy):

@@ -2,7 +2,6 @@
 
 import gc
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -262,8 +261,8 @@ def test_report_without_metrics_counts_classes_from_the_code_model(tmp_path, mon
      "row of version '9.9' at 1999-01-01 disagrees with the project's '2.0' at 2002-02-02"),
 ], ids=["non-integer-count", "negative-count", "bad-date", "undecodable-bytes",
         "disagreeing-row"])
-def test_report_skips_project_with_damaged_metrics(corpus, hierarchy, tmp_path, caplog,
-                                                   capsys, row, reason):
+def test_report_skips_project_with_damaged_metrics(corpus, hierarchy, tmp_path, capsys,
+                                                   row, reason):
     from datetime import date
     repo = tmp_path / "repo"
     build_bundle(corpus, hierarchy, repo / "good", version="1.0", timestamp=date(2001, 1, 1))
@@ -271,11 +270,11 @@ def test_report_skips_project_with_damaged_metrics(corpus, hierarchy, tmp_path, 
                  timestamp=date(2002, 2, 2))
     (repo / "damaged" / "metrics.csv").write_bytes(
         b"version,timestamp,classes,loc,widgets,windows\r\n" + row + b"\r\n")
-    with caplog.at_level(logging.WARNING):
-        assert main(["report", str(repo), "--csv"]) == 0
-    rows = parse_version_csv(capsys.readouterr().out)
+    assert main(["report", str(repo), "--csv"]) == 0
+    out, err = capsys.readouterr()
+    rows = parse_version_csv(out)
     assert [r.version_label for r in rows] == ["1.0"]
-    skipped = [r.message for r in caplog.records if r.message.startswith("skipping damaged")]
+    skipped = [line for line in err.splitlines() if line.startswith("WARNING skipping damaged")]
     assert len(skipped) == 1 and reason in skipped[0]
     assert main(["validate", str(repo / "damaged" / "project.xml")]) == 1
     violations = [json.loads(line) for line in capsys.readouterr().out.splitlines()
@@ -284,7 +283,7 @@ def test_report_skips_project_with_damaged_metrics(corpus, hierarchy, tmp_path, 
     assert reason in violations[0]["detail"]
 
 
-def test_corrupt_library_jar_fails_a_bundle_without_gui(corpus, tmp_path, capsys, caplog):
+def test_corrupt_library_jar_fails_a_bundle_without_gui(corpus, tmp_path, capsys):
     config = write_config(tmp_path / "c.json", corpus)
     repo = tmp_path / "repo"
     assert main(["build", "--config", str(config), "--out", str(repo / "v1")]) == 0
@@ -298,10 +297,10 @@ def test_corrupt_library_jar_fails_a_bundle_without_gui(corpus, tmp_path, capsys
     assert [(l["level"], l["code"]) for l in lines[:-1]] == [("violation", "CodeModel")]
     assert jar.name in lines[0]["detail"]
     assert lines[-1]["violations"] == 1
-    with caplog.at_level(logging.WARNING):
-        assert main(["report", str(repo)]) == 1
-    assert len(capsys.readouterr().out.splitlines()) == 2  # header and separator only
-    assert any(r.message.startswith("skipping v1") for r in caplog.records)
+    assert main(["report", str(repo)]) == 1
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 2  # header and separator only
+    assert any(line.startswith("WARNING skipping v1") for line in err.splitlines())
 
 
 def test_damaged_jar_entry_fails_validate_and_build_without_a_traceback(
@@ -555,7 +554,7 @@ def test_build_fails_verify_when_callgraph_is_corrupted_on_disk(inputs, tmp_path
         monkeypatch.undo()
 
 
-def test_build_rejects_malformed_entry_point_before_any_work(corpus, tmp_path, caplog,
+def test_build_rejects_malformed_entry_point_before_any_work(corpus, tmp_path, capsys,
                                                            monkeypatch):
     calls = record_reader_calls(monkeypatch)
     copies = []
@@ -565,18 +564,18 @@ def test_build_rejects_malformed_entry_point_before_any_work(corpus, tmp_path, c
     out = tmp_path / "proj"
     assert main(["build", "--config", str(config), "--out", str(out)]) == 2
     assert ("key 'entry_points': not a method reference: 'fix/Main1',"
-            " expected class.name(descriptor)") in caplog.text
+            " expected class.name(descriptor)") in capsys.readouterr().err
     assert copies == [] and not any(calls.values())
     assert not out.exists()
     assert not (tmp_path / "proj.building").exists()
 
 
-def test_build_without_gui_warns(corpus, tmp_path, caplog):
+def test_build_without_gui_warns(corpus, tmp_path, capsys):
     config = write_config(tmp_path / "c.json", corpus)
     out = tmp_path / "proj"
-    with caplog.at_level(logging.WARNING):
-        assert main(["build", "--config", str(config), "--out", str(out)]) == 0
-    assert any("GUI" in r.message for r in caplog.records)
+    assert main(["build", "--config", str(config), "--out", str(out)]) == 0
+    assert any(line.startswith("WARNING ") and "GUI" in line
+               for line in capsys.readouterr().err.splitlines())
     project = load_project(out / "project.xml")
     assert project.gui_model_path is None
     rows = parse_version_csv((out / "metrics.csv").read_text())
@@ -639,7 +638,7 @@ def test_build_takes_the_project_directory_from_out_only(corpus, tmp_path):
     ("sources", 5), ("external_gui", ["gui.xml"]), ("timestamp", 5),
     ("entry_points", 5), ("entry_points", "main"), ("entry_points", [None]),
 ])
-def test_build_rejects_config_values_of_the_wrong_type(corpus, tmp_path, caplog, key, value):
+def test_build_rejects_config_values_of_the_wrong_type(corpus, tmp_path, capsys, key, value):
     config = tmp_path / "c.json"
     if key is None:
         config.write_text(json.dumps(value), encoding="utf-8")
@@ -647,17 +646,17 @@ def test_build_rejects_config_values_of_the_wrong_type(corpus, tmp_path, caplog,
         write_config(config, corpus, **{key: value})
     out = tmp_path / "proj"
     assert main(["build", "--config", str(config), "--out", str(out)]) == 2
-    assert (f"key {key!r}" if key else "must be a JSON object") in caplog.text
+    assert (f"key {key!r}" if key else "must be a JSON object") in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "proj.building").exists()
 
 
-def test_build_rejects_container_listed_in_two_components(corpus, tmp_path, caplog):
+def test_build_rejects_container_listed_in_two_components(corpus, tmp_path, capsys):
     both = str(corpus.paths["application"])
     config = write_config(tmp_path / "c.json", corpus, library=[both], application=[both])
     out = tmp_path / "proj"
     assert main(["build", "--config", str(config), "--out", str(out)]) == 2
-    assert "listed in both library and application" in caplog.text
+    assert "listed in both library and application" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -669,29 +668,28 @@ def test_build_unreadable_config(tmp_path):
 @pytest.mark.parametrize("key,value", [("name", "odd\ud800"), ("version", "1\ud800"),
                                        ("version", 1.5), ("name", ""),
                                        ("name", "odd\u0001name"), ("version", "1\ufffe")])
-def test_build_rejects_config_text_utf8_cannot_encode(corpus, tmp_path, caplog, key, value):
+def test_build_rejects_config_text_utf8_cannot_encode(corpus, tmp_path, capsys, key, value):
     config = write_config(tmp_path / "c.json", corpus, **{key: value})
     out = tmp_path / "proj"
     assert main(["build", "--config", str(config), "--out", str(out)]) == 2
-    assert f"key {key!r}" in caplog.text
+    assert f"key {key!r}" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "proj.building").exists()
 
 
 @pytest.mark.parametrize("label", ["1\n2 | 3", "1\r", "\u20281"])
-def test_build_rejects_a_version_label_with_a_line_break(corpus, tmp_path, caplog, label):
+def test_build_rejects_a_version_label_with_a_line_break(corpus, tmp_path, capsys, label):
     config = write_config(tmp_path / "c.json", corpus, version=label)
     out = tmp_path / "proj"
     assert main(["build", "--config", str(config), "--out", str(out)]) == 2
-    assert f"key 'version' must be one line, got {label!r}" in caplog.text
+    assert f"key 'version' must be one line, got {label!r}" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "proj.building").exists()
 
 
 @pytest.mark.parametrize("label", ["1&#10;2 | 3", "1&#13;", "\u20281"])
 def test_report_skips_a_bundle_whose_version_label_breaks_its_line(corpus, hierarchy,
-                                                                   tmp_path, capsys, caplog,
-                                                                   label):
+                                                                   tmp_path, capsys, label):
     """A hand-edited label with a line break would split its table row."""
     from datetime import date
     repo = tmp_path / "repo"
@@ -701,10 +699,10 @@ def test_report_skips_a_bundle_whose_version_label_breaks_its_line(corpus, hiera
     edited.write_text(edited.read_text(encoding="utf-8").replace('version="2.0"',
                                                                  f'version="{label}"'),
                       encoding="utf-8")
-    with caplog.at_level(logging.WARNING):
-        assert main(["report", str(repo)]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 3  # header, separator, one row
-    skipped = [r.message for r in caplog.records if r.message.startswith("skipping edited")]
+    assert main(["report", str(repo)]) == 0
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 3  # header, separator, one row
+    skipped = [line for line in err.splitlines() if line.startswith("WARNING skipping edited")]
     assert len(skipped) == 1 and "version label must be one line" in skipped[0]
     assert main(["validate", str(edited)]) == 2
 
@@ -811,7 +809,7 @@ def test_report_empty_root(tmp_path, capsys):
     assert len(out.splitlines()) == 2
 
 
-def test_report_skips_corrupt_project(corpus, hierarchy, tmp_path, capsys, caplog):
+def test_report_skips_corrupt_project(corpus, hierarchy, tmp_path, capsys):
     from datetime import date
     repo = tmp_path / "repo"
     build_bundle(corpus, hierarchy, repo / "good", version="1.0",
@@ -819,16 +817,30 @@ def test_report_skips_corrupt_project(corpus, hierarchy, tmp_path, capsys, caplo
     corrupt = repo / "corrupt"
     corrupt.mkdir(parents=True)
     (corrupt / "project.xml").write_text("<project broken")
-    with caplog.at_level(logging.WARNING):
-        assert main(["report", str(repo)]) == 0
-    out = capsys.readouterr().out
+    assert main(["report", str(repo)]) == 0
+    out, err = capsys.readouterr()
     assert len(out.splitlines()) == 3  # header + separator + one row
-    assert any("skipping" in r.message for r in caplog.records)
+    assert any(line.startswith("WARNING skipping") for line in err.splitlines())
 
 
 def test_report_missing_root(tmp_path):
     assert main(["report", str(tmp_path / "ghost")]) == 2
     assert main(["report", str(tmp_path / ("x" * 300))]) == 2  # over-long: absent too
+
+
+def test_an_in_process_run_leaves_the_root_logger_as_it_found_it(tmp_path, capsys,
+                                                                 monkeypatch):
+    import logging
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])  # as in a caller that configured none
+    level = root.level
+    try:
+        assert main(["validate", str(tmp_path / "nope.xml")]) == 2
+        after = (list(root.handlers), root.level)
+    finally:
+        root.setLevel(level)
+    assert after == ([], level)
+    assert capsys.readouterr().err.startswith("ERROR unreadable project file: ")
 
 
 def test_usage_error_exit_code():
@@ -846,16 +858,17 @@ CHILD_ENV = {**{k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
              "PYTHONPATH": str(SRC)}
 
 
-def run_apprepo(*args: str, stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
+def run_apprepo(*args: str, stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE) -> subprocess.CompletedProcess:
     """``python -m apprepo`` in a fresh interpreter, as the console script runs it."""
     return subprocess.run([sys.executable, "-m", "apprepo", *args], stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, timeout=120, env=CHILD_ENV)
+                          stderr=stderr, text=True, timeout=120, env=CHILD_ENV)
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # every command pays for its imports; inspect alone brings ast and dis
-    code = ("import sys, apprepo.cli;"
-            " print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys, apprepo.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'logging', 'traceback'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           timeout=60, env=CHILD_ENV)
     assert (done.returncode, done.stdout) == (0, "[]\n"), done.stderr
@@ -895,3 +908,17 @@ def test_console_entry_exits_non_zero_when_stdout_cannot_be_flushed(corpus, hier
     with open("/dev/full", "w") as full:
         done = run_apprepo("validate", str(bundle), stdout=full)
     assert done.returncode == 120
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs /dev/full")
+def test_console_entry_writes_all_records_when_stderr_cannot_be_written(corpus, hierarchy,
+                                                                         tmp_path):
+    # a diagnostic line follows each record: one that raised would cut the records short
+    bundle = build_bundle(corpus, hierarchy, tmp_path / "p")
+    gui = read_project_file(bundle).gui_model_path
+    gui.write_bytes(gui.read_bytes().replace(b'id="lbl"', b'id="ok"'))
+    with open("/dev/full", "w") as full:
+        done = run_apprepo("validate", str(bundle), stderr=full)
+    assert done.returncode == 120
+    levels = [json.loads(line)["level"] for line in done.stdout.splitlines()]
+    assert levels == ["violation", "summary"]
